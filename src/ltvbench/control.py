@@ -10,6 +10,7 @@ against a spring, hence the feedforward term.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,18 +96,15 @@ class ReferenceSpec:
             raise ValueError("reference needs at least one segment")
         if abs(segs[0][0]) > 1e-12:
             raise ValueError("first reference segment must start at t=0")
-        starts = [t for t, _ in segs]
+        starts = tuple(t for t, _ in segs)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must strictly increase")
+        object.__setattr__(self, "_starts", starts)
 
     def position_at(self, t: float) -> float:
-        z = self.segments[0][1]
-        for start, value in self.segments:
-            if t + 1e-12 >= start:
-                z = value
-            else:
-                break
-        return z
+        """Position of the last segment starting at or before ``t`` (1e-12 slack)."""
+        i = bisect_right(self._starts, t + 1e-12)
+        return self.segments[max(i - 1, 0)][1]
 
     def state_at(self, t: float, p: int = 2) -> np.ndarray:
         """Reference state: target position, zero for the remaining components."""

@@ -15,11 +15,23 @@ All plants are second order (position, velocity) with a scalar force input.
 Simulation is fixed-step RK4 with internal substepping; the linearized
 zero-order-hold discretization of the same plant is available as
 :func:`ground_truth_ltv` and doubles as the "linearization" baseline model.
+
+The plant parameters depend only on time, so :func:`simulate` and
+:func:`control.closed_loop` (both through :func:`_rollout`) read them from a
+per-scenario stage table: ``(m, C_s, C_d)`` at the three RK4 stage times of
+every substep, filled once by :func:`params_at` and kept read-only in a cache
+of the :data:`STAGE_TABLE_CACHE` most recently used scenario specs.
+:func:`step_rk4` is the reference implementation of one step; the
+table-driven loop repeats its float arithmetic exactly, so rollouts are
+bit-identical to stepping it in a loop.  Per step the random draws come in a
+fixed order that seeds depend on: the input's own draws, then the ``nld``
+kick, then the frame-boundary kick.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +46,10 @@ from .models import LtvModel, MatrixPair
 # Internal RK4 substeps per scenario step; keeps the ground truth clearly more
 # accurate than any ZOH-discretized model of it.
 RK4_SUBSTEPS = 10
+
+# Scenario specs whose RK4 stage tables stay cached; one table is
+# n_steps * RK4_SUBSTEPS * 9 float64 values (360 kB at the default 500 steps).
+STAGE_TABLE_CACHE = 8
 
 # Frame parameter ranges for the reconfiguration scenarios.  Masses follow a
 # two-regime distribution (mostly heavy frames with occasional drastic mass
@@ -89,6 +105,8 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self):
+        # a hashable frame table keeps the spec usable as a cache key
+        object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.dt <= 0:
@@ -277,17 +295,36 @@ def sat(u: float, limit: float) -> float:
     return -limit if u < -limit else (limit if u > limit else u)
 
 
+def _force_law(spec: ScenarioSpec):
+    """The plant's acceleration as ``accel(m, cs, cd, x1, x2, u, kick)``.
+
+    This is the one place the force law is written: input saturation and
+    cubic damping for ``nl``/``nld``, and for ``nld`` the Gaussian bump that
+    scales the per-step ``kick``.  The spec's constants are bound once, so a
+    rollout pays no per-stage attribute lookups.
+    """
+    if spec.kind not in _SATURATED_KINDS:
+        def accel(m, cs, cd, x1, x2, u, kick):
+            return (u - cs * x1 - cd * x2) / m
+        return accel
+
+    limit = spec.sat_limit
+    cubic = spec.cubic_damping
+    bump = spec.kind is Kind.NLD
+    center = spec.dist_center
+    spread = 2.0 * spec.dist_width * spec.dist_width
+
+    def accel(m, cs, cd, x1, x2, u, kick):
+        a = (sat(u, limit) - cs * x1 - cd * x2 - cubic * x2 * x2 * x2) / m
+        if bump and kick != 0.0:
+            dz = x1 - center
+            a += kick * math.exp(-dz * dz / spread)
+        return a
+    return accel
+
+
 def _accel(spec: ScenarioSpec, t: float, x1: float, x2: float, u: float, kick: float) -> float:
-    m, cs, cd = params_at(spec, t)
-    if spec.kind in _SATURATED_KINDS:
-        force = sat(u, spec.sat_limit) - cs * x1 - cd * x2 - spec.cubic_damping * x2 * x2 * x2
-    else:
-        force = u - cs * x1 - cd * x2
-    a = force / m
-    if spec.kind is Kind.NLD and kick != 0.0:
-        dz = x1 - spec.dist_center
-        a += kick * math.exp(-dz * dz / (2.0 * spec.dist_width * spec.dist_width))
-    return a
+    return _force_law(spec)(*params_at(spec, t), x1, x2, u, kick)
 
 
 def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> np.ndarray:
@@ -315,7 +352,8 @@ def step_rk4(
     The input is held constant over the step (zero-order hold) and so is any
     stochastic disturbance amplitude, which is sampled once per call.  The
     step is internally subdivided so the continuously varying parameters are
-    tracked accurately.
+    tracked accurately.  This is the reference implementation the
+    table-driven rollout loop is tested against.
     """
     u = float(u)
     kick = 0.0
@@ -354,38 +392,91 @@ def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     return frozenset(steps)
 
 
+@functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
+def _stage_table(spec: ScenarioSpec) -> np.ndarray:
+    """Plant parameters at every RK4 stage time of a rollout of ``spec``.
+
+    Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + 0.5*h`` and
+    ``ti + h``, with ``ti = t_k + i*h``: the float times :func:`step_rk4`
+    evaluates, computed the same way, so the values are bit-equal to its
+    :func:`params_at` calls.  The end time is not shared with the next
+    substep's start, as the two can differ by an ulp.  The array is read-only
+    and shared by every rollout of an equal spec.
+    """
+    n = spec.n_steps
+    h = spec.dt / RK4_SUBSTEPS
+    times = np.arange(n + 1) * spec.dt
+    table = np.empty((n, RK4_SUBSTEPS, 9))
+    for k in range(n):
+        t = times[k]
+        for i in range(RK4_SUBSTEPS):
+            ti = t + i * h
+            table[k, i] = (
+                params_at(spec, ti) + params_at(spec, ti + 0.5 * h) + params_at(spec, ti + h)
+            )
+    table.flags.writeable = False
+    return table
+
+
 def _rollout(spec, x0, control, rng, guard: float | None = None):
     """Shared integration loop: ``control(k, t, x)`` supplies the input.
 
-    Reconfiguration velocity kicks are applied to the state exactly when a
-    step lands on a frame boundary; the recorded state at that time includes
-    the kick.  With ``guard`` set, a state exceeding it raises
-    :class:`InstabilityError` carrying the partial trajectory.
+    Each step is the arithmetic of :func:`step_rk4` on Python floats, with the
+    plant parameters read from :func:`_stage_table` instead of recomputed.
+    Per step the random draws are, in order: whatever ``control`` draws, the
+    ``nld`` kick, the boundary kick.  Reconfiguration velocity kicks are
+    applied to the state exactly when a step lands on a frame boundary; the
+    recorded state at that time includes the kick.  With ``guard`` set, a
+    state exceeding it raises :class:`InstabilityError` carrying the partial
+    trajectory.
     """
     n = spec.n_steps
     times = np.arange(n + 1) * spec.dt
     kick_steps = _kick_step_indices(spec)
-    states = np.empty((n + 1, 2))
-    inputs = np.empty((n, 1))
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
-    states[0] = x
+    table = _stage_table(spec)
+    accel = _force_law(spec)
+    nld_sigma = 0.0
+    if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
+        nld_sigma = spec.dist_sigma
+    kick_sigma = spec.kick_sigma if rng is not None and spec.kick_sigma > 0 else 0.0
+    h = spec.dt / RK4_SUBSTEPS
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    x1, x2 = float(x[0]), float(x[1])
+    states = [(x1, x2)]
+    inputs = []
     for k in range(n):
-        u = float(control(k, times[k], x))
-        inputs[k, 0] = u
-        x = step_rk4(spec, times[k], x, u, spec.dt, rng)
-        if (k + 1) in kick_steps and rng is not None and spec.kick_sigma > 0:
-            x[1] += rng.normal(0.0, spec.kick_sigma)
-        states[k + 1] = x
-        if guard is not None and np.max(np.abs(x)) > guard:
+        t = times[k]
+        u = float(control(k, t, x))
+        inputs.append(u)
+        kick = rng.normal(0.0, nld_sigma) if nld_sigma else 0.0
+        for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in table[k].tolist():
+            b1 = accel(m1, cs1, cd1, x1, x2, u, kick)
+            a2 = x2 + half_h * b1
+            b2 = accel(m2, cs2, cd2, x1 + half_h * x2, a2, u, kick)
+            a3 = x2 + half_h * b2
+            b3 = accel(m2, cs2, cd2, x1 + half_h * a2, a3, u, kick)
+            a4 = x2 + h * b3
+            b4 = accel(m3, cs3, cd3, x1 + h * a3, a4, u, kick)
+            x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+            x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise IntegrationError(f"non-finite state after step at t={t}")
+        if kick_sigma and (k + 1) in kick_steps:
+            x2 += rng.normal(0.0, kick_sigma)
+        states.append((x1, x2))
+        x = np.array((x1, x2))
+        if guard is not None and max(abs(x1), abs(x2)) > guard:
             raise InstabilityError(
                 k + 1,
                 times=times[: k + 2],
-                states=states[: k + 2].copy(),
-                inputs=inputs[: k + 1].copy(),
+                states=np.array(states),
+                inputs=np.array(inputs).reshape(k + 1, 1),
             )
-    return times, states, inputs
+    return times, np.array(states), np.array(inputs).reshape(n, 1)
 
 
 def simulate(spec: ScenarioSpec, x0, input_signal, seed=None) -> Trajectory:

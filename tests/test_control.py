@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
@@ -208,7 +210,38 @@ class TestTrackingErrors:
         assert_allclose(tracking_errors(traj, ref), 2.0)
 
 
+def linear_scan_position(ref, t):
+    """The reference lookup by definition: scan segments until one starts later."""
+    z = ref.segments[0][1]
+    for start, value in ref.segments:
+        if t + 1e-12 >= start:
+            z = value
+        else:
+            break
+    return z
+
+
+@st.composite
+def references_and_times(draw):
+    later = draw(st.lists(st.floats(1e-6, 100.0), max_size=60, unique=True))
+    starts = [0.0] + sorted(later)
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(starts), max_size=len(starts)))
+    ref = ReferenceSpec(segments=tuple(zip(starts, values)))
+    boundary = draw(st.sampled_from(starts))
+    near = st.floats(-3e-12, 3e-12).map(lambda d: boundary + d)
+    exact = st.sampled_from([boundary - 1e-12, boundary + 1e-12, boundary])
+    anywhere = st.floats(-1.0, 110.0)
+    return ref, draw(st.lists(st.one_of(near, exact, anywhere), min_size=1, max_size=10))
+
+
 class TestReferenceSpec:
+    @settings(max_examples=200, deadline=None)
+    @given(references_and_times())
+    def test_lookup_matches_linear_scan(self, case):
+        ref, times = case
+        for t in times:
+            assert ref.position_at(t) == linear_scan_position(ref, t)
+
     def test_piecewise_lookup(self):
         ref = ReferenceSpec(segments=((0.0, 1.0), (2.0, -1.0)))
         assert ref.position_at(0.0) == 1.0

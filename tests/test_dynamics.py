@@ -1,17 +1,33 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import ltvbench as lb
+from ltvbench.control import (
+    DIVERGENCE_GUARD,
+    GainSchedule,
+    closed_loop,
+    default_reference,
+    default_weights,
+    feedforward,
+    lqr_ltv,
+    with_feedforward,
+)
+from ltvbench.datagen import ExcitationSpec, chirp
 from ltvbench.dynamics import (
+    RK4_SUBSTEPS,
     Kind,
     ScenarioSpec,
     Trajectory,
     _kick_step_indices,
+    _stage_table,
     derivative,
     discretize,
     ground_truth_ltv,
@@ -25,7 +41,7 @@ from ltvbench.dynamics import (
     step_param_time,
     step_rk4,
 )
-from ltvbench.exceptions import DataFormatError
+from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError
 from ltvbench.ident import predict_rollout
 
 
@@ -269,3 +285,173 @@ class TestTrajectoryType:
         traj = Trajectory(times=np.arange(3.0), states=np.zeros((3, 2)), inputs=np.zeros(2))
         assert traj.inputs.shape == (2, 1)
         assert traj.q == 1
+
+
+# --- the table-driven rollout against a plain loop of the reference step ----
+
+def short_scenario(name, horizon=4.0):
+    """A built-in scenario cut to ``horizon`` (reconfig kinds keep a frame boundary)."""
+    spec = scenario(name)
+    return replace(spec, horizon=horizon, frames=spec.frames[: math.ceil(horizon / 2.0)])
+
+
+def oracle_rollout(spec, x0, control, rng, guard=None):
+    """``step_rk4`` stepped in a plain loop, plus the boundary velocity kicks.
+
+    Returns (times, states, inputs, trip_step); ``trip_step`` is the step at
+    which the state first left ``guard`` (the arrays then end there), or None.
+    """
+    n = spec.n_steps
+    times = np.arange(n + 1) * spec.dt
+    kick_steps = _kick_step_indices(spec)
+    x = np.asarray(x0, dtype=float).copy()
+    states, inputs = [x], []
+    for k in range(n):
+        u = float(control(k, times[k], x))
+        inputs.append(u)
+        x = step_rk4(spec, times[k], x, u, spec.dt, rng)
+        if (k + 1) in kick_steps and rng is not None and spec.kick_sigma > 0:
+            x[1] += rng.normal(0.0, spec.kick_sigma)
+        states.append(x)
+        if guard is not None and np.max(np.abs(x)) > guard:
+            return times[: k + 2], np.array(states), np.array(inputs)[:, None], k + 1
+    return times, np.array(states), np.array(inputs)[:, None], None
+
+
+def tracking_policy(sched, ref):
+    """The closed-loop input law of ``control.closed_loop``."""
+    return lambda k, t, x: sched.u_ff[k, 0] - (sched.K[k] @ (x - ref.state_at(t, 2)))[0]
+
+
+def assert_bytes_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def tracking_schedule(spec):
+    model = ground_truth_ltv(spec)
+    ref = default_reference(spec.horizon)
+    sched = lqr_ltv(model, default_weights())
+    return with_feedforward(sched, feedforward(model, ref)), ref
+
+
+def unstable_variant(spec):
+    """``spec`` with negative damping (and no cubic term), so it diverges."""
+    if spec.frames:
+        return replace(spec, frames=tuple((m, cs, -2.0 * cd) for m, cs, cd in spec.frames))
+    return replace(spec, damping=-2.0, cubic_damping=0.0)
+
+
+initial_states = st.tuples(
+    st.floats(-2.5, 2.5, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False)
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestRolloutOracle:
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @settings(max_examples=4, deadline=None)
+    @given(x0=initial_states, seed=seeds)
+    def test_simulate_matches_step_loop(self, name, x0, seed):
+        # the chirp noise, the nld kick and the boundary kicks share one
+        # generator, so this also pins the per-step draw order
+        spec = short_scenario(name)
+        ex = ExcitationSpec(amplitude=2.0, omega0=0.5, omega1=6.0, noise_var=0.1, duration=4.0)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate(spec, x0, lambda t: chirp(ex, t, rng_a), seed=rng_a)
+        times, states, inputs, _ = oracle_rollout(
+            spec, x0, lambda k, t, x: chirp(ex, t, rng_b), rng_b
+        )
+        assert_bytes_equal(got.times, times)
+        assert_bytes_equal(got.states, states)
+        assert_bytes_equal(got.inputs, inputs)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_nld_kicks_fire_near_the_bump(self):
+        # start on the bump centre: the seeded kicks must move the state
+        spec = short_scenario("nld")
+        quiet = simulate(spec, [spec.dist_center, 0.0], lambda t: 0.0)
+        kicked = simulate(spec, [spec.dist_center, 0.0], lambda t: 0.0, seed=3)
+        times, states, _, _ = oracle_rollout(
+            spec, [spec.dist_center, 0.0], lambda k, t, x: 0.0, np.random.default_rng(3)
+        )
+        assert not np.array_equal(quiet.states, kicked.states)
+        assert_bytes_equal(kicked.states, states)
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @settings(max_examples=3, deadline=None)
+    @given(x0=initial_states, seed=seeds)
+    def test_closed_loop_matches_step_loop(self, name, x0, seed):
+        spec = short_scenario(name)
+        sched, ref = tracking_schedule(spec)
+        got = closed_loop(spec, sched, ref, x0, seed=seed)
+        times, states, inputs, _ = oracle_rollout(
+            spec, x0, tracking_policy(sched, ref), np.random.default_rng(seed)
+        )
+        assert_bytes_equal(got.states, states)
+        assert_bytes_equal(got.inputs, inputs)
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    def test_guard_trip_partial_data_matches(self, name):
+        spec = unstable_variant(scenario(name))
+        n = spec.n_steps
+        sched = GainSchedule(K=np.zeros((n, 1, 2)), u_ff=np.zeros((n, 1)))
+        ref = default_reference(spec.horizon)
+        with pytest.raises(InstabilityError) as info:
+            closed_loop(spec, sched, ref, [1.0, 0.0], seed=5)
+        times, states, inputs, step = oracle_rollout(
+            spec,
+            [1.0, 0.0],
+            tracking_policy(sched, ref),
+            np.random.default_rng(5),
+            guard=DIVERGENCE_GUARD,
+        )
+        assert step is not None and info.value.step == step
+        assert_bytes_equal(info.value.times, times)
+        assert_bytes_equal(info.value.states, states)
+        assert_bytes_equal(info.value.inputs, inputs)
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    def test_non_finite_step_raises(self, name):
+        spec = short_scenario(name)
+        signal = lambda t: 0.0 if t < 1.0 else math.nan
+        with pytest.raises(IntegrationError) as got:
+            simulate(spec, [0.5, 0.0], signal)
+        with pytest.raises(IntegrationError) as expected:
+            oracle_rollout(spec, [0.5, 0.0], lambda k, t, x: signal(t), None)
+        assert str(got.value) == str(expected.value)
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    def test_rows_are_params_at_stage_times(self, name):
+        spec = short_scenario(name, horizon=2.5)
+        table = _stage_table(spec)
+        h = spec.dt / RK4_SUBSTEPS
+        times = np.arange(spec.n_steps + 1) * spec.dt
+        assert table.shape == (spec.n_steps, RK4_SUBSTEPS, 9)
+        for k in range(spec.n_steps):
+            for i in range(RK4_SUBSTEPS):
+                ti = times[k] + i * h
+                row = params_at(spec, ti) + params_at(spec, ti + 0.5 * h) + params_at(spec, ti + h)
+                assert tuple(table[k, i].tolist()) == row
+
+    def test_one_table_per_spec(self):
+        spec = scenario("ltv")
+        shorter = replace(spec, horizon=4.0)
+        assert _stage_table(spec) is _stage_table(spec)
+        assert _stage_table(shorter) is not _stage_table(spec)
+        assert len(_stage_table(shorter)) == shorter.n_steps
+
+    def test_frame_lists_make_an_equal_spec(self):
+        spec = scenario("inst-reconfig")
+        listed = replace(spec, frames=[list(f) for f in spec.frames])
+        assert listed == spec
+        assert _stage_table(listed) is _stage_table(spec)
+
+    def test_cached_table_is_read_only(self):
+        table = _stage_table(scenario("nl"))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0

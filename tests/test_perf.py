@@ -1,0 +1,47 @@
+"""Rollout microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind.
+
+A few pedantic rounds keep them cheap in the test run; for timings, run
+
+    PYTHONPATH=src python -m pytest tests/test_perf.py --benchmark-only
+
+and add ``--benchmark-autosave`` to keep a record under ``.benchmarks/``.
+"""
+
+import math
+
+import pytest
+
+import ltvbench as lb
+from ltvbench.control import (
+    closed_loop,
+    default_reference,
+    default_weights,
+    feedforward,
+    lqr_ltv,
+    with_feedforward,
+)
+from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
+
+ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+def test_simulate_rollout(benchmark, name):
+    spec = scenario(name)
+    signal = lambda t: 3.0 * math.sin(2.0 * t)
+    traj = benchmark.pedantic(
+        simulate, args=(spec, [1.9, 0.3], signal), kwargs={"seed": 1}, **ROUNDS
+    )
+    assert traj.n_steps == spec.n_steps == 500
+
+
+@pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+def test_closed_loop_rollout(benchmark, name):
+    spec = scenario(name)
+    model = ground_truth_ltv(spec)
+    ref = default_reference(spec.horizon)
+    sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
+    traj = benchmark.pedantic(
+        closed_loop, args=(spec, sched, ref, [0.5, 0.0]), kwargs={"seed": 1}, **ROUNDS
+    )
+    assert traj.n_steps == spec.n_steps
