@@ -1,26 +1,10 @@
 """LTV system identification: data checks, fits, rollouts, and tuning."""
 
 from .cosmic import CosmicConfig, cosmic_fit, cosmic_objective
-from .ltvmodels import LtvModelsConfig, block_soft_threshold, ltvmodels_fit
+from .ltvmodels import LtvModelsConfig, ltvmodels_fit
 from .predict import per_trajectory_losses, predict_rollout, trajectory_prediction_loss
-from .regression import (
-    ExcitationReport,
-    PrecondTransform,
-    channel_scales,
-    check_excitation,
-    lti_fit,
-    perstep_ls_fit,
-    precondition,
-    stack_regressors,
-    unscale_model,
-)
-from .tridiag import (
-    BlockTridiagFactorization,
-    apply_block_tridiag,
-    factor_block_tridiag,
-    solve_block_tridiag,
-    solve_factored,
-)
+from .regression import ExcitationReport, check_excitation, lti_fit, perstep_ls_fit
+from .tridiag import apply_block_tridiag, solve_block_tridiag
 from .tuning import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_TVERA_GRID,
@@ -33,36 +17,27 @@ from .tuning import (
 from .tvera import TveraConfig, tvera_fit
 
 __all__ = [
-    "BlockTridiagFactorization",
     "CosmicConfig",
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_TVERA_GRID",
     "ExcitationReport",
     "LtvModelsConfig",
     "METHODS",
-    "PrecondTransform",
     "TuneResult",
     "TveraConfig",
     "apply_block_tridiag",
-    "block_soft_threshold",
-    "channel_scales",
     "check_excitation",
     "cosmic_fit",
     "cosmic_objective",
     "default_grid",
-    "factor_block_tridiag",
     "fit_method",
     "lti_fit",
     "ltvmodels_fit",
     "per_trajectory_losses",
     "perstep_ls_fit",
-    "precondition",
     "predict_rollout",
     "solve_block_tridiag",
-    "solve_factored",
-    "stack_regressors",
     "trajectory_prediction_loss",
     "tune",
     "tvera_fit",
-    "unscale_model",
 ]

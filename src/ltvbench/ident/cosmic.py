@@ -12,8 +12,8 @@ span the regressor space, and its normal equations are block tridiagonal:
     (G(k) + (lam_k + lam_{k+1}) I) C(k) - lam_k C(k-1) - lam_{k+1} C(k+1) = R(k)
 
 with G(k) = V(k)^T V(k) / N, R(k) = V(k)^T X'(k) / N and lam_0 = lam_N = 0.
-The solver runs the block Thomas elimination in O(N (p+q)^3), i.e. linear in
-the number of time steps.
+The solver factors them with a banded Cholesky in O(N (p+q)^3), i.e. linear
+in the number of time steps, and takes one refinement sweep on the residual.
 
 Ill-conditioned data is handled by an exact diagonal preconditioning: the
 system is solved in per-channel standardized variables and mapped back, which
@@ -77,7 +77,7 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     rhs = np.einsum("kli,klp->kip", vs, xn) / n
     lam = np.full(n + 1, float(cfg.lam))
     lam[0] = lam[-1] = 0.0
-    blocks = solve_block_tridiag(gram, lam, rhs, weight=scales**2, refine=1)
+    blocks = solve_block_tridiag(gram, lam, rhs, weight=scales**2)
     blocks = blocks * scales[:, None]
 
     return LtvModel.from_stacked(

@@ -33,7 +33,6 @@ class LtvModelsConfig:
     rho: float | None = None  # splitting penalty; default max(1, lam)
     max_iter: int = 2000
     tol: float = 1e-8         # relative objective-change stopping tolerance
-    over_relax: float = 1.0   # classic over-relaxation factor (1.0 disables)
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -42,8 +41,6 @@ class LtvModelsConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-        if not 1.0 <= self.over_relax < 2.0:
-            raise ValueError("over-relaxation factor must lie in [1, 2)")
 
     @property
     def effective_rho(self) -> float:
@@ -52,18 +49,11 @@ class LtvModelsConfig:
         return self.rho if self.rho is not None else max(1.0, self.lam)
 
 
-def block_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Proximal step of tau*||.||_2 on a whole block: shrink toward zero.
-
-    Returns zero when ||v|| <= tau, otherwise (1 - tau/||v||) v.
-    """
-    norm = float(np.linalg.norm(v))
-    if norm <= tau:
-        return np.zeros_like(v)
-    return (1.0 - tau / norm) * v
-
-
 def _shrink_blocks(v: np.ndarray, tau: float) -> np.ndarray:
+    """Block soft-threshold of each v[k], the prox of tau*||.||_2 on a block.
+
+    Zero when ||v[k]|| <= tau, otherwise (1 - tau/||v[k]||) v[k].
+    """
     norms = np.sqrt(np.sum(v**2, axis=(1, 2)))
     scale = np.zeros_like(norms)
     np.divide(norms - tau, norms, out=scale, where=norms > tau)
@@ -105,7 +95,6 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         return fit + cfg.lam * float(np.sum(np.sqrt(np.sum(diffs**2, axis=(1, 2)))))
 
     tau = cfg.lam / rho
-    alpha = cfg.over_relax
     z = np.zeros((n - 1, d, p))
     w = np.zeros_like(z)
     best = None
@@ -121,8 +110,6 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         rhs[1:] += rho * zw
         blocks = banded_solve(fact, rhs)
         diffs = blocks[1:] - blocks[:-1]
-        if alpha != 1.0:
-            diffs = alpha * diffs + (1.0 - alpha) * z
         z = _shrink_blocks(diffs + w, tau)
         w = w + diffs - z
         obj = objective(blocks)

@@ -1,4 +1,4 @@
-"""Regressor assembly, excitation checks, preconditioning, and least-squares fits."""
+"""Regressor assembly, excitation checks, and least-squares fits."""
 
 from __future__ import annotations
 
@@ -43,16 +43,6 @@ def _stack_all(trajs) -> tuple:
     return v, states[1:]
 
 
-def stack_regressors(data, k: int) -> tuple:
-    """Rows of [x_l(k)^T u_l(k)^T] and the matching next states x_l(k+1)^T."""
-    trajs = trajectories_of(data)
-    for traj in trajs:
-        if traj.n_steps < k + 1:
-            raise ValueError(f"trajectory too short for step {k}")
-    v, xn = _stack_all(trajs)
-    return v[k], xn[k]
-
-
 @dataclass(frozen=True)
 class ExcitationReport:
     rank: int
@@ -61,7 +51,7 @@ class ExcitationReport:
     singular_values: tuple
 
 
-def check_excitation(data, rel_tol: float = RANK_RTOL) -> ExcitationReport:
+def check_excitation(data) -> ExcitationReport:
     """Rank of all stacked state/input rows; identification needs rank p+q."""
     trajs = trajectories_of(data)
     v, _ = _stack_all(trajs)
@@ -71,98 +61,9 @@ def check_excitation(data, rel_tol: float = RANK_RTOL) -> ExcitationReport:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > rel_tol * s[0]))
+        rank = int(np.sum(s > RANK_RTOL * s[0]))
     return ExcitationReport(
         rank=rank, required=d, satisfied=rank == d, singular_values=tuple(s.tolist())
-    )
-
-
-@dataclass(frozen=True)
-class PrecondTransform:
-    """Per-channel scale factors applied to the data (1 / channel std)."""
-
-    state_scale: tuple
-    input_scale: tuple
-    zero_variance: tuple = ()
-
-    @property
-    def scales(self) -> np.ndarray:
-        return np.array(self.state_scale + self.input_scale)
-
-
-def channel_scales(trajs) -> PrecondTransform:
-    """Reciprocal per-channel standard deviations over the whole collection."""
-    v, _ = _stack_all(trajs)
-    p = trajs[0].p
-    stds = v.reshape(-1, v.shape[2]).std(axis=0)
-    flagged = tuple(int(i) for i in np.flatnonzero(stds <= 0.0))
-    scales = np.where(stds > 0.0, 1.0 / np.where(stds > 0.0, stds, 1.0), 1.0)
-    return PrecondTransform(
-        state_scale=tuple(scales[:p].tolist()),
-        input_scale=tuple(scales[p:].tolist()),
-        zero_variance=flagged,
-    )
-
-
-def precondition(data) -> tuple:
-    """Scale each state/input channel by 1/std; returns (scaled data, transform).
-
-    Zero-variance channels are left unscaled and flagged on the transform.
-    """
-    trajs = trajectories_of(data)
-    transform = channel_scales(trajs)
-    sx = np.array(transform.state_scale)
-    su = np.array(transform.input_scale)
-    scaled = [
-        replace_arrays(t, states=t.states * sx, inputs=t.inputs * su) for t in trajs
-    ]
-    if isinstance(data, Dataset):
-        scaled = Dataset(
-            split=data.split,
-            trajectories=scaled,
-            scenario=data.scenario,
-            excitation=data.excitation,
-            noise_var=data.noise_var,
-            labels=data.labels,
-            master_seed=data.master_seed,
-        )
-    elif isinstance(data, Trajectory):
-        scaled = scaled[0]
-    return scaled, transform
-
-
-def replace_arrays(traj: Trajectory, states=None, inputs=None) -> Trajectory:
-    return Trajectory(
-        times=traj.times.copy(),
-        states=traj.states if states is None else states,
-        inputs=traj.inputs if inputs is None else inputs,
-        seed=traj.seed,
-        noisy=traj.noisy,
-    )
-
-
-def unscale_model(model: LtvModel, transform: PrecondTransform) -> LtvModel:
-    """Map a model fitted in scaled coordinates back to raw coordinates.
-
-    With S_x, S_u the diagonal data scales, A = S_x^-1 A~ S_x and
-    B = S_x^-1 B~ S_u.
-    """
-    sx = np.array(transform.state_scale)
-    su = np.array(transform.input_scale)
-    A = model.A * (sx[None, None, :] / sx[None, :, None])
-    B = model.B * (su[None, None, :] / sx[None, :, None])
-    return LtvModel(
-        A=A,
-        B=B,
-        dt=model.dt,
-        method=model.method,
-        hyperparams=dict(model.hyperparams),
-        preconditioning={
-            "state_scale": list(transform.state_scale),
-            "input_scale": list(transform.input_scale),
-            "zero_variance": list(transform.zero_variance),
-        },
-        info=dict(model.info),
     )
 
 

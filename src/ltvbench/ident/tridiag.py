@@ -6,26 +6,18 @@ Solves, for k = 0..N-1 with the boundary convention lam[0] = lam[N] = 0,
 
 where G[k] are symmetric PSD blocks of size d, W is a fixed diagonal weight
 (identity by default), and the right-hand sides R[k] may carry multiple
-columns.  The elimination is the block Thomas recursion: one forward sweep
-factoring the pivots, one backward substitution, O(N d^3) total.  The
-factorization can be reused across right-hand sides, which the iterative
-solvers rely on.
+columns.  The system is a symmetric band matrix of half-bandwidth d, so it is
+factored by LAPACK's banded Cholesky in O(N d^3), i.e. linear in the number
+of blocks.  The factorization can be reused across right-hand sides, which
+the iterative solvers rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from ..exceptions import NumericalError
-
-
-@dataclass
-class BlockTridiagFactorization:
-    pivot_inv: np.ndarray   # (N, d, d) inverses of the eliminated pivots
-    lam: np.ndarray         # (N+1,) coupling strengths, lam[0] = lam[N] = 0
-    weight: np.ndarray      # (d,) diagonal of W
 
 
 def _check_lam(lam, n):
@@ -37,48 +29,6 @@ def _check_lam(lam, n):
     if np.any(lam < 0):
         raise ValueError("couplings must be nonnegative")
     return lam
-
-
-def factor_block_tridiag(gram, lam, weight=None) -> BlockTridiagFactorization:
-    gram = np.asarray(gram, dtype=float)
-    n, d, d2 = gram.shape
-    if d != d2:
-        raise ValueError(f"gram blocks must be square, got {gram.shape}")
-    lam = _check_lam(lam, n)
-    w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
-    pivot_inv = np.empty_like(gram)
-    w_diag = np.diag(w)
-    try:
-        prev_inv = None
-        for k in range(n):
-            pivot = gram[k] + (lam[k] + lam[k + 1]) * w_diag
-            if k > 0 and lam[k] > 0:
-                # subtract lam^2 * W pivot_inv[k-1] W
-                pivot = pivot - (lam[k] * lam[k]) * (w[:, None] * prev_inv * w[None, :])
-            prev_inv = np.linalg.inv(pivot)
-            pivot_inv[k] = prev_inv
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular pivot at block {k}") from exc
-    if not np.all(np.isfinite(pivot_inv)):
-        raise NumericalError("non-finite factorization; check conditioning of the blocks")
-    return BlockTridiagFactorization(pivot_inv=pivot_inv, lam=lam, weight=w)
-
-
-def solve_factored(fact: BlockTridiagFactorization, rhs) -> np.ndarray:
-    """Forward/backward substitution for one (possibly multi-column) RHS."""
-    rhs = np.asarray(rhs, dtype=float)
-    n = fact.pivot_inv.shape[0]
-    lam = fact.lam
-    w = fact.weight[:, None]
-    fwd = np.empty_like(rhs)
-    fwd[0] = fact.pivot_inv[0] @ rhs[0]
-    for k in range(1, n):
-        fwd[k] = fact.pivot_inv[k] @ (rhs[k] + lam[k] * (w * fwd[k - 1]))
-    out = np.empty_like(rhs)
-    out[n - 1] = fwd[n - 1]
-    for k in range(n - 2, -1, -1):
-        out[k] = fwd[k] + fact.pivot_inv[k] @ (lam[k + 1] * (w * out[k + 1]))
-    return out
 
 
 def apply_block_tridiag(gram, lam, x, weight=None) -> np.ndarray:
@@ -97,20 +47,19 @@ def apply_block_tridiag(gram, lam, x, weight=None) -> np.ndarray:
 
 
 def banded_factor(gram, lam, weight=None):
-    """Cholesky-factor the same system in LAPACK banded form.
+    """Cholesky-factor the system in LAPACK upper banded form.
 
-    Returns an opaque factorization for :func:`banded_solve`.  Used where the
-    same matrix is solved against many right-hand sides (splitting methods);
-    one LAPACK call per solve instead of a Python sweep over blocks.
+    Returns an opaque factorization for :func:`banded_solve`.  Raises
+    :class:`NumericalError` when the blocks, couplings or weight are not
+    finite, or the system is not positive definite.
     """
-    from scipy.linalg import cholesky_banded
-
     gram = np.asarray(gram, dtype=float)
-    n, d = gram.shape[:2]
+    n, d, d2 = gram.shape
+    if d != d2:
+        raise ValueError(f"gram blocks must be square, got {gram.shape}")
     lam = _check_lam(lam, n)
     w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
     ab = np.zeros((d + 1, n * d))
-    cols = np.arange(n * d)
     diag_add = np.repeat(lam[:-1] + lam[1:], d) * np.tile(w, n)
     ab[d, :] = gram[:, np.arange(d), np.arange(d)].reshape(-1) + diag_add
     for off in range(1, d):
@@ -119,37 +68,34 @@ def banded_factor(gram, lam, weight=None):
         idx = (np.arange(n)[:, None] * d + i[None, :] + off).reshape(-1)
         ab[d - off, idx] = vals.reshape(-1)
     if n > 1:
-        idx = cols[d:]
-        ab[0, idx] = -np.repeat(lam[1:-1], d) * np.tile(w, n - 1)
+        ab[0, d:] = -np.repeat(lam[1:-1], d) * np.tile(w, n - 1)
+    if not np.all(np.isfinite(ab)):
+        raise NumericalError("block-tridiagonal system has non-finite entries")
     try:
-        cb = cholesky_banded(ab, lower=False)
+        cb = cholesky_banded(ab, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("banded factorization failed; system not PD") from exc
     return cb, n, d
 
 
 def banded_solve(fact, rhs) -> np.ndarray:
-    from scipy.linalg import cho_solve_banded
-
     cb, n, d = fact
     rhs = np.asarray(rhs, dtype=float)
     cols = rhs.shape[2]
-    out = cho_solve_banded((cb, False), rhs.reshape(n * d, cols))
+    out = cho_solve_banded((cb, False), rhs.reshape(n * d, cols), check_finite=False)
     return out.reshape(n, d, cols)
 
 
-def solve_block_tridiag(gram, lam, rhs, weight=None, refine: int = 1) -> np.ndarray:
-    """Factor and solve, with optional iterative refinement sweeps.
+def solve_block_tridiag(gram, lam, rhs, weight=None) -> np.ndarray:
+    """Factor, solve, and take one refinement sweep on the residual.
 
-    Refinement re-solves on the residual using the same factorization; it
-    costs one substitution per sweep and recovers accuracy when the coupling
-    dwarfs the data blocks (very large lam).
+    The refinement re-solves for the residual of the first solution with the
+    same factorization; it recovers accuracy when the coupling dwarfs the
+    data blocks (very large lam).
     """
-    fact = factor_block_tridiag(gram, lam, weight)
-    x = solve_factored(fact, rhs)
-    for _ in range(refine):
-        residual = rhs - apply_block_tridiag(gram, lam, x, weight)
-        x = x + solve_factored(fact, residual)
+    fact = banded_factor(gram, lam, weight)
+    x = banded_solve(fact, rhs)
+    x = x + banded_solve(fact, rhs - apply_block_tridiag(gram, lam, x, weight))
     if not np.all(np.isfinite(x)):
         raise NumericalError("block-tridiagonal solve produced non-finite values")
     return x

@@ -4,32 +4,28 @@ from numpy.testing import assert_allclose
 
 from conftest import model_trajectories, rollout_model
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
-from ltvbench.ident import (
-    LtvModelsConfig,
-    block_soft_threshold,
-    lti_fit,
-    ltvmodels_fit,
-)
+from ltvbench.ident import LtvModelsConfig, lti_fit, ltvmodels_fit
+from ltvbench.ident.ltvmodels import _shrink_blocks
 
 
 class TestBlockSoftThreshold:
     def test_kill_zone(self):
-        v = np.array([[0.3], [0.4]])     # norm 0.5
-        assert_allclose(block_soft_threshold(v, 0.5), 0.0)
-        assert_allclose(block_soft_threshold(v, 0.6), 0.0)
+        v = np.array([[[0.3], [0.4]], [[0.0], [0.0]]])     # norms 0.5 and 0
+        assert_allclose(_shrink_blocks(v, 0.5), 0.0)
+        assert_allclose(_shrink_blocks(v, 0.6), 0.0)
 
     def test_shrinks_along_the_input_direction(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            v = rng.normal(size=(3, 2))
-            tau = rng.uniform(0.0, 2.0)
-            out = block_soft_threshold(v, tau)
-            norm = np.linalg.norm(v)
-            if norm <= tau:
-                assert_allclose(out, 0.0)
-            else:
-                assert_allclose(out, (1.0 - tau / norm) * v)
-                assert np.linalg.norm(out) == pytest.approx(norm - tau)
+        for tau in rng.uniform(0.0, 2.0, size=5):
+            v = rng.normal(size=(20, 3, 2))
+            out = _shrink_blocks(v, tau)
+            for block, shrunk in zip(v, out):
+                norm = np.linalg.norm(block)
+                if norm <= tau:
+                    assert_allclose(shrunk, 0.0)
+                else:
+                    assert_allclose(shrunk, (1.0 - tau / norm) * block)
+                    assert np.linalg.norm(shrunk) == pytest.approx(norm - tau)
 
 
 class TestLtvModelsFit:
@@ -83,5 +79,3 @@ class TestLtvModelsFit:
             LtvModelsConfig(lam=0.0)
         with pytest.raises(ValueError):
             LtvModelsConfig(lam=1.0, rho=-1.0)
-        with pytest.raises(ValueError):
-            LtvModelsConfig(lam=1.0, over_relax=2.5)

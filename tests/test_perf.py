@@ -1,4 +1,5 @@
-"""Rollout microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind.
+"""Microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind,
+and one block-tridiagonal solve at N=500 and N=5000 with d=3.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -9,6 +10,7 @@ and add ``--benchmark-autosave`` to keep a record under ``.benchmarks/``.
 
 import math
 
+import numpy as np
 import pytest
 
 import ltvbench as lb
@@ -21,6 +23,7 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
+from ltvbench.ident import solve_block_tridiag
 
 ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 
@@ -45,3 +48,15 @@ def test_closed_loop_rollout(benchmark, name):
         closed_loop, args=(spec, sched, ref, [0.5, 0.0]), kwargs={"seed": 1}, **ROUNDS
     )
     assert traj.n_steps == spec.n_steps
+
+
+@pytest.mark.parametrize("n", [500, 5000])
+def test_block_tridiag_solve(benchmark, n):
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, 6, 3))
+    gram = np.einsum("kli,klj->kij", m, m)
+    lam = np.full(n + 1, 0.5)
+    lam[0] = lam[-1] = 0.0
+    rhs = rng.normal(size=(n, 3, 2))
+    x = benchmark.pedantic(solve_block_tridiag, args=(gram, lam, rhs), **ROUNDS)
+    assert x.shape == (n, 3, 2)

@@ -6,18 +6,8 @@ from conftest import model_trajectories
 from ltvbench.datagen import Split, build_dataset, default_excitations
 from ltvbench.dynamics import Trajectory, scenario
 from ltvbench.exceptions import ExcitationError
-from ltvbench.ident import (
-    CosmicConfig,
-    check_excitation,
-    cosmic_fit,
-    lti_fit,
-    perstep_ls_fit,
-    precondition,
-    stack_regressors,
-    unscale_model,
-)
-from ltvbench.ident.regression import PrecondTransform, channel_scales
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.ident import CosmicConfig, check_excitation, cosmic_fit, lti_fit, perstep_ls_fit
+from ltvbench.ident.regression import _stack_all
 
 
 def tiny_traj(states, inputs):
@@ -32,25 +22,25 @@ def tiny_traj(states, inputs):
 class TestStackRegressors:
     def test_single_trajectory_row(self):
         traj = tiny_traj([[1.0, 2.0], [4.0, 5.0]], [[3.0]])
-        v, xn = stack_regressors([traj], 0)
-        assert_allclose(v, [[1.0, 2.0, 3.0]])
-        assert_allclose(xn, [[4.0, 5.0]])
+        v, xn = _stack_all([traj])
+        assert_allclose(v[0], [[1.0, 2.0, 3.0]])
+        assert_allclose(xn[0], [[4.0, 5.0]])
 
     def test_one_row_per_trajectory(self):
         trajs = [
             tiny_traj([[1.0, 0.0], [0.0, 0.0]], [[0.5]]),
             tiny_traj([[0.0, 1.0], [0.0, 0.0]], [[0.2]]),
         ]
-        v, xn = stack_regressors(trajs, 0)
-        assert v.shape == (2, 3)
-        assert xn.shape == (2, 2)
+        v, xn = _stack_all(trajs)
+        assert v.shape == (1, 2, 3)
+        assert xn.shape == (1, 2, 2)
 
     def test_next_states_by_construction(self, constant_model):
         trajs = model_trajectories(constant_model, 3, seed=0)
+        _, xn = _stack_all(trajs)
         for k in (0, 5, constant_model.n_steps - 1):
-            _, xn = stack_regressors(trajs, k)
             for l, traj in enumerate(trajs):
-                assert_allclose(xn[l], traj.states[k + 1])
+                assert_allclose(xn[k, l], traj.states[k + 1])
 
     def test_ragged_trajectories_rejected(self):
         trajs = [
@@ -58,12 +48,7 @@ class TestStackRegressors:
             tiny_traj(np.zeros((4, 2)), np.zeros((3, 1))),
         ]
         with pytest.raises(ValueError, match="ragged"):
-            stack_regressors(trajs, 0)
-
-    def test_too_short_for_step(self):
-        traj = tiny_traj(np.zeros((3, 2)), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            stack_regressors([traj], 5)
+            _stack_all(trajs)
 
 
 class TestCheckExcitation:
@@ -100,65 +85,42 @@ class TestCheckExcitation:
 
 
 class TestPrecondition:
+    """The per-channel 1/std scaling inside ``cosmic_fit``."""
+
     def test_unit_variance_transform_is_identity(self):
         rng = np.random.default_rng(0)
         n = 4000
         states = rng.normal(0.0, 1.0, (n + 1, 2))
         inputs = rng.normal(0.0, 1.0, (n, 1))
         traj = Trajectory(times=np.arange(n + 1.0), states=states, inputs=inputs)
-        _, transform = precondition([traj])
-        assert_allclose(transform.scales, 1.0, atol=0.05)
+        scaling = cosmic_fit([traj]).preconditioning
+        assert_allclose(scaling["state_scale"] + scaling["input_scale"], 1.0, atol=0.05)
 
-    def test_scale_equivariance(self):
-        rng = np.random.default_rng(1)
-        states = rng.normal(size=(50, 2))
-        inputs = rng.normal(size=(49, 1))
-        traj = tiny_traj(states, inputs)
-        doubled = tiny_traj(states * [2.0, 1.0], inputs)
-        t1 = channel_scales([traj])
-        t2 = channel_scales([doubled])
-        assert t2.state_scale[0] == pytest.approx(t1.state_scale[0] / 2.0)
-        assert t2.state_scale[1] == pytest.approx(t1.state_scale[1])
-
-    def test_precondition_fit_unscale_matches_direct_fit(self, constant_model):
-        # well-conditioned exact data: the two pipelines recover the same model
+    def test_scale_equivariance(self, constant_model):
+        # exact data: rescaling channels by S maps the fit to S A S^-1, S_x B S_u^-1
         trajs = model_trajectories(constant_model, 5, seed=2)
         direct = cosmic_fit(trajs, CosmicConfig(lam=1.0))
-        scaled, transform = precondition(trajs)
-        mapped = unscale_model(cosmic_fit(scaled, CosmicConfig(lam=1.0)), transform)
-        assert np.max(np.abs(direct.A - mapped.A)) <= 1e-8
-        assert np.max(np.abs(direct.B - mapped.B)) <= 1e-8
+        sx, su = np.array([1e3, 1.0]), 0.25
+        scaled = [
+            Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs * su)
+            for t in trajs
+        ]
+        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        mapped_a = fit.A * (sx[None, None, :] / sx[None, :, None])
+        mapped_b = fit.B * (su / sx[None, :, None])
+        assert np.max(np.abs(mapped_a - direct.A)) <= 1e-8
+        assert np.max(np.abs(mapped_b - direct.B)) <= 1e-8
+        scale_ratio = np.divide(
+            fit.preconditioning["state_scale"], direct.preconditioning["state_scale"]
+        )
+        assert_allclose(scale_ratio, 1.0 / sx)
 
     def test_zero_variance_channel_flagged(self):
-        traj = tiny_traj(np.random.default_rng(2).normal(size=(20, 2)), np.zeros((19, 1)))
-        _, transform = precondition([traj])
-        assert transform.zero_variance == (2,)
-        assert transform.input_scale == (1.0,)
-
-
-class TestUnscaleModel:
-    def test_identity_transform(self, constant_model):
-        transform = PrecondTransform(state_scale=(1.0, 1.0), input_scale=(1.0,))
-        out = unscale_model(constant_model, transform)
-        assert_allclose(out.A, constant_model.A)
-        assert_allclose(out.B, constant_model.B)
-
-    def test_diagonal_dynamics_invariant_under_state_scaling(self):
-        model = LtvModel.from_constant(
-            MatrixPair(np.diag([0.9, 0.7]), np.array([[0.3], [0.4]])), 3, 0.1
-        )
-        transform = PrecondTransform(state_scale=(2.0, 2.0), input_scale=(1.0,))
-        out = unscale_model(model, transform)
-        assert_allclose(out.A, model.A)
-
-    def test_scalar_input_map_scaling(self):
-        model = LtvModel.from_constant(
-            MatrixPair(np.array([[1.0]]), np.array([[1.0]])), 2, 0.1
-        )
-        transform = PrecondTransform(state_scale=(4.0,), input_scale=(2.0,))
-        out = unscale_model(model, transform)
-        # B = S_x^-1 B~ S_u
-        assert out.B[0, 0, 0] == pytest.approx(0.5)
+        states = np.random.default_rng(2).normal(size=(20, 2))
+        traj = tiny_traj(states, np.full((19, 1), 0.5))
+        scaling = cosmic_fit([traj]).preconditioning
+        assert scaling["zero_variance"] == [2]
+        assert scaling["input_scale"] == [1.0]
 
 
 class TestPerstepFit:

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ltvbench.exceptions import NumericalError
-from ltvbench.ident.tridiag import (
-    apply_block_tridiag,
-    banded_factor,
-    banded_solve,
-    factor_block_tridiag,
-    solve_block_tridiag,
-    solve_factored,
-)
+from ltvbench.ident.tridiag import apply_block_tridiag, banded_factor, solve_block_tridiag
 
 
 def random_system(rng, n, d, cols, lam_scale=1.0, weight=None):
@@ -64,20 +59,33 @@ def test_apply_matches_dense_matvec():
     assert_allclose(out.reshape(15, 2), dense, atol=1e-12)
 
 
-def test_banded_backend_agrees_with_thomas():
-    rng = np.random.default_rng(7)
-    gram, lam, rhs = random_system(rng, 40, 3, 2)
-    fact = factor_block_tridiag(gram, lam)
-    a = solve_factored(fact, rhs)
-    b = banded_solve(banded_factor(gram, lam), rhs)
-    assert_allclose(a, b, atol=1e-11)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    d=st.integers(1, 4),
+    weighted=st.booleans(),
+    log_lam=st.floats(-6.0, 9.0),
+)
+def test_random_systems_match_dense_oracle(seed, n, d, weighted, log_lam):
+    rng = np.random.default_rng(seed)
+    gram, lam, rhs = random_system(rng, n, d, 2, lam_scale=10.0**log_lam)
+    w = rng.uniform(0.5, 2.0, size=d) if weighted else None
+    x = solve_block_tridiag(gram, lam, rhs, weight=w)
+    residual = rhs - apply_block_tridiag(gram, lam, x, weight=w)
+    assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(rhs))
+    big = dense_assemble(gram, lam, w)
+    if np.linalg.cond(big) <= 1e5:
+        dense = np.linalg.solve(big, rhs.reshape(n * d, 2))
+        err = np.max(np.abs(x.reshape(n * d, 2) - dense))
+        assert err <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
 
 def test_refinement_handles_dominant_coupling():
     # coupling 12 orders above the data blocks; refinement keeps the residual small
     rng = np.random.default_rng(8)
     gram, lam, rhs = random_system(rng, 20, 3, 2, lam_scale=1e9)
-    x = solve_block_tridiag(gram, lam, rhs, refine=1)
+    x = solve_block_tridiag(gram, lam, rhs)
     residual = rhs - apply_block_tridiag(gram, lam, x)
     assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(rhs))
 
@@ -86,12 +94,35 @@ def test_singular_system_raises():
     gram = np.zeros((3, 2, 2))
     lam = np.zeros(4)
     with pytest.raises(NumericalError):
-        factor_block_tridiag(gram, lam)
+        banded_factor(gram, lam)
+    with pytest.raises(NumericalError):
+        solve_block_tridiag(gram, lam, np.ones((3, 2, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_block_raises(bad):
+    rng = np.random.default_rng(9)
+    gram, lam, rhs = random_system(rng, 4, 2, 1)
+    gram[2, 0, 1] = gram[2, 1, 0] = bad
+    with pytest.raises(NumericalError):
+        banded_factor(gram, lam)
+    with pytest.raises(NumericalError):
+        solve_block_tridiag(gram, lam, rhs)
+
+
+def test_non_finite_rhs_raises():
+    rng = np.random.default_rng(10)
+    gram, lam, rhs = random_system(rng, 4, 2, 1)
+    rhs[1, 0, 0] = np.nan
+    with pytest.raises(NumericalError):
+        solve_block_tridiag(gram, lam, rhs)
 
 
 def test_lam_validation():
     gram = np.eye(2)[None].repeat(3, axis=0)
     with pytest.raises(ValueError):
-        factor_block_tridiag(gram, np.ones(4))    # nonzero boundaries
+        banded_factor(gram, np.ones(4))    # nonzero boundaries
     with pytest.raises(ValueError):
-        factor_block_tridiag(gram, np.zeros(3))   # wrong length
+        banded_factor(gram, np.zeros(3))   # wrong length
+    with pytest.raises(ValueError):
+        solve_block_tridiag(gram, np.array([0.0, -1.0, -1.0, 0.0]), np.ones((3, 2, 1)))
