@@ -8,6 +8,8 @@ from ltvbench.dynamics import Trajectory, scenario
 from ltvbench.exceptions import ExcitationError
 from ltvbench.ident import CosmicConfig, check_excitation, cosmic_fit, lti_fit, perstep_ls_fit
 from ltvbench.ident.regression import _stack_all
+from ltvbench.models import LtvModel, MatrixPair
+from test_cosmic import dense_normal_solution
 
 
 def tiny_traj(states, inputs):
@@ -121,6 +123,67 @@ class TestPrecondition:
         scaling = cosmic_fit([traj]).preconditioning
         assert scaling["zero_variance"] == [2]
         assert scaling["input_scale"] == [1.0]
+
+    def test_precondition_fit_unscale_matches_direct_fit(self, constant_model):
+        # noisy, badly scaled data: the standardized solve mapped back equals
+        # the dense solve of the raw normal equations
+        trajs = model_trajectories(constant_model, 5, seed=2, noise=0.01)
+        sx, su = np.array([1e3, 1.0]), 0.25
+        scaled = [
+            Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs * su)
+            for t in trajs
+        ]
+        fit = cosmic_fit(scaled, CosmicConfig(lam=0.7))
+        direct = dense_normal_solution(scaled, 0.7)
+        assert np.max(np.abs(fit.stacked() - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
+class TestUnscaleModel:
+    """The map from the standardized solve back to raw channels in ``cosmic_fit``."""
+
+    def test_identity_transform(self, constant_model):
+        # channels standardized beforehand: every scale is 1 and the fit is the
+        # plain raw-equation solve
+        trajs = model_trajectories(constant_model, 5, seed=7, noise=0.01)
+        v, _ = _stack_all(trajs)
+        stds = v.reshape(-1, v.shape[2]).std(axis=0)
+        unit = [
+            Trajectory(times=t.times, states=t.states / stds[:2], inputs=t.inputs / stds[2:])
+            for t in trajs
+        ]
+        fit = cosmic_fit(unit, CosmicConfig(lam=0.7))
+        scaling = fit.preconditioning
+        assert_allclose(scaling["state_scale"] + scaling["input_scale"], 1.0, rtol=1e-12)
+        assert np.max(np.abs(fit.stacked() - dense_normal_solution(unit, 0.7))) <= 1e-10
+
+    def test_diagonal_dynamics_invariant_under_state_scaling(self):
+        # S^-1 A S = A for diagonal A: scaled exact data give back A itself
+        model = LtvModel.from_constant(
+            MatrixPair(np.diag([0.9, 0.7]), np.array([[0.3], [0.4]])), 20, 0.1
+        )
+        trajs = model_trajectories(model, 4, seed=8)
+        sx = np.array([2.0, 50.0])
+        scaled = [
+            Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs)
+            for t in trajs
+        ]
+        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        assert np.max(np.abs(fit.A - model.A)) <= 1e-8
+        assert_allclose(fit.B, model.B * sx[None, :, None], atol=1e-8)
+
+    def test_scalar_input_map_scaling(self):
+        # x~ = 4 x, u~ = 2 u turns b = 1 into b~ = 4 * 1 / 2 = 2
+        model = LtvModel.from_constant(
+            MatrixPair(np.array([[0.9]]), np.array([[1.0]])), 10, 0.1
+        )
+        trajs = model_trajectories(model, 3, seed=9)
+        scaled = [
+            Trajectory(times=t.times, states=t.states * 4.0, inputs=t.inputs * 2.0)
+            for t in trajs
+        ]
+        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        assert np.max(np.abs(fit.B - 2.0)) <= 1e-8
+        assert np.max(np.abs(fit.A - 0.9)) <= 1e-8
 
 
 class TestPerstepFit:
