@@ -24,15 +24,14 @@ from .control import (
     default_weights,
     feedforward,
     lqr_ltv,
+    tracking_errors,
     with_feedforward,
 )
 from .datagen import Split, build_dataset, default_excitations, tvera_experiments
-from .dynamics import BUILTIN_SCENARIOS, ground_truth_ltv, scenario
-from .exceptions import InstabilityError
+from .dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
+from .exceptions import RECORDED_ERRORS, InstabilityError
 from .ident import (
     DEFAULT_LAMBDA_GRID,
-    CosmicConfig,
-    cosmic_fit,
     cosmic_objective,
     fit_method,
     per_trajectory_losses,
@@ -49,6 +48,7 @@ PREDICTION_METHODS = (
     "linearization",
 )
 CONTROLLERS = ("cosmic", "linearization", "lti")
+ECDF_METHODS = ("cosmic", "tvera", "linearization")
 
 _STREAM_DATASET = 2
 _STREAM_CONTROL = 3
@@ -84,11 +84,6 @@ class PredictionRow:
 
 
 @dataclass
-class PredictionReport:
-    rows: list
-
-
-@dataclass
 class TrackingRow:
     scenario: str
     controller: str
@@ -97,11 +92,6 @@ class TrackingRow:
     rmse: float | None
     unstable: bool = False
     error: str | None = None
-
-
-@dataclass
-class TrackingReport:
-    rows: list
 
 
 @dataclass
@@ -129,6 +119,8 @@ def _run_seed(master_seed: int, name: str, ic_index: int) -> int:
 
 
 def _scenario_data(name: str, cfg: BenchConfig):
+    """The scenario's spec, its dataset seed and its train/validation/test
+    splits: built once per scenario a suite runs."""
     spec = scenario(name)
     seed = _scenario_seed(cfg.master_seed, name)
     splits = build_dataset(
@@ -158,51 +150,44 @@ def _method_grid(method: str, cfg: BenchConfig):
     return ({},)
 
 
-def _prediction_rows(name: str, cfg: BenchConfig) -> list:
-    spec, seed, splits = _scenario_data(name, cfg)
-    tvera_train = tvera_experiments(
-        spec,
-        n_free=cfg.tvera_free,
-        n_forced=cfg.tvera_forced,
-        noise_var=cfg.noise_var,
-        master_seed=seed,
-    )
-    test_trajs = splits[Split.TEST].trajectories
-    rows = []
-    for method in PREDICTION_METHODS:
-        try:
-            if method == "linearization":
-                model = ground_truth_ltv(spec)
-                best_params = {}
-            else:
-                train = tvera_train if method == "tvera" else splits[Split.TRAIN]
-                result = tune(
-                    method, _method_grid(method, cfg), train, splits[Split.VALIDATION]
-                )
-                model = result.best_model
-                best_params = result.best_params
-            losses = per_trajectory_losses(model, test_trajs)
-            rows.append(
-                PredictionRow(
-                    scenario=name,
-                    method=method,
-                    mean=float(np.mean(losses)),
-                    std=float(np.std(losses)),
-                    n_test=len(losses),
-                    best_params=best_params,
-                )
-            )
-        except Exception as exc:   # cell failures are recorded, the run continues
-            rows.append(
-                PredictionRow(
-                    scenario=name, method=method, mean=None, std=None, n_test=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return rows
+def _model(method: str, spec, seed: int, splits, cfg: BenchConfig) -> tuple:
+    """The one place a suite gets a model: (model, best_params).
+
+    ``linearization`` is the ground-truth L-LTV model; ``perstep`` and ``lti``
+    have no hyperparameters and are fitted once; every other method is tuned
+    over its grid on the validation rollout loss.  The realization baseline
+    trains on its own free/forced experiments, built only here.
+    """
+    if method == "linearization":
+        return ground_truth_ltv(spec), {}
+    grid = _method_grid(method, cfg)
+    train = splits[Split.TRAIN]
+    if grid == ({},):
+        return fit_method(method, train, {}), {}
+    if method == "tvera":
+        train = tvera_experiments(
+            spec,
+            n_free=cfg.tvera_free,
+            n_forced=cfg.tvera_forced,
+            noise_var=cfg.noise_var,
+            master_seed=seed,
+        )
+    result = tune(method, grid, train, splits[Split.VALIDATION])
+    return result.best_model, result.best_params
 
 
-def _map_scenarios(fn, cfg: BenchConfig):
+def _schedule(model, ref):
+    """LQR gains plus feedforward for tracking ``ref`` with ``model``."""
+    return with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _map_scenarios(fn, cfg: BenchConfig) -> list:
+    """``fn(name, cfg)`` for every scenario, in order; across ``cfg.jobs``
+    worker processes when it is above one."""
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = {name: pool.submit(fn, name, cfg) for name in cfg.scenarios}
@@ -210,12 +195,28 @@ def _map_scenarios(fn, cfg: BenchConfig):
     return [fn(name, cfg) for name in cfg.scenarios]
 
 
-def run_prediction_benchmark(cfg: BenchConfig = BenchConfig()) -> PredictionReport:
-    """Tune every method per scenario and score test-set rollout losses."""
+def _prediction_rows(name: str, cfg: BenchConfig) -> list:
+    spec, seed, splits = _scenario_data(name, cfg)
     rows = []
-    for cell_rows in _map_scenarios(_prediction_rows, cfg):
-        rows.extend(cell_rows)
-    return PredictionReport(rows=rows)
+    for method in PREDICTION_METHODS:
+        try:   # cell failures are recorded, the run continues
+            model, best_params = _model(method, spec, seed, splits, cfg)
+            losses = per_trajectory_losses(model, splits[Split.TEST].trajectories)
+        except RECORDED_ERRORS as exc:
+            rows.append(PredictionRow(name, method, None, None, 0, error=_error(exc)))
+            continue
+        rows.append(
+            PredictionRow(
+                name, method, float(np.mean(losses)), float(np.std(losses)),
+                len(losses), best_params,
+            )
+        )
+    return rows
+
+
+def run_prediction_benchmark(cfg: BenchConfig = BenchConfig()) -> list:
+    """Tune every method per scenario and score test-set rollout losses."""
+    return [row for rows in _map_scenarios(_prediction_rows, cfg) for row in rows]
 
 
 def _tracking_stats(spec, sched, ref, cfg, name):
@@ -233,12 +234,10 @@ def _tracking_stats(spec, sched, ref, cfg, name):
         run_seed = _run_seed(cfg.master_seed, name, i)
         try:
             traj = closed_loop(spec, sched, ref, np.asarray(x0, dtype=float), run_seed)
-            targets = np.array([ref.position_at(t) for t in traj.times])
-            errors = np.abs(traj.states[:, 0] - targets)
         except InstabilityError as exc:
             unstable = True
-            targets = np.array([ref.position_at(t) for t in exc.times])
-            errors = np.abs(exc.states[:, 0] - targets)
+            traj = Trajectory(exc.times, exc.states, exc.inputs)
+        errors = tracking_errors(traj, ref)
         pooled.append(errors)
         if len(errors) > 1:
             rms_runs.append(math.sqrt(float(np.mean(errors[1:] ** 2))))
@@ -250,46 +249,21 @@ def _tracking_stats(spec, sched, ref, cfg, name):
 def _control_rows(name: str, cfg: BenchConfig) -> list:
     spec, seed, splits = _scenario_data(name, cfg)
     ref = default_reference(spec.horizon)
-    weights = default_weights()
     rows = []
     for controller in CONTROLLERS:
         try:
-            if controller == "cosmic":
-                model = tune(
-                    "cosmic",
-                    _method_grid("cosmic", cfg),
-                    splits[Split.TRAIN],
-                    splits[Split.VALIDATION],
-                ).best_model
-            elif controller == "linearization":
-                model = ground_truth_ltv(spec)
-            else:
-                model = fit_method("lti", splits[Split.TRAIN])
-            sched = with_feedforward(lqr_ltv(model, weights), feedforward(model, ref))
-            mean, std, rmse, unstable = _tracking_stats(spec, sched, ref, cfg, name)
-            rows.append(
-                TrackingRow(
-                    scenario=name, controller=controller,
-                    mean=mean, std=std, rmse=rmse, unstable=unstable,
-                )
-            )
-        except Exception as exc:
-            rows.append(
-                TrackingRow(
-                    scenario=name, controller=controller,
-                    mean=None, std=None, rmse=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            model, _ = _model(controller, spec, seed, splits, cfg)
+            stats = _tracking_stats(spec, _schedule(model, ref), ref, cfg, name)
+        except RECORDED_ERRORS as exc:
+            rows.append(TrackingRow(name, controller, None, None, None, error=_error(exc)))
+            continue
+        rows.append(TrackingRow(name, controller, *stats))
     return rows
 
 
-def run_control_benchmark(cfg: BenchConfig = BenchConfig()) -> TrackingReport:
+def run_control_benchmark(cfg: BenchConfig = BenchConfig()) -> list:
     """Closed-loop tracking statistics for the three controller sources."""
-    rows = []
-    for cell_rows in _map_scenarios(_control_rows, cfg):
-        rows.extend(cell_rows)
-    return TrackingReport(rows=rows)
+    return [row for rows in _map_scenarios(_control_rows, cfg) for row in rows]
 
 
 def ecdf_residuals(model, trajectories) -> EcdfSeries:
@@ -310,39 +284,20 @@ def ecdf_residuals(model, trajectories) -> EcdfSeries:
     return EcdfSeries(values=values, fractions=fractions)
 
 
-ECDF_METHODS = ("cosmic", "tvera", "linearization")
+def _ecdf_series(name: str, cfg: BenchConfig) -> dict:
+    spec, seed, splits = _scenario_data(name, cfg)
+    return {
+        method: ecdf_residuals(
+            _model(method, spec, seed, splits, cfg)[0], splits[Split.TEST].trajectories
+        )
+        for method in ECDF_METHODS
+    }
 
 
 def run_ecdf_suite(cfg: BenchConfig = BenchConfig()) -> dict:
     """Per scenario: ECDF series for the tuned cosmic fit, the tuned
     realization baseline, and the ground-truth linearization."""
-    out = {}
-    for name in cfg.scenarios:
-        spec, seed, splits = _scenario_data(name, cfg)
-        tvera_train = tvera_experiments(
-            spec,
-            n_free=cfg.tvera_free,
-            n_forced=cfg.tvera_forced,
-            noise_var=cfg.noise_var,
-            master_seed=seed,
-        )
-        test_trajs = splits[Split.TEST].trajectories
-        series = {}
-        for method in ECDF_METHODS:
-            if method == "linearization":
-                model = ground_truth_ltv(spec)
-            elif method == "tvera":
-                model = tune(
-                    "tvera", _method_grid("tvera", cfg), tvera_train, splits[Split.VALIDATION]
-                ).best_model
-            else:
-                model = tune(
-                    "cosmic", _method_grid("cosmic", cfg), splits[Split.TRAIN],
-                    splits[Split.VALIDATION],
-                ).best_model
-            series[method] = ecdf_residuals(model, test_trajs)
-        out[name] = series
-    return out
+    return dict(zip(cfg.scenarios, _map_scenarios(_ecdf_series, cfg)))
 
 
 @dataclass
@@ -371,22 +326,24 @@ def lambda_sweep(
 ) -> list:
     """Smoothing-strength study: objective decomposition plus closed-loop RMSE.
 
-    For each lam: fit on the training split, decompose the objective on the
+    For each lam: fit cosmic on the training split at that lam (the sweep
+    reports every point, so nothing is tuned), decompose the objective on the
     same data, then run the full controller pipeline and report the tracking
     RMSE over the benchmark initial conditions.
     """
-    spec, seed, splits = _scenario_data(scenario_name, cfg)
+    spec, _, splits = _scenario_data(scenario_name, cfg)
+    train = splits[Split.TRAIN]
     ref = default_reference(spec.horizon)
-    weights = default_weights()
     rows = []
-    for lam in lam_grid:
-        model = cosmic_fit(splits[Split.TRAIN], CosmicConfig(lam=float(lam)))
-        _, fidelity, _ = cosmic_objective(model, splits[Split.TRAIN], float(lam))
-        sched = with_feedforward(lqr_ltv(model, weights), feedforward(model, ref))
-        _, _, rmse, unstable = _tracking_stats(spec, sched, ref, cfg, scenario_name)
+    for lam in map(float, lam_grid):
+        model = fit_method("cosmic", train, {"lam": lam})
+        _, fidelity, _ = cosmic_objective(model, train, lam)
+        _, _, rmse, unstable = _tracking_stats(
+            spec, _schedule(model, ref), ref, cfg, scenario_name
+        )
         rows.append(
             LambdaSweepRow(
-                lam=float(lam), fidelity=fidelity, smoothness=path_smoothness(model),
+                lam=lam, fidelity=fidelity, smoothness=path_smoothness(model),
                 tracking_rmse=rmse, unstable=unstable,
             )
         )
@@ -413,24 +370,24 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def write_prediction_csv(report: PredictionReport, path) -> None:
+def write_prediction_csv(rows: list, path) -> None:
     _write_csv(
         path,
         ["scenario", "method", "mean_loss", "std_loss", "n_test", "best_params", "error"],
         [
             (r.scenario, r.method, r.mean, r.std, r.n_test, r.best_params, r.error)
-            for r in report.rows
+            for r in rows
         ],
     )
 
 
-def write_tracking_csv(report: TrackingReport, path) -> None:
+def write_tracking_csv(rows: list, path) -> None:
     _write_csv(
         path,
         ["scenario", "controller", "mean", "std", "rmse", "unstable", "error"],
         [
             (r.scenario, r.controller, r.mean, r.std, r.rmse, r.unstable, r.error)
-            for r in report.rows
+            for r in rows
         ],
     )
 
@@ -476,16 +433,13 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if suite == "prediction":
-        report = run_prediction_benchmark(cfg)
-        write_prediction_csv(report, out_dir / "table1.csv")
+        write_prediction_csv(run_prediction_benchmark(cfg), out_dir / "table1.csv")
         written.append("table1.csv")
     elif suite == "control":
-        report = run_control_benchmark(cfg)
-        write_tracking_csv(report, out_dir / "table2.csv")
+        write_tracking_csv(run_control_benchmark(cfg), out_dir / "table2.csv")
         written.append("table2.csv")
     elif suite == "ecdf":
-        series = run_ecdf_suite(cfg)
-        for name, by_method in series.items():
+        for name, by_method in run_ecdf_suite(cfg).items():
             fname = f"ecdf_{name.replace('-', '_')}.csv"
             write_ecdf_csv(by_method, out_dir / fname)
             written.append(fname)

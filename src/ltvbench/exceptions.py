@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class LtvBenchError(Exception):
     """Base class for all package-specific errors."""
@@ -50,3 +52,10 @@ class TuningError(LtvBenchError):
 
 class DataFormatError(LtvBenchError):
     """A dataset, model, or schedule file is missing or malformed."""
+
+
+# What a tuning grid point or a benchmark table cell records as its error
+# instead of failing the run: the package's own errors, invalid settings
+# (e.g. ``lam=-1``) and singular linear algebra.  Anything else, e.g. a
+# ``TypeError``, is a bug and propagates.
+RECORDED_ERRORS = (LtvBenchError, ValueError, np.linalg.LinAlgError)

@@ -68,9 +68,13 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     # Exact change of variables: standardize regressor channels, solve the
     # transformed (better conditioned) system, map back.  The solution is the
     # raw-objective minimizer either way.
-    stds = v.reshape(-1, d).std(axis=0)
-    zero_var = np.flatnonzero(stds <= 0.0)
-    scales = np.where(stds > 0.0, 1.0 / np.where(stds > 0.0, stds, 1.0), 1.0)
+    # A channel whose std is rounding noise on its magnitude (a constant
+    # input, or all zeros) counts as zero-variance and keeps scale 1.
+    rows = v.reshape(-1, d)
+    stds = rows.std(axis=0)
+    flat = stds <= 1e-12 * np.sqrt(np.mean(rows**2, axis=0))
+    zero_var = np.flatnonzero(flat)
+    scales = 1.0 / np.where(flat, 1.0, stds)
 
     vs = v * scales[None, None, :]
     gram = np.einsum("kli,klj->kij", vs, vs) / n

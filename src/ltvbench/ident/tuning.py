@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import TuningError
+from ..exceptions import RECORDED_ERRORS, TuningError
 from ..models import LtvModel
 from .cosmic import CosmicConfig, cosmic_fit
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
@@ -92,7 +92,7 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
         try:
             model = fit_method(method, train_data, params)
             loss = trajectory_prediction_loss(model, val_trajs)
-        except Exception as exc:   # recorded, the sweep continues
+        except RECORDED_ERRORS as exc:   # recorded, the sweep continues
             rows.append(GridPoint(params=params, loss=None, error=str(exc)))
             continue
         rows.append(GridPoint(params=params, loss=loss))

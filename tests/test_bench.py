@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ltvbench.bench as bench
+import ltvbench.ident.tuning as tuning
 from conftest import model_trajectories
 from ltvbench.bench import (
     BenchConfig,
@@ -12,6 +16,7 @@ from ltvbench.bench import (
     run_prediction_benchmark,
     write_prediction_csv,
 )
+
 SMALL = BenchConfig(
     scenarios=("ltv",),
     l_train=6,
@@ -69,9 +74,9 @@ class TestPredictionBenchmark:
             lambda_grid=(1e-3,),
             tvera_rows_cols=((3, 3),),
         )
-        report = run_prediction_benchmark(cfg)
-        assert len(report.rows) == 6
-        by_method = {r.method: r for r in report.rows}
+        rows = run_prediction_benchmark(cfg)
+        assert len(rows) == 6
+        by_method = {r.method: r for r in rows}
         assert by_method["perstep"].error is not None
         assert by_method["cosmic"].error is None
         assert by_method["cosmic"].mean is not None
@@ -82,8 +87,6 @@ class TestPredictionBenchmark:
         assert a == b
 
     def test_parallel_workers_match_sequential(self):
-        from dataclasses import replace
-
         a = run_prediction_benchmark(replace(SMALL, scenarios=("ltv", "nl")))
         b = run_prediction_benchmark(replace(SMALL, scenarios=("ltv", "nl"), jobs=2))
         assert a == b
@@ -91,9 +94,9 @@ class TestPredictionBenchmark:
 
 class TestControlBenchmark:
     def test_rows_and_stats(self):
-        report = run_control_benchmark(SMALL)
-        assert [r.controller for r in report.rows] == ["cosmic", "linearization", "lti"]
-        for row in report.rows:
+        rows = run_control_benchmark(SMALL)
+        assert [r.controller for r in rows] == ["cosmic", "linearization", "lti"]
+        for row in rows:
             assert row.error is None
             assert row.mean >= 0.0 and row.std >= 0.0 and row.rmse >= 0.0
 
@@ -108,25 +111,17 @@ class TestLambdaSweep:
         assert all(r.tracking_rmse is not None for r in rows)
 
     def test_infinite_smoothing_matches_lti_controller(self):
-        from ltvbench.bench import _scenario_data, _tracking_stats
-        from ltvbench.control import (
-            default_reference,
-            default_weights,
-            feedforward,
-            lqr_ltv,
-            with_feedforward,
-        )
+        from ltvbench.bench import _scenario_data, _schedule, _tracking_stats
+        from ltvbench.control import default_reference
         from ltvbench.datagen import Split
         from ltvbench.ident import CosmicConfig, cosmic_fit, fit_method
 
         cfg = BenchConfig(scenarios=("ltv",), l_train=6, l_val=3, l_test=3)
         spec, _, splits = _scenario_data("ltv", cfg)
         ref = default_reference(spec.horizon)
-        weights = default_weights()
 
         def rmse_for(model):
-            sched = with_feedforward(lqr_ltv(model, weights), feedforward(model, ref))
-            return _tracking_stats(spec, sched, ref, cfg, "ltv")[2]
+            return _tracking_stats(spec, _schedule(model, ref), ref, cfg, "ltv")[2]
 
         plateau = rmse_for(cosmic_fit(splits[Split.TRAIN], CosmicConfig(lam=1e9)))
         lti = rmse_for(fit_method("lti", splits[Split.TRAIN]))
@@ -141,8 +136,8 @@ class TestEmit:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_prediction_csv_shape(self, tmp_path):
-        report = run_prediction_benchmark(SMALL)
-        write_prediction_csv(report, tmp_path / "table1.csv")
+        rows = run_prediction_benchmark(SMALL)
+        write_prediction_csv(rows, tmp_path / "table1.csv")
         lines = (tmp_path / "table1.csv").read_text().strip().splitlines()
         assert lines[0].startswith("scenario,method,mean_loss")
         assert len(lines) == 1 + len(SMALL.scenarios) * 6
@@ -182,3 +177,53 @@ def test_ecdf_cosmic_dominates_realization_baseline():
     frac_cosmic = np.mean(cosmic.values <= 0.1)
     frac_tvera = np.mean(tvera.values <= 0.1)
     assert frac_cosmic > frac_tvera
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPipeline:
+    """Every suite builds each scenario's data once, and only the suites that
+    score the realization baseline build its experiments."""
+
+    CFG = replace(SMALL, scenarios=("ltv", "nl"), l_train=4, l_val=2, l_test=2)
+
+    @pytest.mark.parametrize(
+        "suite, tvera_builds",
+        [("prediction", 1), ("ecdf", 1), ("control", 0), ("lambda", 0)],
+    )
+    def test_one_dataset_build_per_scenario(self, monkeypatch, tmp_path, suite, tvera_builds):
+        datasets = _count_calls(monkeypatch, bench, "build_dataset")
+        experiments = _count_calls(monkeypatch, bench, "tvera_experiments")
+        run_bench(suite, self.CFG, tmp_path)
+        # the lambda sweep runs on the first scenario only
+        names = list(self.CFG.scenarios[:1] if suite == "lambda" else self.CFG.scenarios)
+        assert datasets == names
+        assert experiments == names * tvera_builds
+
+    def test_ecdf_parallel_workers_write_same_bytes(self, tmp_path):
+        run_bench("ecdf", self.CFG, tmp_path / "seq")
+        written = run_bench("ecdf", replace(self.CFG, jobs=2), tmp_path / "par")
+        assert written == ["ecdf_ltv.csv", "ecdf_nl.csv"]
+        for name in written:
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def test_programming_error_fails_the_prediction_run(monkeypatch):
+    # a TypeError is a bug, not an error cell
+    def broken_fit(*args, **kwargs):
+        raise TypeError("bug in a fit")
+
+    monkeypatch.setattr(tuning, "fit_method", broken_fit)
+    monkeypatch.setattr(bench, "fit_method", broken_fit)
+    with pytest.raises(TypeError, match="bug in a fit"):
+        run_prediction_benchmark(SMALL)

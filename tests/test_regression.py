@@ -124,6 +124,18 @@ class TestPrecondition:
         assert scaling["zero_variance"] == [2]
         assert scaling["input_scale"] == [1.0]
 
+    def test_constant_channel_with_rounding_noise_flagged(self):
+        # the std of a constant 0.7 channel is ~1e-16 from rounding, not 0;
+        # it must still be flagged and keep scale 1, and the fit stay exact
+        states = np.random.default_rng(2).normal(size=(20, 2))
+        traj = tiny_traj(states, np.full((19, 1), 0.7))
+        assert np.std(traj.inputs) > 0.0
+        fit = cosmic_fit([traj])
+        assert fit.preconditioning["zero_variance"] == [2]
+        assert fit.preconditioning["input_scale"] == [1.0]
+        direct = dense_normal_solution([traj], 1.0)
+        assert np.max(np.abs(fit.stacked() - direct)) <= 1e-10 * np.max(np.abs(direct))
+
     def test_precondition_fit_unscale_matches_direct_fit(self, constant_model):
         # noisy, badly scaled data: the standardized solve mapped back equals
         # the dense solve of the raw normal equations

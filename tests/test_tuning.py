@@ -65,6 +65,16 @@ class TestTune:
             tune("cosmic", [{"lam": -1.0}, {"lam": -2.0}], train, val)
         assert len(exc_info.value.diagnostics) == 2
 
+    def test_programming_error_propagates(self, monkeypatch, constant_model):
+        # only data, settings and linear-algebra failures become grid-point errors
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug in a fit")
+
+        monkeypatch.setattr(tuning, "fit_method", broken_fit)
+        train = model_trajectories(constant_model, 5, seed=12, noise=1e-4)
+        with pytest.raises(TypeError, match="bug in a fit"):
+            tune("cosmic", [{"lam": 0.5}, {"lam": 1.0}], train, train)
+
     def test_empty_grid_rejected(self, constant_model):
         train = model_trajectories(constant_model, 5, seed=11)
         with pytest.raises(ValueError):
