@@ -35,7 +35,7 @@ from .ident import (
     cosmic_objective,
     fit_method,
     per_trajectory_losses,
-    predict_rollout,
+    rollout_residuals,
     tune,
 )
 
@@ -272,14 +272,12 @@ def ecdf_residuals(model, trajectories) -> EcdfSeries:
     Per trajectory, rollout residuals |x1_hat(k) - x1(k)| for k >= 1 are
     scaled by that trajectory's mean absolute position, then pooled.
     """
-    samples = []
-    for traj in trajectories:
-        predicted = predict_rollout(model, traj.states[0], traj.inputs)
-        denom = float(np.mean(np.abs(traj.states[:, 0])))
-        if denom == 0.0:
-            raise ValueError("trajectory has zero mean absolute position")
-        samples.append(np.abs(predicted[1:, 0] - traj.states[1:, 0]) / denom)
-    values = np.sort(np.concatenate(samples))
+    trajectories = list(trajectories)
+    denoms = np.array([np.mean(np.abs(traj.states[:, 0])) for traj in trajectories])
+    if np.any(denoms == 0.0):
+        raise ValueError("trajectory has zero mean absolute position")
+    residual = rollout_residuals(model, trajectories)[:, :, 0]
+    values = np.sort((np.abs(residual) / denoms).ravel())
     fractions = np.arange(1, len(values) + 1) / len(values)
     return EcdfSeries(values=values, fractions=fractions)
 

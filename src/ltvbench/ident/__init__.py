@@ -2,7 +2,12 @@
 
 from .cosmic import CosmicConfig, cosmic_fit, cosmic_objective
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
-from .predict import per_trajectory_losses, predict_rollout, trajectory_prediction_loss
+from .predict import (
+    per_trajectory_losses,
+    predict_rollout,
+    rollout_residuals,
+    trajectory_prediction_loss,
+)
 from .regression import ExcitationReport, check_excitation, lti_fit, perstep_ls_fit
 from .tridiag import apply_block_tridiag, solve_block_tridiag
 from .tuning import (
@@ -36,6 +41,7 @@ __all__ = [
     "per_trajectory_losses",
     "perstep_ls_fit",
     "predict_rollout",
+    "rollout_residuals",
     "solve_block_tridiag",
     "trajectory_prediction_loss",
     "tune",

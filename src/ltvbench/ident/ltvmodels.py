@@ -88,10 +88,9 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     lam_vec[0] = lam_vec[-1] = 0.0
     fact = banded_factor(gram, lam_vec)
 
-    def objective(blocks):
+    def objective(blocks, diffs):
         residual = np.einsum("ki,kip->kp", vt, blocks) - yt
         fit = float(np.sum(residual**2))
-        diffs = blocks[1:] - blocks[:-1]
         return fit + cfg.lam * float(np.sum(np.sqrt(np.sum(diffs**2, axis=(1, 2)))))
 
     tau = cfg.lam / rho
@@ -112,7 +111,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         diffs = blocks[1:] - blocks[:-1]
         z = _shrink_blocks(diffs + w, tau)
         w = w + diffs - z
-        obj = objective(blocks)
+        obj = objective(blocks, diffs)
         if obj < best_obj:
             best_obj = obj
             best = blocks

@@ -67,11 +67,17 @@ def check_excitation(data) -> ExcitationReport:
     )
 
 
+def _rank_deficient(rmat: np.ndarray) -> np.ndarray:
+    """Relative rank test on the diagonal of each triangular QR factor in a stack."""
+    diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
+    top = diag.max(axis=-1, initial=0.0)
+    return (top == 0.0) | (diag.min(axis=-1, initial=np.inf) < RANK_RTOL * top)
+
+
 def _qr_solve(v: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
     """Least squares via QR with a relative rank check on the triangular factor."""
     qmat, rmat = np.linalg.qr(v)
-    diag = np.abs(np.diag(rmat))
-    if diag.size == 0 or diag.max() == 0.0 or diag.min() < RANK_RTOL * diag.max():
+    if _rank_deficient(rmat):
         raise ExcitationError(f"rank-deficient regressors for {context}")
     return solve_triangular(rmat, qmat.T @ y)
 
@@ -89,9 +95,13 @@ def perstep_ls_fit(data) -> LtvModel:
         raise ExcitationError(
             f"per-step fit needs at least {d} trajectories, got {ell}"
         )
-    blocks = np.empty((n, d, p))
-    for k in range(n):
-        blocks[k] = _qr_solve(v[k], xn[k], f"time step {k}")
+    qmat, rmat = np.linalg.qr(v)
+    deficient = np.flatnonzero(_rank_deficient(rmat))
+    if deficient.size:
+        raise ExcitationError(f"rank-deficient regressors for time step {deficient[0]}")
+    # C order, as the other fits store their blocks: the rounding of a rollout's
+    # matrix-vector products depends on the strides of A(k) and B(k).
+    blocks = np.ascontiguousarray(solve_triangular(rmat, qmat.transpose(0, 2, 1) @ xn))
     dt = trajs[0].dt
     return LtvModel.from_stacked(blocks, q=trajs[0].q, dt=dt, method="perstep")
 

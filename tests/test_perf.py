@@ -1,5 +1,6 @@
 """Microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind,
-and one block-tridiagonal solve at N=500 and N=5000 with d=3.
+one block-tridiagonal solve at N=500 and N=5000 with d=3, and the prediction
+loss of one validation-sized set (8 trajectories x 500 steps).
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import ltvbench as lb
+from conftest import model_trajectories
 from ltvbench.control import (
     closed_loop,
     default_reference,
@@ -23,7 +25,7 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
-from ltvbench.ident import solve_block_tridiag
+from ltvbench.ident import solve_block_tridiag, trajectory_prediction_loss
 
 ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 
@@ -60,3 +62,11 @@ def test_block_tridiag_solve(benchmark, n):
     rhs = rng.normal(size=(n, 3, 2))
     x = benchmark.pedantic(solve_block_tridiag, args=(gram, lam, rhs), **ROUNDS)
     assert x.shape == (n, 3, 2)
+
+
+def test_validation_set_loss(benchmark):
+    model = ground_truth_ltv(scenario("ltv"))
+    trajs = model_trajectories(model, 8, seed=0)
+    loss = benchmark.pedantic(trajectory_prediction_loss, args=(model, trajs), **ROUNDS)
+    assert trajs[0].n_steps == 500
+    assert loss <= 1e-10

@@ -7,7 +7,7 @@ from ltvbench.datagen import Split, build_dataset, default_excitations
 from ltvbench.dynamics import Trajectory, scenario
 from ltvbench.exceptions import ExcitationError
 from ltvbench.ident import CosmicConfig, check_excitation, cosmic_fit, lti_fit, perstep_ls_fit
-from ltvbench.ident.regression import _stack_all
+from ltvbench.ident.regression import _qr_solve, _stack_all
 from ltvbench.models import LtvModel, MatrixPair
 from test_cosmic import dense_normal_solution
 
@@ -209,6 +209,31 @@ class TestPerstepFit:
         traj = model_trajectories(constant_model, 1, seed=5)[0]
         with pytest.raises(ExcitationError):
             perstep_ls_fit([traj, traj, traj])
+
+    def test_first_rank_deficient_step_named(self):
+        rng = np.random.default_rng(3)
+        trajs = [tiny_traj(rng.normal(size=(8, 2)), rng.normal(size=(7, 1))) for _ in range(4)]
+        for k in (3, 5):   # every trajectory shares its regressor row at steps 3 and 5
+            for traj in trajs[1:]:
+                traj.states[k], traj.inputs[k] = trajs[0].states[k], trajs[0].inputs[k]
+        with pytest.raises(ExcitationError, match="^rank-deficient regressors for time step 3$"):
+            perstep_ls_fit(trajs)
+
+    def test_all_zero_regressors_raise(self):
+        trajs = [tiny_traj(np.zeros((4, 2)), np.zeros((3, 1))) for _ in range(3)]
+        with pytest.raises(ExcitationError, match="time step 0$"):
+            perstep_ls_fit(trajs)
+
+    def test_equals_per_step_qr_solves(self, constant_model):
+        # the stacked QR does each step's arithmetic, so it matches a loop of
+        # single-step solves exactly
+        trajs = model_trajectories(constant_model, 6, seed=9, noise=1e-3)
+        fit = perstep_ls_fit(trajs)
+        v, xn = _stack_all(trajs)
+        blocks = np.stack([_qr_solve(v[k], xn[k], f"step {k}") for k in range(len(v))])
+        oracle = LtvModel.from_stacked(blocks, q=1, dt=constant_model.dt)
+        assert np.array_equal(fit.A, oracle.A)
+        assert np.array_equal(fit.B, oracle.B)
 
     def test_matches_cosmic_at_vanishing_lam(self, constant_model):
         trajs = model_trajectories(constant_model, 6, seed=6, noise=1e-4)
