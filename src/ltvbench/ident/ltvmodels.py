@@ -1,18 +1,47 @@
 """Single-trajectory LTV identification with a group (non-squared) difference penalty.
 
-Minimizes, over the per-step blocks C(t) stacked as k_t = vec(C(t)),
+Minimizes, over the per-step blocks C(t) (d x p, d = p + q),
 
-    sum_t ||x(t+1) - C(t)^T [x(t); u(t)]||_2^2  +  lam * sum_t ||k_{t+1} - k_t||_2
+    P(C) = sum_t ||C(t)^T v(t) - y(t)||_2^2  +  lam * sum_t ||C(t+1) - C(t)||_F
 
-The non-squared penalty promotes piecewise-constant parameter paths.  The
-solver is an operator-splitting (ADMM) scheme on the split z_t = k_{t+1} - k_t:
-a block-tridiagonal quadratic solve alternates with the exact group-norm
-proximal step (block soft-threshold), plus a scaled dual update.  The
-quadratic subproblem's matrix is fixed, so it is factored once and reused.
+with v(t) = [x(t); u(t)] and y(t) = x(t+1).  The non-squared penalty
+promotes piecewise-constant parameter paths.
 
-ADMM iterates are not monotone in the objective, so the solver tracks the
-best iterate seen and returns it; ``info["objective"]`` records that
-incumbent objective path.
+Certificate.  With r(t) = C(t)^T v(t) - y(t), the fit gradients
+g(t) = 2 v(t) r(t)^T and their prefix sums U(t) = sum_{s<=t} g(s), the blocks
+are first shifted by the constant that zeroes sum_t g(t) (a d x d solve that
+leaves the jumps alone and only lowers the fit).  Then theta(t) = 2 a r(t),
+with a = min(1, lam / max_t ||U(t)||_F), is dual feasible and
+
+    dual = sum_t (-a^2 ||r(t)||^2 - 2 a r(t) . y(t))  <=  P*,
+
+so gap = (P - dual) / P bounds the relative excess (P - P*) / P of the
+blocks, whatever they are.  Summation by parts writes P - dual as a sum of
+nonnegative terms, (1 - a)^2 fit + sum_t (lam ||z(t)|| - a <z(t), U(t)>)
+with z(t) = C(t+1) - C(t), and that form is evaluated, free of the
+cancellation in the dual sum.  It drops one term: after the shift the
+summed gradient is zero only up to the rounding of the residuals, and its
+pairing with the last block would add that rounding (an absolute error of
+order eps ||y||^2 that dwarfs P on data fitted almost exactly) rather than
+any excess of the blocks.
+
+Solver.  The fit starts at the pooled constant fit, the shift of zero blocks.
+If that already certifies (always so once lam >= max_t ||U(t)||, where the
+constant model is the exact optimum), it is returned after 0 iterations.
+Otherwise a log-barrier path-following method (Boyd & Vandenberghe, Convex
+Optimization, 2004, ch. 11) minimizes
+
+    f(C) + mu * sum_t (q(t) - log(1 + q(t))),   q(t) = sqrt(1 + (lam/mu)^2 ||z(t)||^2),
+
+the second-order-cone barrier of the epigraph of lam ||z(t)|| with the
+epigraph variable eliminated in closed form.  Each Newton step is one banded
+Cholesky of the block-tridiagonal Hessian, whose (dp x dp) blocks are full;
+steps are damped by backtracking, and mu is divided by 10 once a centering
+ends.  Every iterate is shifted and certified, and the fit stops as soon as
+the incumbent (the lowest-objective iterate, which is returned) has
+gap <= tol.  ``info`` holds ``gap``, ``converged`` (gap <= tol),
+``iterations`` (Newton steps) and ``objective``, the incumbent objective
+after the start and after each step, which is monotone by construction.
 """
 
 from __future__ import annotations
@@ -21,51 +50,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ExcitationError
+from ..exceptions import ExcitationError, NumericalError
 from ..models import LtvModel
 from .regression import _stack_all, check_excitation, trajectories_of
-from .tridiag import banded_factor, banded_solve
+from .tridiag import banded_solve, factor_block_tridiag
+
+_ARMIJO = 0.25      # sufficient-decrease fraction of the backtracking search
+_MIN_STEP = 1e-10   # below this step length the centering has stalled in rounding
 
 
 @dataclass(frozen=True)
 class LtvModelsConfig:
     lam: float = 1.0
-    rho: float | None = None  # splitting penalty; default max(1, lam)
-    max_iter: int = 2000
-    tol: float = 1e-8         # relative objective-change stopping tolerance
+    max_iter: int = 200   # Newton-step cap
+    tol: float = 1e-8     # relative duality gap that certifies a fit
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-
-    @property
-    def effective_rho(self) -> float:
-        # The dual update must compete with the lam-weighted penalty, so the
-        # splitting parameter tracks lam from above.
-        return self.rho if self.rho is not None else max(1.0, self.lam)
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-def _shrink_blocks(v: np.ndarray, tau: float) -> np.ndarray:
-    """Block soft-threshold of each v[k], the prox of tau*||.||_2 on a block.
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(x**2, axis=(1, 2)))
 
-    Zero when ||v[k]|| <= tau, otherwise (1 - tau/||v[k]||) v[k].
+
+def _residual(blocks, vt, yt) -> np.ndarray:
+    return np.einsum("ti,tip->tp", vt, blocks) - yt
+
+
+def certify(blocks, vt, yt, lam) -> tuple:
+    """Shift ``blocks`` by the zero-summed-gradient constant and bound its excess.
+
+    Returns (shifted blocks, P, gap): the objective P of the shifted blocks
+    and the relative duality gap of the module docstring, which is at least
+    (P - P*) / P.
     """
-    norms = np.sqrt(np.sum(v**2, axis=(1, 2)))
-    scale = np.zeros_like(norms)
-    np.divide(norms - tau, norms, out=scale, where=norms > tau)
-    return scale[:, None, None] * v
+    residual = _residual(blocks, vt, yt)
+    shift = np.linalg.solve(vt.T @ vt, -(vt.T @ residual))
+    blocks = blocks + shift
+    residual = residual + vt @ shift
+    prefix = np.cumsum(2.0 * vt[:, :, None] * residual[:, None, :], axis=0)
+    jumps = blocks[1:] - blocks[:-1]
+    jump_norms = _norms(jumps)
+    top = _norms(prefix[:-1]).max()
+    a = 1.0 if top <= lam else lam / top
+    fit = float(np.sum(residual**2))
+    objective = fit + lam * float(np.sum(jump_norms))
+    slack = (1.0 - a) ** 2 * fit + float(
+        np.sum(lam * jump_norms - a * np.sum(jumps * prefix[:-1], axis=(1, 2)))
+    )
+    return blocks, objective, (slack / objective if objective > 0 else 0.0)
 
 
 def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     """Fit a smooth-or-jumping LTV model to a single trajectory.
 
     Accepts a Trajectory (or a dataset, from which the first trajectory is
-    taken).  Non-convergence within the iteration cap returns the best
-    iterate with ``info["converged"] = False``.
+    taken).  Reaching the Newton-step cap, or a Newton system that is no
+    longer positive definite in floating point (possible only at a very
+    small mu), returns the incumbent with ``info["converged"] = False`` and
+    its certified gap.
     """
     trajs = trajectories_of(traj)[:1]
     if trajs[0].n_steps < 2:
@@ -78,60 +126,79 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     v, xn = _stack_all(trajs)         # L = 1
     n, _, d = v.shape
     p = xn.shape[2]
+    m = d * p
     vt = v[:, 0, :]                   # (N, d)
     yt = xn[:, 0, :]                  # (N, p)
+    lam = float(cfg.lam)
 
-    rho = cfg.effective_rho
-    gram = 2.0 * vt[:, :, None] * vt[:, None, :]
-    rhs0 = 2.0 * vt[:, :, None] * yt[:, None, :]
-    lam_vec = np.full(n + 1, rho)
-    lam_vec[0] = lam_vec[-1] = 0.0
-    fact = banded_factor(gram, lam_vec)
+    # Fit Hessian of each block, flattened row-major: 2 v v^T (x) I_p.
+    fit_hess = 2.0 * np.einsum("ti,tk,jl->tijkl", vt, vt, np.eye(p)).reshape(n, m, m)
+    eye = np.eye(m)
 
-    def objective(blocks, diffs):
-        residual = np.einsum("ki,kip->kp", vt, blocks) - yt
-        fit = float(np.sum(residual**2))
-        return fit + cfg.lam * float(np.sum(np.sqrt(np.sum(diffs**2, axis=(1, 2)))))
+    def barrier(blocks, mu):
+        z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
+        q = np.hypot(1.0, (lam / mu) * np.sqrt(np.sum(z**2, axis=1)))
+        return float(np.sum(_residual(blocks, vt, yt) ** 2)) + mu * float(
+            np.sum(q - np.log1p(q))
+        )
 
-    tau = cfg.lam / rho
-    z = np.zeros((n - 1, d, p))
-    w = np.zeros_like(z)
-    best = None
-    best_obj = prev_obj = np.inf
-    history = []
-    raw_history = []
-    converged = False
+    def newton_step(blocks, mu):
+        """Newton direction of the barrier objective and its squared decrement."""
+        z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
+        ratio = lam / mu
+        q = np.hypot(1.0, ratio * np.sqrt(np.sum(z**2, axis=1)))
+        c = lam * ratio / (1.0 + q)
+        grad = (2.0 * vt[:, :, None] * _residual(blocks, vt, yt)[:, None, :]).reshape(n, m)
+        grad[1:] += c[:, None] * z
+        grad[:-1] -= c[:, None] * z
+        # Edge Hessian c (I - (1 - 1/q) zz^T/||z||^2), written to stay finite at z = 0.
+        outer = (c * ratio**2 / (q * (q + 1.0)))[:, None, None] * (
+            z[:, :, None] * z[:, None, :]
+        )
+        edge = c[:, None, None] * eye - outer
+        diag = fit_hess.copy()
+        diag[1:] += edge
+        diag[:-1] += edge
+        step = -banded_solve(factor_block_tridiag(diag, -edge), grad[:, :, None])
+        return step.reshape(n, d, p), -float(np.sum(grad * step[:, :, 0]))
+
+    blocks, best_obj, gap = certify(np.zeros((n, d, p)), vt, yt, lam)
+    best = blocks
+    history = [best_obj]
+    # Start the path where the barrier's duality gap, 2 (N-1) mu, matches the
+    # start's certified one (positive whenever the loop runs).
+    mu = gap * best_obj / (2.0 * (n - 1))
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        zw = z - w
-        rhs = rhs0.copy()
-        rhs[:-1] -= rho * zw
-        rhs[1:] += rho * zw
-        blocks = banded_solve(fact, rhs)
-        diffs = blocks[1:] - blocks[:-1]
-        z = _shrink_blocks(diffs + w, tau)
-        w = w + diffs - z
-        obj = objective(blocks, diffs)
-        if obj < best_obj:
-            best_obj = obj
-            best = blocks
+    while gap > cfg.tol and iterations < cfg.max_iter:
+        try:
+            step, decrement = newton_step(blocks, mu)
+        except NumericalError:
+            break   # the Hessian lost definiteness in rounding at a very small mu
+        iterations += 1
+        value = barrier(blocks, mu)
+        t = 1.0
+        while t >= _MIN_STEP and barrier(blocks + t * step, mu) > value - _ARMIJO * t * decrement:
+            t *= 0.5
+        if t >= _MIN_STEP:
+            blocks, obj, obj_gap = certify(blocks + t * step, vt, yt, lam)
+            if obj < best_obj:
+                best, best_obj, gap = blocks, obj, obj_gap
+        # Centered once the decrease left to take, about decrement / 2, is
+        # under 1/40 of the barrier's gap 2 (N-1) mu; or when rounding stalls.
+        if t < _MIN_STEP or decrement <= 0.1 * (n - 1) * mu:
+            mu /= 10.0
         history.append(best_obj)
-        raw_history.append(obj)
-        if abs(prev_obj - obj) <= cfg.tol * max(1.0, abs(obj)):
-            converged = True
-            break
-        prev_obj = obj
 
     return LtvModel.from_stacked(
         best,
         q=d - p,
         dt=trajs[0].dt,
         method="ltvmodels",
-        hyperparams={"lam": float(cfg.lam), "rho": float(rho)},
+        hyperparams={"lam": lam},
         info={
-            "converged": converged,
+            "converged": gap <= cfg.tol,
+            "gap": gap,
             "iterations": iterations,
             "objective": history,
-            "objective_raw": raw_history,
         },
     )

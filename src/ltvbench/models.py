@@ -142,6 +142,8 @@ def load_model(path) -> LtvModel:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot parse model file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"model file {path} does not hold a JSON object")
     try:
         if payload["format"] != MODEL_FORMAT:
             raise DataFormatError(
@@ -155,12 +157,9 @@ def load_model(path) -> LtvModel:
             hyperparams=payload.get("hyperparams") or {},
             preconditioning=payload.get("preconditioning"),
         )
-    except (KeyError, ValueError) as exc:
+        header = (payload["p"], payload["q"], payload["n_steps"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed model file {path}: {exc}") from exc
-    if (model.p, model.q, model.n_steps) != (
-        payload["p"],
-        payload["q"],
-        payload["n_steps"],
-    ):
+    if (model.p, model.q, model.n_steps) != header:
         raise DataFormatError(f"dimension header disagrees with arrays in {path}")
     return model

@@ -1,31 +1,122 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import model_trajectories, rollout_model
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
+import ltvbench.ident.ltvmodels as ltvmodels
+from ltvbench.exceptions import NumericalError
 from ltvbench.ident import LtvModelsConfig, lti_fit, ltvmodels_fit
-from ltvbench.ident.ltvmodels import _shrink_blocks
+from ltvbench.ident.ltvmodels import certify
+from ltvbench.models import LtvModel
 
 
-class TestBlockSoftThreshold:
-    def test_kill_zone(self):
-        v = np.array([[[0.3], [0.4]], [[0.0], [0.0]]])     # norms 0.5 and 0
-        assert_allclose(_shrink_blocks(v, 0.5), 0.0)
-        assert_allclose(_shrink_blocks(v, 0.6), 0.0)
+def regressors(traj):
+    return np.concatenate([traj.states[:-1], traj.inputs], axis=1), traj.states[1:]
 
-    def test_shrinks_along_the_input_direction(self):
-        rng = np.random.default_rng(0)
-        for tau in rng.uniform(0.0, 2.0, size=5):
-            v = rng.normal(size=(20, 3, 2))
-            out = _shrink_blocks(v, tau)
-            for block, shrunk in zip(v, out):
-                norm = np.linalg.norm(block)
-                if norm <= tau:
-                    assert_allclose(shrunk, 0.0)
-                else:
-                    assert_allclose(shrunk, (1.0 - tau / norm) * block)
-                    assert np.linalg.norm(shrunk) == pytest.approx(norm - tau)
+
+def objective(blocks, traj, lam):
+    """P(C): squared one-step residuals plus lam times the jump norms."""
+    v, y = regressors(traj)
+    residual = np.einsum("ti,tip->tp", v, blocks) - y
+    jumps = np.sqrt(np.sum(np.diff(blocks, axis=0) ** 2, axis=(1, 2)))
+    return float(np.sum(residual**2)) + lam * float(np.sum(jumps))
+
+
+def pooled_blocks(traj):
+    pair = lti_fit([traj])
+    pooled = np.concatenate([pair.A.T, pair.B.T], axis=0)
+    return np.repeat(pooled[None], traj.n_steps, axis=0)
+
+
+def jumping_trajectory(seed, n, p, noise=1e-2):
+    """One noisy trajectory of a random stable model whose blocks jump once."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, p, p))
+    a *= 0.9 / np.linalg.norm(a, ord=2, axis=(1, 2))[:, None, None]
+    jump = int(rng.integers(1, n))
+    A = np.where((np.arange(n) < jump)[:, None, None], a[0], a[1])
+    B = np.repeat(rng.normal(size=(1, p, 1)), n, axis=0)
+    return model_trajectories(LtvModel(A=A, B=B, dt=0.1), 1, seed=seed, noise=noise)[0]
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        p=st.integers(1, 2),
+        log_lam=st.floats(-4.0, 4.0),
+    )
+    def test_gap_bounds_the_excess_over_any_perturbation(self, seed, n, p, log_lam):
+        lam = 10.0**log_lam
+        traj = jumping_trajectory(seed, n, p)
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+        gap = fit.info["gap"]
+        assert fit.info["converged"] == (gap <= 1e-8)
+        blocks = fit.stacked()
+        best = objective(blocks, traj, lam)
+        # With N = p + 1 the pooled fit interpolates, and P is rounding noise
+        # far below this scale.
+        rounding = 1e-20 * float(np.sum(traj.states**2))
+        assert best == pytest.approx(fit.info["objective"][-1], rel=1e-12, abs=rounding)
+        rng = np.random.default_rng(seed)
+        others = [pooled_blocks(traj)] + [
+            blocks + 10.0 ** rng.uniform(-9, 0) * rng.normal(size=blocks.shape)
+            for _ in range(20)
+        ]
+        for other in others:
+            assert best - objective(other, traj, lam) <= (gap + 1e-12) * best + rounding
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_summation_by_parts_equals_primal_minus_dual(self, seed):
+        # The certificate evaluates P - dual as a sum of nonnegative terms;
+        # here it is checked against the dual formula itself, at arbitrary
+        # blocks far enough from optimal that the formula's cancellation is mild.
+        traj = jumping_trajectory(seed, 30, 2, noise=0.1)
+        v, y = regressors(traj)
+        rng = np.random.default_rng(seed)
+        lam = [1e-3, 1e-1, 10.0][seed % 3]
+        start = pooled_blocks(traj) + 0.3 * rng.normal(size=(30, 3, 2))
+        shifted, total, gap = certify(start, v, y, lam)
+        assert_allclose(np.diff(shifted, axis=0), np.diff(start, axis=0), atol=1e-14)
+        residual = np.einsum("ti,tip->tp", v, shifted) - y
+        grads = 2.0 * v[:, :, None] * residual[:, None, :]
+        assert np.abs(grads.sum(axis=0)).max() <= 1e-10
+        assert total == pytest.approx(objective(shifted, traj, lam), rel=1e-12)
+        assert total <= objective(start, traj, lam)
+        top = np.sqrt(np.sum(np.cumsum(grads, axis=0)[:-1] ** 2, axis=(1, 2))).max()
+        a = min(1.0, lam / top)
+        dual = float(np.sum(-(a**2) * residual**2 - 2.0 * a * residual * y))
+        assert gap == pytest.approx((total - dual) / total, rel=1e-8)
+
+
+class TestScreening:
+    def test_pooled_fit_is_exact_from_the_largest_prefix_gradient(self):
+        truth = ground_truth_ltv(scenario("ltv"))
+        traj = model_trajectories(truth, 1, seed=6, noise=1e-3)[0]
+        v, y = regressors(traj)
+        pooled = pooled_blocks(traj)
+        residual = np.einsum("ti,tip->tp", v, pooled) - y
+        prefix = np.cumsum(2.0 * v[:, :, None] * residual[:, None, :], axis=0)
+        lam_max = float(np.sqrt(np.sum(prefix[:-1] ** 2, axis=(1, 2))).max())
+
+        for lam in (lam_max, 10.0 * lam_max):
+            fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+            assert fit.info["iterations"] == 0
+            assert fit.info["converged"] and fit.info["gap"] <= 1e-8
+            assert_allclose(fit.stacked(), pooled, rtol=1e-9, atol=1e-12)
+
+        below = ltvmodels_fit(traj, LtvModelsConfig(lam=0.99 * lam_max))
+        assert below.info["iterations"] > 0
+        assert below.info["converged"]
+        blocks = below.stacked()
+        assert np.max(np.abs(blocks - pooled)) > 1e-9
+        assert objective(blocks, traj, 0.99 * lam_max) < objective(
+            pooled, traj, 0.99 * lam_max
+        )
 
 
 class TestLtvModelsFit:
@@ -39,12 +130,24 @@ class TestLtvModelsFit:
         assert np.max(np.abs(blocks[0] - pooled)) <= 1e-4
 
     def test_reported_objective_is_monotone(self):
+        # At lam = 1 this trajectory's pooled fit is the exact optimum: the
+        # start certifies and the history is the single start objective.
         truth = ground_truth_ltv(scenario("ltv"))
         traj = model_trajectories(truth, 1, seed=2, noise=1e-3)[0]
         fit = ltvmodels_fit(traj, LtvModelsConfig(lam=1.0))
+        assert fit.info["iterations"] == 0
+        assert fit.info["converged"] and fit.info["gap"] <= 1e-8
+        assert fit.info["objective"] == [pytest.approx(objective(fit.stacked(), traj, 1.0))]
+
+    def test_objective_history_is_monotone_while_iterating(self):
+        truth = ground_truth_ltv(scenario("ltv"))
+        traj = model_trajectories(truth, 1, seed=2, noise=1e-3)[0]
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.01))
         history = np.array(fit.info["objective"])
-        assert len(history) > 3
-        assert np.all(np.diff(history) <= 1e-9)
+        assert len(history) == fit.info["iterations"] + 1 > 3
+        assert np.all(np.diff(history) <= 0.0)
+        assert history[-1] < history[0]
+        assert fit.info["converged"]
 
     def test_objective_of_fit_beats_unsmoothed_start(self):
         truth = ground_truth_ltv(scenario("ltv"))
@@ -62,10 +165,43 @@ class TestLtvModelsFit:
         assert np.sqrt(np.mean(np.sum(residual**2, axis=1))) < 0.5
 
     def test_cap_sets_converged_false(self, constant_model):
+        # This data screens at lam = 0.5: the pooled start certifies, so the
+        # cap is never reached.
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
         fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.5, max_iter=3))
+        assert fit.info["converged"] is True
+        assert fit.info["iterations"] == 0
+
+    def test_cap_on_an_iterating_fit_reports_its_gap(self, constant_model):
+        traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05, max_iter=3))
         assert fit.info["converged"] is False
         assert fit.info["iterations"] == 3
+        assert len(fit.info["objective"]) == 4
+        assert fit.info["gap"] > 1e-8
+        full = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
+        assert full.info["converged"] and full.info["iterations"] > 3
+        excess = (fit.info["objective"][-1] - full.info["objective"][-1]) / fit.info["objective"][-1]
+        assert excess <= fit.info["gap"]
+
+    def test_indefinite_newton_system_returns_the_incumbent(self, monkeypatch):
+        truth = ground_truth_ltv(scenario("ltv"))
+        traj = model_trajectories(truth, 1, seed=2, noise=1e-3)[0]
+        real = ltvmodels.factor_block_tridiag
+        calls = []
+
+        def fails_after_five(diag, upper):
+            calls.append(None)
+            if len(calls) > 5:
+                raise NumericalError("banded factorization failed; system not PD")
+            return real(diag, upper)
+
+        monkeypatch.setattr(ltvmodels, "factor_block_tridiag", fails_after_five)
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.01))
+        assert fit.info["iterations"] == 5
+        assert fit.info["converged"] is False and fit.info["gap"] > 1e-8
+        assert len(fit.info["objective"]) == 6
+        assert objective(fit.stacked(), traj, 0.01) == pytest.approx(fit.info["objective"][-1])
 
     def test_needs_two_transitions(self):
         traj = Trajectory(
@@ -78,4 +214,6 @@ class TestLtvModelsFit:
         with pytest.raises(ValueError):
             LtvModelsConfig(lam=0.0)
         with pytest.raises(ValueError):
-            LtvModelsConfig(lam=1.0, rho=-1.0)
+            LtvModelsConfig(lam=1.0, max_iter=0)
+        with pytest.raises(ValueError):
+            LtvModelsConfig(lam=1.0, tol=0.0)

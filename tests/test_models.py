@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ltvbench.exceptions import DataFormatError
@@ -66,3 +71,75 @@ def test_load_model_errors(tmp_path):
     wrong.write_text('{"format": "something-else"}')
     with pytest.raises(DataFormatError):
         load_model(wrong)
+
+
+GOOD_PAYLOAD = {"format": "ltv-model/1", "p": 1, "q": 1, "n_steps": 1, "dt": 0.1,
+                "A": [[[0.5]]], "B": [[[1.0]]]}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD_PAYLOAD.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _without("p"),
+        _without("q"),
+        _without("n_steps"),
+        [1, 2, 3],
+        "ltv-model/1",
+        None,
+        {**GOOD_PAYLOAD, "dt": None},
+    ],
+    ids=["no-p", "no-q", "no-n_steps", "list", "string", "null", "null-dt"],
+)
+def test_load_model_malformed_payloads_are_typed(tmp_path, payload):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_PAYLOAD))
+    assert load_model(good).n_steps == 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError):
+        load_model(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    p, q, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 12))
+    preconditioning = draw(
+        st.none()
+        | st.fixed_dictionaries(
+            {
+                "state_scale": st.lists(finite, min_size=p, max_size=p),
+                "input_scale": st.lists(finite, min_size=q, max_size=q),
+                "zero_variance": st.lists(st.integers(0, p + q - 1), unique=True),
+            }
+        )
+    )
+    return LtvModel(
+        A=draw(arrays(np.float64, (n, p, p), elements=finite)),
+        B=draw(arrays(np.float64, (n, p, q), elements=finite)),
+        dt=draw(st.floats(min_value=1e-300, max_value=1e300)),
+        method=draw(st.text()),
+        hyperparams=draw(st.dictionaries(st.text(), finite | st.integers())),
+        preconditioning=preconditioning,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_model_file_round_trip_is_exact(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.A.tobytes() == model.A.tobytes()
+    assert loaded.B.tobytes() == model.B.tobytes()
+    assert loaded.A.shape == model.A.shape and loaded.B.shape == model.B.shape
+    assert loaded.dt == model.dt
+    assert loaded.method == model.method
+    assert loaded.hyperparams == model.hyperparams
+    assert loaded.preconditioning == model.preconditioning

@@ -1,6 +1,7 @@
 """Microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind,
-one block-tridiagonal solve at N=500 and N=5000 with d=3, and the prediction
-loss of one validation-sized set (8 trajectories x 500 steps).
+one block-tridiagonal solve at N=500 and N=5000 with d=3, the prediction
+loss of one validation-sized set (8 trajectories x 500 steps), and one
+``ltvmodels_fit`` that iterates (500 steps, not screened at its lam).
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -25,7 +26,12 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
-from ltvbench.ident import solve_block_tridiag, trajectory_prediction_loss
+from ltvbench.ident import (
+    LtvModelsConfig,
+    ltvmodels_fit,
+    solve_block_tridiag,
+    trajectory_prediction_loss,
+)
 
 ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 
@@ -70,3 +76,12 @@ def test_validation_set_loss(benchmark):
     loss = benchmark.pedantic(trajectory_prediction_loss, args=(model, trajs), **ROUNDS)
     assert trajs[0].n_steps == 500
     assert loss <= 1e-10
+
+
+def test_ltvmodels_fit(benchmark):
+    traj = model_trajectories(ground_truth_ltv(scenario("ltv")), 1, seed=3, noise=1e-3)[0]
+    cfg = LtvModelsConfig(lam=0.1)
+    fit = benchmark.pedantic(ltvmodels_fit, args=(traj, cfg), **ROUNDS)
+    assert traj.n_steps == 500
+    assert fit.info["iterations"] > 0
+    assert fit.info["converged"] and fit.info["gap"] <= cfg.tol

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ltvbench.exceptions import NumericalError
-from ltvbench.ident.tridiag import apply_block_tridiag, banded_factor, solve_block_tridiag
+from ltvbench.ident.tridiag import (
+    apply_block_tridiag,
+    banded_factor,
+    banded_solve,
+    factor_block_tridiag,
+    solve_block_tridiag,
+)
 
 
 def random_system(rng, n, d, cols, lam_scale=1.0, weight=None):
@@ -79,6 +85,35 @@ def test_random_systems_match_dense_oracle(seed, n, d, weighted, log_lam):
         dense = np.linalg.solve(big, rhs.reshape(n * d, 2))
         err = np.max(np.abs(x.reshape(n * d, 2) - dense))
         assert err <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    m=st.integers(1, 6),
+    diagonal_coupling=st.booleans(),
+)
+def test_general_blocks_match_dense_oracle(seed, n, m, diagonal_coupling):
+    # Full upper blocks span half-bandwidth 2m-1, diagonal ones m.
+    rng = np.random.default_rng(seed)
+    if diagonal_coupling:
+        upper = rng.normal(size=(n - 1, m))
+        up_blocks = upper[:, :, None] * np.eye(m)
+    else:
+        upper = up_blocks = rng.normal(size=(n - 1, m, m))
+    f = rng.normal(size=(n, m, m))
+    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(up_blocks).max(initial=0.0)) * np.eye(m)
+    big = np.zeros((n * m, n * m))
+    for k in range(n):
+        big[k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[k]
+        if k < n - 1:
+            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = up_blocks[k]
+            big[(k + 1) * m : (k + 2) * m, k * m : (k + 1) * m] = up_blocks[k].T
+    rhs = rng.normal(size=(n, m, 2))
+    x = banded_solve(factor_block_tridiag(diag, upper), rhs)
+    dense = np.linalg.solve(big, rhs.reshape(n * m, 2))
+    assert np.max(np.abs(x.reshape(n * m, 2) - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
 
 def test_refinement_handles_dominant_coupling():
