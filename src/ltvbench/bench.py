@@ -8,8 +8,6 @@ output files byte for byte.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -18,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .control import (
     closed_loop,
     default_reference,
@@ -30,6 +29,7 @@ from .control import (
 from .datagen import Split, build_dataset, default_excitations, tvera_experiments
 from .dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
 from .exceptions import RECORDED_ERRORS, InstabilityError
+from .files import write_json, write_table
 from .ident import (
     DEFAULT_LAMBDA_GRID,
     cosmic_objective,
@@ -348,28 +348,8 @@ def lambda_sweep(
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def write_prediction_csv(rows: list, path) -> None:
-    _write_csv(
+    write_table(
         path,
         ["scenario", "method", "mean_loss", "std_loss", "n_test", "best_params", "error"],
         [
@@ -380,7 +360,7 @@ def write_prediction_csv(rows: list, path) -> None:
 
 
 def write_tracking_csv(rows: list, path) -> None:
-    _write_csv(
+    write_table(
         path,
         ["scenario", "controller", "mean", "std", "rmse", "unstable", "error"],
         [
@@ -396,29 +376,14 @@ def write_ecdf_csv(series_by_method: dict, path) -> None:
         series = series_by_method[method]
         for value, fraction in zip(series.values, series.fractions):
             rows.append((method, float(value), float(fraction)))
-    _write_csv(path, ["method", "value", "fraction"], rows)
+    write_table(path, ["method", "value", "fraction"], rows)
 
 
 def write_lambda_csv(rows, path) -> None:
-    _write_csv(
+    write_table(
         path,
         ["lambda", "fidelity", "smoothness", "tracking_rmse", "unstable"],
         [(r.lam, r.fidelity, r.smoothness, r.tracking_rmse, r.unstable) for r in rows],
-    )
-
-
-def _write_manifest(out_dir: Path, suite: str, cfg: BenchConfig, extra=None) -> None:
-    from . import __version__
-
-    payload = {
-        "suite": suite,
-        "config": asdict(cfg),
-        "version": __version__,
-    }
-    if extra:
-        payload.update(extra)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True, default=list) + "\n"
     )
 
 
@@ -447,5 +412,8 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
         written.append("lambda_sweep.csv")
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    _write_manifest(out_dir, suite, cfg, {"files": written})
+    write_json(
+        out_dir / "manifest.json",
+        {"suite": suite, "config": asdict(cfg), "version": __version__, "files": written},
+    )
     return written

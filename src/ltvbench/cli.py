@@ -11,7 +11,6 @@ naming the failing stage).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -40,7 +39,8 @@ from .datagen import (
 )
 from .dynamics import BUILTIN_SCENARIOS, ground_truth_ltv, load_scenario, scenario, simulate
 from .exceptions import LtvBenchError
-from .ident import default_grid, fit_method, tune
+from .files import field_errors, read_json, write_json, write_table
+from .ident import LAMBDA_METHODS, METHODS, default_grid, fit_method, tune
 from .models import load_model, save_model
 
 
@@ -77,8 +77,7 @@ def _write_manifest(path: Path, command: str, options: dict) -> None:
     options = {
         k: v for k, v in options.items() if k not in ("func", "stage") and not callable(v)
     }
-    payload = {"command": command, "options": options, "version": __version__}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n")
+    write_json(path, {"command": command, "options": options, "version": __version__})
 
 
 def _manifest_for_file(out: Path) -> Path:
@@ -137,7 +136,7 @@ def _cmd_dataset(args) -> int:
 def _cmd_identify(args) -> int:
     ds = load_dataset(args.data)
     params = {}
-    if args.method in ("cosmic", "cosmic-single", "ltvmodels"):
+    if args.method in LAMBDA_METHODS:
         params["lam"] = args.lam
     if args.method == "tvera":
         params = {"hankel_rows": args.hankel_rows, "hankel_cols": args.hankel_cols,
@@ -157,13 +156,11 @@ def _cmd_tune(args) -> int:
     result = tune(args.method, grid, train, validation)
     out = Path(args.out)
     save_model(result.best_model, out)
-    report_path = out.with_name(out.stem + "_grid.csv")
-    with open(report_path, "w") as fh:
-        fh.write("params,loss,error\n")
-        for row in result.rows:
-            loss = "" if row.loss is None else repr(row.loss)
-            err = row.error or ""
-            fh.write(f"\"{json.dumps(row.params, sort_keys=True)}\",{loss},\"{err}\"\n")
+    write_table(
+        out.with_name(out.stem + "_grid.csv"),
+        ["params", "loss", "error"],
+        [(row.params, row.loss, row.error) for row in result.rows],
+    )
     _write_manifest(_manifest_for_file(out), "tune", vars(args))
     print(
         f"best {args.method} params {result.best_params} "
@@ -179,8 +176,9 @@ def _cmd_control(args) -> int:
     else:
         model = load_model(args.model)
     if args.ref:
-        payload = json.loads(Path(args.ref).read_text())
-        ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
+        payload = read_json(args.ref, "reference spec")
+        with field_errors(args.ref, "reference spec"):
+            ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
     else:
         ref = default_reference(spec.horizon)
     sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument(
         "--method",
         required=True,
-        choices=("cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti"),
+        choices=METHODS,
     )
     ident.add_argument("--lambda", dest="lam", type=float, default=1.0)
     ident.add_argument("--hankel-rows", type=int, default=3)
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument(
         "--method",
         required=True,
-        choices=("cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti"),
+        choices=METHODS,
     )
     tn.add_argument("--grid", help="comma-separated lambda values (default: built-in grid)")
     tn.add_argument("--train", required=True, help="training dataset directory")
@@ -301,6 +299,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "tune" and args.grid and args.method not in LAMBDA_METHODS:
+            parser.error(f"tune --grid sets lambda, which method {args.method!r} does not take")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,16 +9,15 @@ against a spring, hence the feedforward term.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, _rollout
-from .exceptions import DataFormatError, SynthesisError
-from .models import LtvModel, _plain
+from .exceptions import SynthesisError
+from .files import field_errors, read_json, write_json
+from .models import LtvModel
 
 GAINS_FORMAT = "gain-schedule/1"
 DIVERGENCE_GUARD = 1e6
@@ -229,24 +228,17 @@ def save_gains(sched: GainSchedule, path) -> None:
         "p": sched.K.shape[2],
         "q": sched.K.shape[1],
         "provenance": sched.provenance,
-        "K": sched.K.tolist(),
-        "u_ff": sched.u_ff.tolist(),
+        "K": sched.K,
+        "u_ff": sched.u_ff,
     }
-    Path(path).write_text(json.dumps(_plain(payload), indent=1, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_gains(path) -> GainSchedule:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"gain schedule not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-        if payload["format"] != GAINS_FORMAT:
-            raise DataFormatError(f"unexpected format tag in {path}")
+    payload = read_json(path, "gain schedule", GAINS_FORMAT)
+    with field_errors(path, "gain schedule"):
         return GainSchedule(
             K=np.asarray(payload["K"], dtype=float),
             u_ff=np.asarray(payload["u_ff"], dtype=float),
             provenance=payload.get("provenance", ""),
         )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DataFormatError(f"malformed gain schedule {path}: {exc}") from exc

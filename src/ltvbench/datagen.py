@@ -11,9 +11,8 @@ substreams, so adding trajectories never perturbs existing ones.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, load_scenario, save_scenario, simulate
 from .exceptions import DataFormatError
+from .files import field_errors, read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "trajectory-dataset/1"
@@ -114,26 +114,39 @@ def _display_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def _chirp_trajectory(spec, ex, master_seed, split, index, noise_var, free_response):
-    seq = _traj_seed_seq(master_seed, _STREAM_CHIRP, _SPLIT_CODE[split], index)
+def _experiment(spec, seq, setup, noise_var):
+    """Simulate the experiment seeded by ``seq``.
+
+    ``setup(init_rng, input_rng)`` draws the initial state and returns it with
+    the input signal.  Measured states (``noise_var`` not None) are flagged
+    noisy and carry measurement noise of that variance.
+    """
     init_rng, input_rng, process_rng, noise_rng = (
         np.random.default_rng(c) for c in seq.spawn(4)
     )
-    x0 = init_rng.uniform(-1.0, 1.0, size=2)
-    if free_response:
-        signal = lambda t: 0.0
-    else:
-        ex_t = replace(ex, phase=init_rng.uniform(0.0, 2.0 * math.pi))
-        signal = lambda t: chirp(ex_t, t, input_rng)
+    x0, signal = setup(init_rng, input_rng)
     traj = simulate(spec, x0, signal, seed=process_rng)
     traj.seed = _display_seed(seq)
-    if split is Split.TRAIN:
+    if noise_var is not None:
         traj.noisy = True
         if noise_var > 0:
             traj.states = traj.states + noise_rng.normal(
                 0.0, math.sqrt(noise_var), size=traj.states.shape
             )
     return traj
+
+
+def _free_response(init_rng, input_rng):
+    return init_rng.uniform(-1.0, 1.0, size=2), lambda t: 0.0
+
+
+def _chirp_response(ex: ExcitationSpec):
+    def setup(init_rng, input_rng):
+        x0 = init_rng.uniform(-1.0, 1.0, size=2)
+        ex_t = replace(ex, phase=init_rng.uniform(0.0, 2.0 * math.pi))
+        return x0, lambda t: chirp(ex_t, t, input_rng)
+
+    return setup
 
 
 def build_dataset(
@@ -162,28 +175,24 @@ def build_dataset(
     out = {}
     for split, count in zip((Split.TRAIN, Split.VALIDATION, Split.TEST), counts):
         ex = excitations[split]
-        trajs = []
-        labels = []
-        for i in range(count):
-            trajs.append(
-                _chirp_trajectory(spec, ex, master_seed, split, i, noise_var, False)
+        measured = split is Split.TRAIN
+        labels = ("chirp",) * count + ("free",) * (0 if measured else n_free)
+        trajs = [
+            _experiment(
+                spec,
+                _traj_seed_seq(master_seed, _STREAM_CHIRP, _SPLIT_CODE[split], i),
+                _chirp_response(ex) if label == "chirp" else _free_response,
+                noise_var if measured else None,
             )
-            labels.append("chirp")
-        if split is not Split.TRAIN:
-            for i in range(n_free):
-                trajs.append(
-                    _chirp_trajectory(
-                        spec, ex, master_seed, split, count + i, noise_var, True
-                    )
-                )
-                labels.append("free")
+            for i, label in enumerate(labels)
+        ]
         out[split] = Dataset(
             split=split,
             trajectories=trajs,
             scenario=spec,
             excitation=ex,
-            noise_var=noise_var if split is Split.TRAIN else 0.0,
-            labels=tuple(labels),
+            noise_var=noise_var if measured else 0.0,
+            labels=labels,
             master_seed=master_seed,
         )
     return out
@@ -212,36 +221,26 @@ def tvera_experiments(
     start at rest and receive white-noise inputs.  States carry training
     measurement noise.
     """
-    trajs = []
-    labels = []
-    for i in range(n_free + n_forced):
-        seq = _traj_seed_seq(master_seed, _STREAM_EXPERIMENTS, 0, i)
-        init_rng, input_rng, process_rng, noise_rng = (
-            np.random.default_rng(c) for c in seq.spawn(4)
+    def random_input(init_rng, input_rng):
+        return np.zeros(2), lambda t: input_rng.normal(0.0, input_std)
+
+    labels = ("free",) * n_free + ("random",) * n_forced
+    trajs = [
+        _experiment(
+            spec,
+            _traj_seed_seq(master_seed, _STREAM_EXPERIMENTS, 0, i),
+            _free_response if label == "free" else random_input,
+            noise_var,
         )
-        if i < n_free:
-            x0 = init_rng.uniform(-1.0, 1.0, size=2)
-            signal = lambda t: 0.0
-            labels.append("free")
-        else:
-            x0 = np.zeros(2)
-            signal = lambda t: input_rng.normal(0.0, input_std)
-            labels.append("random")
-        traj = simulate(spec, x0, signal, seed=process_rng)
-        traj.seed = _display_seed(seq)
-        traj.noisy = True
-        if noise_var > 0:
-            traj.states = traj.states + noise_rng.normal(
-                0.0, math.sqrt(noise_var), size=traj.states.shape
-            )
-        trajs.append(traj)
+        for i, label in enumerate(labels)
+    ]
     return Dataset(
         split=Split.TRAIN,
         trajectories=trajs,
         scenario=spec,
         excitation=None,
         noise_var=noise_var,
-        labels=tuple(labels),
+        labels=labels,
         master_seed=master_seed,
     )
 
@@ -324,52 +323,31 @@ def save_dataset(ds: Dataset, directory) -> None:
         "noise_var": ds.noise_var,
         "labels": list(ds.labels),
         "master_seed": ds.master_seed,
-        "excitation": None
-        if ds.excitation is None
-        else {
-            "amplitude": ds.excitation.amplitude,
-            "omega0": ds.excitation.omega0,
-            "omega1": ds.excitation.omega1,
-            "duration": ds.excitation.duration,
-            "phase": ds.excitation.phase,
-            "noise_var": ds.excitation.noise_var,
-        },
+        "excitation": None if ds.excitation is None else asdict(ds.excitation),
         "trajectories": entries,
     }
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    )
+    write_json(directory / MANIFEST_NAME, manifest)
 
 
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise DataFormatError(f"dataset manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot parse {manifest_path}: {exc}") from exc
-    if manifest.get("format") != DATASET_FORMAT:
-        raise DataFormatError(f"unexpected dataset format in {manifest_path}")
-    spec = load_scenario(directory / manifest["scenario_file"])
-    ex = manifest.get("excitation")
-    excitation = ExcitationSpec(**ex) if ex is not None else None
-    trajs = []
-    for entry in manifest["trajectories"]:
-        trajs.append(
+    manifest = read_json(manifest_path, "dataset manifest", DATASET_FORMAT)
+    with field_errors(manifest_path, "dataset manifest"):
+        spec = load_scenario(directory / manifest["scenario_file"])
+        ex = manifest.get("excitation")
+        trajs = [
             load_trajectory_csv(
-                directory / entry["file"],
-                seed=entry.get("seed"),
-                noisy=bool(entry.get("noisy", False)),
+                directory / entry["file"], seed=entry["seed"], noisy=bool(entry["noisy"])
             )
+            for entry in manifest["trajectories"]
+        ]
+        return Dataset(
+            split=Split(manifest["split"]),
+            trajectories=trajs,
+            scenario=spec,
+            excitation=None if ex is None else ExcitationSpec(**ex),
+            noise_var=float(manifest["noise_var"]),
+            labels=tuple(manifest.get("labels", ())),
+            master_seed=manifest.get("master_seed"),
         )
-    return Dataset(
-        split=Split(manifest["split"]),
-        trajectories=trajs,
-        scenario=spec,
-        excitation=excitation,
-        noise_var=float(manifest["noise_var"]),
-        labels=tuple(manifest.get("labels", ())),
-        master_seed=manifest.get("master_seed"),
-    )

@@ -32,15 +32,14 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import DataFormatError, InstabilityError, IntegrationError, NumericalError
+from .exceptions import InstabilityError, IntegrationError, NumericalError
+from .files import field_errors, read_json, write_json
 from .models import LtvModel, MatrixPair
 
 # Internal RK4 substeps per scenario step; keeps the ground truth clearly more
@@ -231,38 +230,14 @@ def scenario(name: str) -> ScenarioSpec:
 
 
 def save_scenario(spec: ScenarioSpec, path) -> None:
-    payload = {
-        "kind": spec.kind.value,
-        "mass": spec.mass,
-        "spring": spec.spring,
-        "damping": spec.damping,
-        "cubic_damping": spec.cubic_damping,
-        "sat_limit": spec.sat_limit,
-        "param_freq": spec.param_freq,
-        "dist_center": spec.dist_center,
-        "dist_width": spec.dist_width,
-        "dist_sigma": spec.dist_sigma,
-        "kick_sigma": spec.kick_sigma,
-        "frame_duration": spec.frame_duration,
-        "frames": [list(f) for f in spec.frames],
-        "dt": spec.dt,
-        "horizon": spec.horizon,
-        "name": spec.name,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, {**asdict(spec), "kind": spec.kind.value})
 
 
 def load_scenario(path) -> ScenarioSpec:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"scenario file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
+    payload = read_json(path, "scenario file")
+    with field_errors(path, "scenario file"):
         payload["kind"] = Kind(payload["kind"])
-        payload["frames"] = tuple(tuple(f) for f in payload.get("frames", ()))
         return ScenarioSpec(**payload)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed scenario file {path}: {exc}") from exc
 
 
 def params_at(spec: ScenarioSpec, t: float) -> tuple:

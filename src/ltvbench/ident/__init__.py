@@ -13,6 +13,7 @@ from .tridiag import apply_block_tridiag, solve_block_tridiag
 from .tuning import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_TVERA_GRID,
+    LAMBDA_METHODS,
     METHODS,
     TuneResult,
     default_grid,
@@ -26,6 +27,7 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_TVERA_GRID",
     "ExcitationReport",
+    "LAMBDA_METHODS",
     "LtvModelsConfig",
     "METHODS",
     "TuneResult",

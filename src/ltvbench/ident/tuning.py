@@ -15,6 +15,7 @@ from .regression import lti_fit, perstep_ls_fit, trajectories_of
 from .tvera import TveraConfig, tvera_fit
 
 METHODS = ("cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti")
+LAMBDA_METHODS = ("cosmic", "cosmic-single", "ltvmodels")   # tuned over lam
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 9).tolist())
 DEFAULT_TVERA_GRID = (
@@ -25,7 +26,7 @@ DEFAULT_TVERA_GRID = (
 
 
 def default_grid(method: str) -> tuple:
-    if method in ("cosmic", "cosmic-single", "ltvmodels"):
+    if method in LAMBDA_METHODS:
         return tuple({"lam": lam} for lam in DEFAULT_LAMBDA_GRID)
     if method == "tvera":
         return tuple(dict(g) for g in DEFAULT_TVERA_GRID)

@@ -31,23 +31,24 @@ from ..exceptions import ExcitationError, RealizationError
 from ..models import LtvModel
 from .regression import _stack_all, trajectories_of
 
+# A Hankel spectrum whose p-th singular value falls below this fraction of the
+# largest (or whose largest falls below it times the state/input scale) has
+# collapsed below the state dimension.
+SVD_GAP_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TveraConfig:
     hankel_rows: int = 3      # s, block rows of the Hankel matrices
     hankel_cols: int = 3      # r, block columns
-    order: int | None = None  # realization order; defaults to the state dimension
     n_free: int = 4           # free-response experiments the fit expects
     n_forced: int = 10        # forced (random-input) experiments the fit expects
-    svd_gap_rtol: float = 1e-8
 
     def __post_init__(self):
         if self.hankel_rows < 2:
             raise ValueError("need at least two Hankel block rows to shift")
         if self.hankel_cols < 1:
             raise ValueError("need at least one Hankel block column")
-        if self.order is not None and self.order < 1:
-            raise ValueError("order must be >= 1")
 
 
 def _markov_window(states, inputs, k: int, w: int):
@@ -73,7 +74,7 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
     ``experiments`` is a dataset or list of trajectories from repeated runs
     of the same plant.  Raises when fewer experiments are supplied than the
     configuration requires, or when the Hankel spectra collapse below the
-    requested order.
+    state dimension.
     """
     trajs = trajectories_of(experiments)
     required = cfg.n_free + cfg.n_forced
@@ -86,15 +87,10 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
     n = v.shape[0]
     p = xn.shape[2]
     q = v.shape[2] - p
-    order = cfg.order if cfg.order is not None else p
-    if order != p:
-        raise ValueError(
-            "full-state realization requires order equal to the state dimension"
-        )
     s, r = cfg.hankel_rows, cfg.hankel_cols
     w = s + r - 1
-    if r * q < order:
-        raise ValueError("Hankel columns too few for the requested order")
+    if r * q < p:
+        raise ValueError("Hankel columns too few for the state dimension")
     if n < w + s:
         raise ValueError(f"trajectories too short for a {s}x{r} Hankel window")
     if len(trajs) < p + w * q:
@@ -133,15 +129,15 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
         h = hankel(k)
         u_svd, sing, vt = np.linalg.svd(h, full_matrices=False)
         if (
-            sing[0] <= cfg.svd_gap_rtol * signal_scale
-            or sing[order - 1] / sing[0] < cfg.svd_gap_rtol
+            sing[0] <= SVD_GAP_RTOL * signal_scale
+            or sing[p - 1] / sing[0] < SVD_GAP_RTOL
         ):
             raise RealizationError(
-                f"Hankel spectrum at step {k} collapses below order {order}"
+                f"Hankel spectrum at step {k} collapses below order {p}"
             )
-        sq = np.sqrt(sing[:order])
-        obs = u_svd[:, :order] * sq[None, :]
-        ctrl = sq[:, None] * vt[:order, :]
+        sq = np.sqrt(sing[:p])
+        obs = u_svd[:, :p] * sq[None, :]
+        ctrl = sq[:, None] * vt[:p, :]
         return obs, ctrl
 
     A = np.empty((n, p, p))
@@ -179,7 +175,7 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
         hyperparams={
             "hankel_rows": s,
             "hankel_cols": r,
-            "order": order,
+            "order": p,
             "n_free": cfg.n_free,
             "n_forced": cfg.n_forced,
         },

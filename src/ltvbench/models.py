@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DataFormatError
+from .files import field_errors, read_json, write_json
 
 MODEL_FORMAT = "ltv-model/1"
 
@@ -80,9 +79,6 @@ class LtvModel:
     def q(self) -> int:
         return self.B.shape[2]
 
-    def pair(self, k: int) -> MatrixPair:
-        return MatrixPair(self.A[k], self.B[k])
-
     def stacked(self) -> np.ndarray:
         """Return the per-step parameter blocks [A(k)^T; B(k)^T], shape (N, p+q, p)."""
         return np.concatenate(
@@ -104,19 +100,6 @@ class LtvModel:
         return cls(A=A, B=B, dt=dt, **meta)
 
 
-def _plain(obj):
-    """Convert numpy scalars/arrays to builtin types for JSON output."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def save_model(model: LtvModel, path) -> None:
     """Write a model to JSON with row-major A(k)/B(k) arrays at full precision."""
     payload = {
@@ -126,29 +109,17 @@ def save_model(model: LtvModel, path) -> None:
         "n_steps": model.n_steps,
         "dt": model.dt,
         "method": model.method,
-        "hyperparams": _plain(model.hyperparams),
-        "preconditioning": _plain(model.preconditioning),
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
+        "hyperparams": model.hyperparams,
+        "preconditioning": model.preconditioning,
+        "A": model.A,
+        "B": model.B,
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> LtvModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot parse model file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"model file {path} does not hold a JSON object")
-    try:
-        if payload["format"] != MODEL_FORMAT:
-            raise DataFormatError(
-                f"unexpected format tag {payload['format']!r} in {path}"
-            )
+    payload = read_json(path, "model file", MODEL_FORMAT)
+    with field_errors(path, "model file"):
         model = LtvModel(
             A=np.asarray(payload["A"], dtype=float),
             B=np.asarray(payload["B"], dtype=float),
@@ -158,8 +129,6 @@ def load_model(path) -> LtvModel:
             preconditioning=payload.get("preconditioning"),
         )
         header = (payload["p"], payload["q"], payload["n_steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed model file {path}: {exc}") from exc
     if (model.p, model.q, model.n_steps) != header:
         raise DataFormatError(f"dimension header disagrees with arrays in {path}")
     return model

@@ -1,4 +1,7 @@
+import csv
 import json
+
+import pytest
 
 from ltvbench.cli import main
 from ltvbench.datagen import load_dataset
@@ -71,6 +74,21 @@ class TestIdentifyAndTune:
         report = (tmp_path / "m_grid.csv").read_text().strip().splitlines()
         assert report[0] == "params,loss,error"
         assert len(report) == 3
+        with open(tmp_path / "m_grid.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [json.loads(row["params"]) for row in rows] == [{"lam": 0.001}, {"lam": 0.1}]
+        assert all(float(row["loss"]) > 0 and row["error"] == "" for row in rows)
+
+    @pytest.mark.parametrize("method", ["tvera", "perstep", "lti"])
+    def test_grid_rejected_for_methods_without_lambda(self, tmp_path, capsys, method):
+        code = run(
+            "tune", "--method", method, "--grid", "1",
+            "--train", str(tmp_path / "d"), "--validation", str(tmp_path / "d"),
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert repr(method) in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestControlCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
@@ -270,4 +271,27 @@ def test_gain_schedule_round_trip(tmp_path):
     loaded = load_gains(tmp_path / "gains.json")
     assert np.array_equal(loaded.K, sched.K)
     assert np.array_equal(loaded.u_ff, sched.u_ff)
+    assert loaded.provenance == sched.provenance
+
+
+@st.composite
+def schedules(draw):
+    n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return GainSchedule(
+        K=draw(arrays(np.float64, (n, q, p), elements=finite)),
+        u_ff=draw(arrays(np.float64, (n, q), elements=finite)),
+        provenance=draw(st.text()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=schedules())
+def test_gain_schedule_round_trip_is_exact(tmp_path_factory, sched):
+    path = tmp_path_factory.mktemp("gains") / "gains.json"
+    save_gains(sched, path)
+    loaded = load_gains(path)
+    for name in ("K", "u_ff"):
+        a, b = getattr(loaded, name), getattr(sched, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert loaded.provenance == sched.provenance

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ltvbench.datagen import (
+    Dataset,
     ExcitationSpec,
     Split,
     build_dataset,
@@ -16,7 +20,7 @@ from ltvbench.datagen import (
     save_trajectory_csv,
     tvera_experiments,
 )
-from ltvbench.dynamics import scenario, step_rk4
+from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, scenario, step_rk4
 from ltvbench.exceptions import DataFormatError
 
 
@@ -189,3 +193,55 @@ class TestPersistence:
         loaded = load_trajectory_csv(tmp_path / "t.csv")
         assert np.array_equal(loaded.states, ds.trajectories[1].states)
         assert np.array_equal(loaded.inputs, ds.trajectories[1].inputs)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def excitations(draw):
+    omega0, omega1 = sorted(draw(st.lists(positive, min_size=2, max_size=2)))
+    return ExcitationSpec(
+        amplitude=draw(positive), omega0=omega0, omega1=omega1,
+        duration=draw(positive), phase=draw(finite),
+        noise_var=draw(st.floats(min_value=0.0, allow_infinity=False)),
+    )
+
+
+@st.composite
+def datasets(draw):
+    count, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    trajs = [
+        Trajectory(
+            times=draw(arrays(np.float64, n + 1, elements=finite)),
+            states=draw(arrays(np.float64, (n + 1, p), elements=finite)),
+            inputs=draw(arrays(np.float64, (n, q), elements=finite)),
+            seed=draw(st.none() | st.integers(0, 2**32 - 1)),
+            noisy=draw(st.booleans()),
+        )
+        for _ in range(count)
+    ]
+    return Dataset(
+        split=draw(st.sampled_from(Split)),
+        trajectories=trajs,
+        scenario=scenario(draw(st.sampled_from(BUILTIN_SCENARIOS))),
+        excitation=draw(st.none() | excitations()),
+        noise_var=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        labels=draw(st.just(()) | st.lists(st.text(), min_size=count, max_size=count).map(tuple)),
+        master_seed=draw(st.none() | st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets())
+def test_dataset_round_trip_is_exact(tmp_path_factory, ds):
+    directory = tmp_path_factory.mktemp("dataset")
+    save_dataset(ds, directory)
+    loaded = load_dataset(directory)
+    assert loaded == ds
+    for a, b in zip(loaded.trajectories, ds.trajectories):
+        for name in ("times", "states", "inputs"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -73,11 +73,6 @@ class TestTveraErrors:
         with pytest.raises(RealizationError):
             tvera_fit(trajs, TveraConfig(n_free=4, n_forced=8))
 
-    def test_order_must_match_state_dimension(self):
-        truth = ground_truth_ltv(scenario("ltv"))
-        with pytest.raises(ValueError):
-            tvera_fit(exact_experiments(truth), TveraConfig(order=1))
-
 
 class TestTveraNoisy:
     def test_still_produces_bounded_rollouts(self):
