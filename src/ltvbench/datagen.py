@@ -10,7 +10,6 @@ substreams, so adding trajectories never perturbs existing ones.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -19,8 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, load_scenario, save_scenario, simulate
-from .exceptions import DataFormatError
-from .files import field_errors, read_json, write_json
+from .files import (
+    field_errors,
+    read_json,
+    read_trajectory_csv,
+    write_json,
+    write_trajectory_csv,
+)
 
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "trajectory-dataset/1"
@@ -245,64 +249,15 @@ def tvera_experiments(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one trajectory as CSV: t, state columns, input columns.
-
-    The final row has empty input fields (states run one step longer).
-    """
-    p, q = traj.p, traj.q
-    header = ["t"] + [f"x{i+1}" for i in range(p)] + [f"u{i+1}" if q > 1 else "u" for i in range(q)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj.states)):
-            row = [_fmt(traj.times[k])] + [_fmt(v) for v in traj.states[k]]
-            if k < traj.n_steps:
-                row += [_fmt(v) for v in traj.inputs[k]]
-            else:
-                row += [""] * q
-            writer.writerow(row)
+    """Write one trajectory as CSV (layout: :func:`~ltvbench.files.write_trajectory_csv`)."""
+    write_trajectory_csv(path, traj.times, traj.states, traj.inputs)
 
 
 def load_trajectory_csv(path, seed=None, noisy=False) -> Trajectory:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"trajectory file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"empty trajectory file: {path}") from None
-        p = sum(1 for name in header if name.startswith("x"))
-        q = len(header) - 1 - p
-        if p < 1 or q < 1:
-            raise DataFormatError(f"unrecognized trajectory header in {path}: {header}")
-        times, states, inputs = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                states.append([float(v) for v in row[1 : 1 + p]])
-                if row[1 + p] != "":
-                    inputs.append([float(v) for v in row[1 + p : 1 + p + q]])
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"bad row in {path}: {row}") from exc
-    try:
-        return Trajectory(
-            times=np.array(times),
-            states=np.array(states),
-            inputs=np.array(inputs).reshape(len(inputs), q),
-            seed=seed,
-            noisy=noisy,
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"inconsistent trajectory in {path}: {exc}") from exc
+    """Read one trajectory CSV; a malformed file raises ``DataFormatError``."""
+    times, states, inputs = read_trajectory_csv(path)
+    return Trajectory(times=times, states=states, inputs=inputs, seed=seed, noisy=noisy)
 
 
 def save_dataset(ds: Dataset, directory) -> None:

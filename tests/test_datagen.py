@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -234,6 +235,12 @@ def datasets(draw):
     )
 
 
+def _assert_same_bits(a, b):
+    for name in ("times", "states", "inputs"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(ds=datasets())
 def test_dataset_round_trip_is_exact(tmp_path_factory, ds):
@@ -242,6 +249,64 @@ def test_dataset_round_trip_is_exact(tmp_path_factory, ds):
     loaded = load_dataset(directory)
     assert loaded == ds
     for a, b in zip(loaded.trajectories, ds.trajectories):
-        for name in ("times", "states", "inputs"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        _assert_same_bits(a, b)
+
+
+def _oracle_csv(traj, path):
+    """The per-cell trajectory writer the array codec replaced: one
+    ``repr(float(x))`` per cell through ``csv.writer``."""
+    p, q = traj.p, traj.q
+    header = ["t"] + [f"x{i+1}" for i in range(p)] + [f"u{i+1}" if q > 1 else "u" for i in range(q)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(traj.states)):
+            row = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.states[k]]
+            if k < traj.n_steps:
+                row += [repr(float(v)) for v in traj.inputs[k]]
+            else:
+                row += [""] * q
+            writer.writerow(row)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-5, 1e16, 1e300, -1e300]
+cells = st.sampled_from(EDGE_FLOATS) | finite
+
+
+@st.composite
+def trajectories(draw):
+    n, p, q = draw(st.integers(1, 60)), draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2]))
+    return Trajectory(
+        times=draw(arrays(np.float64, n + 1, elements=cells)),
+        states=draw(arrays(np.float64, (n + 1, p), elements=cells)),
+        inputs=draw(arrays(np.float64, (n, q), elements=cells)),
+    )
+
+
+def _quoted(line):
+    return ",".join(f'"{cell}"' if cell else cell for cell in line.split(","))
+
+
+@settings(max_examples=60, deadline=None)
+@given(traj=trajectories())
+def test_trajectory_csv_matches_per_cell_oracle(tmp_path_factory, traj):
+    d = tmp_path_factory.mktemp("csv")
+    save_trajectory_csv(traj, d / "new.csv")
+    _oracle_csv(traj, d / "oracle.csv")
+    data = (d / "new.csv").read_bytes()
+    assert data == (d / "oracle.csv").read_bytes()
+
+    _assert_same_bits(load_trajectory_csv(d / "new.csv"), traj)
+
+    # LF-only line ends, and blank lines between and after rows, read the same
+    text = data.decode()
+    lines = text.split("\r\n")[:-1]
+    for variant in (text.replace("\r\n", "\n"), "\r\n\r\n".join(lines) + "\r\n\r\n"):
+        (d / "variant.csv").write_bytes(variant.encode())
+        _assert_same_bits(load_trajectory_csv(d / "variant.csv"), traj)
+
+    # quoted numeric cells are rejected, not read
+    quoted = [lines[0]] + [_quoted(line) for line in lines[1:]]
+    (d / "quoted.csv").write_bytes("".join(line + "\r\n" for line in quoted).encode())
+    with pytest.raises(DataFormatError, match="quoted.csv"):
+        load_trajectory_csv(d / "quoted.csv")

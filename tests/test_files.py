@@ -2,6 +2,8 @@
 
 Each library reader must raise ``DataFormatError`` naming the file; each CLI
 reader must exit 2 with a one-line ``ltvbench <stage>: error:`` diagnostic.
+The JSON corpus runs against every reader of a JSON file, the trajectory-CSV
+corpus against every reader of a dataset.
 """
 
 import csv
@@ -114,6 +116,19 @@ CASES = {
 }
 
 
+def _assert_typed(read, path, broken, capsys):
+    """``read(path)`` fails on the file ``broken`` with a typed error naming it."""
+    stage = getattr(read, "stage", None)
+    if stage is not None:
+        assert read(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ltvbench {stage}: error:")
+        assert broken.name in err
+    else:
+        with pytest.raises(DataFormatError, match=broken.name):
+            read(path)
+
+
 @pytest.mark.parametrize(
     "reader, case",
     [
@@ -126,18 +141,60 @@ CASES = {
 def test_malformed_file_is_typed(tmp_path, capsys, reader, case):
     write_good, read, key, wrong, _ = READERS[reader]
     path = write_good(tmp_path)
-    stage = getattr(read, "stage", None)
-    if stage is None:
+    if getattr(read, "stage", None) is None:
         read(path)   # the good file loads
     CASES[case](path, key, wrong)
-    if stage is not None:
-        assert read(path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"ltvbench {stage}: error:")
-        assert path.name in err
-    else:
-        with pytest.raises(DataFormatError, match=path.name):
-            read(path)
+    _assert_typed(read, path, path, capsys)
+
+
+# The rows of the trajectory CSV that ``_dataset_dir`` writes.
+GOOD_CSV = ["t,x1,x2,u", "0.0,1.0,1.0,1.0", "0.1,1.0,1.0,2.0", "0.2,1.0,1.0,"]
+
+
+def _rows(*edits):
+    """Write ``GOOD_CSV`` with the rows at the given indices replaced
+    (``None`` drops everything from that row on)."""
+    def apply(path):
+        rows = list(GOOD_CSV)
+        for i, row in edits:
+            rows[i:] = [] if row is None else [row] + rows[i + 1 :]
+        path.write_bytes("".join(r + "\r\n" for r in rows).encode())
+
+    return apply
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+CSV_CASES = {
+    "missing-file": lambda path: path.unlink(),
+    "directory": _replace_with_directory,
+    "non-utf8": lambda path: path.write_bytes(path.read_bytes().replace(b"2.0", b"2\xff0")),
+    "bad-float": _rows((2, "0.1,1.0,one,2.0")),
+    "short-row": _rows((1, "0.0,1.0,1.0")),
+    "extra-cell": _rows((1, "0.0,1.0,1.0,1.0,7.0")),
+    "extra-column": _rows((1, "0.0,1.0,1.0,1.0,7.0"), (2, "0.1,1.0,1.0,2.0,7.0")),
+    "middle-row-without-input": _rows((2, "0.1,1.0,1.0,")),
+    "input-on-final-row": _rows((3, "0.2,1.0,1.0,3.0")),
+    "no-x-columns": _rows((0, "t,y1,y2,u")),
+    "misordered-header": _rows((0, "t,x1,u,x2")),
+    "header-only": _rows((1, None)),
+}
+DATASET_READERS = ("dataset", "identify-data")
+
+
+@pytest.mark.parametrize(
+    "reader, case", [(reader, case) for reader in DATASET_READERS for case in CSV_CASES]
+)
+def test_malformed_trajectory_csv_is_typed(tmp_path, capsys, reader, case):
+    write_good, read = READERS[reader][:2]
+    manifest = write_good(tmp_path)
+    csv_path = manifest.parent / "traj_0000.csv"
+    assert csv_path.read_bytes() == "".join(r + "\r\n" for r in GOOD_CSV).encode()
+    CSV_CASES[case](csv_path)
+    _assert_typed(read, manifest, csv_path, capsys)
 
 
 def test_good_reference_file_runs(tmp_path):

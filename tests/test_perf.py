@@ -1,7 +1,8 @@
 """Microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind,
 one block-tridiagonal solve at N=500 and N=5000 with d=3, the prediction
-loss of one validation-sized set (8 trajectories x 500 steps), and one
-``ltvmodels_fit`` that iterates (500 steps, not screened at its lam).
+loss of one validation-sized set (8 trajectories x 500 steps), one
+``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), and one
+``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -11,6 +12,7 @@ and add ``--benchmark-autosave`` to keep a record under ``.benchmarks/``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ltvbench.control import (
     lqr_ltv,
     with_feedforward,
 )
+from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset
 from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
 from ltvbench.ident import (
     LtvModelsConfig,
@@ -85,3 +88,17 @@ def test_ltvmodels_fit(benchmark):
     assert traj.n_steps == 500
     assert fit.info["iterations"] > 0
     assert fit.info["converged"] and fit.info["gap"] <= cfg.tol
+
+
+def test_dataset_round_trip(benchmark, tmp_path):
+    spec = replace(scenario("ltv"), horizon=100.0)
+    trajs = model_trajectories(ground_truth_ltv(spec), 4, seed=0)
+    ds = Dataset(split=Split.TRAIN, trajectories=trajs, scenario=spec)
+
+    def round_trip():
+        save_dataset(ds, tmp_path / "train")
+        return load_dataset(tmp_path / "train")
+
+    loaded = benchmark.pedantic(round_trip, **ROUNDS)
+    assert trajs[0].n_steps == 5000
+    assert loaded == ds
