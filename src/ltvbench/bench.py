@@ -32,6 +32,7 @@ from .exceptions import RECORDED_ERRORS, InstabilityError
 from .files import write_json, write_table
 from .ident import (
     DEFAULT_LAMBDA_GRID,
+    LAMBDA_METHODS,
     cosmic_objective,
     fit_method,
     per_trajectory_losses,
@@ -134,19 +135,13 @@ def _scenario_data(name: str, cfg: BenchConfig):
     return spec, seed, splits
 
 
-def _method_grid(method: str, cfg: BenchConfig):
-    if method in ("cosmic", "cosmic-single", "ltvmodels"):
+def method_grid(method: str, cfg: BenchConfig) -> tuple:
+    """The hyperparameter grid a method is tuned over; ``({},)`` for the
+    methods without hyperparameters.  ``BenchConfig()`` gives the defaults."""
+    if method in LAMBDA_METHODS:
         return tuple({"lam": float(l)} for l in cfg.lambda_grid)
     if method == "tvera":
-        return tuple(
-            {
-                "hankel_rows": s,
-                "hankel_cols": r,
-                "n_free": cfg.tvera_free,
-                "n_forced": cfg.tvera_forced,
-            }
-            for s, r in cfg.tvera_rows_cols
-        )
+        return tuple({"hankel_rows": s, "hankel_cols": r} for s, r in cfg.tvera_rows_cols)
     return ({},)
 
 
@@ -160,7 +155,7 @@ def _model(method: str, spec, seed: int, splits, cfg: BenchConfig) -> tuple:
     """
     if method == "linearization":
         return ground_truth_ltv(spec), {}
-    grid = _method_grid(method, cfg)
+    grid = method_grid(method, cfg)
     train = splits[Split.TRAIN]
     if grid == ({},):
         return fit_method(method, train, {}), {}

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchConfig, run_bench
+from .bench import BenchConfig, method_grid, run_bench
 from .control import (
     default_reference,
     default_weights,
@@ -40,7 +40,7 @@ from .datagen import (
 from .dynamics import BUILTIN_SCENARIOS, ground_truth_ltv, load_scenario, scenario, simulate
 from .exceptions import LtvBenchError
 from .files import field_errors, read_json, write_json, write_table
-from .ident import LAMBDA_METHODS, METHODS, default_grid, fit_method, tune
+from .ident import LAMBDA_METHODS, METHODS, fit_method, tune
 from .models import load_model, save_model
 
 
@@ -139,8 +139,7 @@ def _cmd_identify(args) -> int:
     if args.method in LAMBDA_METHODS:
         params["lam"] = args.lam
     if args.method == "tvera":
-        params = {"hankel_rows": args.hankel_rows, "hankel_cols": args.hankel_cols,
-                  "n_free": args.n_free_experiments, "n_forced": args.n_forced_experiments}
+        params = {"hankel_rows": args.hankel_rows, "hankel_cols": args.hankel_cols}
     model = fit_method(args.method, ds, params)
     out = Path(args.out)
     save_model(model, out)
@@ -152,7 +151,7 @@ def _cmd_identify(args) -> int:
 def _cmd_tune(args) -> int:
     train = load_dataset(args.train)
     validation = load_dataset(args.validation)
-    grid = _parse_grid(args.grid) if args.grid else default_grid(args.method)
+    grid = _parse_grid(args.grid) if args.grid else method_grid(args.method, BenchConfig())
     result = tune(args.method, grid, train, validation)
     out = Path(args.out)
     save_model(result.best_model, out)
@@ -251,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--lambda", dest="lam", type=float, default=1.0)
     ident.add_argument("--hankel-rows", type=int, default=3)
     ident.add_argument("--hankel-cols", type=int, default=3)
-    ident.add_argument("--n-free-experiments", type=int, default=4)
-    ident.add_argument("--n-forced-experiments", type=int, default=10)
     ident.add_argument("--data", required=True, help="dataset directory")
     ident.add_argument("--out", required=True, help="output model file")
     ident.set_defaults(func=_cmd_identify, stage="identify")

@@ -46,11 +46,11 @@ class CostWeights:
                 raise ValueError(f"{name} must be positive semidefinite")
 
 
-def default_weights(position_weight: float = 1.0) -> CostWeights:
-    """Design weights: velocity weight one tenth of position, input cost 1e-3
-    of position, terminal cost equal to the stage state cost."""
-    q = np.diag([position_weight, 0.1 * position_weight])
-    return CostWeights(Q=q, R=np.array([[1e-3 * position_weight]]), H=q)
+def default_weights() -> CostWeights:
+    """Design weights: unit position weight, velocity weight 0.1, input cost
+    1e-3, terminal cost equal to the stage state cost."""
+    q = np.diag([1.0, 0.1])
+    return CostWeights(Q=q, R=np.array([[1e-3]]), H=q)
 
 
 @dataclass
@@ -112,15 +112,15 @@ class ReferenceSpec:
         return x
 
 
-def default_reference(horizon: float, amplitude: float = 1.0, period: float = 2.0) -> ReferenceSpec:
-    """Alternating +/-amplitude setpoints, switching every ``period`` seconds."""
+def default_reference(horizon: float) -> ReferenceSpec:
+    """Alternating +/-1 setpoints, switching every 2 seconds."""
     segments = []
     t = 0.0
     sign = 1.0
     while t < horizon:
-        segments.append((t, sign * amplitude))
+        segments.append((t, sign))
         sign = -sign
-        t += period
+        t += 2.0
     return ReferenceSpec(segments=tuple(segments))
 
 

@@ -217,16 +217,15 @@ def tvera_experiments(
     n_forced: int = 10,
     noise_var: float = 1e-6,
     master_seed: int = 0,
-    input_std: float = 1.0,
 ) -> Dataset:
     """Free-response and random-input experiments for realization methods.
 
     Free runs start from random nonzero states with zero input; forced runs
-    start at rest and receive white-noise inputs.  States carry training
-    measurement noise.
+    start at rest and receive unit-variance white-noise inputs.  States carry
+    training measurement noise.
     """
     def random_input(init_rng, input_rng):
-        return np.zeros(2), lambda t: input_rng.normal(0.0, input_std)
+        return np.zeros(2), lambda t: input_rng.normal(0.0, 1.0)
 
     labels = ("free",) * n_free + ("random",) * n_forced
     trajs = [

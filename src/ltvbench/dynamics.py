@@ -320,23 +320,22 @@ def step_rk4(
     u: float,
     dt: float,
     rng: np.random.Generator | None = None,
-    substeps: int = RK4_SUBSTEPS,
 ) -> np.ndarray:
     """Advance the plant by one step with classical RK4.
 
     The input is held constant over the step (zero-order hold) and so is any
     stochastic disturbance amplitude, which is sampled once per call.  The
-    step is internally subdivided so the continuously varying parameters are
-    tracked accurately.  This is the reference implementation the
-    table-driven rollout loop is tested against.
+    step is internally subdivided into ``RK4_SUBSTEPS`` substeps so the
+    continuously varying parameters are tracked accurately.  This is the
+    reference implementation the table-driven rollout loop is tested against.
     """
     u = float(u)
     kick = 0.0
     if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
         kick = rng.normal(0.0, spec.dist_sigma)
     x1, x2 = float(x[0]), float(x[1])
-    h = dt / substeps
-    for i in range(substeps):
+    h = dt / RK4_SUBSTEPS
+    for i in range(RK4_SUBSTEPS):
         ti = t + i * h
         a1 = x2
         b1 = _accel(spec, ti, x1, x2, u, kick)

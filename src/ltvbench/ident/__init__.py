@@ -12,11 +12,9 @@ from .regression import ExcitationReport, check_excitation, lti_fit, perstep_ls_
 from .tridiag import apply_block_tridiag, solve_block_tridiag
 from .tuning import (
     DEFAULT_LAMBDA_GRID,
-    DEFAULT_TVERA_GRID,
     LAMBDA_METHODS,
     METHODS,
     TuneResult,
-    default_grid,
     fit_method,
     tune,
 )
@@ -25,7 +23,6 @@ from .tvera import TveraConfig, tvera_fit
 __all__ = [
     "CosmicConfig",
     "DEFAULT_LAMBDA_GRID",
-    "DEFAULT_TVERA_GRID",
     "ExcitationReport",
     "LAMBDA_METHODS",
     "LtvModelsConfig",
@@ -36,7 +33,6 @@ __all__ = [
     "check_excitation",
     "cosmic_fit",
     "cosmic_objective",
-    "default_grid",
     "fit_method",
     "lti_fit",
     "ltvmodels_fit",

@@ -82,6 +82,23 @@ def _qr_solve(v: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
     return solve_triangular(rmat, qmat.T @ y)
 
 
+def stacked_lstsq(v: np.ndarray, y: np.ndarray, steps, context: str) -> np.ndarray:
+    """Least squares for every step of a stack: ``v`` (K, L, d), ``y`` (K, L, p)
+    to the (K, d, p) solutions, with L >= d.
+
+    One stacked QR; every triangular factor must pass the relative rank test,
+    else ``ExcitationError`` names the first deficient one as
+    ``{context} {steps[i]}``.
+    """
+    qmat, rmat = np.linalg.qr(v)
+    deficient = np.flatnonzero(_rank_deficient(rmat))
+    if deficient.size:
+        raise ExcitationError(
+            f"rank-deficient regressors for {context} {steps[deficient[0]]}"
+        )
+    return solve_triangular(rmat, qmat.transpose(0, 2, 1) @ y)
+
+
 def perstep_ls_fit(data) -> LtvModel:
     """Independent per-step least squares (the unsmoothed reference fit).
 
@@ -90,20 +107,14 @@ def perstep_ls_fit(data) -> LtvModel:
     trajs = trajectories_of(data)
     v, xn = _stack_all(trajs)
     n, ell, d = v.shape
-    p = xn.shape[2]
     if ell < d:
         raise ExcitationError(
             f"per-step fit needs at least {d} trajectories, got {ell}"
         )
-    qmat, rmat = np.linalg.qr(v)
-    deficient = np.flatnonzero(_rank_deficient(rmat))
-    if deficient.size:
-        raise ExcitationError(f"rank-deficient regressors for time step {deficient[0]}")
     # C order, as the other fits store their blocks: the rounding of a rollout's
     # matrix-vector products depends on the strides of A(k) and B(k).
-    blocks = np.ascontiguousarray(solve_triangular(rmat, qmat.transpose(0, 2, 1) @ xn))
-    dt = trajs[0].dt
-    return LtvModel.from_stacked(blocks, q=trajs[0].q, dt=dt, method="perstep")
+    blocks = np.ascontiguousarray(stacked_lstsq(v, xn, range(n), "time step"))
+    return LtvModel.from_stacked(blocks, q=trajs[0].q, dt=trajs[0].dt, method="perstep")
 
 
 def lti_fit(data) -> MatrixPair:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import RECORDED_ERRORS, TuningError
+from ..exceptions import RECORDED_ERRORS, NumericalError, TuningError
 from ..models import LtvModel
 from .cosmic import CosmicConfig, cosmic_fit
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
@@ -18,19 +18,6 @@ METHODS = ("cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti")
 LAMBDA_METHODS = ("cosmic", "cosmic-single", "ltvmodels")   # tuned over lam
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 9).tolist())
-DEFAULT_TVERA_GRID = (
-    {"hankel_rows": 2, "hankel_cols": 2},
-    {"hankel_rows": 3, "hankel_cols": 3},
-    {"hankel_rows": 4, "hankel_cols": 4},
-)
-
-
-def default_grid(method: str) -> tuple:
-    if method in LAMBDA_METHODS:
-        return tuple({"lam": lam} for lam in DEFAULT_LAMBDA_GRID)
-    if method == "tvera":
-        return tuple(dict(g) for g in DEFAULT_TVERA_GRID)
-    return ({},)   # perstep and lti have no hyperparameters
 
 
 def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
@@ -82,7 +69,9 @@ def _grid_sorted(grid) -> list:
 
 def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     """Fit each grid point on the training data, score it by the validation
-    rollout loss, and return the winner (ties go to the later/larger point)."""
+    rollout loss, and return the winner (ties go to the later/larger point).
+    A point whose fit fails or whose loss is not finite is recorded as failed
+    and never wins."""
     points = _grid_sorted(grid)
     if not points:
         raise ValueError("empty hyperparameter grid")
@@ -93,6 +82,8 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
         try:
             model = fit_method(method, train_data, params)
             loss = trajectory_prediction_loss(model, val_trajs)
+            if not np.isfinite(loss):
+                raise NumericalError(f"validation loss is {loss}")
         except RECORDED_ERRORS as exc:   # recorded, the sweep continues
             rows.append(GridPoint(params=params, loss=None, error=str(exc)))
             continue

@@ -15,10 +15,12 @@ The classical realization pipeline, specialized to full-state measurement:
    realized matrices directly comparable to the true ones.
 
 Steps too close to the data boundary for a full Hankel window fall back to a
-direct per-step regression over the experiments.  Data requirements: enough
-experiments to make the window regression and the Hankel factorization full
-rank; the free-response runs provide initial-state variation, the forced runs
-input variation.
+direct per-step regression over the experiments.  Every stage runs on all
+steps at once: each per-step regression is one :func:`stacked_lstsq` call,
+with the rank test the per-step fit uses, and the Hankel matrices are
+factored by one stacked SVD.  Data requirements: at least p + w*q
+experiments, full rank at every window; the free-response runs provide
+initial-state variation, the forced runs input variation.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ExcitationError, RealizationError
 from ..models import LtvModel
-from .regression import _stack_all, trajectories_of
+from .regression import _stack_all, stacked_lstsq, trajectories_of
 
 # A Hankel spectrum whose p-th singular value falls below this fraction of the
 # largest (or whose largest falls below it times the state/input scale) has
@@ -41,8 +44,6 @@ SVD_GAP_RTOL = 1e-8
 class TveraConfig:
     hankel_rows: int = 3      # s, block rows of the Hankel matrices
     hankel_cols: int = 3      # r, block columns
-    n_free: int = 4           # free-response experiments the fit expects
-    n_forced: int = 10        # forced (random-input) experiments the fit expects
 
     def __post_init__(self):
         if self.hankel_rows < 2:
@@ -51,40 +52,18 @@ class TveraConfig:
             raise ValueError("need at least one Hankel block column")
 
 
-def _markov_window(states, inputs, k: int, w: int):
-    """Regressor rows [x(k-w), u(k-w..k-1)] across experiments, targets x(k)."""
-    x_back = states[:, k - w, :]
-    u_win = inputs[:, k - w : k, :].reshape(states.shape[0], -1)
-    return np.concatenate([x_back, u_win], axis=1), states[:, k, :]
-
-
-def _lstsq_full_rank(a, b, context):
-    coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < a.shape[1]:
-        raise ExcitationError(
-            f"experiments are rank-deficient for {context} "
-            f"(rank {rank} < {a.shape[1]})"
-        )
-    return coef
-
-
 def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
     """Realize a time-indexed (A(k), B(k)) sequence from experiment data.
 
     ``experiments`` is a dataset or list of trajectories from repeated runs
-    of the same plant.  Raises when fewer experiments are supplied than the
-    configuration requires, or when the Hankel spectra collapse below the
-    state dimension.
+    of the same plant.  Raises ``ExcitationError`` when the experiments are
+    too few or rank-deficient at some step, and ``RealizationError`` when a
+    Hankel spectrum collapses below the state dimension or a frame is
+    singular; each names the first failing step.
     """
     trajs = trajectories_of(experiments)
-    required = cfg.n_free + cfg.n_forced
-    if len(trajs) < required:
-        raise ExcitationError(
-            f"realization needs {required} experiments "
-            f"({cfg.n_free} free + {cfg.n_forced} forced), got {len(trajs)}"
-        )
     v, xn = _stack_all(trajs)
-    n = v.shape[0]
+    n, ell, _ = v.shape
     p = xn.shape[2]
     q = v.shape[2] - p
     s, r = cfg.hankel_rows, cfg.hankel_cols
@@ -93,91 +72,80 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
         raise ValueError("Hankel columns too few for the state dimension")
     if n < w + s:
         raise ValueError(f"trajectories too short for a {s}x{r} Hankel window")
-    if len(trajs) < p + w * q:
+    if ell < p + w * q:
         raise ExcitationError(
-            f"window regression needs at least {p + w * q} experiments, got {len(trajs)}"
+            f"window regression needs at least {p + w * q} experiments, got {ell}"
         )
+    inputs = v[:, :, p:]                  # (N, L, q)
+    input_peak = float(np.max(np.abs(inputs)))
+    if input_peak == 0.0:
+        raise ExcitationError("realization needs forced experiments with nonzero inputs")
 
-    states = np.stack([t.states for t in trajs], axis=0)   # (L, N+1, p)
-    inputs = np.stack([t.inputs for t in trajs], axis=0)   # (L, N, q)
+    # Markov parameter estimates for the windows ending at k = w..N:
+    # markov[k - w, i] maps u(k-w+i) to x(k).
+    windows = sliding_window_view(inputs, w, axis=0)          # (N-w+1, L, q, w)
+    u_win = windows.transpose(0, 1, 3, 2).reshape(n - w + 1, ell, w * q)
+    reg = np.concatenate([v[: n - w + 1, :, :p], u_win], axis=2)
+    coef = stacked_lstsq(reg, xn[w - 1 :], range(w, n + 1), "Markov window at step")
+    markov = coef[:, p:].transpose(0, 2, 1).reshape(-1, p, w, q).transpose(0, 2, 1, 3)
 
-    # Markov parameter estimates: markov[k, i] maps u(k-w+i) to x(k).
-    markov = np.zeros((n + 1, w, p, q))
-    for k in range(w, n + 1):
-        reg, target = _markov_window(states, inputs, k, w)
-        coef = _lstsq_full_rank(reg, target, f"Markov window at step {k}")
-        markov[k] = coef[p:, :].T.reshape(p, w, q).transpose(1, 0, 2)
-
-    def hankel(k):
-        h = np.empty((s * p, r * q))
-        for i in range(s):
-            for j in range(r):
-                # parameter mapping u(k-1-j) into x(k+i): window offset w-(i+j+1)
-                h[i * p : (i + 1) * p, j * q : (j + 1) * q] = markov[k + i, w - (i + j + 1)]
-        return h
+    # Hankel matrices at k = lo..hi+1: block (i, j) is the parameter mapping
+    # u(k-1-j) into x(k+i), at window offset w-(i+j+1).
+    lo, hi = w, n - s          # steps identified through the Hankel pipeline
+    i, j = np.ogrid[:s, :r]
+    step = np.arange(hi - lo + 2)[:, None, None] + i
+    hankel = markov[step, w - (i + j + 1)].transpose(0, 1, 3, 2, 4)
+    u_svd, sing, vt = np.linalg.svd(
+        hankel.reshape(-1, s * p, r * q), full_matrices=False
+    )
 
     # Degeneracy reference: a realizable input-to-state map has Hankel
     # singular values comparable to the state/input magnitude ratio, so an
     # all-but-vanishing spectrum at that scale is ill-posed regardless of the
     # relative gap.
-    input_peak = float(np.max(np.abs(inputs)))
-    if input_peak == 0.0:
-        raise ExcitationError("realization needs forced experiments with nonzero inputs")
-    signal_scale = float(np.max(np.abs(states))) / input_peak
+    state_peak = max(np.max(np.abs(v[0, :, :p])), np.max(np.abs(xn)))   # x(0), x(1..N)
+    signal_scale = float(state_peak) / input_peak
+    collapsed = np.flatnonzero(
+        (sing[:, 0] <= SVD_GAP_RTOL * signal_scale)
+        | (sing[:, p - 1] < SVD_GAP_RTOL * sing[:, 0])
+    )
+    if collapsed.size:
+        raise RealizationError(
+            f"Hankel spectrum at step {lo + collapsed[0]} collapses below order {p}"
+        )
+    sq = np.sqrt(sing[:, :p])
+    obs = u_svd[:, :, :p] * sq[:, None, :]
+    ctrl = sq[:, :, None] * vt[:, :p, :]
+    frames = obs[:, :p]         # full-state output map = frame at each step
 
-    def factors(k):
-        h = hankel(k)
-        u_svd, sing, vt = np.linalg.svd(h, full_matrices=False)
-        if (
-            sing[0] <= SVD_GAP_RTOL * signal_scale
-            or sing[p - 1] / sing[0] < SVD_GAP_RTOL
-        ):
-            raise RealizationError(
-                f"Hankel spectrum at step {k} collapses below order {p}"
-            )
-        sq = np.sqrt(sing[:p])
-        obs = u_svd[:, :p] * sq[None, :]
-        ctrl = sq[:, None] * vt[:p, :]
-        return obs, ctrl
-
+    # Observability factors in the data coordinates, O_k T_k^{-1}, solved as
+    # T_k^T X = O_k^T; their leading block is the identity.
+    try:
+        obs_data = stacked_lstsq(
+            frames.transpose(0, 2, 1), obs.transpose(0, 2, 1), range(lo, hi + 2), "frame at step"
+        ).transpose(0, 2, 1)
+    except ExcitationError as exc:   # a singular frame, not missing data
+        raise RealizationError(str(exc)) from exc
     A = np.empty((n, p, p))
     B = np.empty((n, p, q))
-    lo, hi = w, n - s          # steps identified through the Hankel pipeline
-    obs_k, _ = factors(lo)
-    for k in range(lo, hi + 1):
-        obs_next, ctrl_next = factors(k + 1)
-        # Shifted observability: rows 1..s-1 of O_k equal O_{k+1}^{(s-1)} A(k)
-        # expressed in the step-k frame.
-        a_frame = np.linalg.lstsq(
-            obs_next[: (s - 1) * p], obs_k[p : s * p], rcond=None
-        )[0]
-        t_k = obs_k[:p]          # full-state output map = frame at step k
-        t_next = obs_next[:p]
-        try:
-            t_k_inv = np.linalg.inv(t_k)
-        except np.linalg.LinAlgError as exc:
-            raise RealizationError(f"singular frame at step {k}") from exc
-        A[k] = t_next @ a_frame @ t_k_inv
-        B[k] = t_next @ ctrl_next[:, :q]
-        obs_k = obs_next
+    # Shifted observability: rows 1..s-1 of O_k equal O_{k+1}^{(s-1)} A(k).
+    A[lo : hi + 1] = stacked_lstsq(
+        obs_data[1:, : (s - 1) * p], obs_data[:-1, p:], range(lo, hi + 1),
+        "shifted observability at step",
+    )
+    B[lo : hi + 1] = frames[1:] @ ctrl[1:, :, :q]
 
     # Boundary steps: direct per-step regression across experiments.
-    for k in list(range(lo)) + list(range(hi + 1, n)):
-        coef = _lstsq_full_rank(v[k], xn[k], f"boundary step {k}")
-        A[k] = coef[:p].T
-        B[k] = coef[p:].T
+    edge = np.r_[:lo, hi + 1 : n]
+    coef = stacked_lstsq(v[edge], xn[edge], edge, "boundary step")
+    A[edge] = coef[:, :p].transpose(0, 2, 1)
+    B[edge] = coef[:, p:].transpose(0, 2, 1)
 
     return LtvModel(
         A=A,
         B=B,
         dt=trajs[0].dt,
         method="tvera",
-        hyperparams={
-            "hankel_rows": s,
-            "hankel_cols": r,
-            "order": p,
-            "n_free": cfg.n_free,
-            "n_forced": cfg.n_forced,
-        },
-        info={"identified_range": [int(lo), int(hi)], "n_experiments": len(trajs)},
+        hyperparams={"hankel_rows": s, "hankel_cols": r, "order": p},
+        info={"identified_range": [int(lo), int(hi)], "n_experiments": ell},
     )

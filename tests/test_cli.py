@@ -79,6 +79,18 @@ class TestIdentifyAndTune:
         assert [json.loads(row["params"]) for row in rows] == [{"lam": 0.001}, {"lam": 0.1}]
         assert all(float(row["loss"]) > 0 and row["error"] == "" for row in rows)
 
+    def test_identify_tvera_counts_experiments_from_data(self, tmp_path):
+        run(
+            "dataset", "--scenario", "ltv", "--seed", "3", "--out", str(tmp_path / "e"),
+            "--experiments", "--n-free-experiments", "2", "--n-forced-experiments", "6",
+        )
+        out = tmp_path / "m.json"
+        args = ("identify", "--method", "tvera", "--data", str(tmp_path / "e"), "--out", str(out))
+        assert run(*args, "--hankel-rows", "2", "--hankel-cols", "2") == 0
+        model = load_model(out)
+        assert model.hyperparams == {"hankel_rows": 2, "hankel_cols": 2, "order": 2}
+        assert run(*args, "--n-free-experiments", "2") == 1
+
     @pytest.mark.parametrize("method", ["tvera", "perstep", "lti"])
     def test_grid_rejected_for_methods_without_lambda(self, tmp_path, capsys, method):
         code = run(

@@ -1,7 +1,8 @@
 """Microbenchmarks: one 500-step ``simulate`` and one ``closed_loop`` per kind,
 one block-tridiagonal solve at N=500 and N=5000 with d=3, the prediction
 loss of one validation-sized set (8 trajectories x 500 steps), one
-``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), and one
+``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), one 3x3
+``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, and one
 ``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
@@ -27,13 +28,15 @@ from ltvbench.control import (
     lqr_ltv,
     with_feedforward,
 )
-from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset
+from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
 from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
 from ltvbench.ident import (
     LtvModelsConfig,
+    TveraConfig,
     ltvmodels_fit,
     solve_block_tridiag,
     trajectory_prediction_loss,
+    tvera_fit,
 )
 
 ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
@@ -88,6 +91,13 @@ def test_ltvmodels_fit(benchmark):
     assert traj.n_steps == 500
     assert fit.info["iterations"] > 0
     assert fit.info["converged"] and fit.info["gap"] <= cfg.tol
+
+
+def test_tvera_fit(benchmark):
+    experiments = tvera_experiments(scenario("ltv"), n_free=4, n_forced=10, master_seed=3)
+    fit = benchmark.pedantic(tvera_fit, args=(experiments, TveraConfig(3, 3)), **ROUNDS)
+    assert fit.n_steps == 500
+    assert fit.info["n_experiments"] == 14
 
 
 def test_dataset_round_trip(benchmark, tmp_path):

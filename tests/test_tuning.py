@@ -3,10 +3,10 @@ import pytest
 
 import ltvbench.ident.tuning as tuning
 from conftest import model_trajectories
-from ltvbench.bench import BenchConfig, _method_grid, _scenario_data
+from ltvbench.bench import BenchConfig, _scenario_data, method_grid
 from ltvbench.datagen import Split
 from ltvbench.exceptions import TuningError
-from ltvbench.ident import default_grid, fit_method, tune
+from ltvbench.ident import fit_method, tune
 
 
 class TestFitMethod:
@@ -22,9 +22,12 @@ class TestFitMethod:
             fit_method("nope", trajs)
 
     def test_default_grids(self):
-        assert len(default_grid("cosmic")) == 9
-        assert default_grid("perstep") == ({},)
-        assert all("hankel_rows" in g for g in default_grid("tvera"))
+        cfg = BenchConfig()
+        assert len(method_grid("cosmic", cfg)) == 9
+        assert method_grid("perstep", cfg) == ({},)
+        assert method_grid("tvera", cfg) == tuple(
+            {"hankel_rows": n, "hankel_cols": n} for n in (2, 3, 4)
+        )
 
 
 class TestTune:
@@ -58,6 +61,24 @@ class TestTune:
         assert len(failed) == 1
         assert result.best_params == {"lam": 1.0}
 
+    def test_non_finite_loss_never_wins(self, monkeypatch, constant_model):
+        # the first point's model rolls out to NaN; a NaN loss compares False
+        # against everything, so it must be recorded as failed, not kept
+        def fit(method, data, params):
+            model = fit_method(method, data, params)
+            if params["lam"] == 0.01:
+                model.A[5] = np.nan
+            return model
+
+        monkeypatch.setattr(tuning, "fit_method", fit)
+        train = model_trajectories(constant_model, 5, seed=13, noise=1e-4)
+        val = model_trajectories(constant_model, 2, seed=14)
+        result = tune("cosmic", [{"lam": 0.01}, {"lam": 1.0}], train, val)
+        assert result.best_params == {"lam": 1.0}
+        assert np.isfinite(result.best_loss)
+        first = result.rows[0]
+        assert first.loss is None and "validation loss is nan" in first.error
+
     def test_all_failures_raise_with_diagnostics(self, constant_model):
         train = model_trajectories(constant_model, 5, seed=9, noise=1e-4)
         val = model_trajectories(constant_model, 2, seed=10)
@@ -86,7 +107,7 @@ class TestTune:
         cfg = BenchConfig(l_train=8, l_val=4, l_test=4)
         _, _, splits = _scenario_data("ltv", cfg)
         result = tune(
-            "cosmic", _method_grid("cosmic", cfg), splits[Split.TRAIN], splits[Split.VALIDATION]
+            "cosmic", method_grid("cosmic", cfg), splits[Split.TRAIN], splits[Split.VALIDATION]
         )
         losses = [r.loss for r in result.rows]
         best = int(np.argmin(losses))
