@@ -143,7 +143,8 @@ def random_ltv(p, q, n, seed):
     return LtvModel(A=A, B=B, dt=0.1)
 
 
-def oracle_case(draw):
+@st.composite
+def oracle_cases(draw):
     p = draw(st.sampled_from([1, 2]))
     q = draw(st.sampled_from([1, 2]))
     s = draw(st.integers(2, 4))
@@ -165,7 +166,7 @@ LOSS_RTOL = 1e-9
 
 class TestBatchedMatchesLoop:
     @settings(max_examples=40, deadline=None)
-    @given(case=st.composite(oracle_case)())
+    @given(case=oracle_cases())
     def test_exact_data(self, case):
         model, trajs, cfg = case
         fit = tvera_fit(trajs, cfg)
@@ -175,7 +176,7 @@ class TestBatchedMatchesLoop:
         assert np.max(np.abs(fit.B - B)) <= EXACT_RTOL * scale
 
     @settings(max_examples=40, deadline=None)
-    @given(case=st.composite(oracle_case)(), noise_seed=st.integers(0, 99))
+    @given(case=oracle_cases(), noise_seed=st.integers(0, 99))
     def test_noisy_rollout_losses(self, case, noise_seed):
         model, trajs, cfg = case
         rng = np.random.default_rng(noise_seed)
