@@ -174,6 +174,8 @@ def _cmd_control(args) -> int:
         model = ground_truth_ltv(spec)
     else:
         model = load_model(args.model)
+        if abs(model.dt - spec.dt) > 1e-9 * spec.dt:
+            raise ValueError(f"model time step {model.dt} differs from the scenario's {spec.dt}")
     if args.ref:
         payload = read_json(args.ref, "reference spec")
         with field_errors(args.ref, "reference spec"):

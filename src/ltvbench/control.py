@@ -10,13 +10,14 @@ against a spring, hence the feedforward term.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, _rollout
-from .exceptions import SynthesisError
+from .exceptions import ExcitationError, SynthesisError
 from .files import field_errors, read_json, write_json
+from .ident.regression import stacked_lstsq
 from .models import LtvModel
 
 GAINS_FORMAT = "gain-schedule/1"
@@ -163,25 +164,22 @@ def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
     """Per-step least-squares input making the reference an equilibrium of the model.
 
-    u_ff(k) = argmin_u || x_ref(k+1) - A(k) x_ref(k) - B(k) u ||_2
+    u_ff(k) = argmin_u || x_ref(k+1) - A(k) x_ref(k) - B(k) u ||_2, all k in one
+    :func:`stacked_lstsq`; a rank-deficient B(k) raises ``SynthesisError``.
     """
     n = model.n_steps
-    out = np.empty((n, model.q))
-    for k in range(n):
-        x_now = ref.state_at(k * model.dt, model.p)
-        x_next = ref.state_at((k + 1) * model.dt, model.p)
-        delta = x_next - model.A[k] @ x_now
-        out[k] = np.linalg.lstsq(model.B[k], delta, rcond=None)[0]
-    return out
+    states = (ref.state_at(k * model.dt, model.p) for k in range(n + 1))
+    x_ref = np.fromiter(states, dtype=np.dtype((float, model.p)), count=n + 1)
+    delta = x_ref[1:] - np.matvec(model.A, x_ref[:-1])
+    try:
+        u_ff = stacked_lstsq(model.B, delta[..., None], range(n), "feedforward at step")
+    except ExcitationError as exc:   # B(k) cannot reach the reference, not missing data
+        raise SynthesisError(str(exc)) from exc
+    return u_ff[..., 0]
 
 
 def with_feedforward(sched: GainSchedule, u_ff: np.ndarray) -> GainSchedule:
-    return GainSchedule(
-        K=sched.K,
-        u_ff=np.asarray(u_ff, dtype=float),
-        provenance=sched.provenance,
-        cost_to_go=sched.cost_to_go,
-    )
+    return replace(sched, u_ff=u_ff)
 
 
 def closed_loop(

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..datagen import Dataset
 from ..dynamics import Trajectory
-from ..exceptions import ExcitationError
+from ..exceptions import ExcitationError, NumericalError
 from ..models import LtvModel, MatrixPair
 
 RANK_RTOL = 1e-10
@@ -74,29 +73,27 @@ def _rank_deficient(rmat: np.ndarray) -> np.ndarray:
     return (top == 0.0) | (diag.min(axis=-1, initial=np.inf) < RANK_RTOL * top)
 
 
-def _qr_solve(v: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
-    """Least squares via QR with a relative rank check on the triangular factor."""
-    qmat, rmat = np.linalg.qr(v)
-    if _rank_deficient(rmat):
-        raise ExcitationError(f"rank-deficient regressors for {context}")
-    return solve_triangular(rmat, qmat.T @ y)
-
-
 def stacked_lstsq(v: np.ndarray, y: np.ndarray, steps, context: str) -> np.ndarray:
     """Least squares for every step of a stack: ``v`` (K, L, d), ``y`` (K, L, p)
     to the (K, d, p) solutions, with L >= d.
 
-    One stacked QR; every triangular factor must pass the relative rank test,
-    else ``ExcitationError`` names the first deficient one as
-    ``{context} {steps[i]}``.
+    One stacked QR, then one ``np.linalg.solve`` on the triangular factors (an
+    LU of an upper-triangular factor does no pivoting).  A factor that fails
+    the relative rank test raises ``ExcitationError``, and then a non-finite
+    factor or projected target ``NumericalError``; each names its first step
+    as ``{context} {steps[i]}``.
     """
     qmat, rmat = np.linalg.qr(v)
-    deficient = np.flatnonzero(_rank_deficient(rmat))
-    if deficient.size:
-        raise ExcitationError(
-            f"rank-deficient regressors for {context} {steps[deficient[0]]}"
-        )
-    return solve_triangular(rmat, qmat.transpose(0, 2, 1) @ y)
+    deficient = _rank_deficient(rmat)
+    if deficient.any():
+        bad = steps[np.argmax(deficient)]
+        raise ExcitationError(f"rank-deficient regressors for {context} {bad}")
+    qty = qmat.transpose(0, 2, 1) @ y
+    finite = np.isfinite(rmat).all(axis=(1, 2)) & np.isfinite(qty).all(axis=(1, 2))
+    if not finite.all():
+        bad = steps[np.argmin(finite)]
+        raise NumericalError(f"non-finite regressors or targets for {context} {bad}")
+    return np.linalg.solve(rmat, qty)
 
 
 def perstep_ls_fit(data) -> LtvModel:
@@ -123,5 +120,7 @@ def lti_fit(data) -> MatrixPair:
     v, xn = _stack_all(trajs)
     d = v.shape[2]
     p = xn.shape[2]
-    block = _qr_solve(v.reshape(-1, d), xn.reshape(-1, p), "pooled time-invariant fit")
+    block = stacked_lstsq(
+        v.reshape(1, -1, d), xn.reshape(1, -1, p), ["fit"], "pooled time-invariant"
+    )[0]
     return MatrixPair(A=block[:p].T, B=block[p:].T)

@@ -138,6 +138,25 @@ class TestControlCommand:
         )
         assert code == 0
 
+    def test_model_time_step_must_match_scenario(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from ltvbench.dynamics import ground_truth_ltv, save_scenario, scenario
+        from ltvbench.models import save_model
+
+        save_model(ground_truth_ltv(scenario("ltv")), tmp_path / "m.json")   # dt 0.02, N 500
+        save_scenario(replace(scenario("ltv"), dt=0.01, horizon=5.0), tmp_path / "plant.json")
+        code = run(
+            "control", "--model", str(tmp_path / "m.json"), "--scenario",
+            str(tmp_path / "plant.json"), "--x0", "1,0", "--seed", "2",
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench control: error:")
+        assert "0.02" in err and "0.01" in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestBenchCommand:
     def test_control_suite_reruns_byte_identical(self, tmp_path):

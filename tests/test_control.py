@@ -22,8 +22,15 @@ from ltvbench.control import (
     tracking_errors,
     with_feedforward,
 )
-from ltvbench.dynamics import Trajectory, ground_truth_ltv, params_at, scenario, simulate
-from ltvbench.exceptions import InstabilityError
+from ltvbench.dynamics import (
+    BUILTIN_SCENARIOS,
+    Trajectory,
+    ground_truth_ltv,
+    params_at,
+    scenario,
+    simulate,
+)
+from ltvbench.exceptions import InstabilityError, SynthesisError
 from ltvbench.models import LtvModel, MatrixPair
 
 
@@ -98,7 +105,39 @@ class TestLqrRecursion:
             CostWeights(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1), H=np.eye(2))
 
 
+def loop_feedforward(model, ref):
+    """Per-step ``np.linalg.lstsq`` feedforward: the oracle for the stacked solve."""
+    out = np.empty((model.n_steps, model.q))
+    for k in range(model.n_steps):
+        x_now = ref.state_at(k * model.dt, model.p)
+        x_next = ref.state_at((k + 1) * model.dt, model.p)
+        out[k] = np.linalg.lstsq(model.B[k], x_next - model.A[k] @ x_now, rcond=None)[0]
+    return out
+
+
 class TestFeedforward:
+    @pytest.mark.parametrize(
+        "spec",
+        [scenario(name) for name in BUILTIN_SCENARIOS]
+        + [replace(scenario("ltv"), horizon=100.0)],
+        ids=[*BUILTIN_SCENARIOS, "ltv-N5000"],
+    )
+    def test_matches_per_step_lstsq(self, spec):
+        model = ground_truth_ltv(spec)
+        ref = default_reference(spec.horizon)
+        u_ff = feedforward(model, ref)
+        oracle = loop_feedforward(model, ref)
+        assert u_ff.shape == (spec.n_steps, 1)
+        assert np.max(np.abs(u_ff - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_zero_input_map_names_step(self):
+        model = ground_truth_ltv(scenario("ltv"))
+        B = model.B.copy()
+        B[137] = 0.0
+        broken = LtvModel(A=model.A, B=B, dt=model.dt)
+        with pytest.raises(SynthesisError, match="feedforward at step 137$"):
+            feedforward(broken, default_reference(10.0))
+
     def test_exact_equilibrium_input_recovered(self):
         # constant-parameter plant: holding the reference requires the exact
         # spring-compensation force, and the model rollout then stays put

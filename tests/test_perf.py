@@ -2,8 +2,9 @@
 one block-tridiagonal solve at N=500 and N=5000 with d=3, the prediction
 loss of one validation-sized set (8 trajectories x 500 steps), one
 ``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), one 3x3
-``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, and one
-``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps.
+``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, one
+``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps,
+and one ``feedforward`` of the ``ltv`` linearization at 5000 steps.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -112,3 +113,11 @@ def test_dataset_round_trip(benchmark, tmp_path):
     loaded = benchmark.pedantic(round_trip, **ROUNDS)
     assert trajs[0].n_steps == 5000
     assert loaded == ds
+
+
+def test_feedforward(benchmark):
+    spec = replace(scenario("ltv"), horizon=100.0)
+    model = ground_truth_ltv(spec)
+    ref = default_reference(spec.horizon)
+    u_ff = benchmark.pedantic(feedforward, args=(model, ref), **ROUNDS)
+    assert u_ff.shape == (5000, 1)

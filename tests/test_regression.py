@@ -1,15 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from conftest import model_trajectories
-from ltvbench.datagen import Split, build_dataset, default_excitations
+from ltvbench.datagen import Split, build_dataset, default_excitations, tvera_experiments
 from ltvbench.dynamics import Trajectory, scenario
-from ltvbench.exceptions import ExcitationError
-from ltvbench.ident import CosmicConfig, check_excitation, cosmic_fit, lti_fit, perstep_ls_fit
-from ltvbench.ident.regression import _qr_solve, _stack_all
+from ltvbench.exceptions import ExcitationError, NumericalError
+from ltvbench.ident import (
+    CosmicConfig,
+    check_excitation,
+    cosmic_fit,
+    lti_fit,
+    perstep_ls_fit,
+    tvera_fit,
+)
+from ltvbench.ident.regression import _rank_deficient, _stack_all, stacked_lstsq
 from ltvbench.models import LtvModel, MatrixPair
 from test_cosmic import dense_normal_solution
+
+
+def qr_solve(v, y):
+    """One regression by QR and scipy's triangular solve: the per-slice oracle
+    for ``stacked_lstsq``, with its rank test."""
+    qmat, rmat = np.linalg.qr(v)
+    if _rank_deficient(rmat):
+        raise ExcitationError("rank-deficient")
+    return solve_triangular(rmat, qmat.T @ y)
 
 
 def tiny_traj(states, inputs):
@@ -230,7 +249,7 @@ class TestPerstepFit:
         trajs = model_trajectories(constant_model, 6, seed=9, noise=1e-3)
         fit = perstep_ls_fit(trajs)
         v, xn = _stack_all(trajs)
-        blocks = np.stack([_qr_solve(v[k], xn[k], f"step {k}") for k in range(len(v))])
+        blocks = np.stack([qr_solve(v[k], xn[k]) for k in range(len(v))])
         oracle = LtvModel.from_stacked(blocks, q=1, dt=constant_model.dt)
         assert np.array_equal(fit.A, oracle.A)
         assert np.array_equal(fit.B, oracle.B)
@@ -243,7 +262,100 @@ class TestPerstepFit:
         assert np.max(np.abs(perstep.B - smooth.B)) <= 1e-6
 
 
+@st.composite
+def regression_stacks(draw):
+    """A (K, L, d) regressor stack with columns scaled by 10^[-6, 6] and
+    (K, L, p) targets."""
+    k = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 11))
+    ell = draw(st.integers(d, d + 20))
+    p = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d))
+    v = rng.normal(size=(k, ell, d)) * 10.0 ** np.array(exponents)
+    return v, rng.normal(size=(k, ell, p))
+
+
+class TestStackedLstsq:
+    STEPS = range(100, 140)
+
+    @settings(max_examples=150, deadline=None)
+    @given(regression_stacks())
+    def test_matches_per_slice_oracle(self, stack):
+        v, y = stack
+        deficient = [k for k in range(len(v)) if _rank_deficient(np.linalg.qr(v[k])[1])]
+        if deficient:
+            with pytest.raises(
+                ExcitationError, match=f"for slice {self.STEPS[deficient[0]]}$"
+            ):
+                stacked_lstsq(v, y, self.STEPS, "slice")
+            return
+        x = stacked_lstsq(v, y, self.STEPS, "slice")
+        oracle = np.stack([qr_solve(v[k], y[k]) for k in range(len(v))])
+        if y.shape[2] >= 2:
+            assert np.array_equal(x, oracle)
+        else:
+            # one right-hand side: LAPACK's solve and trsv may round differently
+            cond = np.linalg.cond(np.linalg.qr(v)[1])
+            gap = np.linalg.norm(x - oracle, axis=(1, 2))
+            bound = 4 * np.finfo(float).eps * cond * np.linalg.norm(oracle, axis=(1, 2))
+            assert np.all(gap <= bound)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 6), st.data())
+    def test_names_first_rank_deficient_slice(self, k, d, data):
+        first = data.draw(st.integers(0, k - 2))
+        later = data.draw(st.integers(first + 1, k - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(size=(k, d + 3, d))
+        for step in (later, first):
+            v[step, :, data.draw(st.integers(0, d - 1))] = 0.0
+        message = f"^rank-deficient regressors for slice {100 + first}$"
+        with pytest.raises(ExcitationError, match=message):
+            stacked_lstsq(v, rng.normal(size=(k, d + 3, 2)), self.STEPS, "slice")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 6), st.booleans(), st.data())
+    def test_nan_raises_numerical_error(self, k, d, in_targets, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(size=(k, d + 3, d))
+        y = rng.normal(size=(k, d + 3, 2))
+        step = data.draw(st.integers(0, k - 1))
+        target = y if in_targets else v
+        row = data.draw(st.integers(0, d + 2))
+        target[step, row, data.draw(st.integers(0, target.shape[2] - 1))] = np.nan
+        with pytest.raises(NumericalError, match=f"for slice {100 + step}$"):
+            stacked_lstsq(v, y, self.STEPS, "slice")
+
+
+@pytest.mark.parametrize(
+    "fit", [perstep_ls_fit, lti_fit, tvera_fit], ids=["perstep", "lti", "tvera"]
+)
+def test_nan_training_state_raises(fit):
+    trajs = list(
+        tvera_experiments(scenario("ltv"), n_free=4, n_forced=10, master_seed=3).trajectories
+    )
+    trajs[6].states[40, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite regressors or targets"):
+        fit(trajs)
+
+
 class TestLtiFit:
+    def test_equals_pooled_oracle(self, constant_model):
+        trajs = model_trajectories(constant_model, 5, seed=11, noise=1e-3)
+        v, xn = _stack_all(trajs)
+        block = qr_solve(v.reshape(-1, 3), xn.reshape(-1, 2))
+        pair = lti_fit(trajs)
+        assert np.array_equal(pair.A, block[:2].T)
+        assert np.array_equal(pair.B, block[2:].T)
+
+    def test_rank_deficient_pooled_fit_named(self):
+        trajs = [tiny_traj(np.zeros((4, 2)), np.zeros((3, 1))) for _ in range(3)]
+        with pytest.raises(
+            ExcitationError, match="^rank-deficient regressors for pooled time-invariant fit$"
+        ):
+            lti_fit(trajs)
+
     def test_exact_recovery_on_lti_data(self, constant_model):
         trajs = model_trajectories(constant_model, 4, seed=7)
         pair = lti_fit(trajs)
