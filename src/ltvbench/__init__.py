@@ -30,14 +30,11 @@ from .dynamics import (
     Kind,
     ScenarioSpec,
     Trajectory,
-    derivative,
     discretize,
     ground_truth_ltv,
     params_at,
-    sat,
     scenario,
     simulate,
-    step_rk4,
 )
 from .models import LtvModel, MatrixPair, load_model, save_model
 
@@ -60,7 +57,6 @@ __all__ = [
     "default_excitations",
     "default_reference",
     "default_weights",
-    "derivative",
     "discretize",
     "feedforward",
     "ground_truth_ltv",
@@ -68,12 +64,10 @@ __all__ = [
     "load_model",
     "lqr_ltv",
     "params_at",
-    "sat",
     "save_dataset",
     "save_model",
     "scenario",
     "simulate",
-    "step_rk4",
     "tracking_errors",
     "tvera_experiments",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, _rollout
 from .exceptions import ExcitationError, SynthesisError
-from .files import field_errors, read_json, write_json
+from .files import write_json
 from .ident.regression import stacked_lstsq
 from .models import LtvModel
 
@@ -199,10 +199,12 @@ def closed_loop(
             f"schedule covers {sched.n_steps} steps but scenario has {spec.n_steps}"
         )
     rng = np.random.default_rng(seed) if seed is not None else None
-    p = sched.K.shape[2]
+    K, u_ff = sched.K, sched.u_ff[:, 0].tolist()
+    targets = [ref.position_at(k * spec.dt) for k in range(spec.n_steps)]
 
-    def policy(k, t, x):
-        return sched.u_ff[k, 0] - (sched.K[k] @ (x - ref.state_at(t, p)))[0]
+    def policy(k, t, x1, x2):
+        # the error stays a numpy matmul: a scalar dot product rounds differently
+        return u_ff[k] - (K[k] @ np.array((x1 - targets[k], x2)))[0]
 
     times, states, inputs = _rollout(spec, x0, policy, rng, guard=DIVERGENCE_GUARD)
     return Trajectory(
@@ -231,12 +233,3 @@ def save_gains(sched: GainSchedule, path) -> None:
     }
     write_json(path, payload)
 
-
-def load_gains(path) -> GainSchedule:
-    payload = read_json(path, "gain schedule", GAINS_FORMAT)
-    with field_errors(path, "gain schedule"):
-        return GainSchedule(
-            K=np.asarray(payload["K"], dtype=float),
-            u_ff=np.asarray(payload["u_ff"], dtype=float),
-            provenance=payload.get("provenance", ""),
-        )

@@ -20,12 +20,14 @@ The plant parameters depend only on time, so :func:`simulate` and
 :func:`control.closed_loop` (both through :func:`_rollout`) read them from a
 per-scenario stage table: ``(m, C_s, C_d)`` at the three RK4 stage times of
 every substep, filled once by :func:`params_at` and kept read-only in a cache
-of the :data:`STAGE_TABLE_CACHE` most recently used scenario specs.
-:func:`step_rk4` is the reference implementation of one step; the
-table-driven loop repeats its float arithmetic exactly, so rollouts are
-bit-identical to stepping it in a loop.  Per step the random draws come in a
-fixed order that seeds depend on: the input's own draws, then the ``nld``
-kick, then the frame-boundary kick.
+of the :data:`STAGE_TABLE_CACHE` most recently used scenario specs.  Each
+step is one call of a substep kernel built per rollout for the plant's
+family (:func:`_substep_kernel`), the only place the force law is written.
+The reference RK4 step lives in the tests (``tests/conftest.py``); the
+kernels repeat its float arithmetic exactly, so rollouts are bit-identical to
+stepping it in a loop.  Per step the random draws come in a fixed order that
+seeds depend on: the input's own draws, then the ``nld`` kick, then the
+frame-boundary kick.
 """
 
 from __future__ import annotations
@@ -112,6 +114,12 @@ class ScenarioSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
+        for name in ("sat_limit", "dist_width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("dist_sigma", "kick_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.kind in _RECONFIG_KINDS:
             if abs(self.frame_duration - 2.0) > 1e-12:
                 raise ValueError("reconfiguration frames are fixed at 2.0 s")
@@ -263,95 +271,6 @@ def params_at(spec: ScenarioSpec, t: float) -> tuple:
     return spec.mass, cs, cd
 
 
-def sat(u: float, limit: float) -> float:
-    """Clamp ``u`` to [-limit, limit]."""
-    if limit <= 0:
-        raise ValueError(f"saturation limit must be positive, got {limit}")
-    return -limit if u < -limit else (limit if u > limit else u)
-
-
-def _force_law(spec: ScenarioSpec):
-    """The plant's acceleration as ``accel(m, cs, cd, x1, x2, u, kick)``.
-
-    This is the one place the force law is written: input saturation and
-    cubic damping for ``nl``/``nld``, and for ``nld`` the Gaussian bump that
-    scales the per-step ``kick``.  The spec's constants are bound once, so a
-    rollout pays no per-stage attribute lookups.
-    """
-    if spec.kind not in _SATURATED_KINDS:
-        def accel(m, cs, cd, x1, x2, u, kick):
-            return (u - cs * x1 - cd * x2) / m
-        return accel
-
-    limit = spec.sat_limit
-    cubic = spec.cubic_damping
-    bump = spec.kind is Kind.NLD
-    center = spec.dist_center
-    spread = 2.0 * spec.dist_width * spec.dist_width
-
-    def accel(m, cs, cd, x1, x2, u, kick):
-        a = (sat(u, limit) - cs * x1 - cd * x2 - cubic * x2 * x2 * x2) / m
-        if bump and kick != 0.0:
-            dz = x1 - center
-            a += kick * math.exp(-dz * dz / spread)
-        return a
-    return accel
-
-
-def _accel(spec: ScenarioSpec, t: float, x1: float, x2: float, u: float, kick: float) -> float:
-    return _force_law(spec)(*params_at(spec, t), x1, x2, u, kick)
-
-
-def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> np.ndarray:
-    """Continuous-time state derivative of the ground-truth plant.
-
-    ``kick`` is the per-step disturbance amplitude supplied by the caller's
-    sampler (zero for the deterministic kinds); for the ``nld`` plant it
-    scales a Gaussian bump centered at ``dist_center``.
-    """
-    x1, x2 = float(x[0]), float(x[1])
-    return np.array([x2, _accel(spec, t, x1, x2, float(u), kick)])
-
-
-def step_rk4(
-    spec: ScenarioSpec,
-    t: float,
-    x,
-    u: float,
-    dt: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Advance the plant by one step with classical RK4.
-
-    The input is held constant over the step (zero-order hold) and so is any
-    stochastic disturbance amplitude, which is sampled once per call.  The
-    step is internally subdivided into ``RK4_SUBSTEPS`` substeps so the
-    continuously varying parameters are tracked accurately.  This is the
-    reference implementation the table-driven rollout loop is tested against.
-    """
-    u = float(u)
-    kick = 0.0
-    if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
-        kick = rng.normal(0.0, spec.dist_sigma)
-    x1, x2 = float(x[0]), float(x[1])
-    h = dt / RK4_SUBSTEPS
-    for i in range(RK4_SUBSTEPS):
-        ti = t + i * h
-        a1 = x2
-        b1 = _accel(spec, ti, x1, x2, u, kick)
-        a2 = x2 + 0.5 * h * b1
-        b2 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u, kick)
-        a3 = x2 + 0.5 * h * b2
-        b3 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u, kick)
-        a4 = x2 + h * b3
-        b4 = _accel(spec, ti + h, x1 + h * a3, x2 + h * b3, u, kick)
-        x1 += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        x2 += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise IntegrationError(f"non-finite state after step at t={t}")
-    return np.array([x1, x2])
-
-
 def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     """Step indices at which boundary velocity kicks land (reconfig kinds)."""
     if spec.kind not in _RECONFIG_KINDS:
@@ -371,8 +290,8 @@ def _stage_table(spec: ScenarioSpec) -> np.ndarray:
     """Plant parameters at every RK4 stage time of a rollout of ``spec``.
 
     Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + 0.5*h`` and
-    ``ti + h``, with ``ti = t_k + i*h``: the float times :func:`step_rk4`
-    evaluates, computed the same way, so the values are bit-equal to its
+    ``ti + h``, with ``ti = t_k + i*h``: the float times the reference RK4
+    step evaluates, computed the same way, so the values are bit-equal to its
     :func:`params_at` calls.  The end time is not shared with the next
     substep's start, as the two can differ by an ulp.  The array is read-only
     and shared by every rollout of an equal spec.
@@ -392,58 +311,106 @@ def _stage_table(spec: ScenarioSpec) -> np.ndarray:
     return table
 
 
-def _rollout(spec, x0, control, rng, guard: float | None = None):
-    """Shared integration loop: ``control(k, t, x)`` supplies the input.
+def _substep_kernel(spec: ScenarioSpec):
+    """One step of the plant as ``advance(rows, x1, x2, u, kick) -> (x1, x2)``.
 
-    Each step is the arithmetic of :func:`step_rk4` on Python floats, with the
-    plant parameters read from :func:`_stage_table` instead of recomputed.
-    Per step the random draws are, in order: whatever ``control`` draws, the
-    ``nld`` kick, the boundary kick.  Reconfiguration velocity kicks are
-    applied to the state exactly when a step lands on a frame boundary; the
-    recorded state at that time includes the kick.  With ``guard`` set, a
-    state exceeding it raises :class:`InstabilityError` carrying the partial
-    trajectory.
+    ``rows`` are the step's :func:`_stage_table` rows; ``advance`` runs its
+    ``RK4_SUBSTEPS`` classical RK4 substeps with the force law written inline,
+    the one place it is written: linear for ``ltv`` and the reconfiguration
+    kinds; input saturation and cubic damping for ``nl``/``nld``, and for
+    ``nld`` the Gaussian bump at ``dist_center`` scaled by the per-step
+    ``kick``.  The input is held over the step, so it is clamped once, and the
+    bump is added only when ``kick`` is nonzero.  Every stage repeats the float
+    operations of the reference step kept in the tests, in the same order.
+    """
+    h = spec.dt / RK4_SUBSTEPS
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    if spec.kind not in _SATURATED_KINDS:
+        def advance(rows, x1, x2, u, kick):
+            for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in rows:
+                b1 = (u - cs1 * x1 - cd1 * x2) / m1
+                a2 = x2 + half_h * b1
+                b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
+                a3 = x2 + half_h * b2
+                b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
+                a4 = x2 + h * b3
+                b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
+                x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+                x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            return x1, x2
+        return advance
+
+    limit = spec.sat_limit
+    c = spec.cubic_damping
+    center = spec.dist_center
+    spread = 2.0 * spec.dist_width * spec.dist_width
+    exp = math.exp
+
+    def advance(rows, x1, x2, u, kick):
+        f = -limit if u < -limit else (limit if u > limit else u)
+        bump = kick != 0.0
+        for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in rows:
+            b1 = (f - cs1 * x1 - cd1 * x2 - c * x2 * x2 * x2) / m1
+            if bump:
+                b1 += kick * exp(-(x1 - center) * (x1 - center) / spread)
+            a2 = x2 + half_h * b1
+            z2 = x1 + half_h * x2
+            b2 = (f - cs2 * z2 - cd2 * a2 - c * a2 * a2 * a2) / m2
+            if bump:
+                b2 += kick * exp(-(z2 - center) * (z2 - center) / spread)
+            a3 = x2 + half_h * b2
+            z3 = x1 + half_h * a2
+            b3 = (f - cs2 * z3 - cd2 * a3 - c * a3 * a3 * a3) / m2
+            if bump:
+                b3 += kick * exp(-(z3 - center) * (z3 - center) / spread)
+            a4 = x2 + h * b3
+            z4 = x1 + h * a3
+            b4 = (f - cs3 * z4 - cd3 * a4 - c * a4 * a4 * a4) / m3
+            if bump:
+                b4 += kick * exp(-(z4 - center) * (z4 - center) / spread)
+            x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+            x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        return x1, x2
+    return advance
+
+
+def _rollout(spec, x0, control, rng, guard: float = math.inf):
+    """Shared integration loop: ``control(k, t, x1, x2)`` supplies the input.
+
+    Each step is one call of the :func:`_substep_kernel` on Python floats,
+    with the plant parameters read from :func:`_stage_table`.  Per step the
+    random draws are, in order: whatever ``control`` draws, the ``nld`` kick,
+    the boundary kick.  Reconfiguration velocity kicks are applied to the
+    state exactly when a step lands on a frame boundary; the recorded state at
+    that time includes the kick.  A state exceeding ``guard`` raises
+    :class:`InstabilityError` carrying the partial trajectory.
     """
     n = spec.n_steps
     times = np.arange(n + 1) * spec.dt
     kick_steps = _kick_step_indices(spec)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
     table = _stage_table(spec)
-    accel = _force_law(spec)
-    nld_sigma = 0.0
-    if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
-        nld_sigma = spec.dist_sigma
-    kick_sigma = spec.kick_sigma if rng is not None and spec.kick_sigma > 0 else 0.0
-    h = spec.dt / RK4_SUBSTEPS
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
+    advance = _substep_kernel(spec)
+    normal = rng.normal if rng is not None else None
+    nld_sigma = spec.dist_sigma if spec.kind is Kind.NLD and rng is not None else 0.0
+    kick_sigma = spec.kick_sigma if rng is not None else 0.0
     x1, x2 = float(x[0]), float(x[1])
     states = [(x1, x2)]
     inputs = []
-    for k in range(n):
-        t = times[k]
-        u = float(control(k, t, x))
+    for k, t in enumerate(times[:-1].tolist()):
+        u = float(control(k, t, x1, x2))
         inputs.append(u)
-        kick = rng.normal(0.0, nld_sigma) if nld_sigma else 0.0
-        for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in table[k].tolist():
-            b1 = accel(m1, cs1, cd1, x1, x2, u, kick)
-            a2 = x2 + half_h * b1
-            b2 = accel(m2, cs2, cd2, x1 + half_h * x2, a2, u, kick)
-            a3 = x2 + half_h * b2
-            b3 = accel(m2, cs2, cd2, x1 + half_h * a2, a3, u, kick)
-            a4 = x2 + h * b3
-            b4 = accel(m3, cs3, cd3, x1 + h * a3, a4, u, kick)
-            x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-            x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        kick = normal(0.0, nld_sigma) if nld_sigma else 0.0
+        x1, x2 = advance(table[k].tolist(), x1, x2, u, kick)
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise IntegrationError(f"non-finite state after step at t={t}")
         if kick_sigma and (k + 1) in kick_steps:
-            x2 += rng.normal(0.0, kick_sigma)
+            x2 += normal(0.0, kick_sigma)
         states.append((x1, x2))
-        x = np.array((x1, x2))
-        if guard is not None and max(abs(x1), abs(x2)) > guard:
+        if abs(x1) > guard or abs(x2) > guard:
             raise InstabilityError(
                 k + 1,
                 times=times[: k + 2],
@@ -461,7 +428,7 @@ def simulate(spec: ScenarioSpec, x0, input_signal, seed=None) -> Trajectory:
     bitwise-identical.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
-    times, states, inputs = _rollout(spec, x0, lambda k, t, x: input_signal(t), rng)
+    times, states, inputs = _rollout(spec, x0, lambda k, t, x1, x2: input_signal(t), rng)
     return Trajectory(
         times=times,
         states=states,

@@ -1,9 +1,16 @@
-"""Shared helpers: exact data generated by iterating a discrete LTV model."""
+"""Shared helpers: exact data generated by iterating a discrete LTV model, a
+reader for saved gain schedules, and the reference RK4 step of the
+ground-truth plants."""
+
+import math
 
 import numpy as np
 import pytest
 
-from ltvbench.dynamics import Trajectory
+from ltvbench.control import GAINS_FORMAT, GainSchedule
+from ltvbench.dynamics import RK4_SUBSTEPS, Kind, ScenarioSpec, Trajectory, params_at
+from ltvbench.exceptions import IntegrationError
+from ltvbench.files import field_errors, read_json
 from ltvbench.models import LtvModel, MatrixPair
 
 
@@ -43,3 +50,100 @@ def constant_model():
     A = np.array([[0.9, 0.1], [-0.2, 0.8]])
     B = np.array([[0.0], [0.5]])
     return LtvModel.from_constant(MatrixPair(A, B), n_steps=60, dt=0.02)
+
+
+def read_gains(path) -> GainSchedule:
+    """A file written by ``control.save_gains``, read through ``files.read_json``."""
+    payload = read_json(path, "gain schedule", GAINS_FORMAT)
+    with field_errors(path, "gain schedule"):
+        return GainSchedule(K=payload["K"], u_ff=payload["u_ff"], provenance=payload["provenance"])
+
+
+# --- the reference RK4 step: the oracle for the package's rollout kernels ---
+
+def sat(u: float, limit: float) -> float:
+    """Clamp ``u`` to [-limit, limit]."""
+    if limit <= 0:
+        raise ValueError(f"saturation limit must be positive, got {limit}")
+    return -limit if u < -limit else (limit if u > limit else u)
+
+
+def _force_law(spec: ScenarioSpec):
+    """The plant's acceleration as ``accel(m, cs, cd, x1, x2, u, kick)``.
+
+    Input saturation and cubic damping for ``nl``/``nld``, and for ``nld`` the
+    Gaussian bump that scales the per-step ``kick``; written apart from the
+    package's rollout kernels so it can check them.
+    """
+    if spec.kind not in (Kind.NL, Kind.NLD):
+        def accel(m, cs, cd, x1, x2, u, kick):
+            return (u - cs * x1 - cd * x2) / m
+        return accel
+
+    limit = spec.sat_limit
+    cubic = spec.cubic_damping
+    bump = spec.kind is Kind.NLD
+    center = spec.dist_center
+    spread = 2.0 * spec.dist_width * spec.dist_width
+
+    def accel(m, cs, cd, x1, x2, u, kick):
+        a = (sat(u, limit) - cs * x1 - cd * x2 - cubic * x2 * x2 * x2) / m
+        if bump and kick != 0.0:
+            dz = x1 - center
+            a += kick * math.exp(-dz * dz / spread)
+        return a
+    return accel
+
+
+def _accel(spec: ScenarioSpec, t: float, x1: float, x2: float, u: float, kick: float) -> float:
+    return _force_law(spec)(*params_at(spec, t), x1, x2, u, kick)
+
+
+def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> np.ndarray:
+    """Continuous-time state derivative of the ground-truth plant.
+
+    ``kick`` is the per-step disturbance amplitude supplied by the caller's
+    sampler (zero for the deterministic kinds); for the ``nld`` plant it
+    scales a Gaussian bump centered at ``dist_center``.
+    """
+    x1, x2 = float(x[0]), float(x[1])
+    return np.array([x2, _accel(spec, t, x1, x2, float(u), kick)])
+
+
+def step_rk4(
+    spec: ScenarioSpec,
+    t: float,
+    x,
+    u: float,
+    dt: float,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Advance the plant by one step with classical RK4.
+
+    The input is held constant over the step (zero-order hold) and so is any
+    stochastic disturbance amplitude, which is sampled once per call.  The
+    step is internally subdivided into ``RK4_SUBSTEPS`` substeps so the
+    continuously varying parameters are tracked accurately.  This is the
+    reference the package's per-family rollout kernels are tested against.
+    """
+    u = float(u)
+    kick = 0.0
+    if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
+        kick = rng.normal(0.0, spec.dist_sigma)
+    x1, x2 = float(x[0]), float(x[1])
+    h = dt / RK4_SUBSTEPS
+    for i in range(RK4_SUBSTEPS):
+        ti = t + i * h
+        a1 = x2
+        b1 = _accel(spec, ti, x1, x2, u, kick)
+        a2 = x2 + 0.5 * h * b1
+        b2 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u, kick)
+        a3 = x2 + 0.5 * h * b2
+        b3 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u, kick)
+        a4 = x2 + h * b3
+        b4 = _accel(spec, ti + h, x1 + h * a3, x2 + h * b3, u, kick)
+        x1 += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        x2 += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise IntegrationError(f"non-finite state after step at t={t}")
+    return np.array([x1, x2])

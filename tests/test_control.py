@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
+from conftest import read_gains
 from ltvbench.control import (
     CostWeights,
     GainSchedule,
@@ -16,7 +17,6 @@ from ltvbench.control import (
     default_reference,
     default_weights,
     feedforward,
-    load_gains,
     lqr_ltv,
     save_gains,
     tracking_errors,
@@ -307,7 +307,7 @@ def test_gain_schedule_round_trip(tmp_path):
     ref = default_reference(10.0)
     sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
     save_gains(sched, tmp_path / "gains.json")
-    loaded = load_gains(tmp_path / "gains.json")
+    loaded = read_gains(tmp_path / "gains.json")
     assert np.array_equal(loaded.K, sched.K)
     assert np.array_equal(loaded.u_ff, sched.u_ff)
     assert loaded.provenance == sched.provenance
@@ -329,7 +329,7 @@ def schedules(draw):
 def test_gain_schedule_round_trip_is_exact(tmp_path_factory, sched):
     path = tmp_path_factory.mktemp("gains") / "gains.json"
     save_gains(sched, path)
-    loaded = load_gains(path)
+    loaded = read_gains(path)
     for name in ("K", "u_ff"):
         a, b = getattr(loaded, name), getattr(sched, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from conftest import step_rk4
 from ltvbench.datagen import (
     Dataset,
     ExcitationSpec,
@@ -21,7 +22,7 @@ from ltvbench.datagen import (
     save_trajectory_csv,
     tvera_experiments,
 )
-from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, scenario, step_rk4
+from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, scenario
 from ltvbench.exceptions import DataFormatError
 
 

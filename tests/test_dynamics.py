@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import ltvbench as lb
+from conftest import derivative, sat, step_rk4
 from ltvbench.control import (
     DIVERGENCE_GUARD,
     GainSchedule,
@@ -28,18 +30,15 @@ from ltvbench.dynamics import (
     Trajectory,
     _kick_step_indices,
     _stage_table,
-    derivative,
     discretize,
     ground_truth_ltv,
     linearized_rates,
     load_scenario,
     params_at,
-    sat,
     save_scenario,
     scenario,
     simulate,
     step_param_time,
-    step_rk4,
 )
 from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError
 from ltvbench.ident import predict_rollout
@@ -266,6 +265,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(kind=Kind.INST_RECONFIG, frames=((1.0, 1.0, 1.0),), horizon=10.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sat_limit", 0.0), ("dist_width", 0.0), ("dist_sigma", -1.0), ("kick_sigma", -0.5)],
+    )
+    def test_bad_plant_constant(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(scenario("nld"), **{field: value})
+        path = tmp_path / "spec.json"
+        save_scenario(scenario("nld"), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(DataFormatError, match=field):
+            load_scenario(path)
+
+    def test_zero_sigmas_are_legal(self):
+        spec = replace(scenario("inst-reconfig"), dist_sigma=0.0, kick_sigma=0.0)
+        seeded = simulate(spec, [1.0, 0.0], lambda t: 0.0, seed=1)
+        assert np.array_equal(seeded.states, simulate(spec, [1.0, 0.0], lambda t: 0.0).states)
+
     def test_roundtrip(self, tmp_path):
         spec = scenario("mixed-reconfig")
         save_scenario(spec, tmp_path / "spec.json")
@@ -347,17 +364,23 @@ initial_states = st.tuples(
     st.floats(-2.5, 2.5, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False)
 )
 seeds = st.integers(0, 2**32 - 1)
+# chirp amplitudes well past the nl/nld saturation limit of 5
+amplitudes = st.floats(6.0, 12.0)
+
+
+def saturating_chirp(amplitude):
+    return ExcitationSpec(amplitude=amplitude, omega0=0.5, omega1=6.0, noise_var=0.1, duration=4.0)
 
 
 class TestRolloutOracle:
     @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
     @settings(max_examples=4, deadline=None)
-    @given(x0=initial_states, seed=seeds)
-    def test_simulate_matches_step_loop(self, name, x0, seed):
+    @given(x0=initial_states, seed=seeds, amplitude=amplitudes)
+    def test_simulate_matches_step_loop(self, name, x0, seed, amplitude):
         # the chirp noise, the nld kick and the boundary kicks share one
         # generator, so this also pins the per-step draw order
         spec = short_scenario(name)
-        ex = ExcitationSpec(amplitude=2.0, omega0=0.5, omega1=6.0, noise_var=0.1, duration=4.0)
+        ex = saturating_chirp(amplitude)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = simulate(spec, x0, lambda t: chirp(ex, t, rng_a), seed=rng_a)
         times, states, inputs, _ = oracle_rollout(
@@ -367,6 +390,19 @@ class TestRolloutOracle:
         assert_bytes_equal(got.states, states)
         assert_bytes_equal(got.inputs, inputs)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # inputs on both sides of the saturation limit
+        assert np.abs(inputs).min() < spec.sat_limit < np.abs(inputs).max()
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @settings(max_examples=3, deadline=None)
+    @given(x0=initial_states, amplitude=amplitudes)
+    def test_unseeded_simulate_matches_step_loop(self, name, x0, amplitude):
+        spec = short_scenario(name)
+        ex = saturating_chirp(amplitude)
+        got = simulate(spec, x0, lambda t: chirp(ex, t))
+        _, states, inputs, _ = oracle_rollout(spec, x0, lambda k, t, x: chirp(ex, t), None)
+        assert_bytes_equal(got.states, states)
+        assert_bytes_equal(got.inputs, inputs)
 
     def test_nld_kicks_fire_near_the_bump(self):
         # start on the bump centre: the seeded kicks must move the state

@@ -12,8 +12,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import read_gains
 from ltvbench.cli import main
-from ltvbench.control import GainSchedule, load_gains, save_gains
+from ltvbench.control import GainSchedule, save_gains
 from ltvbench.datagen import MANIFEST_NAME, Dataset, Split, load_dataset, save_dataset
 from ltvbench.dynamics import Trajectory, load_scenario, save_scenario, scenario
 from ltvbench.exceptions import DataFormatError
@@ -64,7 +65,7 @@ def _cli(*argv):
 READERS = {
     "scenario": (_scenario_file, load_scenario, "kind", ("mass", "heavy"), False),
     "model": (_model_file, load_model, "A", ("dt", "fast"), True),
-    "gains": (_gains_file, load_gains, "K", ("u_ff", [[1.0, 2.0]]), True),
+    "gains": (_gains_file, read_gains, "K", ("u_ff", [[1.0, 2.0]]), True),
     "dataset": (
         _dataset_dir, lambda path: load_dataset(path.parent), "scenario_file",
         ("trajectories", 5), True,
