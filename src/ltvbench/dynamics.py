@@ -17,17 +17,15 @@ zero-order-hold discretization of the same plant is available as
 :func:`ground_truth_ltv` and doubles as the "linearization" baseline model.
 
 The plant parameters depend only on time, so :func:`simulate` and
-:func:`control.closed_loop` (both through :func:`_rollout`) read them from a
-per-scenario stage table: ``(m, C_s, C_d)`` at the three RK4 stage times of
-every substep, filled once by :func:`params_at` and kept read-only in a cache
-of the :data:`STAGE_TABLE_CACHE` most recently used scenario specs.  Each
-step is one call of a substep kernel built per rollout for the plant's
-family (:func:`_substep_kernel`), the only place the force law is written.
-The reference RK4 step lives in the tests (``tests/conftest.py``); the
-kernels repeat its float arithmetic exactly, so rollouts are bit-identical to
-stepping it in a loop.  Per step the random draws come in a fixed order that
-seeds depend on: the input's own draws, then the ``nld`` kick, then the
-frame-boundary kick.
+:func:`control.closed_loop` (both through :func:`_rollout`) step with a table
+built once per spec by :func:`_substep_kernel` and cached for the
+:data:`STAGE_TABLE_CACHE` latest specs.  On the linear plants (``ltv``,
+reconfiguration) a step is one affine map of ``(x1, x2, u)``, bit-equal to the
+reference RK4 step on the basis vectors, so rollouts differ from stepping the
+reference in a loop by rounding only; on the saturated plants (``nl``,
+``nld``) they are bit-identical to it.  The reference step lives in the tests
+(``tests/conftest.py``).  Per step the random draws come in a fixed order:
+the input's own draws, then the ``nld`` kick, then the frame-boundary kick.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ from .models import LtvModel, MatrixPair
 # accurate than any ZOH-discretized model of it.
 RK4_SUBSTEPS = 10
 
-# Scenario specs whose RK4 stage tables stay cached; one table is
-# n_steps * RK4_SUBSTEPS * 9 float64 values (360 kB at the default 500 steps).
+# Scenario specs whose step tables stay cached: 6 float64 per step for a linear
+# plant, RK4_SUBSTEPS * 9 for a saturated one (24 kB / 360 kB at 500 steps).
 STAGE_TABLE_CACHE = 8
 
 # Frame parameter ranges for the reconfiguration scenarios.  Masses follow a
@@ -108,18 +106,14 @@ class ScenarioSpec:
     def __post_init__(self):
         # a hashable frame table keeps the spec usable as a cache key
         object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must cover at least one step")
-        for name in ("sat_limit", "dist_width"):
+        for name in ("mass", "dt", "sat_limit", "dist_width"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("dist_sigma", "kick_sigma"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.horizon >= self.dt:
+            raise ValueError(f"horizon must cover at least one step, got {self.horizon}")
         if self.kind in _RECONFIG_KINDS:
             if abs(self.frame_duration - 2.0) > 1e-12:
                 raise ValueError("reconfiguration frames are fixed at 2.0 s")
@@ -129,7 +123,7 @@ class ScenarioSpec:
                     f"need {expected} frame parameter triples, got {len(self.frames)}"
                 )
             for m_i, _, _ in self.frames:
-                if m_i <= 0:
+                if not m_i > 0:
                     raise ValueError("frame masses must be positive")
         elif self.frames:
             raise ValueError(f"{self.kind.value} scenarios take no frame table")
@@ -285,16 +279,14 @@ def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     return frozenset(steps)
 
 
-@functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
-def _stage_table(spec: ScenarioSpec) -> np.ndarray:
+def _stage_params(spec: ScenarioSpec) -> np.ndarray:
     """Plant parameters at every RK4 stage time of a rollout of ``spec``.
 
     Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + 0.5*h`` and
     ``ti + h``, with ``ti = t_k + i*h``: the float times the reference RK4
     step evaluates, computed the same way, so the values are bit-equal to its
     :func:`params_at` calls.  The end time is not shared with the next
-    substep's start, as the two can differ by an ulp.  The array is read-only
-    and shared by every rollout of an equal spec.
+    substep's start, as the two can differ by an ulp.
     """
     n = spec.n_steps
     h = spec.dt / RK4_SUBSTEPS
@@ -307,40 +299,49 @@ def _stage_table(spec: ScenarioSpec) -> np.ndarray:
             table[k, i] = (
                 params_at(spec, ti) + params_at(spec, ti + 0.5 * h) + params_at(spec, ti + h)
             )
-    table.flags.writeable = False
     return table
 
 
+@functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
 def _substep_kernel(spec: ScenarioSpec):
-    """One step of the plant as ``advance(rows, x1, x2, u, kick) -> (x1, x2)``.
+    """The plant's step as ``(table, advance)``, cached per spec.
 
-    ``rows`` are the step's :func:`_stage_table` rows; ``advance`` runs its
-    ``RK4_SUBSTEPS`` classical RK4 substeps with the force law written inline,
-    the one place it is written: linear for ``ltv`` and the reconfiguration
-    kinds; input saturation and cubic damping for ``nl``/``nld``, and for
-    ``nld`` the Gaussian bump at ``dist_center`` scaled by the per-step
-    ``kick``.  The input is held over the step, so it is clamped once, and the
-    bump is added only when ``kick`` is nonzero.  Every stage repeats the float
-    operations of the reference step kept in the tests, in the same order.
+    ``advance(table[k].tolist(), x1, x2, u, kick) -> (x1, x2)`` takes the
+    plant over step k with ``u`` held; the table is read-only.  This is the
+    only code that writes either force law.  Linear kinds: row k is the map
+    ``(M00, M01, g0, M10, M11, g1)``, ``x(k+1) = M_k x(k) + g_k u(k)``, found
+    by running the ``RK4_SUBSTEPS`` reference substeps, in their float order,
+    on the basis columns of ``(x1, x2, u)`` for all steps at once.  Saturated
+    kinds: the table is :func:`_stage_params`; ``advance`` runs the substeps
+    inline with saturation, cubic damping and the ``nld`` bump (when ``kick``
+    is nonzero), in the reference step's float order.
     """
     h = spec.dt / RK4_SUBSTEPS
     half_h = 0.5 * h
     sixth_h = h / 6.0
+    stages = _stage_params(spec)
     if spec.kind not in _SATURATED_KINDS:
-        def advance(rows, x1, x2, u, kick):
-            for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in rows:
-                b1 = (u - cs1 * x1 - cd1 * x2) / m1
-                a2 = x2 + half_h * b1
-                b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
-                a3 = x2 + half_h * b2
-                b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
-                a4 = x2 + h * b3
-                b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
-                x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-                x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            return x1, x2
-        return advance
+        def advance(row, x1, x2, u, kick):
+            m00, m01, g0, m10, m11, g1 = row
+            return m00 * x1 + m01 * x2 + g0 * u, m10 * x1 + m11 * x2 + g1 * u
 
+        x1, x2, u = np.eye(3)
+        for i in range(RK4_SUBSTEPS):
+            m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = stages[:, i].T[..., None]
+            b1 = (u - cs1 * x1 - cd1 * x2) / m1
+            a2 = x2 + half_h * b1
+            b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
+            a3 = x2 + half_h * b2
+            b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
+            a4 = x2 + h * b3
+            b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
+            x1 = x1 + sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+            x2 = x2 + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        table = np.concatenate((x1, x2), axis=1)
+        table.flags.writeable = False
+        return table, advance
+
+    stages.flags.writeable = False
     limit = spec.sat_limit
     c = spec.cubic_damping
     center = spec.dist_center
@@ -372,14 +373,14 @@ def _substep_kernel(spec: ScenarioSpec):
             x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
             x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         return x1, x2
-    return advance
+    return stages, advance
 
 
 def _rollout(spec, x0, control, rng, guard: float = math.inf):
     """Shared integration loop: ``control(k, t, x1, x2)`` supplies the input.
 
-    Each step is one call of the :func:`_substep_kernel` on Python floats,
-    with the plant parameters read from :func:`_stage_table`.  Per step the
+    Each step is one ``advance`` call of the spec's :func:`_substep_kernel`
+    on Python floats and the step's row of its cached table.  Per step the
     random draws are, in order: whatever ``control`` draws, the ``nld`` kick,
     the boundary kick.  Reconfiguration velocity kicks are applied to the
     state exactly when a step lands on a frame boundary; the recorded state at
@@ -392,8 +393,7 @@ def _rollout(spec, x0, control, rng, guard: float = math.inf):
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
-    table = _stage_table(spec)
-    advance = _substep_kernel(spec)
+    table, advance = _substep_kernel(spec)
     normal = rng.normal if rng is not None else None
     nld_sigma = spec.dist_sigma if spec.kind is Kind.NLD and rng is not None else 0.0
     kick_sigma = spec.kick_sigma if rng is not None else 0.0

@@ -22,7 +22,7 @@ from ltvbench.datagen import (
     save_trajectory_csv,
     tvera_experiments,
 )
-from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, scenario
+from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, _substep_kernel, scenario
 from ltvbench.exceptions import DataFormatError
 
 
@@ -68,14 +68,23 @@ class TestChirp:
 class TestBuildDataset:
     def test_noise_free_train_equals_exact_integration(self):
         # re-integrate the recorded inputs; with zero measurement noise the
-        # stored states must be the raw simulation output bit for bit
+        # stored states must be the raw simulation output: bit for bit the
+        # recurrence of the plant's step maps, and within rounding of stepping
+        # the reference RK4 step in a loop
         splits = small_splits(noise_var=0.0)
         spec = scenario("ltv")
         traj = splits[Split.TRAIN].trajectories[0]
-        x = traj.states[0].copy()
+        maps, _ = _substep_kernel(spec)
+        exact, reference = [traj.states[0].tolist()], [traj.states[0]]
         for k in range(traj.n_steps):
-            x = step_rk4(spec, traj.times[k], x, traj.inputs[k, 0], spec.dt)
-            assert np.array_equal(x, traj.states[k + 1])
+            u = float(traj.inputs[k, 0])
+            m00, m01, g0, m10, m11, g1 = maps[k].tolist()
+            x1, x2 = exact[-1]
+            exact.append([m00 * x1 + m01 * x2 + g0 * u, m10 * x1 + m11 * x2 + g1 * u])
+            reference.append(step_rk4(spec, traj.times[k], reference[-1], u, spec.dt))
+        assert np.array(exact).tobytes() == traj.states.tobytes()
+        gap = np.abs(np.array(reference) - traj.states).max()
+        assert gap <= 1e-12 * np.abs(traj.states).max()
 
     def test_measurement_noise_perturbs_train_only(self):
         exact = small_splits(noise_var=0.0)

@@ -1,0 +1,48 @@
+"""The cell-diff helper ``tests/golden.py`` on small hand-made tables."""
+
+from golden import diff_dirs, main
+
+TABLE = (
+    "scenario,method,mean_loss,std_loss,n_test,best_params,error\n"
+    'ltv,cosmic,0.5,0.25,10,"{""lam"": 0.001}",\n'
+    'nl,cosmic,2.0,1.0,10,"{""lam"": 0.01}",\n'
+)
+
+
+def write_dirs(tmp_path, old, new, name="table1.csv"):
+    for side, text in (("old", old), ("new", new)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / name).write_text(text)
+    return tmp_path / "old", tmp_path / "new"
+
+
+def test_identical_tables(tmp_path):
+    assert diff_dirs(*write_dirs(tmp_path, TABLE, TABLE)) == ["table1.csv: byte-identical"]
+
+
+def test_numeric_change_names_column_and_row(tmp_path):
+    report = diff_dirs(*write_dirs(tmp_path, TABLE, TABLE.replace("0.5,0.25", "0.5000001,0.25")))
+    assert "  rows added: none" in report
+    assert "  changed best_params/unstable/error cells: none" in report
+    assert "    mean_loss: 2e-07 (ltv/cosmic) | 5e-08" in report
+    assert "    std_loss: 0 | 0" in report
+
+
+def test_rows_and_flag_cells(tmp_path):
+    new = TABLE.replace('"{""lam"": 0.01}",', '"{""lam"": 0.1}",') + "nld,cosmic,,,10,{},failed\n"
+    report = diff_dirs(*write_dirs(tmp_path, TABLE, new))
+    assert "table1.csv: 2 -> 3 rows, not byte-identical" in report
+    assert "  rows added: nld/cosmic" in report
+    assert "  changed best_params/unstable/error cells: 1" in report
+    assert """    nl/cosmic best_params: '{"lam": 0.01}' -> '{"lam": 0.1}'""" in report
+
+
+def test_repeated_keys_match_by_order(tmp_path):
+    old = "method,value,fraction\ncosmic,1.0,0.5\ncosmic,2.0,1.0\n"
+    report = diff_dirs(*write_dirs(tmp_path, old, old.replace("2.0,", "3.0,"), "ecdf_ltv.csv"))
+    assert "    value: 0.5 (cosmic#1) | 0.5" in report
+
+
+def test_usage(tmp_path, capsys):
+    assert main([str(tmp_path)]) == 2
+    assert "OLD_DIR NEW_DIR" in capsys.readouterr().err
