@@ -1,6 +1,7 @@
-"""Cell diff of two benchmark output directories.
+"""Cell diff of two benchmark output directories, and the golden artifacts.
 
     python tests/golden.py OLD_DIR NEW_DIR
+    python tests/golden.py --update RUN_DIR
 
 For every CSV table in either directory (``table1.csv``, ``table2.csv``,
 ``lambda_sweep.csv``, the ``ecdf_*.csv`` files) it reports whether the file is
@@ -11,12 +12,34 @@ relative to the column's largest magnitude; the second is the one that
 means something for values at rounding level, such as small ECDF residuals.  Rows are matched by their text
 cells (e.g. scenario and method) and, where those repeat, by their order.
 The report goes to stdout; the exit code is 0 unless the arguments are bad.
+
+``tests/golden/`` holds the artifacts of all four suites at master seed 7:
+``table1.csv``, ``table2.csv`` and ``lambda_sweep.csv`` in full, and in
+``golden.json`` the toolchain that wrote them plus, for each ``ecdf_*.csv``
+(~550 kB each), its SHA-256, row count and a few quantiles per method.
+:func:`check_golden` compares a fresh run with them; ``--update`` rewrites
+them from RUN_DIR, for a change that moves cells on purpose.
 """
 
 import csv
+import hashlib
+import json
+import math
+import platform
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import scipy
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_TABLES = ("table1.csv", "table2.csv", "lambda_sweep.csv")
+GOLDEN_ECDFS = tuple(
+    f"ecdf_{name}.csv" for name in ("ltv", "nl", "nld", "inst_reconfig", "mixed_reconfig")
+)
+# ECDF fractions at which golden.json keeps each method's residual value
+ECDF_QUANTILES = (0.5, 0.9, 0.99, 1.0)
 
 # cells compared as text: a change in any of them is listed cell by cell
 FLAG_COLUMNS = ("best_params", "unstable", "error")
@@ -122,10 +145,90 @@ def diff_dirs(old_dir, new_dir) -> list:
     return lines
 
 
+def toolchain() -> dict:
+    """The versions the artifacts' bytes depend on."""
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def ecdf_summary(path: Path) -> dict:
+    """SHA-256, row count and per-method quantile cells (as written) of one ECDF file."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    values = {}
+    for row in rows:
+        values.setdefault(row["method"], []).append(row["value"])
+    return {
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "rows": len(rows),
+        "quantiles": {
+            method: [cells[math.ceil(q * len(cells)) - 1] for q in ECDF_QUANTILES]
+            for method, cells in sorted(values.items())
+        },
+    }
+
+
+def _find(name: str, run_dirs) -> Path | None:
+    return next((Path(d) / name for d in run_dirs if (Path(d) / name).exists()), None)
+
+
+def check_golden(run_dirs, golden_dir=GOLDEN_DIR) -> list:
+    """Lines naming every difference between a fresh run and the golden set.
+
+    ``run_dirs`` together hold the eight artifacts.  An empty list means all
+    are byte-identical on the golden toolchain; a different toolchain is
+    itself a difference, named with its versions.
+    """
+    golden = json.loads((Path(golden_dir) / "golden.json").read_text())
+    lines = [
+        f"toolchain: {tool} {golden['toolchain'][tool]} -> {version}"
+        for tool, version in toolchain().items()
+        if golden["toolchain"][tool] != version
+    ]
+    for name in GOLDEN_TABLES + GOLDEN_ECDFS:
+        path = _find(name, run_dirs)
+        if path is None:
+            lines.append(f"{name}: missing from the run")
+        elif name in GOLDEN_TABLES:
+            report = diff_table(Path(golden_dir) / name, path)
+            if report != [f"{name}: byte-identical"]:
+                lines.extend(report)
+        else:
+            want, got = golden["ecdf"][name], ecdf_summary(path)
+            if got["sha256"] != want["sha256"]:
+                lines.append(f"{name}: sha256 differs, {want['rows']} -> {got['rows']} rows")
+                lines.extend(
+                    f"  {method} quantiles {ECDF_QUANTILES}: {cells} -> {got['quantiles'].get(method)}"
+                    for method, cells in want["quantiles"].items()
+                    if got["quantiles"].get(method) != cells
+                )
+    return lines
+
+
+def write_golden(run_dir, golden_dir=GOLDEN_DIR) -> None:
+    """Rewrite the golden set from a run directory holding all eight artifacts."""
+    run_dir, golden_dir = Path(run_dir), Path(golden_dir)
+    golden_dir.mkdir(parents=True, exist_ok=True)
+    for name in GOLDEN_TABLES:
+        shutil.copyfile(run_dir / name, golden_dir / name)
+    payload = {
+        "master_seed": 7,
+        "toolchain": toolchain(),
+        "ecdf": {name: ecdf_summary(run_dir / name) for name in GOLDEN_ECDFS},
+    }
+    (golden_dir / "golden.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "--update" and Path(args[1]).is_dir():
+        write_golden(args[1])
+        return 0
     if len(args) != 2 or not all(Path(a).is_dir() for a in args):
-        print("usage: python tests/golden.py OLD_DIR NEW_DIR", file=sys.stderr)
+        print(
+            "usage: python tests/golden.py OLD_DIR NEW_DIR\n"
+            "       python tests/golden.py --update RUN_DIR",
+            file=sys.stderr,
+        )
         return 2
     print("\n".join(diff_dirs(*args)))
     return 0

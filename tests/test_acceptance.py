@@ -2,7 +2,8 @@
 
 Each test prints one pass/fail line.  The two benchmark suites run once per
 session at full default configuration (each twice, for the byte-identity
-check) through module-scoped fixtures.
+check) through module-scoped fixtures; with one run each of the ecdf and
+lambda suites they are also compared with the golden artifacts.
 """
 
 import csv
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import model_trajectories
+from golden import check_golden
 from ltvbench.bench import BenchConfig, run_bench
 from ltvbench.control import CostWeights, default_weights, lqr_ltv
 from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
@@ -60,6 +62,14 @@ def control_runs(tmp_path_factory):
     run_bench("control", DEFAULT_CFG, root / "a")
     run_bench("control", DEFAULT_CFG, root / "b")
     return root / "a", root / "b"
+
+
+@pytest.fixture(scope="module")
+def ecdf_lambda_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ecdf_lambda")
+    run_bench("ecdf", DEFAULT_CFG, out)
+    run_bench("lambda", DEFAULT_CFG, out)
+    return out
 
 
 def read_csv(path):
@@ -276,3 +286,10 @@ def test_criterion_9_bench_determinism(prediction_runs, control_runs):
             assert csvs
             for name in csvs:
                 assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_golden_artifacts(prediction_runs, control_runs, ecdf_lambda_run):
+    # the eight artifacts at master seed 7 against tests/golden/; the bytes
+    # depend on the toolchain, so another one fails here and is named
+    differences = check_golden([prediction_runs[0], control_runs[0], ecdf_lambda_run])
+    assert not differences, "\n".join(differences)

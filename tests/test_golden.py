@@ -1,6 +1,9 @@
-"""The cell-diff helper ``tests/golden.py`` on small hand-made tables."""
+"""The cell-diff and golden-set helpers of ``tests/golden.py`` on small
+hand-made tables."""
 
-from golden import diff_dirs, main
+import json
+
+from golden import GOLDEN_ECDFS, GOLDEN_TABLES, check_golden, diff_dirs, main, write_golden
 
 TABLE = (
     "scenario,method,mean_loss,std_loss,n_test,best_params,error\n"
@@ -46,3 +49,42 @@ def test_repeated_keys_match_by_order(tmp_path):
 def test_usage(tmp_path, capsys):
     assert main([str(tmp_path)]) == 2
     assert "OLD_DIR NEW_DIR" in capsys.readouterr().err
+
+
+ECDF = "method,value,fraction\ncosmic,0.1,0.5\ncosmic,0.2,1.0\nlti,0.3,1.0\n"
+
+
+def fake_run(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in GOLDEN_TABLES:
+        (run / name).write_text(TABLE)
+    for name in GOLDEN_ECDFS:
+        (run / name).write_text(ECDF)
+    return run
+
+
+def test_golden_round_trip(tmp_path):
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "golden")
+    summary = json.loads((tmp_path / "golden" / "golden.json").read_text())["ecdf"]["ecdf_ltv.csv"]
+    assert summary["rows"] == 3
+    assert summary["quantiles"] == {"cosmic": ["0.1", "0.2", "0.2", "0.2"], "lti": ["0.3"] * 4}
+    assert check_golden([run], tmp_path / "golden") == []
+
+
+def test_golden_names_every_difference(tmp_path):
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "golden")
+    meta = tmp_path / "golden" / "golden.json"
+    meta.write_text(meta.read_text().replace('"numpy": "', '"numpy": "0.0+'))
+    (run / "ecdf_nl.csv").write_text(ECDF.replace("0.2,", "0.25,"))
+    (run / "table2.csv").write_text(TABLE.replace("0.25,", "0.5,"))
+    (run / "lambda_sweep.csv").unlink()
+    lines = check_golden([run], tmp_path / "golden")
+    assert lines[0].startswith("toolchain: numpy 0.0+")
+    assert "table2.csv: 2 -> 2 rows, not byte-identical" in lines
+    assert "lambda_sweep.csv: missing from the run" in lines
+    assert "ecdf_nl.csv: sha256 differs, 3 -> 3 rows" in lines
+    assert any(line.startswith("  cosmic quantiles") for line in lines)
+    assert not any(line.startswith(("table1", "ecdf_ltv")) for line in lines)
