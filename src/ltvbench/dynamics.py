@@ -15,6 +15,9 @@ All plants are second order (position, velocity) with a scalar force input.
 Simulation is fixed-step RK4 with internal substepping; the linearized
 zero-order-hold discretization of the same plant is available as
 :func:`ground_truth_ltv` and doubles as the "linearization" baseline model.
+Both read one time law, :func:`params_at`, evaluated on whole arrays of times:
+the RK4 stage times of a rollout, or the step midpoints, whose stack of rate
+pairs :func:`discretize` turns into ``(A, B)`` arrays in one call.
 
 The plant parameters depend only on time, so :func:`simulate` and
 :func:`control.closed_loop` (both through :func:`_rollout`) step with a table
@@ -40,7 +43,7 @@ from scipy.linalg import expm
 
 from .exceptions import InstabilityError, IntegrationError, NumericalError
 from .files import field_errors, read_json, write_json
-from .models import LtvModel, MatrixPair
+from .models import LtvModel
 
 # Internal RK4 substeps per scenario step; keeps the ground truth clearly more
 # accurate than any ZOH-discretized model of it.
@@ -242,27 +245,33 @@ def load_scenario(path) -> ScenarioSpec:
         return ScenarioSpec(**payload)
 
 
-def params_at(spec: ScenarioSpec, t: float) -> tuple:
-    """Effective (mass, stiffness, damping) of the plant at time ``t``.
+def params_at(spec: ScenarioSpec, t) -> tuple:
+    """Effective (mass, stiffness, damping) of the plant at time(s) ``t``.
 
-    Continuous kinds modulate the base constants; the reconfiguration kinds
-    look up (and for mixed reconfiguration additionally modulate) the
-    parameters of the two-second frame containing ``t``.
+    ``t`` is a float or an array of times; each result has the shape of
+    ``t``.  Continuous kinds modulate the base constants; the reconfiguration
+    kinds look up (and for mixed reconfiguration additionally modulate) the
+    parameters of the two-second frame containing ``t``.  The values are
+    bit-equal to the same law evaluated on Python floats (``math.cos``,
+    ``** 2``), which is why the square is ``np.float_power``.
     """
-    if t < -1e-12 or t > spec.horizon + 1e-9:
-        raise ValueError(f"t={t} outside scenario horizon [0, {spec.horizon}]")
-    w = spec.param_freq
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= -1e-12) & (t <= spec.horizon + 1e-9))   # NaN is outside
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]} outside scenario horizon [0, {spec.horizon}]")
     if spec.kind in _RECONFIG_KINDS:
-        i = min(int((t + 1e-9) // spec.frame_duration), spec.n_frames - 1)
-        m_i, cs_i, cd_i = spec.frames[i]
-        if spec.kind is Kind.INST_RECONFIG:
-            return m_i, cs_i, cd_i
-        cs = math.cos(1.5 * w * t + math.pi / 4) ** 2 * cs_i
-        cd = (1.5 + math.cos(w * t)) * cd_i
-        return m_i, cs, cd
-    cs = math.cos(1.5 * w * t + math.pi / 4) ** 2 * spec.spring
-    cd = (1.5 + math.cos(w * t)) * spec.damping
-    return spec.mass, cs, cd
+        frames = spec.frames
+        i = np.minimum(((t + 1e-9) // spec.frame_duration).astype(int), spec.n_frames - 1)
+    else:
+        frames = ((spec.mass, spec.spring, spec.damping),)
+        i = np.zeros(t.shape, dtype=int)
+    m, cs, cd = np.array(frames).T[:, i]
+    if spec.kind is Kind.INST_RECONFIG:
+        return m, cs, cd
+    w = spec.param_freq
+    cs = np.float_power(np.cos(1.5 * w * t + math.pi / 4), 2) * cs
+    cd = (1.5 + np.cos(w * t)) * cd
+    return m, cs, cd
 
 
 def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
@@ -285,21 +294,14 @@ def _stage_params(spec: ScenarioSpec) -> np.ndarray:
     Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + 0.5*h`` and
     ``ti + h``, with ``ti = t_k + i*h``: the float times the reference RK4
     step evaluates, computed the same way, so the values are bit-equal to its
-    :func:`params_at` calls.  The end time is not shared with the next
-    substep's start, as the two can differ by an ulp.
+    parameter lookups.  The end time is not shared with the next substep's
+    start, as the two can differ by an ulp.
     """
     n = spec.n_steps
     h = spec.dt / RK4_SUBSTEPS
-    times = np.arange(n + 1) * spec.dt
-    table = np.empty((n, RK4_SUBSTEPS, 9))
-    for k in range(n):
-        t = times[k]
-        for i in range(RK4_SUBSTEPS):
-            ti = t + i * h
-            table[k, i] = (
-                params_at(spec, ti) + params_at(spec, ti + 0.5 * h) + params_at(spec, ti + h)
-            )
-    return table
+    ti = (np.arange(n) * spec.dt)[:, None] + np.arange(RK4_SUBSTEPS) * h
+    m, cs, cd = params_at(spec, np.stack((ti, ti + 0.5 * h, ti + h), axis=-1))
+    return np.stack((m, cs, cd), axis=-1).reshape(n, RK4_SUBSTEPS, 9)
 
 
 @functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
@@ -437,61 +439,47 @@ def simulate(spec: ScenarioSpec, x0, input_signal, seed=None) -> Trajectory:
     )
 
 
-def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> MatrixPair:
-    """Zero-order-hold discretization of (A_c, B_c) over one step.
+def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> tuple:
+    """Zero-order-hold discretization ``(A, B)`` of (A_c, B_c) over one step.
 
-    Computed through the augmented matrix exponential
+    ``A_c`` is ``(..., p, p)`` and ``B_c`` ``(..., p, q)`` with the same
+    leading shape: a stack of rate pairs is discretized in one call.  Computed through the augmented matrix
+    exponential
 
         exp([[A_c, B_c], [0, 0]] * dt) = [[A, B], [0, I]],
 
     which handles singular A_c (the inverse-based closed form is the special
     case of invertible A_c).
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     A_c = np.asarray(A_c, dtype=float)
     B_c = np.asarray(B_c, dtype=float)
-    p = A_c.shape[0]
-    q = B_c.shape[1]
-    m = np.zeros((p + q, p + q))
-    m[:p, :p] = A_c
-    m[:p, p:] = B_c
+    p = A_c.shape[-1]
+    q = B_c.shape[-1]
+    m = np.zeros(A_c.shape[:-2] + (p + q, p + q))
+    m[..., :p, :p] = A_c
+    m[..., :p, p:] = B_c
     e = expm(m * dt)
     if not np.all(np.isfinite(e)):
         raise NumericalError("matrix exponential produced non-finite entries")
-    return MatrixPair(A=e[:p, :p], B=e[:p, p:])
-
-
-def linearized_rates(spec: ScenarioSpec, t: float) -> tuple:
-    """Continuous-time (A_c, B_c) of the linearized plant at time ``t``.
-
-    Drops cubic damping and saturation for the nonlinear kinds; the
-    time-varying stiffness and damping are retained.
-    """
-    m, cs, cd = params_at(spec, t)
-    A_c = np.array([[0.0, 1.0], [-cs / m, -cd / m]])
-    B_c = np.array([[0.0], [1.0 / m]])
-    return A_c, B_c
-
-
-def step_param_time(spec: ScenarioSpec, k: int) -> float:
-    """Time at which step k's frozen parameters are evaluated (the midpoint).
-
-    Freezing at the midpoint keeps the piecewise-constant model second-order
-    accurate against the continuously varying plant; start-of-step freezing
-    drifts an order of magnitude further over a full horizon.
-    """
-    return (k + 0.5) * spec.dt
+    return e[..., :p, :p], e[..., :p, p:]
 
 
 def ground_truth_ltv(spec: ScenarioSpec) -> LtvModel:
-    """Per-step ZOH discretization of the linearized plant (the L-LTV baseline)."""
+    """Per-step ZOH discretization of the linearized plant (the L-LTV baseline).
+
+    The linearization drops cubic damping and saturation for the nonlinear
+    kinds and keeps the time-varying stiffness and damping.  Step k freezes
+    the parameters at its midpoint ``(k + 0.5) * dt``: that keeps the
+    piecewise-constant model second-order accurate against the continuously
+    varying plant, where start-of-step freezing drifts an order of magnitude
+    further over a full horizon.
+    """
     n = spec.n_steps
-    A = np.empty((n, 2, 2))
-    B = np.empty((n, 2, 1))
-    for k in range(n):
-        A_c, B_c = linearized_rates(spec, step_param_time(spec, k))
-        pair = discretize(A_c, B_c, spec.dt)
-        A[k] = pair.A
-        B[k] = pair.B
+    m, cs, cd = params_at(spec, (np.arange(n) + 0.5) * spec.dt)
+    zero, one = np.zeros(n), np.ones(n)
+    A_c = np.stack((zero, one, -cs / m, -cd / m), axis=-1).reshape(n, 2, 2)
+    B_c = np.stack((zero, 1.0 / m), axis=-1)[..., None]
+    A, B = discretize(A_c, B_c, spec.dt)
     return LtvModel(A=A, B=B, dt=spec.dt, method="linearization", hyperparams={})

@@ -1,6 +1,6 @@
 """Shared helpers: exact data generated by iterating a discrete LTV model, a
-reader for saved gain schedules, and the reference RK4 step of the
-ground-truth plants."""
+reader for saved gain schedules, and the reference time law and RK4 step of
+the ground-truth plants."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ltvbench.control import GAINS_FORMAT, GainSchedule
-from ltvbench.dynamics import RK4_SUBSTEPS, Kind, ScenarioSpec, Trajectory, params_at
+from ltvbench.dynamics import RK4_SUBSTEPS, Kind, ScenarioSpec, Trajectory
 from ltvbench.exceptions import IntegrationError
 from ltvbench.files import field_errors, read_json
 from ltvbench.models import LtvModel, MatrixPair
@@ -59,7 +59,30 @@ def read_gains(path) -> GainSchedule:
         return GainSchedule(K=payload["K"], u_ff=payload["u_ff"], provenance=payload["provenance"])
 
 
-# --- the reference RK4 step: the oracle for the package's rollout kernels ---
+# --- the reference time law and RK4 step: oracles for the package's array
+# time law and its rollout kernels ---
+
+def reference_params(spec: ScenarioSpec, t: float) -> tuple:
+    """Effective (mass, stiffness, damping) of the plant at one time ``t``.
+
+    The law of ``dynamics.params_at`` on Python floats (``math.cos``, ``** 2``),
+    one time at a time: the oracle the array version must match byte for byte.
+    """
+    if t < -1e-12 or t > spec.horizon + 1e-9:
+        raise ValueError(f"t={t} outside scenario horizon [0, {spec.horizon}]")
+    w = spec.param_freq
+    if spec.kind in (Kind.INST_RECONFIG, Kind.MIXED_RECONFIG):
+        i = min(int((t + 1e-9) // spec.frame_duration), spec.n_frames - 1)
+        m_i, cs_i, cd_i = spec.frames[i]
+        if spec.kind is Kind.INST_RECONFIG:
+            return m_i, cs_i, cd_i
+        cs = math.cos(1.5 * w * t + math.pi / 4) ** 2 * cs_i
+        cd = (1.5 + math.cos(w * t)) * cd_i
+        return m_i, cs, cd
+    cs = math.cos(1.5 * w * t + math.pi / 4) ** 2 * spec.spring
+    cd = (1.5 + math.cos(w * t)) * spec.damping
+    return spec.mass, cs, cd
+
 
 def sat(u: float, limit: float) -> float:
     """Clamp ``u`` to [-limit, limit]."""
@@ -96,7 +119,7 @@ def _force_law(spec: ScenarioSpec):
 
 
 def _accel(spec: ScenarioSpec, t: float, x1: float, x2: float, u: float, kick: float) -> float:
-    return _force_law(spec)(*params_at(spec, t), x1, x2, u, kick)
+    return _force_law(spec)(*reference_params(spec, t), x1, x2, u, kick)
 
 
 def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> np.ndarray:

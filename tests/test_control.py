@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
-from conftest import read_gains
+from conftest import read_gains, reference_params
 from ltvbench.control import (
     CostWeights,
     GainSchedule,
@@ -26,7 +26,6 @@ from ltvbench.dynamics import (
     BUILTIN_SCENARIOS,
     Trajectory,
     ground_truth_ltv,
-    params_at,
     scenario,
     simulate,
 )
@@ -145,7 +144,7 @@ class TestFeedforward:
         model = ground_truth_ltv(spec)
         ref = ReferenceSpec(segments=((0.0, 2.0),))
         u_ff = feedforward(model, ref)
-        _, cs, _ = params_at(spec, 0.0)
+        _, cs, _ = reference_params(spec, 0.0)
         assert_allclose(u_ff, cs * 2.0, rtol=1e-9)
         x = ref.state_at(0.0)
         for k in range(model.n_steps):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import ltvbench as lb
-from conftest import derivative, sat, step_rk4
+from conftest import derivative, reference_params, sat, step_rk4
 from ltvbench.control import (
     DIVERGENCE_GUARD,
     GainSchedule,
@@ -33,13 +33,11 @@ from ltvbench.dynamics import (
     _substep_kernel,
     discretize,
     ground_truth_ltv,
-    linearized_rates,
     load_scenario,
     params_at,
     save_scenario,
     scenario,
     simulate,
-    step_param_time,
 )
 from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError
 from ltvbench.ident import predict_rollout
@@ -49,37 +47,86 @@ def two_frame_spec(kind, frames):
     return ScenarioSpec(kind=kind, frames=frames, dt=0.02, horizon=4.0)
 
 
+def reference_rates(spec, t):
+    """Continuous-time (A_c, B_c) of the linearized plant at one time ``t``."""
+    m, cs, cd = reference_params(spec, t)
+    return np.array([[0.0, 1.0], [-cs / m, -cd / m]]), np.array([[0.0], [1.0 / m]])
+
+
+def assert_bytes_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+# every generated example is a batch of rollouts or of time-law lookups:
+# report failures without shrinking them
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def edge_times(spec):
+    """0, the horizon, the range's float ends, and every frame boundary b (and
+    b - 1e-9, where the lookup's offset moves it) give or take 1-3 ulp."""
+    times = [-1e-12, 0.0, spec.horizon, spec.horizon + 1e-9]
+    for j in range(1, math.ceil(spec.horizon / spec.frame_duration) + 1):
+        for b in (j * spec.frame_duration, j * spec.frame_duration - 1e-9):
+            below = above = b
+            times.append(b)
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                times += [float(below), float(above)]
+    return [t for t in times if -1e-12 <= t <= spec.horizon + 1e-9]
+
+
 class TestParamsAt:
+    """Values of the reference law, and the array law against it."""
+
     def test_ltv_at_zero(self):
         spec = scenario("ltv")
-        m, cs, cd = params_at(spec, 0.0)
+        m, cs, cd = reference_params(spec, 0.0)
         assert m == spec.mass
         assert cs == pytest.approx(0.5 * spec.spring)
         assert cd == pytest.approx(2.5 * spec.damping)
 
     def test_inst_reconfig_frame_lookup(self):
         spec = two_frame_spec(Kind.INST_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
-        assert params_at(spec, 2.0) == (2.0, 3.0, 4.0)
-        assert params_at(spec, 1.99) == (1.0, 1.0, 1.0)
+        assert reference_params(spec, 2.0) == (2.0, 3.0, 4.0)
+        assert reference_params(spec, 1.99) == (1.0, 1.0, 1.0)
 
     def test_mixed_reconfig_modulates_frame_bases(self):
         spec = two_frame_spec(Kind.MIXED_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
         w = spec.param_freq
-        m, cs, cd = params_at(spec, 2.0)
+        m, cs, cd = reference_params(spec, 2.0)
         assert m == 2.0
         assert cs == pytest.approx(math.cos(3.0 * w + math.pi / 4) ** 2 * 3.0)
         assert cd == pytest.approx((1.5 + math.cos(2.0 * w)) * 4.0)
 
-    def test_outside_horizon_raises(self):
-        spec = scenario("ltv")
-        with pytest.raises(ValueError):
-            params_at(spec, -0.5)
-        with pytest.raises(ValueError):
-            params_at(spec, spec.horizon + 1.0)
-
     def test_horizon_end_uses_last_frame(self):
         spec = two_frame_spec(Kind.INST_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
-        assert params_at(spec, 4.0) == (2.0, 3.0, 4.0)
+        assert reference_params(spec, 4.0) == (2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+    @given(seed=seeds, data=st.data())
+    def test_array_law_is_reference_law(self, name, seed, data):
+        spec = scenario(name)
+        drawn = data.draw(st.lists(st.floats(0.0, spec.horizon), min_size=1, max_size=50))
+        uniform = np.random.default_rng(seed).uniform(0.0, spec.horizon, 10000)
+        times = np.concatenate((drawn, edge_times(spec), uniform))
+        expected = np.array([reference_params(spec, t) for t in times.tolist()]).T
+        assert_bytes_equal(np.stack(params_at(spec, times)), expected)
+        # a 2-D grid and a single float take the same law
+        grid = np.stack(params_at(spec, times[:10000].reshape(100, 100)))
+        assert_bytes_equal(grid.reshape(3, -1), expected[:, :10000])
+        assert_bytes_equal(np.array(params_at(spec, drawn[0])), expected[:, 0])
+
+    def test_outside_horizon_raises(self):
+        for name in lb.BUILTIN_SCENARIOS:
+            spec = scenario(name)
+            for t in (-0.5, spec.horizon + 1.0, math.nan, [0.0, math.nan], [1.0, -1e-9]):
+                with pytest.raises(ValueError, match="outside scenario horizon"):
+                    params_at(spec, t)
 
 
 class TestSat:
@@ -129,7 +176,7 @@ class TestStepRk4:
     def test_matches_matrix_exponential_on_frozen_plant(self):
         # frozen-parameter linear plant: one step against the expm oracle
         spec = replace(scenario("ltv"), param_freq=0.0, dt=1e-3)
-        A_c, _ = linearized_rates(spec, 0.0)
+        A_c, _ = reference_rates(spec, 0.0)
         x0 = np.array([0.7, -0.4])
         expected = expm(A_c * 1e-3) @ x0
         out = step_rk4(spec, 0.0, x0, 0.0, 1e-3)
@@ -154,7 +201,7 @@ class TestSimulate:
         traj = simulate(spec, np.array([1.0, 0.0]), lambda t: 0.0)
 
         def energy(t, x):
-            m, cs, _ = params_at(spec, t)
+            m, cs, _ = reference_params(spec, t)
             return 0.5 * m * x[1] ** 2 + 0.5 * cs * x[0] ** 2
 
         e_first = energy(traj.times[0], traj.states[0])
@@ -184,34 +231,35 @@ class TestSimulate:
 
 class TestDiscretize:
     def test_zero_rate_matrix(self):
-        pair = discretize(np.zeros((2, 2)), np.array([[1.0], [2.0]]), 0.5)
-        assert_allclose(pair.A, np.eye(2))
-        assert_allclose(pair.B, 0.5 * np.array([[1.0], [2.0]]))
+        A, B = discretize(np.zeros((2, 2)), np.array([[1.0], [2.0]]), 0.5)
+        assert_allclose(A, np.eye(2))
+        assert_allclose(B, 0.5 * np.array([[1.0], [2.0]]))
 
     def test_rotation_generator_closed_form(self):
         dt = 0.3
-        pair = discretize(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)), dt)
+        A, _ = discretize(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)), dt)
         expected = np.array(
             [[math.cos(dt), math.sin(dt)], [-math.sin(dt), math.cos(dt)]]
         )
-        assert_allclose(pair.A, expected, atol=1e-12)
+        assert_allclose(A, expected, atol=1e-12)
 
     def test_diagonal_decay(self):
-        pair = discretize(np.diag([-1.0, -2.0]), np.zeros((2, 1)), math.log(2.0))
-        assert_allclose(pair.A, np.diag([0.5, 0.25]), atol=1e-12)
+        A, _ = discretize(np.diag([-1.0, -2.0]), np.zeros((2, 1)), math.log(2.0))
+        assert_allclose(A, np.diag([0.5, 0.25]), atol=1e-12)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(3)
         A_c = rng.normal(size=(2, 2))
         B_c = rng.normal(size=(2, 1))
         dt1, dt2 = 0.13, 0.24
-        whole = discretize(A_c, B_c, dt1 + dt2).A
-        parts = discretize(A_c, B_c, dt2).A @ discretize(A_c, B_c, dt1).A
+        whole = discretize(A_c, B_c, dt1 + dt2)[0]
+        parts = discretize(A_c, B_c, dt2)[0] @ discretize(A_c, B_c, dt1)[0]
         assert_allclose(whole, parts, atol=1e-12)
 
     def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            discretize(np.zeros((2, 2)), np.zeros((2, 1)), 0.0)
+        for dt in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                discretize(np.zeros((2, 2)), np.zeros((2, 1)), dt)
 
 
 class TestGroundTruthLtv:
@@ -238,12 +286,18 @@ class TestGroundTruthLtv:
             assert np.max(np.abs(model.A[boundary] - model.A[boundary - 1])) > 1e-4
 
     def test_transition_is_matrix_exponential(self):
-        # integrator consistency: every A(k) equals expm of the frozen rates
-        spec = scenario("ltv")
-        model = ground_truth_ltv(spec)
-        for k in (0, 7, 123, 499):
-            A_c, _ = linearized_rates(spec, step_param_time(spec, k))
-            assert_allclose(model.A[k], expm(A_c * spec.dt), atol=1e-13)
+        # on every kind, each (A(k), B(k)) is, byte for byte, the ZOH of the
+        # reference rates frozen at the step's midpoint; A(k) is expm of them
+        for name in lb.BUILTIN_SCENARIOS:
+            spec = scenario(name)
+            model = ground_truth_ltv(spec)
+            for k in range(spec.n_steps):
+                A_c, B_c = reference_rates(spec, (k + 0.5) * spec.dt)
+                A, B = discretize(A_c, B_c, spec.dt)
+                assert_bytes_equal(model.A[k], A)
+                assert_bytes_equal(model.B[k], B)
+                if k % 100 == 7:
+                    assert_allclose(model.A[k], expm(A_c * spec.dt), atol=1e-13)
 
 
 class TestSpecValidation:
@@ -344,11 +398,6 @@ def tracking_policy(sched, ref):
     return lambda k, t, x: sched.u_ff[k, 0] - (sched.K[k] @ (x - ref.state_at(t, 2)))[0]
 
 
-def assert_bytes_equal(actual, expected):
-    assert actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
-
-
 # Linear-kind rollouts compose per-step maps, so they differ from the step loop
 # by rounding: at most this much relative to the largest entry.
 ROLLOUT_RTOL = 1e-12
@@ -382,14 +431,8 @@ def unstable_variant(spec):
 initial_states = st.tuples(
     st.floats(-2.5, 2.5, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False)
 )
-seeds = st.integers(0, 2**32 - 1)
 # chirp amplitudes well past the nl/nld saturation limit of 5
 amplitudes = st.floats(6.0, 12.0)
-
-
-# every generated example is a pair of 200-step rollouts: report failures
-# without shrinking them
-NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def saturating_chirp(amplitude):
@@ -487,6 +530,7 @@ class TestRolloutOracle:
 class TestStageTable:
     @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
     def test_rows_are_params_at_stage_times(self, name):
+        # against the reference law at the reference step's stage times
         spec = short_scenario(name, horizon=2.5)
         table = _stage_params(spec)
         h = spec.dt / RK4_SUBSTEPS
@@ -495,7 +539,11 @@ class TestStageTable:
         for k in range(spec.n_steps):
             for i in range(RK4_SUBSTEPS):
                 ti = times[k] + i * h
-                row = params_at(spec, ti) + params_at(spec, ti + 0.5 * h) + params_at(spec, ti + h)
+                row = (
+                    reference_params(spec, ti)
+                    + reference_params(spec, ti + 0.5 * h)
+                    + reference_params(spec, ti + h)
+                )
                 assert tuple(table[k, i].tolist()) == row
         if spec.kind in (Kind.NL, Kind.NLD):
             assert_bytes_equal(_substep_kernel(spec)[0], table)

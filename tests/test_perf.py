@@ -4,7 +4,9 @@ loss of one validation-sized set (8 trajectories x 500 steps), one
 ``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), one 3x3
 ``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, one
 ``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps,
-and one ``feedforward`` of the ``ltv`` linearization at 5000 steps.
+one ``feedforward`` of the ``ltv`` linearization at 5000 steps, and the
+``ltv`` time-law tables (RK4 stage parameters plus the ZOH linearization) at
+N=500 and N=5000.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -30,7 +32,7 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
-from ltvbench.dynamics import ground_truth_ltv, scenario, simulate
+from ltvbench.dynamics import RK4_SUBSTEPS, _stage_params, ground_truth_ltv, scenario, simulate
 from ltvbench.ident import (
     LtvModelsConfig,
     TveraConfig,
@@ -121,3 +123,15 @@ def test_feedforward(benchmark):
     ref = default_reference(spec.horizon)
     u_ff = benchmark.pedantic(feedforward, args=(model, ref), **ROUNDS)
     assert u_ff.shape == (5000, 1)
+
+
+@pytest.mark.parametrize("n", [500, 5000])
+def test_time_law_tables(benchmark, n):
+    spec = replace(scenario("ltv"), horizon=n * 0.02)
+
+    def tables():
+        return _stage_params(spec), ground_truth_ltv(spec)
+
+    stages, model = benchmark.pedantic(tables, **ROUNDS)
+    assert stages.shape == (n, RK4_SUBSTEPS, 9)
+    assert model.n_steps == n
