@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_TABLES = ("table1.csv", "table2.csv", "lambda_sweep.csv")
 GOLDEN_ECDFS = tuple(
