@@ -1,47 +1,48 @@
-"""LTV system identification: data checks, fits, rollouts, and tuning."""
+"""LTV system identification: data checks, fits, rollouts, and tuning.
 
-from .cosmic import CosmicConfig, cosmic_fit, cosmic_objective
-from .ltvmodels import LtvModelsConfig, ltvmodels_fit
-from .predict import (
-    per_trajectory_losses,
-    predict_rollout,
-    rollout_residuals,
-    trajectory_prediction_loss,
-)
-from .regression import ExcitationReport, check_excitation, lti_fit, perstep_ls_fit
-from .tridiag import apply_block_tridiag, solve_block_tridiag
-from .tuning import (
-    DEFAULT_LAMBDA_GRID,
-    LAMBDA_METHODS,
-    METHODS,
-    TuneResult,
-    fit_method,
-    tune,
-)
-from .tvera import TveraConfig, tvera_fit
+The exports are resolved on first use, so importing the package (as
+``ltvbench.control`` does for ``ident.regression``) loads no fit module.
+"""
 
-__all__ = [
-    "CosmicConfig",
-    "DEFAULT_LAMBDA_GRID",
-    "ExcitationReport",
-    "LAMBDA_METHODS",
-    "LtvModelsConfig",
-    "METHODS",
-    "TuneResult",
-    "TveraConfig",
-    "apply_block_tridiag",
-    "check_excitation",
-    "cosmic_fit",
-    "cosmic_objective",
-    "fit_method",
-    "lti_fit",
-    "ltvmodels_fit",
-    "per_trajectory_losses",
-    "perstep_ls_fit",
-    "predict_rollout",
-    "rollout_residuals",
-    "solve_block_tridiag",
-    "trajectory_prediction_loss",
-    "tune",
-    "tvera_fit",
-]
+from importlib import import_module
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "CosmicConfig": "cosmic",
+    "DEFAULT_LAMBDA_GRID": "tuning",
+    "ExcitationReport": "regression",
+    "LAMBDA_METHODS": "tuning",
+    "LtvModelsConfig": "ltvmodels",
+    "METHODS": "tuning",
+    "TuneResult": "tuning",
+    "TveraConfig": "tvera",
+    "apply_block_tridiag": "tridiag",
+    "check_excitation": "regression",
+    "cosmic_fit": "cosmic",
+    "cosmic_objective": "cosmic",
+    "fit_method": "tuning",
+    "lti_fit": "regression",
+    "ltvmodels_fit": "ltvmodels",
+    "per_trajectory_losses": "predict",
+    "perstep_ls_fit": "regression",
+    "predict_rollout": "predict",
+    "rollout_residuals": "predict",
+    "solve_block_tridiag": "tridiag",
+    "trajectory_prediction_loss": "predict",
+    "tune": "tuning",
+    "tvera_fit": "tvera",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

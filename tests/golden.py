@@ -18,7 +18,10 @@ The report goes to stdout; the exit code is 0 unless the arguments are bad.
 ``golden.json`` the toolchain that wrote them plus, for each ``ecdf_*.csv``
 (~550 kB each), its SHA-256, row count and a few quantiles per method.
 :func:`check_golden` compares a fresh run with them; ``--update`` rewrites
-them from RUN_DIR, for a change that moves cells on purpose.
+them from RUN_DIR, for a change that moves cells on purpose.  RUN_DIR must
+hold all eight artifacts and the ``manifest.json`` of a run at master seed 7
+(``ltvbench bench --suite S --seed 7 --out RUN_DIR`` for each suite);
+otherwise nothing is written and the exit code is 2.
 """
 
 import csv
@@ -205,24 +208,56 @@ def check_golden(run_dirs, golden_dir=GOLDEN_DIR) -> list:
     return lines
 
 
+def _update_problems(run_dir) -> list:
+    """Lines naming why ``run_dir`` cannot replace the golden set: a missing
+    artifact, or a manifest that is absent or not at master seed 7."""
+    run_dir = Path(run_dir)
+    lines = [
+        f"{name}: missing from {run_dir}"
+        for name in GOLDEN_TABLES + GOLDEN_ECDFS
+        if not (run_dir / name).is_file()
+    ]
+    manifest = run_dir / "manifest.json"
+    try:
+        seed = json.loads(manifest.read_text())["config"]["master_seed"]
+    except (OSError, ValueError, KeyError, TypeError):
+        lines.append(f"{manifest}: missing, or no config.master_seed in it")
+    else:
+        if seed != 7:
+            lines.append(f"{manifest}: master_seed {seed!r}, the golden set is at 7")
+    return lines
+
+
 def write_golden(run_dir, golden_dir=GOLDEN_DIR) -> None:
-    """Rewrite the golden set from a run directory holding all eight artifacts."""
+    """Rewrite the golden set from a run directory holding all eight artifacts
+    and the ``manifest.json`` of a run at master seed 7.
+
+    Raises ValueError naming every problem of :func:`_update_problems`, before
+    anything is written.
+    """
     run_dir, golden_dir = Path(run_dir), Path(golden_dir)
-    golden_dir.mkdir(parents=True, exist_ok=True)
-    for name in GOLDEN_TABLES:
-        shutil.copyfile(run_dir / name, golden_dir / name)
+    problems = _update_problems(run_dir)
+    if problems:
+        raise ValueError("\n".join(problems))
     payload = {
         "master_seed": 7,
         "toolchain": toolchain(),
         "ecdf": {name: ecdf_summary(run_dir / name) for name in GOLDEN_ECDFS},
     }
+    golden_dir.mkdir(parents=True, exist_ok=True)
+    for name in GOLDEN_TABLES:
+        shutil.copyfile(run_dir / name, golden_dir / name)
     (golden_dir / "golden.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 2 and args[0] == "--update" and Path(args[1]).is_dir():
-        write_golden(args[1])
+        try:
+            write_golden(args[1], GOLDEN_DIR)
+        except ValueError as exc:
+            print(f"golden set not updated:\n{exc}", file=sys.stderr)
+            return 2
         return 0
     if len(args) != 2 or not all(Path(a).is_dir() for a in args):
         print(

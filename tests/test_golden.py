@@ -3,6 +3,8 @@ hand-made tables."""
 
 import json
 
+import pytest
+
 from golden import GOLDEN_ECDFS, GOLDEN_TABLES, check_golden, diff_dirs, main, write_golden
 
 TABLE = (
@@ -54,9 +56,10 @@ def test_usage(tmp_path, capsys):
 ECDF = "method,value,fraction\ncosmic,0.1,0.5\ncosmic,0.2,1.0\nlti,0.3,1.0\n"
 
 
-def fake_run(tmp_path):
+def fake_run(tmp_path, master_seed=7):
     run = tmp_path / "run"
     run.mkdir()
+    (run / "manifest.json").write_text(json.dumps({"suite": "lambda", "config": {"master_seed": master_seed}}))
     for name in GOLDEN_TABLES:
         (run / name).write_text(TABLE)
     for name in GOLDEN_ECDFS:
@@ -88,3 +91,26 @@ def test_golden_names_every_difference(tmp_path):
     assert "ecdf_nl.csv: sha256 differs, 3 -> 3 rows" in lines
     assert any(line.startswith("  cosmic quantiles") for line in lines)
     assert not any(line.startswith(("table1", "ecdf_ltv")) for line in lines)
+
+
+@pytest.mark.parametrize("fault", ["ecdf_nld.csv", "table2.csv", "manifest.json", "seed"])
+def test_update_from_an_incomplete_run_writes_nothing(tmp_path, capsys, monkeypatch, fault):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / "table1.csv").write_text("old\n")
+    monkeypatch.setattr("golden.GOLDEN_DIR", golden)
+    run = fake_run(tmp_path, master_seed=8 if fault == "seed" else 7)
+    if fault != "seed":
+        (run / fault).unlink()
+    assert main(["--update", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert (fault if fault != "seed" else "master_seed 8") in err
+    assert [p.name for p in golden.iterdir()] == ["table1.csv"]
+    assert (golden / "table1.csv").read_text() == "old\n"
+
+
+def test_update_from_a_complete_run(tmp_path, monkeypatch):
+    monkeypatch.setattr("golden.GOLDEN_DIR", tmp_path / "golden")
+    run = fake_run(tmp_path)
+    assert main(["--update", str(run)]) == 0
+    assert check_golden([run], tmp_path / "golden") == []

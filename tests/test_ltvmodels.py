@@ -93,6 +93,37 @@ class TestCertificate:
         assert gap == pytest.approx((total - dual) / total, rel=1e-8)
 
 
+class TestNewtonSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        p=st.integers(1, 2),
+        log_lam=st.floats(-4.0, 4.0),
+    )
+    def test_jumping_fits_converge_within_the_default_cap(self, seed, n, p, log_lam):
+        fit = ltvmodels_fit(jumping_trajectory(seed, n, p), LtvModelsConfig(lam=10.0**log_lam))
+        assert fit.info["converged"]
+        assert fit.info["iterations"] < LtvModelsConfig().max_iter
+
+    # Steps of the dual-estimate Newton method; the barrier-Hessian method it
+    # replaced took 35, 46 and 67.
+    @pytest.mark.parametrize(
+        "kind, seed, noise, lam, bound",
+        [
+            ("ltv", 3, 1e-3, 0.1, 25),             # 22
+            ("ltv", 2, 1e-3, 0.01, 24),            # 21
+            ("inst-reconfig", 4, 0.0, 0.01, 42),   # 37
+        ],
+    )
+    def test_iterating_fits_take_few_steps(self, kind, seed, noise, lam, bound):
+        truth = ground_truth_ltv(scenario(kind))
+        traj = model_trajectories(truth, 1, seed=seed, noise=noise)[0]
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+        assert fit.info["converged"]
+        assert 0 < fit.info["iterations"] <= bound
+
+
 class TestScreening:
     def test_pooled_fit_is_exact_from_the_largest_prefix_gradient(self):
         truth = ground_truth_ltv(scenario("ltv"))
@@ -183,6 +214,17 @@ class TestLtvModelsFit:
         assert full.info["converged"] and full.info["iterations"] > 3
         excess = (fit.info["objective"][-1] - full.info["objective"][-1]) / fit.info["objective"][-1]
         assert excess <= fit.info["gap"]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, None])
+    def test_info_holds_python_scalars(self, constant_model, max_iter):
+        traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
+        cfg = LtvModelsConfig(lam=0.05, **({} if max_iter is None else {"max_iter": max_iter}))
+        info = ltvmodels_fit(traj, cfg).info
+        assert type(info["converged"]) is bool
+        assert info["converged"] is (max_iter is None)
+        assert type(info["gap"]) is float
+        assert type(info["iterations"]) is int
+        assert all(type(value) is float for value in info["objective"])
 
     def test_indefinite_newton_system_returns_the_incumbent(self, monkeypatch):
         truth = ground_truth_ltv(scenario("ltv"))
