@@ -31,6 +31,7 @@ from .control import (
 from .datagen import (
     Split,
     build_dataset,
+    chirp,
     default_excitations,
     load_dataset,
     save_dataset,
@@ -86,15 +87,14 @@ def _manifest_for_file(out: Path) -> Path:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.scenario)
+    times = np.arange(spec.n_steps) * spec.dt
     if args.input == "chirp":
         ex = default_excitations(spec.horizon)[Split.TRAIN]
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 99]))
-        from .datagen import chirp as chirp_fn
-
-        signal = lambda t: chirp_fn(ex, t, rng)
+        inputs = chirp(ex, times, rng)
     else:
-        signal = lambda t: 0.0
-    traj = simulate(spec, _parse_x0(args.x0), signal, seed=args.seed)
+        inputs = np.zeros(len(times))
+    traj = simulate(spec, _parse_x0(args.x0), inputs, seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)
     _write_manifest(_manifest_for_file(out), "simulate", vars(args))

@@ -55,24 +55,35 @@ class ExcitationSpec:
     noise_var: float = 0.0     # variance of the additive input disturbance
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        # written so that NaN fails every check
+        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
         if not 0 < self.omega0 <= self.omega1:
             raise ValueError(
                 f"need 0 < omega0 <= omega1, got ({self.omega0}, {self.omega1})"
             )
-        if self.noise_var < 0:
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
+        if not self.noise_var >= 0:
             raise ValueError(f"noise variance must be >= 0, got {self.noise_var}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
 
 
-def chirp(ex: ExcitationSpec, t: float, rng: np.random.Generator | None = None) -> float:
-    """Disturbed chirp sample: A*sin(((w1-w0)/T) t^2 + w0 t + phase) + noise."""
+def chirp(ex: ExcitationSpec, t, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Disturbed chirp A*sin(((w1-w0)/T) t^2 + w0 t + phase) + noise at the times ``t``.
+
+    ``t`` is a float or an array of times; the result has the shape of ``t``.
+    With ``rng`` and a positive ``noise_var`` the noise is one vector draw of
+    ``rng.normal``, equal to one scalar draw per sample in order; otherwise
+    nothing is drawn.  ``np.sin`` and the float order of the argument make
+    each sample bit-equal to the same law on Python floats (``math.sin``).
+    """
+    t = np.asarray(t, dtype=float)
     arg = (ex.omega1 - ex.omega0) / ex.duration * t * t + ex.omega0 * t + ex.phase
-    u = ex.amplitude * math.sin(arg)
+    u = ex.amplitude * np.sin(arg)
     if rng is not None and ex.noise_var > 0:
-        u += rng.normal(0.0, math.sqrt(ex.noise_var))
+        u += rng.normal(0.0, math.sqrt(ex.noise_var), size=t.shape)
     return u
 
 
@@ -121,15 +132,16 @@ def _display_seed(seq: np.random.SeedSequence) -> int:
 def _experiment(spec, seq, setup, noise_var):
     """Simulate the experiment seeded by ``seq``.
 
-    ``setup(init_rng, input_rng)`` draws the initial state and returns it with
-    the input signal.  Measured states (``noise_var`` not None) are flagged
-    noisy and carry measurement noise of that variance.
+    ``setup(init_rng, input_rng, times)`` draws the initial state and the
+    inputs at the step ``times``; the process generator draws the kicks.
+    Measured states (``noise_var`` not None) are flagged noisy and carry
+    measurement noise of that variance.
     """
     init_rng, input_rng, process_rng, noise_rng = (
         np.random.default_rng(c) for c in seq.spawn(4)
     )
-    x0, signal = setup(init_rng, input_rng)
-    traj = simulate(spec, x0, signal, seed=process_rng)
+    x0, inputs = setup(init_rng, input_rng, np.arange(spec.n_steps) * spec.dt)
+    traj = simulate(spec, x0, inputs, seed=process_rng)
     traj.seed = _display_seed(seq)
     if noise_var is not None:
         traj.noisy = True
@@ -140,15 +152,15 @@ def _experiment(spec, seq, setup, noise_var):
     return traj
 
 
-def _free_response(init_rng, input_rng):
-    return init_rng.uniform(-1.0, 1.0, size=2), lambda t: 0.0
+def _free_response(init_rng, input_rng, times):
+    return init_rng.uniform(-1.0, 1.0, size=2), np.zeros(len(times))
 
 
 def _chirp_response(ex: ExcitationSpec):
-    def setup(init_rng, input_rng):
+    def setup(init_rng, input_rng, times):
         x0 = init_rng.uniform(-1.0, 1.0, size=2)
         ex_t = replace(ex, phase=init_rng.uniform(0.0, 2.0 * math.pi))
-        return x0, lambda t: chirp(ex_t, t, input_rng)
+        return x0, chirp(ex_t, times, input_rng)
 
     return setup
 
@@ -224,8 +236,8 @@ def tvera_experiments(
     start at rest and receive unit-variance white-noise inputs.  States carry
     training measurement noise.
     """
-    def random_input(init_rng, input_rng):
-        return np.zeros(2), lambda t: input_rng.normal(0.0, 1.0)
+    def random_input(init_rng, input_rng, times):
+        return np.zeros(2), input_rng.normal(0.0, 1.0, size=len(times))
 
     labels = ("free",) * n_free + ("random",) * n_forced
     trajs = [

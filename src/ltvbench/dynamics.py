@@ -27,8 +27,10 @@ reconfiguration) a step is one affine map of ``(x1, x2, u)``, bit-equal to the
 reference RK4 step on the basis vectors, so rollouts differ from stepping the
 reference in a loop by rounding only; on the saturated plants (``nl``,
 ``nld``) they are bit-identical to it.  The reference step lives in the tests
-(``tests/conftest.py``).  Per step the random draws come in a fixed order:
-the input's own draws, then the ``nld`` kick, then the frame-boundary kick.
+(``tests/conftest.py``).  The caller draws the inputs of an open-loop rollout
+from its own generator and passes them as an array; the process generator
+draws only the kicks, all before the first step (:func:`_kicks`): one ``nld``
+kick per step, or one kick per frame boundary in step order.
 """
 
 from __future__ import annotations
@@ -378,39 +380,59 @@ def _substep_kernel(spec: ScenarioSpec):
     return stages, advance
 
 
-def _rollout(spec, x0, control, rng, guard: float = math.inf):
-    """Shared integration loop: ``control(k, t, x1, x2)`` supplies the input.
+def _kicks(spec: ScenarioSpec, rng) -> tuple:
+    """The process generator's draws for one rollout, made up front.
 
-    Each step is one ``advance`` call of the spec's :func:`_substep_kernel`
-    on Python floats and the step's row of its cached table.  Per step the
-    random draws are, in order: whatever ``control`` draws, the ``nld`` kick,
-    the boundary kick.  Reconfiguration velocity kicks are applied to the
-    state exactly when a step lands on a frame boundary; the recorded state at
-    that time includes the kick.  A state exceeding ``guard`` raises
-    :class:`InstabilityError` carrying the partial trajectory.
+    Returns ``(nld, boundary)``: the ``nld`` kick of every step as a list (or
+    None), and ``{step: velocity kick}`` for the frame boundaries.  No kind
+    has both, and a vector draw equals the same number of scalar draws, so
+    the values are those of drawing each kick at its step.
     """
-    n = spec.n_steps
-    times = np.arange(n + 1) * spec.dt
-    kick_steps = _kick_step_indices(spec)
+    if rng is None:
+        return None, {}
+    nld = None
+    if spec.kind is Kind.NLD and spec.dist_sigma:
+        nld = rng.normal(0.0, spec.dist_sigma, size=spec.n_steps).tolist()
+    steps = sorted(_kick_step_indices(spec)) if spec.kick_sigma else []
+    return nld, dict(zip(steps, rng.normal(0.0, spec.kick_sigma, size=len(steps)).tolist()))
+
+
+def _initial_state(x0) -> tuple:
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
+    return float(x[0]), float(x[1])
+
+
+def _rollout(spec, x0, control, rng, guard: float = math.inf):
+    """Kernel loop: ``control(k, t, x1, x2)`` supplies the input.
+
+    It runs every closed loop, and the open-loop rollouts of the saturated
+    kinds (their inputs looked up by step).
+
+    Each step is one ``advance`` call of the spec's :func:`_substep_kernel`
+    on Python floats and the step's row of its cached table.  The kicks come
+    from :func:`_kicks`; ``control`` may draw from generators of its own.
+    Reconfiguration velocity kicks are applied to the state exactly when a
+    step lands on a frame boundary; the recorded state at that time includes
+    the kick.  A state exceeding ``guard`` raises :class:`InstabilityError`
+    carrying the partial trajectory.
+    """
+    n = spec.n_steps
+    times = np.arange(n + 1) * spec.dt
+    x1, x2 = _initial_state(x0)
     table, advance = _substep_kernel(spec)
-    normal = rng.normal if rng is not None else None
-    nld_sigma = spec.dist_sigma if spec.kind is Kind.NLD and rng is not None else 0.0
-    kick_sigma = spec.kick_sigma if rng is not None else 0.0
-    x1, x2 = float(x[0]), float(x[1])
+    nld, boundary = _kicks(spec, rng)
     states = [(x1, x2)]
     inputs = []
     for k, t in enumerate(times[:-1].tolist()):
         u = float(control(k, t, x1, x2))
         inputs.append(u)
-        kick = normal(0.0, nld_sigma) if nld_sigma else 0.0
-        x1, x2 = advance(table[k].tolist(), x1, x2, u, kick)
+        x1, x2 = advance(table[k].tolist(), x1, x2, u, nld[k] if nld else 0.0)
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise IntegrationError(f"non-finite state after step at t={t}")
-        if kick_sigma and (k + 1) in kick_steps:
-            x2 += normal(0.0, kick_sigma)
+        if k + 1 in boundary:
+            x2 += boundary[k + 1]
         states.append((x1, x2))
         if abs(x1) > guard or abs(x2) > guard:
             raise InstabilityError(
@@ -422,19 +444,48 @@ def _rollout(spec, x0, control, rng, guard: float = math.inf):
     return times, np.array(states), np.array(inputs).reshape(n, 1)
 
 
-def simulate(spec: ScenarioSpec, x0, input_signal, seed=None) -> Trajectory:
-    """Integrate the plant open loop under ``input_signal(t)``.
+def simulate(spec: ScenarioSpec, x0, inputs, seed=None) -> Trajectory:
+    """Integrate the plant open loop, holding ``inputs[k]`` over step k.
 
-    ``seed`` may be an int or a numpy Generator; omitted, all stochastic
-    terms are zero.  Two calls with identical seeds and specs are
-    bitwise-identical.
+    ``inputs`` holds the ``spec.n_steps`` inputs, shape (N,) or (N, 1); the
+    caller draws any randomness in them.  ``seed`` (an int or a numpy
+    Generator) drives the kicks only; omitted, there are none.  Two calls
+    with identical inputs, seeds and specs are bitwise-identical.  On the
+    linear kinds a step is the inlined affine map of the step-map table.
     """
+    n = spec.n_steps
+    u = np.array(inputs, dtype=float)
+    if u.shape not in ((n,), (n, 1)):
+        raise ValueError(f"need {n} inputs, shape ({n},) or ({n}, 1), got {u.shape}")
+    u = u.reshape(n)
     rng = np.random.default_rng(seed) if seed is not None else None
-    times, states, inputs = _rollout(spec, x0, lambda k, t, x1, x2: input_signal(t), rng)
+    if spec.kind in _SATURATED_KINDS:
+        held = u.tolist()
+        times, states, _ = _rollout(spec, x0, lambda k, t, x1, x2: held[k], rng)
+    else:
+        times = np.arange(n + 1) * spec.dt
+        x1, x2 = _initial_state(x0)
+        _, boundary = _kicks(spec, rng)
+        m00, m01, g0, m10, m11, g1 = _substep_kernel(spec)[0].T
+        steps = zip(
+            m00.tolist(), m01.tolist(), (g0 * u).tolist(),
+            m10.tolist(), m11.tolist(), (g1 * u).tolist(),
+        )
+        isfinite = math.isfinite
+        x1s, x2s = [x1], [x2]
+        for k, (a, b, c, d, e, f) in enumerate(steps, 1):
+            x1, x2 = a * x1 + b * x2 + c, d * x1 + e * x2 + f
+            if not (isfinite(x1) and isfinite(x2)):
+                raise IntegrationError(f"non-finite state after step at t={float(times[k - 1])}")
+            if k in boundary:
+                x2 += boundary[k]
+            x1s.append(x1)
+            x2s.append(x2)
+        states = np.column_stack((x1s, x2s))
     return Trajectory(
         times=times,
         states=states,
-        inputs=inputs,
+        inputs=u[:, None],
         seed=seed if isinstance(seed, int) else None,
     )
 

@@ -10,13 +10,11 @@ from importlib import import_module
 _EXPORTS = {
     "CosmicConfig": "cosmic",
     "DEFAULT_LAMBDA_GRID": "tuning",
-    "ExcitationReport": "regression",
     "LAMBDA_METHODS": "tuning",
     "LtvModelsConfig": "ltvmodels",
     "METHODS": "tuning",
     "TuneResult": "tuning",
     "TveraConfig": "tvera",
-    "apply_block_tridiag": "tridiag",
     "check_excitation": "regression",
     "cosmic_fit": "cosmic",
     "cosmic_objective": "cosmic",

@@ -61,10 +61,15 @@ and on Table 1's lambda grid at master seed 7 the 45 fits take 604 Newton
 steps instead of 1010.
 
 Each Newton step is one banded Cholesky of the block-tridiagonal matrix,
-whose (dp x dp) blocks are full; steps are damped by backtracking on the
-barrier, and mu is divided by 10 once a centering ends.  Every iterate is
-shifted and certified, and the fit stops as soon as the incumbent (the
-lowest-objective iterate, which is returned) has gap <= tol.  ``info``
+whose (dp x dp) blocks are full (LAPACK ``dpbtrf`` on the band that
+:func:`~.tridiag.factor_block_tridiag` assembles); the blocks of the matrix
+are built with the step index last, so their products run along N.  Steps
+are damped by backtracking on the barrier, starting from the barrier value
+the step computed at the iterate, and mu is divided by 10 once a centering
+ends.  Every iterate is shifted and certified, reusing the residual of the
+accepted trial point and the fit's constants ``v^T v`` and ``2 v``, and the
+fit stops as soon as the incumbent (the lowest-objective iterate, which is
+returned) has gap <= tol.  ``info``
 holds ``gap`` (a float), ``converged`` (a bool, gap <= tol),
 ``iterations`` (Newton steps) and ``objective``, the incumbent objective
 after the start and after each step, which is monotone by construction.
@@ -115,19 +120,26 @@ def certify(blocks, vt, yt, lam) -> tuple:
     and the relative duality gap of the module docstring, which is at least
     (P - P*) / P.
     """
-    residual = _residual(blocks, vt, yt)
-    shift = np.linalg.solve(vt.T @ vt, -(vt.T @ residual))
+    return _certify(blocks, _residual(blocks, vt, yt), vt, vt.T @ vt, 2.0 * vt.T, lam)
+
+
+def _certify(blocks, residual, vt, gram, two_v, lam) -> tuple:
+    """:func:`certify` given the residual of ``blocks`` and the fit's constants
+    ``gram = vt^T vt`` and ``two_v = 2 vt^T``, which a fit computes once."""
+    shift = np.linalg.solve(gram, -(vt.T @ residual))
     blocks = blocks + shift
     residual = residual + vt @ shift
-    prefix = np.cumsum(2.0 * vt[:, :, None] * residual[:, None, :], axis=0)
+    # prefix sums of the fit gradients, formed with the step index last
+    prefix = np.cumsum(two_v[:, None] * residual.T[None], axis=2)[:, :, :-1]
+    prefix = prefix.transpose(2, 0, 1).copy()
     jumps = blocks[1:] - blocks[:-1]
     jump_norms = _norms(jumps)
-    top = float(_norms(prefix[:-1]).max())
+    top = float(_norms(prefix).max())
     a = 1.0 if top <= lam else lam / top
-    fit = float(np.sum(residual**2))
-    objective = fit + lam * float(np.sum(jump_norms))
+    fit = float((residual**2).sum())
+    objective = fit + lam * float(jump_norms.sum())
     slack = (1.0 - a) ** 2 * fit + float(
-        np.sum(lam * jump_norms - a * np.sum(jumps * prefix[:-1], axis=(1, 2)))
+        (lam * jump_norms - a * (jumps * prefix).sum(axis=(1, 2))).sum()
     )
     return blocks, objective, (slack / objective if objective > 0 else 0.0)
 
@@ -137,13 +149,13 @@ def _dual_step(w, dw, lam) -> float:
     # Positive root of ||w + s dw||^2 = lam^2 per jump, in a form free of
     # cancellation; a jump that never reaches the sphere gives inf, and one
     # already on it (rounding) gives nan, read as no room to move.
-    a = np.sum(dw**2, axis=1)
-    b = np.sum(w * dw, axis=1)
-    room = lam**2 - np.sum(w**2, axis=1)
+    a = (dw**2).sum(axis=1)
+    b = (w * dw).sum(axis=1)
+    room = lam**2 - (w**2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(b**2 + a * room)
         reach = np.where(b < 0.0, (root - b) / a, room / (b + root))
-    return min(1.0, 0.99 * float(np.nan_to_num(reach, nan=0.0).min()))
+    return min(1.0, 0.99 * float(np.nan_to_num(reach, nan=0.0, copy=False).min()))
 
 
 def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
@@ -171,39 +183,52 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     yt = xn[:, 0, :]                  # (N, p)
     lam = float(cfg.lam)
 
+    # Elementwise products (the Newton matrix among them) are formed with the
+    # step index last, e.g. (m, m, N), so they run along N.  Every sum stays
+    # in the (N, m) layout, which fixes its order of addition.
     # Fit Hessian of each block, flattened row-major: 2 v v^T (x) I_p.
-    fit_hess = 2.0 * np.einsum("ti,tk,jl->tijkl", vt, vt, np.eye(p)).reshape(n, m, m)
-    eye = np.eye(m)
+    fit_hess = 2.0 * np.einsum("ti,tk,jl->ijklt", vt, vt, np.eye(p)).reshape(m, m, n)
+    gram = vt.T @ vt
+    two_v = 2.0 * vt.T.copy()
 
     def barrier(blocks, mu):
+        """The barrier objective at ``blocks`` and their residual."""
         z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
-        q = np.hypot(1.0, (lam / mu) * np.sqrt(np.sum(z**2, axis=1)))
-        return float(np.sum(_residual(blocks, vt, yt) ** 2)) + mu * float(
-            np.sum(q - np.log1p(q))
-        )
+        q = np.hypot(1.0, (lam / mu) * np.sqrt((z**2).sum(axis=1)))
+        residual = _residual(blocks, vt, yt)
+        return float((residual**2).sum()) + mu * float((q - np.log1p(q)).sum()), residual
 
     def newton_step(blocks, mu, w):
         """Newton direction of the barrier objective, its squared decrement,
-        and the direction of the dual estimate ``w``."""
+        the direction of the dual estimate ``w``, and the barrier at ``blocks``."""
         z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
         ratio = lam / mu
-        q = np.hypot(1.0, ratio * np.sqrt(np.sum(z**2, axis=1)))
+        q = np.hypot(1.0, ratio * np.sqrt((z**2).sum(axis=1)))
         c = lam * ratio / (1.0 + q)
-        grad = (2.0 * vt[:, :, None] * _residual(blocks, vt, yt)[:, None, :]).reshape(n, m)
-        grad[1:] += c[:, None] * z
-        grad[:-1] -= c[:, None] * z
+        residual = _residual(blocks, vt, yt)
+        value = float((residual**2).sum()) + mu * float((q - np.log1p(q)).sum())
+        z_cols, w_cols = z.T.copy(), w.T.copy()
+        grad = (two_v[:, None] * residual.T[None]).reshape(m, n)
+        cz = c * z_cols
+        grad[:, 1:] += cz
+        grad[:, :-1] -= cz
+        grad = grad.T.copy()
         # Edge block c (I - (w z^T + z w^T) / (2 mu q)); at w = c z it is the
         # barrier's own Hessian, and it is positive definite while ||w|| < lam.
-        scale = (c / (2.0 * mu * q))[:, None, None]
-        cross = w[:, :, None] * z[:, None, :]
-        edge = c[:, None, None] * eye - scale * (cross + cross.transpose(0, 2, 1))
-        diag = fit_hess.copy()
-        diag[1:] += edge
-        diag[:-1] += edge
-        step = -banded_solve(factor_block_tridiag(diag, -edge), grad[:, :, None])[:, :, 0]
+        cross = w_cols[:, None] * z_cols[None]
+        edge = np.zeros((m, m, n - 1))
+        edge.reshape(m * m, n - 1)[:: m + 1] = c   # c I: entry (i, i) is row i (m + 1)
+        edge -= (c / (2.0 * mu * q)) * (cross + cross.transpose(1, 0, 2))
+        diag = np.empty((m, m, n))
+        diag[:, :, 0] = fit_hess[:, :, 0]
+        np.add(fit_hess[:, :, 1:], edge, out=diag[:, :, 1:])
+        diag[:, :, :-1] += edge
+        fact = factor_block_tridiag(diag.transpose(2, 0, 1), (-edge).transpose(2, 0, 1))
+        step = -banded_solve(fact, grad[:, :, None])[:, :, 0]
         dz = step[1:] - step[:-1]
-        dw = c[:, None] * (dz + z) - w - (c / (mu * q) * np.sum(z * dz, axis=1))[:, None] * w
-        return step.reshape(n, d, p), -float(np.sum(grad * step)), dw
+        along = c / (mu * q) * (z * dz).sum(axis=1)
+        dw = c * (dz.T + z_cols) - w_cols - along * w_cols
+        return step.reshape(n, d, p), -float((grad * step).sum()), dw.T.copy(), value
 
     blocks, best_obj, gap = certify(np.zeros((n, d, p)), vt, yt, lam)
     best = blocks
@@ -215,17 +240,20 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     iterations = 0
     while gap > cfg.tol and iterations < cfg.max_iter:
         try:
-            step, decrement, dw = newton_step(blocks, mu, w)
+            step, decrement, dw, value = newton_step(blocks, mu, w)
         except NumericalError:
             break   # the Newton system lost definiteness in rounding at a very small mu
         iterations += 1
         w += _dual_step(w, dw, lam) * dw
-        value = barrier(blocks, mu)
         t = 1.0
-        while t >= _MIN_STEP and barrier(blocks + t * step, mu) > value - _ARMIJO * t * decrement:
+        while t >= _MIN_STEP:
+            trial = blocks + t * step
+            trial_value, residual = barrier(trial, mu)
+            if not trial_value > value - _ARMIJO * t * decrement:
+                break
             t *= 0.5
         if t >= _MIN_STEP:
-            blocks, obj, obj_gap = certify(blocks + t * step, vt, yt, lam)
+            blocks, obj, obj_gap = _certify(trial, residual, vt, gram, two_v, lam)
             if obj < best_obj:
                 best, best_obj, gap = blocks, obj, obj_gap
         # Centered once the decrease left to take, about decrement / 2, is

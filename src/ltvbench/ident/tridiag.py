@@ -5,8 +5,9 @@ matrix, given its diagonal blocks D[k] (size m) and the upper blocks E[k]
 that couple step k to step k+1.  An upper block is either a full m x m
 matrix, giving a band of half-bandwidth 2m-1 (the Newton systems of the
 ``ltvmodels`` fit), or a diagonal stored as a length-m vector, giving
-half-bandwidth m.  Both are factored by LAPACK's banded Cholesky in
-O(N m u^2) for half-bandwidth u, i.e. linear in the number of blocks, and a
+half-bandwidth m.  Both are factored by LAPACK's banded Cholesky
+(``dpbtrf``, called directly, then ``dpbtrs`` per solve) in O(N m u^2) for
+half-bandwidth u, i.e. linear in the number of blocks, and a
 factorization can be reused across right-hand sides.
 
 The chain-coupled system of the cosmic fit,
@@ -22,8 +23,7 @@ carry multiple columns.  :func:`banded_factor` assembles it.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from ..exceptions import NumericalError
 
@@ -67,33 +67,23 @@ def factor_block_tridiag(diag, upper):
     n, m = diag.shape[:2]
     full = upper.ndim == 3
     u = 2 * m - 1 if full else m
-    nm = n * m
-    # Entry (row, col) of the matrix sits at ab[u + row - col, col].  ab gets
-    # m - 1 spare rows below the band, where the lower triangles of the
-    # diagonal blocks land; they are dropped before factoring.
-    ab = np.zeros((u + m, nm))
-    size = ab.itemsize
-
-    def blocks_at(row, col, count):
-        # View whose [k, i, j] is ab[row + i - j, col + k m + j]; every such
-        # position lies inside ab for the callers below.
-        return as_strided(
-            ab[row:, col:], (count, m, m), (m * size, nm * size, (1 - nm) * size)
-        )
-
-    blocks_at(u, 0, n)[...] = diag
-    if n > 1:
+    # Entry (row, col), row <= col, of the matrix sits at band[col, u + row - col],
+    # so band.T is the column-major upper band that LAPACK factors in place;
+    # cols[k, j] is column k m + j.  Lower triangles are never written.
+    band = np.zeros((n * m, u + 1))
+    cols = band.reshape(n, m, u + 1)
+    for j in range(m):
+        cols[:, j, u - j :] = diag[:, : j + 1, j]   # rows k m .. k m + j
         if full:
-            blocks_at(u - m, m, n - 1)[...] = upper
-        else:
-            ab[0, m:] = upper.reshape(-1)
-    ab = ab[: u + 1]
+            cols[1:, j, u - m - j : u - j] = upper[:, :, j]   # rows (k-1) m + 0..m-1
+    if not full:
+        cols[1:, :, 0] = upper
+    ab = band.T
     if not np.all(np.isfinite(ab)):
         raise NumericalError("block-tridiagonal system has non-finite entries")
-    try:
-        cb = cholesky_banded(ab, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("banded factorization failed; system not PD") from exc
+    cb, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"banded factorization failed (LAPACK info {info}); system not PD")
     return cb, n, m
 
 
@@ -118,7 +108,9 @@ def banded_solve(fact, rhs) -> np.ndarray:
     cb, n, d = fact
     rhs = np.asarray(rhs, dtype=float)
     cols = rhs.shape[2]
-    out = cho_solve_banded((cb, False), rhs.reshape(n * d, cols), check_finite=False)
+    out, info = dpbtrs(cb, rhs.reshape(n * d, cols), lower=0)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} to LAPACK dpbtrs")
     return out.reshape(n, d, cols)
 
 

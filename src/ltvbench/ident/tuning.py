@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import RECORDED_ERRORS, NumericalError, TuningError
+from ..exceptions import RECORDED_ERRORS, TuningError
 from ..models import LtvModel
 from .cosmic import CosmicConfig, cosmic_fit
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
@@ -68,28 +68,41 @@ def _grid_sorted(grid) -> list:
 
 
 def tune(method: str, grid, train_data, validation_data) -> TuneResult:
-    """Fit each grid point on the training data, score it by the validation
-    rollout loss, and return the winner (ties go to the later/larger point).
-    A point whose fit fails or whose loss is not finite is recorded as failed
-    and never wins."""
+    """Fit each grid point on the training data, score the fitted models by
+    the validation rollout loss in one batched rollout, and return the winner
+    (ties go to the later/larger point).  A point whose fit fails or whose
+    loss is not finite is recorded as failed and never wins."""
     points = _grid_sorted(grid)
     if not points:
         raise ValueError("empty hyperparameter grid")
     val_trajs = trajectories_of(validation_data)
+    fitted, errors = {}, {}
+    for i, params in enumerate(points):
+        try:
+            fitted[i] = fit_method(method, train_data, params)
+        except RECORDED_ERRORS as exc:   # recorded, the sweep continues
+            errors[i] = str(exc)
+    losses = {}
+    if fitted:
+        try:
+            scored = trajectory_prediction_loss(list(fitted.values()), val_trajs)
+        except RECORDED_ERRORS as exc:   # the set itself cannot be scored
+            errors.update(dict.fromkeys(fitted, str(exc)))
+        else:
+            for i, loss in zip(fitted, scored.tolist()):
+                if np.isfinite(loss):
+                    losses[i] = loss
+                else:
+                    errors[i] = f"validation loss is {loss}"
     rows = []
     best = None
-    for params in points:
-        try:
-            model = fit_method(method, train_data, params)
-            loss = trajectory_prediction_loss(model, val_trajs)
-            if not np.isfinite(loss):
-                raise NumericalError(f"validation loss is {loss}")
-        except RECORDED_ERRORS as exc:   # recorded, the sweep continues
-            rows.append(GridPoint(params=params, loss=None, error=str(exc)))
+    for i, params in enumerate(points):
+        if i not in losses:
+            rows.append(GridPoint(params=params, loss=None, error=errors[i]))
             continue
-        rows.append(GridPoint(params=params, loss=loss))
-        if best is None or loss <= best[0]:
-            best = (loss, params, model)
+        rows.append(GridPoint(params=params, loss=losses[i]))
+        if best is None or losses[i] <= best[0]:
+            best = (losses[i], params, fitted[i])
     if best is None:
         raise TuningError(
             f"every {method} grid point failed to fit",

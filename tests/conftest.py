@@ -1,6 +1,6 @@
 """Shared helpers: exact data generated by iterating a discrete LTV model, a
-reader for saved gain schedules, and the reference time law and RK4 step of
-the ground-truth plants."""
+reader for saved gain schedules, the reference time law and RK4 step of the
+ground-truth plants, and the reference chirp."""
 
 import math
 
@@ -170,3 +170,17 @@ def step_rk4(
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise IntegrationError(f"non-finite state after step at t={t}")
     return np.array([x1, x2])
+
+
+def reference_chirp(ex, t: float, rng: np.random.Generator | None = None) -> float:
+    """One disturbed chirp sample on Python floats: ``math.sin`` and, with
+    ``rng`` and a positive ``noise_var``, one scalar ``rng.normal`` draw.
+
+    The oracle that ``datagen.chirp`` on an array of times must match byte
+    for byte, drawing the same values from the generator.
+    """
+    arg = (ex.omega1 - ex.omega0) / ex.duration * t * t + ex.omega0 * t + ex.phase
+    u = ex.amplitude * math.sin(arg)
+    if rng is not None and ex.noise_var > 0:
+        u += rng.normal(0.0, math.sqrt(ex.noise_var))
+    return u

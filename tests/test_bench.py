@@ -1,11 +1,18 @@
+import importlib
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ltvbench.bench as bench
+import ltvbench.datagen as datagen
 import ltvbench.ident.tuning as tuning
+from ltvbench.datagen import Split
+from ltvbench.dynamics import scenario
 from conftest import model_trajectories
 from ltvbench.bench import (
     BenchConfig,
@@ -180,15 +187,36 @@ def test_ecdf_cosmic_dominates_realization_baseline():
 
 
 def _count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument of every call: a spec's name, or a method."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(getattr(args[0], "name", args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _benchmark_modules() -> tuple:
+    """``benchmarks/layers.py`` and ``benchmarks/workloads.py``, loaded from
+    their files without writing bytecode next to them."""
+    modules = []
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        for name in ("layers", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCHMARKS / f"{name}.py")
+            module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            modules.append(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return tuple(modules)
 
 
 class TestPipeline:
@@ -209,6 +237,35 @@ class TestPipeline:
         names = list(self.CFG.scenarios[:1] if suite == "lambda" else self.CFG.scenarios)
         assert datasets == names
         assert experiments == names * tvera_builds
+
+    def test_benchmark_call_paths_resolve(self):
+        # the benchmark traces these bindings; each must still name a function
+        layers, workloads = _benchmark_modules()
+        for module, attr, _, _ in layers.call_paths(workloads):
+            if isinstance(module, str):
+                module = importlib.import_module(module)
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_one_simulate_call_per_trajectory(self, monkeypatch):
+        # the benchmark counts simulate calls as trajectories
+        calls = _count_calls(monkeypatch, datagen, "simulate")
+        spec = scenario("nl")
+        splits = datagen.build_dataset(
+            spec, datagen.default_excitations(spec.horizon), counts=(3, 2, 2), n_free=1
+        )
+        assert calls == ["nl"] * sum(len(ds) for ds in splits.values()) == ["nl"] * 9
+        calls.clear()
+        assert len(datagen.tvera_experiments(spec, n_free=2, n_forced=3)) == len(calls) == 5
+
+    def test_one_fit_call_per_grid_point(self, monkeypatch):
+        # the benchmark counts fit_method calls as fits; scoring is batched
+        fits = _count_calls(monkeypatch, tuning, "fit_method")
+        scored = _count_calls(monkeypatch, tuning, "trajectory_prediction_loss")
+        _, _, splits = bench._scenario_data("ltv", self.CFG)
+        grid = bench.method_grid("ltvmodels", self.CFG)
+        tuning.tune("ltvmodels", grid, splits[Split.TRAIN], splits[Split.VALIDATION])
+        assert fits == ["ltvmodels"] * len(grid) == ["ltvmodels"] * 3
+        assert len(scored) == 1 and len(scored[0]) == len(grid)
 
     def test_ecdf_parallel_workers_write_same_bytes(self, tmp_path):
         run_bench("ecdf", self.CFG, tmp_path / "seq")

@@ -178,7 +178,7 @@ class TestClosedLoop:
         sched = GainSchedule(K=np.zeros((n, 1, 2)), u_ff=np.zeros((n, 1)))
         ref = default_reference(spec.horizon)
         a = closed_loop(spec, sched, ref, np.array([0.5, 0.0]), seed=9)
-        b = simulate(spec, np.array([0.5, 0.0]), lambda t: 0.0, seed=9)
+        b = simulate(spec, np.array([0.5, 0.0]), np.zeros(n), seed=9)
         assert a == b
 
     def test_identical_seeds_identical_runs(self):

@@ -1,14 +1,16 @@
 import csv
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from conftest import step_rk4
+from conftest import reference_chirp, step_rk4
 from ltvbench.datagen import (
     Dataset,
     ExcitationSpec,
@@ -63,6 +65,66 @@ class TestChirp:
             ExcitationSpec(amplitude=0.0, omega0=1.0, omega1=2.0, duration=10.0)
         with pytest.raises(ValueError):
             ExcitationSpec(amplitude=1.0, omega0=3.0, omega1=2.0, duration=10.0)
+
+
+    BAD_VALUES = [
+        ("amplitude", math.nan, "amplitude"),
+        ("amplitude", math.inf, "amplitude"),
+        ("duration", math.nan, "duration"),
+        ("noise_var", math.nan, "noise variance"),
+        ("phase", math.nan, "phase"),
+        ("phase", math.inf, "phase"),
+        ("phase", -math.inf, "phase"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", BAD_VALUES)
+    def test_bad_values_rejected(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(ExcitationSpec(), **{field: value})
+        traj = Trajectory(times=np.arange(3.0), states=np.zeros((3, 2)), inputs=np.zeros(2))
+        ds = Dataset(Split.TRAIN, [traj], scenario("ltv"), excitation=ExcitationSpec())
+        save_dataset(ds, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["excitation"][field] = value   # written as NaN / Infinity
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(tmp_path)
+
+
+@st.composite
+def chirp_cases(draw):
+    """An excitation (noise variance 0 in about a third of the cases) and a
+    step-time grid ``arange(n) * dt``, as the dataset builders evaluate it."""
+    omega0 = draw(st.floats(0.01, 20.0))
+    ex = ExcitationSpec(
+        amplitude=draw(st.floats(1e-3, 50.0)),
+        omega0=omega0,
+        omega1=draw(st.floats(omega0, 40.0)),
+        duration=draw(st.floats(0.1, 200.0)),
+        phase=draw(st.floats(-10.0, 10.0)),
+        noise_var=draw(st.sampled_from([0.0, 0.01]) | st.floats(0.0, 4.0)),
+    )
+    dt = draw(st.sampled_from([0.02, 0.01]) | st.floats(1e-3, 0.5))
+    return ex, np.arange(draw(st.integers(1, 600))) * dt
+
+
+class TestArrayChirp:
+    @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(case=chirp_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_array_chirp_is_reference_chirp(self, case, seed):
+        # one np.sin and one vector draw against math.sin and a scalar draw per
+        # sample: byte-equal samples, and the generators end in equal states
+        ex, times = case
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = chirp(ex, times, rng_a)
+        expected = np.array([reference_chirp(ex, t, rng_b) for t in times.tolist()])
+        assert got.shape == times.shape
+        assert got.tobytes() == expected.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        if ex.noise_var == 0:   # nothing drawn
+            assert rng_a.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        quiet = np.array([reference_chirp(ex, t) for t in times.tolist()])
+        assert chirp(ex, times).tobytes() == quiet.tobytes()
 
 
 class TestBuildDataset:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import ltvbench as lb
-from conftest import derivative, reference_params, sat, step_rk4
+from conftest import derivative, reference_chirp, reference_params, sat, step_rk4
 from ltvbench.control import (
     DIVERGENCE_GUARD,
     GainSchedule,
@@ -192,13 +192,13 @@ class TestStepRk4:
 
 class TestSimulate:
     def test_zero_everything_stays_at_origin(self):
-        traj = simulate(scenario("ltv"), np.zeros(2), lambda t: 0.0)
+        traj = simulate(scenario("ltv"), np.zeros(2), np.zeros(500))
         assert_allclose(traj.states, 0.0)
         assert traj.n_steps == 500
 
     def test_damped_plant_dissipates(self):
         spec = scenario("ltv")
-        traj = simulate(spec, np.array([1.0, 0.0]), lambda t: 0.0)
+        traj = simulate(spec, np.array([1.0, 0.0]), np.zeros(spec.n_steps))
 
         def energy(t, x):
             m, cs, _ = reference_params(spec, t)
@@ -217,15 +217,16 @@ class TestSimulate:
     def test_kicks_perturb_only_after_first_boundary(self):
         spec = scenario("inst-reconfig")
         quiet = replace(spec, kick_sigma=0.0)
-        a = simulate(spec, np.array([1.0, 0.0]), lambda t: 0.0, seed=11)
-        b = simulate(quiet, np.array([1.0, 0.0]), lambda t: 0.0, seed=11)
+        a = simulate(spec, np.array([1.0, 0.0]), np.zeros(spec.n_steps), seed=11)
+        b = simulate(quiet, np.array([1.0, 0.0]), np.zeros(spec.n_steps), seed=11)
         assert np.array_equal(a.states[:100], b.states[:100])
         assert not np.array_equal(a.states[100], b.states[100])
 
     def test_bitwise_deterministic_under_seed(self):
         spec = scenario("mixed-reconfig")
-        a = simulate(spec, np.array([0.4, -0.2]), lambda t: math.sin(t), seed=21)
-        b = simulate(spec, np.array([0.4, -0.2]), lambda t: math.sin(t), seed=21)
+        inputs = np.sin(np.arange(spec.n_steps) * spec.dt)
+        a = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
+        b = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
         assert a == b
 
 
@@ -271,7 +272,7 @@ class TestGroundTruthLtv:
 
     def test_zoh_rollout_matches_fine_step_integration(self):
         spec = scenario("ltv")
-        traj = simulate(spec, np.array([1.0, 0.0]), lambda t: 0.0)
+        traj = simulate(spec, np.array([1.0, 0.0]), np.zeros(spec.n_steps))
         model = ground_truth_ltv(spec)
         predicted = predict_rollout(model, traj.states[0], traj.inputs)
         assert np.max(np.abs(predicted - traj.states)) <= 1e-4
@@ -338,8 +339,9 @@ class TestSpecValidation:
 
     def test_zero_sigmas_are_legal(self):
         spec = replace(scenario("inst-reconfig"), dist_sigma=0.0, kick_sigma=0.0)
-        seeded = simulate(spec, [1.0, 0.0], lambda t: 0.0, seed=1)
-        assert np.array_equal(seeded.states, simulate(spec, [1.0, 0.0], lambda t: 0.0).states)
+        zero = np.zeros(spec.n_steps)
+        seeded = simulate(spec, [1.0, 0.0], zero, seed=1)
+        assert np.array_equal(seeded.states, simulate(spec, [1.0, 0.0], zero).states)
 
     def test_roundtrip(self, tmp_path):
         spec = scenario("mixed-reconfig")
@@ -444,19 +446,26 @@ class TestRolloutOracle:
     @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
     @given(x0=initial_states, seed=seeds, amplitude=amplitudes)
     def test_simulate_matches_step_loop(self, name, x0, seed, amplitude):
-        # the chirp noise, the nld kick and the boundary kicks share one
-        # generator, so this also pins the per-step draw order
+        # the inputs come from an input generator, drawn as one array, and
+        # the nld and boundary kicks from a process generator, drawn up front;
+        # the oracle draws each at its step, so equal generator states after
+        # the rollout pin both streams
         spec = short_scenario(name)
         ex = saturating_chirp(amplitude)
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = simulate(spec, x0, lambda t: chirp(ex, t, rng_a), seed=rng_a)
+        input_seq, process_seq = np.random.SeedSequence(seed).spawn(2)
+        input_a, input_b = np.random.default_rng(input_seq), np.random.default_rng(input_seq)
+        process_a = np.random.default_rng(process_seq)
+        process_b = np.random.default_rng(process_seq)
+        inputs_a = chirp(ex, np.arange(spec.n_steps) * spec.dt, input_a)
+        got = simulate(spec, x0, inputs_a, seed=process_a)
         times, states, inputs, _ = oracle_rollout(
-            spec, x0, lambda k, t, x: chirp(ex, t, rng_b), rng_b
+            spec, x0, lambda k, t, x: reference_chirp(ex, t, input_b), process_b
         )
         assert_bytes_equal(got.times, times)
         assert_rollouts_match(spec, got.states, states)
         assert_bytes_equal(got.inputs, inputs)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert input_a.bit_generator.state == input_b.bit_generator.state
+        assert process_a.bit_generator.state == process_b.bit_generator.state
         # inputs on both sides of the saturation limit
         assert np.abs(inputs).min() < spec.sat_limit < np.abs(inputs).max()
 
@@ -466,16 +475,19 @@ class TestRolloutOracle:
     def test_unseeded_simulate_matches_step_loop(self, name, x0, amplitude):
         spec = short_scenario(name)
         ex = saturating_chirp(amplitude)
-        got = simulate(spec, x0, lambda t: chirp(ex, t))
-        _, states, inputs, _ = oracle_rollout(spec, x0, lambda k, t, x: chirp(ex, t), None)
+        got = simulate(spec, x0, chirp(ex, np.arange(spec.n_steps) * spec.dt))
+        _, states, inputs, _ = oracle_rollout(
+            spec, x0, lambda k, t, x: reference_chirp(ex, t), None
+        )
         assert_rollouts_match(spec, got.states, states)
         assert_bytes_equal(got.inputs, inputs)
 
     def test_nld_kicks_fire_near_the_bump(self):
         # start on the bump centre: the seeded kicks must move the state
         spec = short_scenario("nld")
-        quiet = simulate(spec, [spec.dist_center, 0.0], lambda t: 0.0)
-        kicked = simulate(spec, [spec.dist_center, 0.0], lambda t: 0.0, seed=3)
+        zero = np.zeros(spec.n_steps)
+        quiet = simulate(spec, [spec.dist_center, 0.0], zero)
+        kicked = simulate(spec, [spec.dist_center, 0.0], zero, seed=3)
         times, states, _, _ = oracle_rollout(
             spec, [spec.dist_center, 0.0], lambda k, t, x: 0.0, np.random.default_rng(3)
         )
@@ -519,11 +531,11 @@ class TestRolloutOracle:
     @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
     def test_non_finite_step_raises(self, name):
         spec = short_scenario(name)
-        signal = lambda t: 0.0 if t < 1.0 else math.nan
+        inputs = np.where(np.arange(spec.n_steps) * spec.dt < 1.0, 0.0, math.nan)
         with pytest.raises(IntegrationError) as got:
-            simulate(spec, [0.5, 0.0], signal)
+            simulate(spec, [0.5, 0.0], inputs)
         with pytest.raises(IntegrationError) as expected:
-            oracle_rollout(spec, [0.5, 0.0], lambda k, t, x: signal(t), None)
+            oracle_rollout(spec, [0.5, 0.0], lambda k, t, x: inputs[k], None)
         assert str(got.value) == str(expected.value)
 
 

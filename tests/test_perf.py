@@ -15,7 +15,6 @@ A few pedantic rounds keep them cheap in the test run; for timings, run
 and add ``--benchmark-autosave`` to keep a record under ``.benchmarks/``.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,9 +47,9 @@ ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
 def test_simulate_rollout(benchmark, name):
     spec = scenario(name)
-    signal = lambda t: 3.0 * math.sin(2.0 * t)
+    inputs = 3.0 * np.sin(2.0 * (np.arange(spec.n_steps) * spec.dt))
     traj = benchmark.pedantic(
-        simulate, args=(spec, [1.9, 0.3], signal), kwargs={"seed": 1}, **ROUNDS
+        simulate, args=(spec, [1.9, 0.3], inputs), kwargs={"seed": 1}, **ROUNDS
     )
     assert traj.n_steps == spec.n_steps == 500
 

@@ -4,9 +4,10 @@ import pytest
 import ltvbench.ident.tuning as tuning
 from conftest import model_trajectories
 from ltvbench.bench import BenchConfig, _scenario_data, method_grid
-from ltvbench.datagen import Split
-from ltvbench.exceptions import TuningError
-from ltvbench.ident import fit_method, tune
+from ltvbench.datagen import Split, tvera_experiments
+from ltvbench.dynamics import Trajectory
+from ltvbench.exceptions import ExcitationError, TuningError
+from ltvbench.ident import fit_method, trajectory_prediction_loss, tune
 
 
 class TestFitMethod:
@@ -30,6 +31,11 @@ class TestFitMethod:
         )
 
 
+def equal_losses(models, data):
+    """One validation loss per model, all equal: every grid point ties."""
+    return np.ones(len(models))
+
+
 class TestTune:
     def test_singleton_grid_returns_that_point(self, constant_model):
         train = model_trajectories(constant_model, 5, seed=1, noise=1e-4)
@@ -41,14 +47,14 @@ class TestTune:
     def test_exact_ties_resolve_to_larger_lam(self, monkeypatch, constant_model):
         train = model_trajectories(constant_model, 5, seed=3, noise=1e-4)
         val = model_trajectories(constant_model, 2, seed=4)
-        monkeypatch.setattr(tuning, "trajectory_prediction_loss", lambda model, data: 1.0)
+        monkeypatch.setattr(tuning, "trajectory_prediction_loss", equal_losses)
         result = tune("cosmic", [{"lam": 0.01}, {"lam": 10.0}], train, val)
         assert result.best_params == {"lam": 10.0}
 
     def test_grid_sorted_by_lam_before_evaluation(self, monkeypatch, constant_model):
         train = model_trajectories(constant_model, 5, seed=5, noise=1e-4)
         val = model_trajectories(constant_model, 2, seed=6)
-        monkeypatch.setattr(tuning, "trajectory_prediction_loss", lambda model, data: 1.0)
+        monkeypatch.setattr(tuning, "trajectory_prediction_loss", equal_losses)
         result = tune("cosmic", [{"lam": 10.0}, {"lam": 0.01}], train, val)
         assert [r.params["lam"] for r in result.rows] == [0.01, 10.0]
         assert result.best_params == {"lam": 10.0}
@@ -115,3 +121,84 @@ class TestTune:
         assert all(losses[i] >= losses[i + 1] for i in range(0, best))
         assert all(losses[i] <= losses[i + 1] for i in range(best, len(losses) - 1))
         assert result.best_params == result.rows[best].params
+
+
+class TestGridScoring:
+    """``tune`` fits every point, then scores all fitted models in one batched
+    rollout; each loss must be what scoring that model alone gives."""
+
+    CFG = BenchConfig(scenarios=("ltv",), l_train=4, l_val=2, l_test=2, lambda_grid=(1e-3, 1e-1, 10.0))
+
+    def splits(self, method):
+        spec, seed, splits = _scenario_data("ltv", self.CFG)
+        train = splits[Split.TRAIN]
+        if method == "tvera":
+            train = tvera_experiments(spec, n_free=4, n_forced=6, master_seed=seed)
+        return train, splits[Split.VALIDATION]
+
+    def recording_fits(self, monkeypatch, change=None):
+        """Patch ``fit_method`` to keep every fitted model, after ``change``."""
+        models = {}
+
+        def fit(method, data, params):
+            model = fit_method(method, data, params)
+            if change is not None:
+                change(params, model)
+            models[tuple(params.values())] = model
+            return model
+
+        monkeypatch.setattr(tuning, "fit_method", fit)
+        return models
+
+    @pytest.mark.parametrize("method", ["cosmic", "ltvmodels", "tvera"])
+    def test_losses_equal_scoring_each_model_alone(self, monkeypatch, method):
+        models = self.recording_fits(monkeypatch)
+        train, val = self.splits(method)
+        grid = method_grid(method, self.CFG)
+        result = tune(method, grid, train, val)
+        scored = [row for row in result.rows if row.error is None]
+        assert len(result.rows) == len(grid) and len(scored) == len(models) >= 2
+        for row in scored:
+            alone = trajectory_prediction_loss(models[tuple(row.params.values())], val)
+            assert type(row.loss) is float and row.loss.hex() == alone.hex()
+        assert result.best_loss == min(row.loss for row in scored)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_and_non_finite_points_are_recorded_and_never_win(self, monkeypatch):
+        def change(params, model):
+            if params["lam"] == 1e-3:
+                raise ExcitationError("too few samples")
+            if params["lam"] == 10.0:
+                model.A[3] = np.inf   # rolls out to inf or nan
+
+        models = self.recording_fits(monkeypatch, change)
+        train, val = self.splits("cosmic")
+        result = tune("cosmic", method_grid("cosmic", self.CFG), train, val)
+        failed, scored, overflowed = result.rows
+        assert failed.loss is None and failed.error == "too few samples"
+        assert overflowed.loss is None and "validation loss is" in overflowed.error
+        assert scored.error is None and scored.loss == trajectory_prediction_loss(models[(0.1,)], val)
+        assert result.best_params == {"lam": 0.1}
+
+    def test_a_set_that_cannot_be_scored_fails_every_point(self):
+        # validation trajectories longer than the training ones: no model
+        # covers them, and each point records why
+        train, val = self.splits("cosmic")
+        cut = [first_steps(traj, 250) for traj in train.trajectories]
+        with pytest.raises(TuningError) as info:
+            tune("cosmic", method_grid("cosmic", self.CFG), cut, val)
+        assert len(info.value.diagnostics) == 3
+        assert all("model covers 250 steps" in line for line in info.value.diagnostics)
+
+    def test_exact_ties_go_to_the_larger_lam(self):
+        # at these lams every fit is the pooled constant model, so all
+        # validation losses are equal bit for bit
+        train, val = self.splits("ltvmodels")
+        result = tune("ltvmodels", [{"lam": 1e4}, {"lam": 1e2}, {"lam": 1e3}], train, val)
+        assert len({row.loss for row in result.rows}) == 1
+        assert result.best_params == {"lam": 1e4}
+
+
+def first_steps(traj, n):
+    """The first ``n`` steps of ``traj``."""
+    return Trajectory(times=traj.times[: n + 1], states=traj.states[: n + 1], inputs=traj.inputs[:n])
