@@ -36,7 +36,7 @@ from .dynamics import (
     scenario,
     simulate,
 )
-from .models import LtvModel, MatrixPair, load_model, save_model
+from .models import LtvModel, load_model, save_model
 
 __all__ = [
     "BUILTIN_SCENARIOS",
@@ -46,7 +46,6 @@ __all__ = [
     "GainSchedule",
     "Kind",
     "LtvModel",
-    "MatrixPair",
     "ReferenceSpec",
     "ScenarioSpec",
     "Split",

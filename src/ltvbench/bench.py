@@ -26,7 +26,13 @@ from .control import (
     tracking_errors,
     with_feedforward,
 )
-from .datagen import Split, build_dataset, default_excitations, tvera_experiments
+from .datagen import (
+    Split,
+    build_dataset,
+    default_excitations,
+    substream_seed,
+    tvera_experiments,
+)
 from .dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
 from .exceptions import RECORDED_ERRORS, InstabilityError
 from .files import write_json, write_table
@@ -103,27 +109,11 @@ class EcdfSeries:
     fractions: np.ndarray
 
 
-def _scenario_seed(master_seed: int, name: str) -> int:
-    return int(
-        np.random.SeedSequence(
-            [int(master_seed), _STREAM_DATASET, zlib.crc32(name.encode())]
-        ).generate_state(1, dtype=np.uint32)[0]
-    )
-
-
-def _run_seed(master_seed: int, name: str, ic_index: int) -> int:
-    return int(
-        np.random.SeedSequence(
-            [int(master_seed), _STREAM_CONTROL, zlib.crc32(name.encode()), ic_index]
-        ).generate_state(1, dtype=np.uint32)[0]
-    )
-
-
 def _scenario_data(name: str, cfg: BenchConfig):
     """The scenario's spec, its dataset seed and its train/validation/test
     splits: built once per scenario a suite runs."""
     spec = scenario(name)
-    seed = _scenario_seed(cfg.master_seed, name)
+    seed = substream_seed(int(cfg.master_seed), _STREAM_DATASET, zlib.crc32(name.encode()))
     splits = build_dataset(
         spec,
         default_excitations(spec.horizon, cfg.input_noise_var),
@@ -226,7 +216,9 @@ def _tracking_stats(spec, sched, ref, cfg, name):
     rms_runs = []
     unstable = False
     for i, x0 in enumerate(cfg.initial_conditions):
-        run_seed = _run_seed(cfg.master_seed, name, i)
+        run_seed = substream_seed(
+            int(cfg.master_seed), _STREAM_CONTROL, zlib.crc32(name.encode()), i
+        )
         try:
             traj = closed_loop(spec, sched, ref, np.asarray(x0, dtype=float), run_seed)
         except InstabilityError as exc:
@@ -312,28 +304,24 @@ def path_smoothness(model) -> float:
     return float(np.sum((blocks[1:] - blocks[:-1]) ** 2))
 
 
-def lambda_sweep(
-    scenario_name: str,
-    lam_grid=DEFAULT_LAMBDA_GRID,
-    cfg: BenchConfig = BenchConfig(),
-) -> list:
-    """Smoothing-strength study: objective decomposition plus closed-loop RMSE.
+def lambda_sweep(cfg: BenchConfig = BenchConfig()) -> list:
+    """Smoothing-strength study on ``cfg.scenarios[0]``: objective
+    decomposition plus closed-loop RMSE.
 
-    For each lam: fit cosmic on the training split at that lam (the sweep
-    reports every point, so nothing is tuned), decompose the objective on the
-    same data, then run the full controller pipeline and report the tracking
-    RMSE over the benchmark initial conditions.
+    For each lam of ``cfg.lambda_grid``: fit cosmic on the training split at
+    that lam (the sweep reports every point, so nothing is tuned), decompose
+    the objective on the same data, then run the full controller pipeline and
+    report the tracking RMSE over the benchmark initial conditions.
     """
-    spec, _, splits = _scenario_data(scenario_name, cfg)
+    name = cfg.scenarios[0]
+    spec, _, splits = _scenario_data(name, cfg)
     train = splits[Split.TRAIN]
     ref = default_reference(spec.horizon)
     rows = []
-    for lam in map(float, lam_grid):
+    for lam in map(float, cfg.lambda_grid):
         model = fit_method("cosmic", train, {"lam": lam})
         _, fidelity, _ = cosmic_objective(model, train, lam)
-        _, _, rmse, unstable = _tracking_stats(
-            spec, _schedule(model, ref), ref, cfg, scenario_name
-        )
+        _, _, rmse, unstable = _tracking_stats(spec, _schedule(model, ref), ref, cfg, name)
         rows.append(
             LambdaSweepRow(
                 lam=lam, fidelity=fidelity, smoothness=path_smoothness(model),
@@ -402,7 +390,7 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
             write_ecdf_csv(by_method, out_dir / fname)
             written.append(fname)
     elif suite == "lambda":
-        rows = lambda_sweep(cfg.scenarios[0], cfg.lambda_grid, cfg)
+        rows = lambda_sweep(cfg)
         write_lambda_csv(rows, out_dir / "lambda_sweep.csv")
         written.append("lambda_sweep.csv")
     else:

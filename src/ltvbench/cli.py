@@ -17,17 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchConfig, method_grid, run_bench
-from .control import (
-    default_reference,
-    default_weights,
-    feedforward,
-    lqr_ltv,
-    closed_loop,
-    save_gains,
-    with_feedforward,
-    ReferenceSpec,
-)
+from .bench import BenchConfig, _schedule, method_grid, run_bench
+from .control import ReferenceSpec, closed_loop, default_reference, save_gains
 from .datagen import (
     Split,
     build_dataset,
@@ -182,7 +173,7 @@ def _cmd_control(args) -> int:
             ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
     else:
         ref = default_reference(spec.horizon)
-    sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
+    sched = _schedule(model, ref)
     traj = closed_loop(spec, sched, ref, _parse_x0(args.x0), seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)

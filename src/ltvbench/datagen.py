@@ -58,16 +58,16 @@ class ExcitationSpec:
         # written so that NaN fails every check
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
-        if not 0 < self.omega0 <= self.omega1:
+        if not (0 < self.omega0 <= self.omega1 and math.isfinite(self.omega1)):
             raise ValueError(
-                f"need 0 < omega0 <= omega1, got ({self.omega0}, {self.omega1})"
+                f"need 0 < omega0 <= omega1 < inf, got ({self.omega0}, {self.omega1})"
             )
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
-        if not self.noise_var >= 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.noise_var}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
+            raise ValueError(f"noise variance must be >= 0 and finite, got {self.noise_var}")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
 
 
 def chirp(ex: ExcitationSpec, t, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -121,16 +121,14 @@ class Dataset:
         )
 
 
-def _traj_seed_seq(master_seed: int, stream: int, split_code: int, index: int):
-    return np.random.SeedSequence([int(master_seed), stream, split_code, index])
+def substream_seed(*keys: int) -> int:
+    """The 32-bit seed of the substream named by ``keys``: the first word of
+    their ``SeedSequence`` state."""
+    return int(np.random.SeedSequence(keys).generate_state(1, dtype=np.uint32)[0])
 
 
-def _display_seed(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, dtype=np.uint32)[0])
-
-
-def _experiment(spec, seq, setup, noise_var):
-    """Simulate the experiment seeded by ``seq``.
+def _experiment(spec, keys, setup, noise_var):
+    """Simulate the experiment seeded by the substream ``keys``.
 
     ``setup(init_rng, input_rng, times)`` draws the initial state and the
     inputs at the step ``times``; the process generator draws the kicks.
@@ -138,11 +136,11 @@ def _experiment(spec, seq, setup, noise_var):
     measurement noise of that variance.
     """
     init_rng, input_rng, process_rng, noise_rng = (
-        np.random.default_rng(c) for c in seq.spawn(4)
+        np.random.default_rng(c) for c in np.random.SeedSequence(keys).spawn(4)
     )
     x0, inputs = setup(init_rng, input_rng, np.arange(spec.n_steps) * spec.dt)
     traj = simulate(spec, x0, inputs, seed=process_rng)
-    traj.seed = _display_seed(seq)
+    traj.seed = substream_seed(*keys)
     if noise_var is not None:
         traj.noisy = True
         if noise_var > 0:
@@ -196,7 +194,7 @@ def build_dataset(
         trajs = [
             _experiment(
                 spec,
-                _traj_seed_seq(master_seed, _STREAM_CHIRP, _SPLIT_CODE[split], i),
+                (int(master_seed), _STREAM_CHIRP, _SPLIT_CODE[split], i),
                 _chirp_response(ex) if label == "chirp" else _free_response,
                 noise_var if measured else None,
             )
@@ -243,7 +241,7 @@ def tvera_experiments(
     trajs = [
         _experiment(
             spec,
-            _traj_seed_seq(master_seed, _STREAM_EXPERIMENTS, 0, i),
+            (int(master_seed), _STREAM_EXPERIMENTS, 0, i),
             _free_response if label == "free" else random_input,
             noise_var,
         )

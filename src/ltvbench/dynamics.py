@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm
@@ -111,6 +111,11 @@ class ScenarioSpec:
     def __post_init__(self):
         # a hashable frame table keeps the spec usable as a cache key
         object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not all(math.isfinite(v) for frame in self.frames for v in frame):
+            raise ValueError(f"frames entries must be finite, got {self.frames}")
         for name in ("mass", "dt", "sat_limit", "dist_width"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -90,11 +89,6 @@ def write_table(path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-# Rows per block: trajectory CSVs are written and parsed this many rows at a
-# time, so the text held in memory stays bounded whatever the file's length.
-_BLOCK_ROWS = 1024
-
-
 def _trajectory_header(p: int, q: int) -> list:
     return ["t", *(f"x{i + 1}" for i in range(p))] + (
         ["u"] if q == 1 else [f"u{i + 1}" for i in range(q)]
@@ -107,18 +101,16 @@ def write_trajectory_csv(path, times, states, inputs) -> None:
 
     ``states`` has one row more than ``inputs``, so the input cells of the
     final row are empty.  With ``q > 1`` inputs the columns are ``u1..uq``.
+    The whole file is formatted as one string.
     """
     n, q = inputs.shape
     p = states.shape[1]
     rows = np.column_stack([times[:n], states[:n], inputs])
     row = ",".join(["%r"] * (1 + p + q)) + "\r\n"
     final = ",".join(["%r"] * (1 + p)) + "," * q + "\r\n"
+    body = (row * n + final) % (*rows.ravel().tolist(), float(times[n]), *states[n].tolist())
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_trajectory_header(p, q)) + "\r\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-        fh.write(final % tuple([float(times[n]), *states[n].tolist()]))
+        fh.write(",".join(_trajectory_header(p, q)) + "\r\n" + body)
 
 
 def _parse_rows(lines, ncol: int) -> np.ndarray:
@@ -134,39 +126,33 @@ def read_trajectory_csv(path) -> tuple:
 
     Line ends may be CRLF or LF and blank lines are skipped.  Every other
     row must hold one float per header column, except the final row, whose
-    input cells must be empty.
+    input cells must be empty.  The file is read whole and its rows before
+    the final one are parsed by one ``np.loadtxt``.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"trajectory file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            p = sum(1 for name in header if name.startswith("x"))
-            q = len(header) - 1 - p
-            if p < 1 or q < 1 or header != _trajectory_header(p, q):
-                raise DataFormatError(f"unrecognized trajectory header in {path}: {header}")
-            blocks, last = [], None
-            for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
-                lines = [line for line in lines if line != "\n"]
-                if not lines:
-                    continue
-                if last is not None:
-                    lines.insert(0, last)
-                last = lines.pop()   # held back until it is known not to be final
-                if lines:
-                    blocks.append(_parse_rows(lines, 1 + p + q))
-        if last is None:
+            header, *lines = fh.read().split("\n")
+        header = header.split(",")
+        p = sum(1 for name in header if name.startswith("x"))
+        q = len(header) - 1 - p
+        if p < 1 or q < 1 or header != _trajectory_header(p, q):
+            raise DataFormatError(f"unrecognized trajectory header in {path}: {header}")
+        lines = [line for line in lines if line]
+        if not lines:
             raise DataFormatError(f"trajectory file {path} has a header but no rows")
-        head, *empty = last.rstrip("\n").rsplit(",", q)
+        last = lines.pop()
+        head, *empty = last.rsplit(",", q)
         if len(empty) != q or any(cell.strip() for cell in empty):
             raise DataFormatError(
                 f"final row of {path} must end in {q} empty input cell(s): {last!r}"
             )
+        body = _parse_rows(lines, 1 + p + q) if lines else np.empty((0, 1 + p + q))
         final = _parse_rows([head], 1 + p)[0]
     except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
         raise DataFormatError(f"cannot parse trajectory file {path}: {exc}") from exc
-    body = np.concatenate(blocks) if blocks else np.empty((0, 1 + p + q))
     times = np.append(body[:, 0], final[0])
     states = np.vstack([body[:, 1 : 1 + p], final[1:]])
     return times, states, np.ascontiguousarray(body[:, 1 + p :])

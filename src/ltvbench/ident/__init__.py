@@ -13,7 +13,6 @@ _EXPORTS = {
     "LAMBDA_METHODS": "tuning",
     "LtvModelsConfig": "ltvmodels",
     "METHODS": "tuning",
-    "TuneResult": "tuning",
     "TveraConfig": "tvera",
     "check_excitation": "regression",
     "cosmic_fit": "cosmic",

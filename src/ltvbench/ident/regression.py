@@ -9,7 +9,7 @@ import numpy as np
 from ..datagen import Dataset
 from ..dynamics import Trajectory
 from ..exceptions import ExcitationError, NumericalError
-from ..models import LtvModel, MatrixPair
+from ..models import LtvModel
 
 RANK_RTOL = 1e-10
 
@@ -114,8 +114,9 @@ def perstep_ls_fit(data) -> LtvModel:
     return LtvModel.from_stacked(blocks, q=trajs[0].q, dt=trajs[0].dt, method="perstep")
 
 
-def lti_fit(data) -> MatrixPair:
-    """Single (A, B) minimizing the pooled squared residuals over all steps."""
+def lti_fit(data) -> LtvModel:
+    """The constant model whose single (A, B) minimizes the pooled squared
+    residuals over all steps."""
     trajs = trajectories_of(data)
     v, xn = _stack_all(trajs)
     d = v.shape[2]
@@ -123,4 +124,6 @@ def lti_fit(data) -> MatrixPair:
     block = stacked_lstsq(
         v.reshape(1, -1, d), xn.reshape(1, -1, p), ["fit"], "pooled time-invariant"
     )[0]
-    return MatrixPair(A=block[:p].T, B=block[p:].T)
+    return LtvModel.from_constant(
+        block[:p].T, block[p:].T, trajs[0].n_steps, trajs[0].dt, method="lti"
+    )

@@ -34,11 +34,7 @@ def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
     if method == "perstep":
         return perstep_ls_fit(train_data)
     if method == "lti":
-        trajs = trajectories_of(train_data)
-        pair = lti_fit(trajs)
-        return LtvModel.from_constant(
-            pair, n_steps=trajs[0].n_steps, dt=trajs[0].dt, method="lti"
-        )
+        return lti_fit(train_data)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -61,7 +57,7 @@ class TuneResult:
 def _grid_sorted(grid) -> list:
     """Grids keyed by lam are evaluated in ascending order so exact-loss ties
     resolve toward the larger (smoother) lam."""
-    points = [dict(g) if isinstance(g, dict) else {"lam": float(g)} for g in grid]
+    points = [dict(g) for g in grid]
     if points and all("lam" in g for g in points):
         points.sort(key=lambda g: g["lam"])
     return points

@@ -13,32 +13,6 @@ MODEL_FORMAT = "ltv-model/1"
 
 
 @dataclass
-class MatrixPair:
-    """A single (A, B) pair: per-step state transition and input map."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise ValueError(f"A must be square, got shape {self.A.shape}")
-        if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
-            raise ValueError(
-                f"B must have {self.A.shape[0]} rows to match A, got shape {self.B.shape}"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.B.shape[1]
-
-
-@dataclass
 class LtvModel:
     """Discrete LTV model x(k+1) = A(k) x(k) + B(k) u(k) for k = 0..N-1.
 
@@ -94,9 +68,10 @@ class LtvModel:
         return cls(A=A, B=B, dt=dt, **meta)
 
     @classmethod
-    def from_constant(cls, pair: MatrixPair, n_steps: int, dt: float, **meta) -> "LtvModel":
-        A = np.repeat(pair.A[None, :, :], n_steps, axis=0)
-        B = np.repeat(pair.B[None, :, :], n_steps, axis=0)
+    def from_constant(cls, A, B, n_steps: int, dt: float, **meta) -> "LtvModel":
+        """The time-invariant model that applies one (A, B) pair at every step."""
+        A = np.repeat(np.asarray(A, dtype=float)[None], n_steps, axis=0)
+        B = np.repeat(np.asarray(B, dtype=float)[None], n_steps, axis=0)
         return cls(A=A, B=B, dt=dt, **meta)
 
 

@@ -11,7 +11,7 @@ from ltvbench.control import GAINS_FORMAT, GainSchedule
 from ltvbench.dynamics import RK4_SUBSTEPS, Kind, ScenarioSpec, Trajectory
 from ltvbench.exceptions import IntegrationError
 from ltvbench.files import field_errors, read_json
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 
 
 def rollout_model(model, x0, inputs):
@@ -49,7 +49,7 @@ def model_trajectories(model, count, seed, noise=0.0, input_std=1.0, x0_std=1.0)
 def constant_model():
     A = np.array([[0.9, 0.1], [-0.2, 0.8]])
     B = np.array([[0.0], [0.5]])
-    return LtvModel.from_constant(MatrixPair(A, B), n_steps=60, dt=0.02)
+    return LtvModel.from_constant(A, B, n_steps=60, dt=0.02)
 
 
 def read_gains(path) -> GainSchedule:

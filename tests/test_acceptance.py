@@ -30,7 +30,7 @@ from ltvbench.ident import (
     trajectory_prediction_loss,
 )
 from ltvbench.ident.regression import _stack_all
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 
 
 @contextmanager
@@ -190,8 +190,7 @@ def test_criterion_4_regularization_path():
 
         blocks = cosmic_fit(trajs, CosmicConfig(lam=1e9)).stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-6
-        pair = lti_fit(trajs)
-        pooled = np.concatenate([pair.A.T, pair.B.T], axis=0)
+        pooled = lti_fit(trajs).stacked()[0]
         assert np.max(np.abs(blocks[0] - pooled)) <= 1e-5
 
 
@@ -232,7 +231,7 @@ def test_criterion_6_tracking_ordering(control_runs):
 
 def test_criterion_7_lqr_correctness():
     with criterion(7, "gain recursion: hand case, Riccati fixed point, PSD cost"):
-        unit = LtvModel.from_constant(MatrixPair(np.eye(1), np.eye(1)), 1, 1.0)
+        unit = LtvModel.from_constant(np.eye(1), np.eye(1), 1, 1.0)
         sched = lqr_ltv(unit, CostWeights(Q=np.eye(1), R=np.eye(1), H=np.eye(1)))
         assert sched.K[0, 0, 0] == 0.5
         assert sched.cost_to_go[0, 0, 0] == 1.5
@@ -240,7 +239,7 @@ def test_criterion_7_lqr_correctness():
         A = np.array([[1.0, 0.05], [-0.03, 0.98]])
         B = np.array([[0.0], [0.05]])
         weights = default_weights()
-        model = LtvModel.from_constant(MatrixPair(A, B), 500, 0.05)
+        model = LtvModel.from_constant(A, B, 500, 0.05)
         sched = lqr_ltv(model, weights)
         P = weights.H.copy()
         for _ in range(200000):
@@ -259,9 +258,9 @@ def test_criterion_7_lqr_correctness():
 def test_criterion_8_prediction_loss_units():
     with criterion(8, "prediction-loss formula on constructed residuals"):
         zero = LtvModel.from_constant(
-            MatrixPair(np.zeros((1, 1)), np.zeros((1, 1))), 1, 1.0
+            np.zeros((1, 1)), np.zeros((1, 1)), 1, 1.0
         )
-        hold = LtvModel.from_constant(MatrixPair(np.eye(2), np.zeros((2, 1))), 4, 1.0)
+        hold = LtvModel.from_constant(np.eye(2), np.zeros((2, 1)), 4, 1.0)
         times = np.arange(5.0)
         perfect = Trajectory(
             times=times, states=np.ones((5, 2)), inputs=np.zeros((4, 1))

@@ -110,9 +110,10 @@ class TestControlBenchmark:
 
 class TestLambdaSweep:
     def test_smoothness_path_and_plateau(self):
-        cfg = BenchConfig(scenarios=("ltv",), l_train=6, l_val=3, l_test=3)
-        grid = (1e-3, 1e-1, 10.0, 1e3)
-        rows = lambda_sweep("ltv", grid, cfg)
+        cfg = BenchConfig(
+            scenarios=("ltv",), l_train=6, l_val=3, l_test=3, lambda_grid=(1e-3, 1e-1, 10.0, 1e3)
+        )
+        rows = lambda_sweep(cfg)
         smooth = [r.smoothness for r in rows]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(smooth, smooth[1:]))
         assert all(r.tracking_rmse is not None for r in rows)

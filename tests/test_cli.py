@@ -205,3 +205,18 @@ class TestExitCodes:
             "chirp", "--seed", "4", "--out", str(tmp_path / "sim.csv"),
         ) == 0
         assert (tmp_path / "sim.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["ltv", "inst-reconfig"])
+    def test_infinite_horizon_file_is_two(self, tmp_path, capsys, name):
+        from ltvbench.dynamics import save_scenario, scenario
+
+        path = tmp_path / "spec.json"
+        save_scenario(scenario(name), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "horizon": float("inf")}))
+        code = run(
+            "simulate", "--scenario", str(path), "--seed", "1", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench simulate: error:") and "horizon" in err
+        assert not (tmp_path / "s.csv").exists()

@@ -30,11 +30,11 @@ from ltvbench.dynamics import (
     simulate,
 )
 from ltvbench.exceptions import InstabilityError, SynthesisError
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 
 
 def scalar_unit_model(n=1):
-    return LtvModel.from_constant(MatrixPair(np.eye(1), np.eye(1)), n, 1.0)
+    return LtvModel.from_constant(np.eye(1), np.eye(1), n, 1.0)
 
 
 def unit_weights():
@@ -56,7 +56,7 @@ class TestLqrRecursion:
     def test_converges_to_riccati_fixed_point(self):
         A = np.array([[1.0, 0.1], [0.0, 1.0]])
         B = np.array([[0.0], [0.1]])
-        model = LtvModel.from_constant(MatrixPair(A, B), 500, 0.1)
+        model = LtvModel.from_constant(A, B, 500, 0.1)
         weights = default_weights()
         sched = lqr_ltv(model, weights)
         # independent oracle: iterate the algebraic Riccati map to its fixed point
@@ -157,7 +157,7 @@ class TestFeedforward:
         assert np.max(np.abs(u_ff)) <= 1e-12
 
     def test_scalar_case_is_exact_solve(self):
-        model = LtvModel.from_constant(MatrixPair(np.array([[0.8]]), np.eye(1)), 4, 1.0)
+        model = LtvModel.from_constant(np.array([[0.8]]), np.eye(1), 4, 1.0)
         ref = ReferenceSpec(segments=((0.0, 3.0),))
         u_ff = feedforward(model, ref)
         assert_allclose(u_ff, 3.0 - 0.8 * 3.0)

@@ -55,8 +55,7 @@ class TestCosmicFit:
         fit = cosmic_fit(trajs, CosmicConfig(lam=1e9))
         blocks = fit.stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-6
-        pair = lti_fit(trajs)
-        pooled = np.concatenate([pair.A.T, pair.B.T], axis=0)
+        pooled = lti_fit(trajs).stacked()[0]
         assert np.max(np.abs(blocks[0] - pooled)) <= 1e-5
 
     def test_matches_dense_normal_solve(self, constant_model):

@@ -71,7 +71,10 @@ class TestChirp:
         ("amplitude", math.nan, "amplitude"),
         ("amplitude", math.inf, "amplitude"),
         ("duration", math.nan, "duration"),
+        ("duration", math.inf, "duration"),
         ("noise_var", math.nan, "noise variance"),
+        ("noise_var", math.inf, "noise variance"),
+        ("omega1", math.inf, "omega1"),
         ("phase", math.nan, "phase"),
         ("phase", math.inf, "phase"),
         ("phase", -math.inf, "phase"),
@@ -79,13 +82,21 @@ class TestChirp:
 
     @pytest.mark.parametrize("field, value, message", BAD_VALUES)
     def test_bad_values_rejected(self, tmp_path, field, value, message):
+        self.assert_rejected(tmp_path, {field: value}, message)
+
+    def test_infinite_band_rejected(self, tmp_path):
+        self.assert_rejected(tmp_path, {"omega0": math.inf, "omega1": math.inf}, "omega1")
+
+    @staticmethod
+    def assert_rejected(tmp_path, changes, message):
+        """``changes`` fail on the constructor and on a dataset manifest."""
         with pytest.raises(ValueError, match=message):
-            replace(ExcitationSpec(), **{field: value})
+            replace(ExcitationSpec(), **changes)
         traj = Trajectory(times=np.arange(3.0), states=np.zeros((3, 2)), inputs=np.zeros(2))
         ds = Dataset(Split.TRAIN, [traj], scenario("ltv"), excitation=ExcitationSpec())
         save_dataset(ds, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["excitation"][field] = value   # written as NaN / Infinity
+        manifest["excitation"].update(changes)   # written as NaN / Infinity
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError, match=message):
             load_dataset(tmp_path)

@@ -326,13 +326,29 @@ class TestSpecValidation:
         [
             ("sat_limit", 0.0), ("dist_width", 0.0), ("dist_sigma", -1.0), ("kick_sigma", -0.5),
             ("mass", math.nan), ("dt", math.nan), ("horizon", math.nan),
+            ("spring", math.nan), ("damping", math.nan), ("cubic_damping", math.nan),
+            ("dist_center", math.nan), ("mass", math.inf), ("dt", math.inf),
+            ("horizon", math.inf), ("param_freq", math.inf), ("sat_limit", math.inf),
         ],
     )
     def test_bad_plant_constant(self, tmp_path, field, value):
+        self.assert_rejected(tmp_path, "nld", field, value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", math.inf), ("frames", ((1.0, math.nan, 0.5),) * 5)],
+        ids=["horizon-inf", "frames-nan"],
+    )
+    def test_bad_reconfig_constant(self, tmp_path, field, value):
+        self.assert_rejected(tmp_path, "inst-reconfig", field, value)
+
+    @staticmethod
+    def assert_rejected(tmp_path, name, field, value):
+        """``field = value`` fails on the constructor and on a scenario file."""
         with pytest.raises(ValueError, match=field):
-            replace(scenario("nld"), **{field: value})
+            replace(scenario(name), **{field: value})
         path = tmp_path / "spec.json"
-        save_scenario(scenario("nld"), path)
+        save_scenario(scenario(name), path)
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         with pytest.raises(DataFormatError, match=field):
             load_scenario(path)

@@ -26,9 +26,7 @@ def objective(blocks, traj, lam):
 
 
 def pooled_blocks(traj):
-    pair = lti_fit([traj])
-    pooled = np.concatenate([pair.A.T, pair.B.T], axis=0)
-    return np.repeat(pooled[None], traj.n_steps, axis=0)
+    return lti_fit([traj]).stacked()
 
 
 def jumping_trajectory(seed, n, p, noise=1e-2):
@@ -156,8 +154,7 @@ class TestLtvModelsFit:
         fit = ltvmodels_fit(traj, LtvModelsConfig(lam=1e6))
         blocks = fit.stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-4
-        pair = lti_fit([traj])
-        pooled = np.concatenate([pair.A.T, pair.B.T], axis=0)
+        pooled = lti_fit([traj]).stacked()[0]
         assert np.max(np.abs(blocks[0] - pooled)) <= 1e-4
 
     def test_reported_objective_is_monotone(self):

@@ -8,16 +8,16 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ltvbench.exceptions import DataFormatError
-from ltvbench.models import LtvModel, MatrixPair, load_model, save_model
+from ltvbench.models import LtvModel, load_model, save_model
 
 
 def test_matrix_pair_validation():
     with pytest.raises(ValueError):
-        MatrixPair(np.zeros((2, 3)), np.zeros((2, 1)))
+        LtvModel.from_constant(np.zeros((2, 3)), np.zeros((2, 1)), 3, 0.1)
     with pytest.raises(ValueError):
-        MatrixPair(np.eye(2), np.zeros((3, 1)))
-    pair = MatrixPair(np.eye(2), np.zeros((2, 1)))
-    assert (pair.p, pair.q) == (2, 1)
+        LtvModel.from_constant(np.eye(2), np.zeros((3, 1)), 3, 0.1)
+    model = LtvModel.from_constant(np.eye(2), np.zeros((2, 1)), 3, 0.1)
+    assert (model.n_steps, model.p, model.q) == (3, 2, 1)
 
 
 def test_ltv_model_validation():

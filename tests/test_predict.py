@@ -10,18 +10,18 @@ from conftest import model_trajectories, rollout_model
 from ltvbench.bench import ecdf_residuals
 from ltvbench.dynamics import Trajectory
 from ltvbench.ident import per_trajectory_losses, predict_rollout, trajectory_prediction_loss
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 
 
 def scalar_model(a, b, n):
     return LtvModel.from_constant(
-        MatrixPair(np.array([[float(a)]]), np.array([[float(b)]])), n, 1.0
+        np.array([[float(a)]]), np.array([[float(b)]]), n, 1.0
     )
 
 
 class TestPredictRollout:
     def test_identity_dynamics_hold_state(self):
-        model = LtvModel.from_constant(MatrixPair(np.eye(2), np.zeros((2, 1))), 5, 0.1)
+        model = LtvModel.from_constant(np.eye(2), np.zeros((2, 1)), 5, 0.1)
         states = predict_rollout(model, [1.5, -0.5], np.ones((5, 1)))
         assert_allclose(states, np.tile([1.5, -0.5], (6, 1)))
 
@@ -74,7 +74,7 @@ class TestPredictionLoss:
     def test_component_sum_is_not_averaged(self):
         # p=2 with unit residual in each component at the single step:
         # sqrt((1/1) * (1^2 + 1^2)) = sqrt(2), not 1
-        model = LtvModel.from_constant(MatrixPair(np.zeros((2, 2)), np.zeros((2, 1))), 1, 1.0)
+        model = LtvModel.from_constant(np.zeros((2, 2)), np.zeros((2, 1)), 1, 1.0)
         traj = Trajectory(
             times=np.arange(2.0),
             states=np.array([[0.0, 0.0], [1.0, 1.0]]),

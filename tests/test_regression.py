@@ -18,7 +18,7 @@ from ltvbench.ident import (
     tvera_fit,
 )
 from ltvbench.ident.regression import _rank_deficient, _stack_all, stacked_lstsq
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 from test_cosmic import dense_normal_solution
 
 
@@ -190,7 +190,7 @@ class TestUnscaleModel:
     def test_diagonal_dynamics_invariant_under_state_scaling(self):
         # S^-1 A S = A for diagonal A: scaled exact data give back A itself
         model = LtvModel.from_constant(
-            MatrixPair(np.diag([0.9, 0.7]), np.array([[0.3], [0.4]])), 20, 0.1
+            np.diag([0.9, 0.7]), np.array([[0.3], [0.4]]), 20, 0.1
         )
         trajs = model_trajectories(model, 4, seed=8)
         sx = np.array([2.0, 50.0])
@@ -205,7 +205,7 @@ class TestUnscaleModel:
     def test_scalar_input_map_scaling(self):
         # x~ = 4 x, u~ = 2 u turns b = 1 into b~ = 4 * 1 / 2 = 2
         model = LtvModel.from_constant(
-            MatrixPair(np.array([[0.9]]), np.array([[1.0]])), 10, 0.1
+            np.array([[0.9]]), np.array([[1.0]]), 10, 0.1
         )
         trajs = model_trajectories(model, 3, seed=9)
         scaled = [
@@ -345,9 +345,9 @@ class TestLtiFit:
         trajs = model_trajectories(constant_model, 5, seed=11, noise=1e-3)
         v, xn = _stack_all(trajs)
         block = qr_solve(v.reshape(-1, 3), xn.reshape(-1, 2))
-        pair = lti_fit(trajs)
-        assert np.array_equal(pair.A, block[:2].T)
-        assert np.array_equal(pair.B, block[2:].T)
+        model = lti_fit(trajs)
+        assert (model.n_steps, model.dt, model.method) == (60, 0.02, "lti")
+        assert np.array_equal(model.stacked(), np.repeat(block[None], 60, axis=0))
 
     def test_rank_deficient_pooled_fit_named(self):
         trajs = [tiny_traj(np.zeros((4, 2)), np.zeros((3, 1))) for _ in range(3)]
@@ -358,9 +358,9 @@ class TestLtiFit:
 
     def test_exact_recovery_on_lti_data(self, constant_model):
         trajs = model_trajectories(constant_model, 4, seed=7)
-        pair = lti_fit(trajs)
-        assert np.max(np.abs(pair.A - constant_model.A[0])) <= 1e-8
-        assert np.max(np.abs(pair.B - constant_model.B[0])) <= 1e-8
+        model = lti_fit(trajs)
+        assert np.max(np.abs(model.A - constant_model.A)) <= 1e-8
+        assert np.max(np.abs(model.B - constant_model.B)) <= 1e-8
 
     def test_equals_perstep_for_single_step(self, constant_model):
         trajs = []
@@ -368,7 +368,7 @@ class TestLtiFit:
             trajs.append(
                 Trajectory(times=traj.times[:2], states=traj.states[:2], inputs=traj.inputs[:1])
             )
-        pair = lti_fit(trajs)
+        model = lti_fit(trajs)
         perstep = perstep_ls_fit(trajs)
-        assert_allclose(pair.A, perstep.A[0], atol=1e-12)
-        assert_allclose(pair.B, perstep.B[0], atol=1e-12)
+        assert_allclose(model.A, perstep.A, atol=1e-12)
+        assert_allclose(model.B, perstep.B, atol=1e-12)

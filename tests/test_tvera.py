@@ -9,7 +9,7 @@ from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
 from ltvbench.exceptions import ExcitationError, RealizationError
 from ltvbench.ident import TveraConfig, per_trajectory_losses, tvera_fit
 from ltvbench.ident.tvera import SVD_GAP_RTOL
-from ltvbench.models import LtvModel, MatrixPair
+from ltvbench.models import LtvModel
 
 
 def exact_experiments(model, n_free=4, n_forced=10, seed=0):
@@ -71,7 +71,7 @@ class TestTveraErrors:
     def test_collapsed_hankel_spectrum(self):
         # zero input map: the Hankel matrices vanish identically
         dead = LtvModel.from_constant(
-            MatrixPair(np.array([[0.9, 0.1], [0.0, 0.8]]), np.zeros((2, 1))), 60, 0.02
+            np.array([[0.9, 0.1], [0.0, 0.8]]), np.zeros((2, 1)), 60, 0.02
         )
         trajs = exact_experiments(dead, n_free=6, n_forced=8, seed=3)
         with pytest.raises(RealizationError, match="at step 5 collapses"):
