@@ -42,6 +42,7 @@ from .ident import (
     cosmic_objective,
     fit_method,
     per_trajectory_losses,
+    prepare_training,
     rollout_residuals,
     tune,
 )
@@ -166,6 +167,21 @@ def _schedule(model, ref):
     return with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
 
 
+def _schedules(models, ref) -> list:
+    """:func:`_schedule` for each of a scenario's models, the gains from one
+    recursion over the stack.  An entry is the model's schedule, or the
+    recorded error of its own synthesis."""
+    out = []
+    for model, gains in zip(models, lqr_ltv(models, default_weights())):
+        try:
+            if isinstance(gains, Exception):
+                raise gains
+            out.append(with_feedforward(gains, feedforward(model, ref)))
+        except RECORDED_ERRORS as exc:
+            out.append(exc)
+    return out
+
+
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -236,11 +252,20 @@ def _tracking_stats(spec, sched, ref, cfg, name):
 def _control_rows(name: str, cfg: BenchConfig) -> list:
     spec, seed, splits = _scenario_data(name, cfg)
     ref = default_reference(spec.horizon)
+    cells = {}   # controller -> its model, then its schedule, or the recorded error
+    for controller in CONTROLLERS:
+        try:
+            cells[controller] = _model(controller, spec, seed, splits, cfg)[0]
+        except RECORDED_ERRORS as exc:
+            cells[controller] = exc
+    fitted = [c for c in CONTROLLERS if not isinstance(cells[c], Exception)]
+    cells.update(zip(fitted, _schedules([cells[c] for c in fitted], ref)))
     rows = []
     for controller in CONTROLLERS:
         try:
-            model, _ = _model(controller, spec, seed, splits, cfg)
-            stats = _tracking_stats(spec, _schedule(model, ref), ref, cfg, name)
+            if isinstance(cells[controller], Exception):
+                raise cells[controller]
+            stats = _tracking_stats(spec, cells[controller], ref, cfg, name)
         except RECORDED_ERRORS as exc:
             rows.append(TrackingRow(name, controller, None, None, None, error=_error(exc)))
             continue
@@ -309,19 +334,25 @@ def lambda_sweep(cfg: BenchConfig = BenchConfig()) -> list:
     decomposition plus closed-loop RMSE.
 
     For each lam of ``cfg.lambda_grid``: fit cosmic on the training split at
-    that lam (the sweep reports every point, so nothing is tuned), decompose
-    the objective on the same data, then run the full controller pipeline and
-    report the tracking RMSE over the benchmark initial conditions.
+    that lam (the sweep reports every point, so nothing is tuned; the fits
+    share one set-up), decompose the objective on the same data, then run the
+    full controller pipeline, with the gains of all points from one
+    recursion, and report the tracking RMSE over the benchmark initial
+    conditions.
     """
     name = cfg.scenarios[0]
     spec, _, splits = _scenario_data(name, cfg)
     train = splits[Split.TRAIN]
     ref = default_reference(spec.horizon)
+    lams = [float(lam) for lam in cfg.lambda_grid]
+    shared = prepare_training("cosmic", train)
+    models = [fit_method("cosmic", shared, {"lam": lam}) for lam in lams]
     rows = []
-    for lam in map(float, cfg.lambda_grid):
-        model = fit_method("cosmic", train, {"lam": lam})
+    for lam, model, sched in zip(lams, models, _schedules(models, ref)):
+        if isinstance(sched, Exception):
+            raise sched
         _, fidelity, _ = cosmic_objective(model, train, lam)
-        _, _, rmse, unstable = _tracking_stats(spec, _schedule(model, ref), ref, cfg, name)
+        _, _, rmse, unstable = _tracking_stats(spec, sched, ref, cfg, name)
         rows.append(
             LambdaSweepRow(
                 lam=lam, fidelity=fidelity, smoothness=path_smoothness(model),

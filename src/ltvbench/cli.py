@@ -204,6 +204,7 @@ def _cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ltvbench", description=__doc__.splitlines()[0])
+    defaults = BenchConfig()   # the dataset and bench sizes default to the paper's
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -219,19 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--scenario", required=True)
     ds.add_argument("--seed", type=int, required=True)
     ds.add_argument("--out", required=True, help="output directory")
-    ds.add_argument("--l-train", type=int, default=20)
-    ds.add_argument("--l-val", type=int, default=8)
-    ds.add_argument("--l-test", type=int, default=8)
-    ds.add_argument("--n-free", type=int, default=2)
-    ds.add_argument("--noise-var", type=float, default=1e-6)
-    ds.add_argument("--input-noise-var", type=float, default=0.01)
+    ds.add_argument("--l-train", type=int, default=defaults.l_train)
+    ds.add_argument("--l-val", type=int, default=defaults.l_val)
+    ds.add_argument("--l-test", type=int, default=defaults.l_test)
+    ds.add_argument("--n-free", type=int, default=defaults.n_free)
+    ds.add_argument("--noise-var", type=float, default=defaults.noise_var)
+    ds.add_argument("--input-noise-var", type=float, default=defaults.input_noise_var)
     ds.add_argument(
         "--experiments",
         action="store_true",
         help="write free/forced realization experiments instead of chirp splits",
     )
-    ds.add_argument("--n-free-experiments", type=int, default=4)
-    ds.add_argument("--n-forced-experiments", type=int, default=10)
+    ds.add_argument("--n-free-experiments", type=int, default=defaults.tvera_free)
+    ds.add_argument("--n-forced-experiments", type=int, default=defaults.tvera_forced)
     ds.set_defaults(func=_cmd_dataset, stage="dataset")
 
     ident = sub.add_parser("identify", help="fit one model to a dataset directory")
@@ -274,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, required=True)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
-    bn.add_argument("--l-train", type=int, default=20)
-    bn.add_argument("--l-val", type=int, default=8)
-    bn.add_argument("--l-test", type=int, default=8)
-    bn.add_argument("--noise-var", type=float, default=1e-6)
+    bn.add_argument("--l-train", type=int, default=defaults.l_train)
+    bn.add_argument("--l-val", type=int, default=defaults.l_val)
+    bn.add_argument("--l-test", type=int, default=defaults.l_test)
+    bn.add_argument("--noise-var", type=float, default=defaults.noise_var)
     bn.add_argument("--lambda-grid", help="comma-separated lambda grid override")
-    bn.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
+    bn.add_argument("--jobs", type=int, default=defaults.jobs, help="parallel scenario workers")
     bn.set_defaults(func=_cmd_bench, stage="bench")
 
     return parser

@@ -100,11 +100,20 @@ class ReferenceSpec:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must strictly increase")
         object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_lookup", (np.array(starts), np.array([z for _, z in segs])))
 
-    def position_at(self, t: float) -> float:
-        """Position of the last segment starting at or before ``t`` (1e-12 slack)."""
-        i = bisect_right(self._starts, t + 1e-12)
-        return self.segments[max(i - 1, 0)][1]
+    def position_at(self, t):
+        """Position of the last segment starting at or before ``t`` (1e-12 slack).
+
+        ``t`` is a float, giving a float, or an array of times, giving an
+        array of their positions.
+        """
+        if not isinstance(t, np.ndarray):
+            i = bisect_right(self._starts, t + 1e-12)
+            return self.segments[max(i - 1, 0)][1]
+        starts, positions = self._lookup
+        i = np.searchsorted(starts, t + 1e-12, side="right")
+        return positions[np.maximum(i - 1, 0)]
 
     def state_at(self, t: float, p: int = 2) -> np.ndarray:
         """Reference state: target position, zero for the remaining components."""
@@ -125,40 +134,120 @@ def default_reference(horizon: float) -> ReferenceSpec:
     return ReferenceSpec(segments=tuple(segments))
 
 
-def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
+def lqr_ltv(model, weights: CostWeights):
     """Backward dynamic-programming recursion for the finite-horizon gains.
 
     P_N = H; then for k = N-1..0:
         K_k = (R + B(k)^T P_{k+1} B(k))^-1 B(k)^T P_{k+1} A(k)
         P_k = Q + K_k^T R K_k + (A(k) - B(k) K_k)^T P_{k+1} (A(k) - B(k) K_k)
     Every P_k is symmetrized; all are PSD by construction.
+
+    ``model`` is one model, giving its ``GainSchedule`` (or raising
+    ``SynthesisError``), or a sequence of models that share N, p and q,
+    giving a list with one entry per model: its schedule, or the
+    ``SynthesisError`` that its own recursion raises.  The sequence runs one
+    recursion on the stacked ``(L, p, p)`` arrays; every product is taken per
+    model, in that model's memory order of A(k), so each model's gains and
+    cost-to-go are byte-identical to its own recursion.
     """
-    n, p, q = model.n_steps, model.p, model.q
+    single = isinstance(model, LtvModel)
+    models = [model] if single else list(model)
+    if not models:
+        return []
+    shapes = {(m.n_steps, m.p, m.q) for m in models}
+    if len(shapes) > 1:
+        raise ValueError(f"models to stack must share N, p and q, got {sorted(shapes)}")
+    (_, p, q), = shapes
     if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
         raise ValueError("weight dimensions do not match the model")
-    K = np.empty((n, q, p))
-    P_stack = np.empty((n + 1, p, p))
-    P = weights.H.copy()
-    P_stack[n] = P
+    try:
+        results = _riccati(models, weights)
+    except SynthesisError as exc:
+        # A singular input-cost term stops the whole stack; on its own, each
+        # model either finishes or names its own singular step.
+        results = [exc] if len(models) == 1 else [lqr_ltv([m], weights)[0] for m in models]
+    if not single:
+        return results
+    if isinstance(results[0], SynthesisError):
+        raise results[0]
+    return results[0]
+
+
+def _riccati(models, weights: CostWeights) -> list:
+    """The recursion of :func:`lqr_ltv` on the stacked models; an entry is a
+    model's schedule, or its non-finite-gain ``SynthesisError``.  Raises
+    ``SynthesisError`` when an input-cost term of the stack is singular.
+
+    Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
+    block; a single model runs on its own ``(N, ...)`` arrays, uncopied.
+    """
+    # The rounding of a product with A(k) follows the BLAS kernel that A(k)'s
+    # memory order selects: the fits store A(k) column-major, the other models
+    # row-major.  So the stack keeps one A array per memory order, each model's
+    # matrices in their own order, and takes the products with A on each.
+    one = len(models) == 1
+    column = [m.A.strides[1] < m.A.strides[2] for m in models]
+    order = sorted(range(len(models)), key=column.__getitem__)
+    groups, start = [], 0   # (the group's rows of the sorted stack, its A stack)
+    for col in (False, True):
+        group = [models[g].A for g in order if column[g] == col]
+        if group:
+            stack = group[0] if one else _stack_steps(group, col)
+            groups.append((slice(start, start + len(group)), stack))
+            start += len(group)
+    B = models[0].B if one else np.stack([models[g].B for g in order], axis=1)
+    n, p, q = models[0].n_steps, models[0].p, models[0].q
+    lead = () if one else (len(models),)
+    K = np.empty((n,) + lead + (q, p))
+    P_stack = np.empty((n + 1,) + lead + (p, p))
+    P = P_stack[n] = np.broadcast_to(weights.H, lead + (p, p))
+    (_, A), *mixed = groups
+    if mixed:   # the products with A write each group's rows of these
+        BtPA, Acl = np.empty(lead + (q, p)), np.empty(lead + (p, p))
     for k in range(n - 1, -1, -1):
-        A, B = model.A[k], model.B[k]
-        BtP = B.T @ P
+        B_k = B[k]
+        BtP = B_k.mT @ P
+        if mixed:
+            for rows, A_g in groups:
+                np.matmul(BtP[rows], A_g[k], out=BtPA[rows])
+        else:
+            BtPA = BtP @ A[k]
         try:
-            K[k] = np.linalg.solve(weights.R + BtP @ B, BtP @ A)
+            K[k] = np.linalg.solve(weights.R + BtP @ B_k, BtPA)
         except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"singular input-cost term at step {k}") from exc
-        Acl = A - B @ K[k]
-        P = weights.Q + K[k].T @ weights.R @ K[k] + Acl.T @ P @ Acl
-        P = 0.5 * (P + P.T)
-        P_stack[k] = P
-    if not np.all(np.isfinite(K)):
-        raise SynthesisError("gain recursion produced non-finite gains")
-    return GainSchedule(
-        K=K,
-        u_ff=np.zeros((n, q)),
-        provenance=model.method,
-        cost_to_go=P_stack,
-    )
+        BK = B_k @ K[k]
+        if mixed:
+            for rows, A_g in groups:
+                np.subtract(A_g[k], BK[rows], out=Acl[rows])
+        else:
+            Acl = A[k] - BK
+        P = weights.Q + K[k].mT @ weights.R @ K[k] + Acl.mT @ P @ Acl
+        P = P_stack[k] = 0.5 * (P + P.mT)
+    K = K.reshape(n, len(models), q, p)
+    P_stack = P_stack.reshape(n + 1, len(models), p, p)
+    finite = np.isfinite(K).all(axis=(0, 2, 3))
+    results = [None] * len(models)
+    for i, g in enumerate(order):
+        results[g] = (
+            GainSchedule(
+                K=np.ascontiguousarray(K[:, i]),
+                u_ff=np.zeros((n, q)),
+                provenance=models[g].method,
+                cost_to_go=np.ascontiguousarray(P_stack[:, i]),
+            )
+            if finite[i]
+            else SynthesisError("gain recursion produced non-finite gains")
+        )
+    return results
+
+
+def _stack_steps(arrays, column_major: bool) -> np.ndarray:
+    """Step-major ``(N, L, p, p)`` stack of ``(N, p, p)`` arrays whose
+    matrices keep the memory order given."""
+    if column_major:
+        return np.stack([a.mT for a in arrays], axis=1).mT
+    return np.stack(arrays, axis=1)
 
 
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
@@ -168,8 +257,8 @@ def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
     :func:`stacked_lstsq`; a rank-deficient B(k) raises ``SynthesisError``.
     """
     n = model.n_steps
-    states = (ref.state_at(k * model.dt, model.p) for k in range(n + 1))
-    x_ref = np.fromiter(states, dtype=np.dtype((float, model.p)), count=n + 1)
+    x_ref = np.zeros((n + 1, model.p))
+    x_ref[:, 0] = ref.position_at(np.arange(n + 1) * model.dt)
     delta = x_ref[1:] - np.matvec(model.A, x_ref[:-1])
     try:
         u_ff = stacked_lstsq(model.B, delta[..., None], range(n), "feedforward at step")
@@ -200,7 +289,7 @@ def closed_loop(
         )
     rng = np.random.default_rng(seed) if seed is not None else None
     K, u_ff = sched.K, sched.u_ff[:, 0].tolist()
-    targets = [ref.position_at(k * spec.dt) for k in range(spec.n_steps)]
+    targets = ref.position_at(np.arange(spec.n_steps) * spec.dt).tolist()
 
     def policy(k, t, x1, x2):
         # the error stays a numpy matmul: a scalar dot product rounds differently
@@ -217,8 +306,7 @@ def closed_loop(
 
 def tracking_errors(traj: Trajectory, ref: ReferenceSpec) -> np.ndarray:
     """Per-step absolute position error |x1(k) - z_ref(t_k)| for k = 0..N."""
-    targets = np.array([ref.position_at(t) for t in traj.times])
-    return np.abs(traj.states[:, 0] - targets)
+    return np.abs(traj.states[:, 0] - ref.position_at(traj.times))
 
 
 def save_gains(sched: GainSchedule, path) -> None:

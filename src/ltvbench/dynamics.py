@@ -295,6 +295,16 @@ def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     return frozenset(steps)
 
 
+def _stage_column(spec: ScenarioSpec, i: int) -> np.ndarray:
+    """Plant parameters at the three RK4 stage times of substep ``i`` of
+    every step: column ``i`` of :func:`_stage_params`, shape (N, 9)."""
+    n = spec.n_steps
+    h = spec.dt / RK4_SUBSTEPS
+    ti = np.arange(n) * spec.dt + i * h
+    m, cs, cd = params_at(spec, np.stack((ti, ti + 0.5 * h, ti + h), axis=-1))
+    return np.stack((m, cs, cd), axis=-1).reshape(n, 9)
+
+
 def _stage_params(spec: ScenarioSpec) -> np.ndarray:
     """Plant parameters at every RK4 stage time of a rollout of ``spec``.
 
@@ -302,13 +312,13 @@ def _stage_params(spec: ScenarioSpec) -> np.ndarray:
     ``ti + h``, with ``ti = t_k + i*h``: the float times the reference RK4
     step evaluates, computed the same way, so the values are bit-equal to its
     parameter lookups.  The end time is not shared with the next substep's
-    start, as the two can differ by an ulp.
+    start, as the two can differ by an ulp.  The table is filled one substep
+    column at a time, which bounds the time law's temporaries on long records.
     """
-    n = spec.n_steps
-    h = spec.dt / RK4_SUBSTEPS
-    ti = (np.arange(n) * spec.dt)[:, None] + np.arange(RK4_SUBSTEPS) * h
-    m, cs, cd = params_at(spec, np.stack((ti, ti + 0.5 * h, ti + h), axis=-1))
-    return np.stack((m, cs, cd), axis=-1).reshape(n, RK4_SUBSTEPS, 9)
+    table = np.empty((spec.n_steps, RK4_SUBSTEPS, 9))
+    for i in range(RK4_SUBSTEPS):
+        table[:, i] = _stage_column(spec, i)
+    return table
 
 
 @functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
@@ -328,7 +338,6 @@ def _substep_kernel(spec: ScenarioSpec):
     h = spec.dt / RK4_SUBSTEPS
     half_h = 0.5 * h
     sixth_h = h / 6.0
-    stages = _stage_params(spec)
     if spec.kind not in _SATURATED_KINDS:
         def advance(row, x1, x2, u, kick):
             m00, m01, g0, m10, m11, g1 = row
@@ -336,7 +345,7 @@ def _substep_kernel(spec: ScenarioSpec):
 
         x1, x2, u = np.eye(3)
         for i in range(RK4_SUBSTEPS):
-            m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = stages[:, i].T[..., None]
+            m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = _stage_column(spec, i).T[..., None]
             b1 = (u - cs1 * x1 - cd1 * x2) / m1
             a2 = x2 + half_h * b1
             b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
@@ -350,6 +359,7 @@ def _substep_kernel(spec: ScenarioSpec):
         table.flags.writeable = False
         return table, advance
 
+    stages = _stage_params(spec)
     stages.flags.writeable = False
     limit = spec.sat_limit
     c = spec.cubic_damping

@@ -44,16 +44,33 @@ class CosmicConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
-    """Exact minimizer of the smoothed identification objective.
+@dataclass(frozen=True)
+class CosmicProblem:
+    """What every cosmic fit on one training set shares: the standardized
+    Gram blocks and right-hand sides of the normal equations, the channel
+    scales and the excitation rank.  Only the banded solve depends on lam.
 
-    ``data`` is a dataset, a trajectory list, or a single trajectory; with
-    ``cfg.single_trajectory`` only the first trajectory is used.  Raises
-    :class:`ExcitationError` when the stacked state/input rows do not span
-    the regressor space (no unique minimizer exists).
+    Build it with :func:`cosmic_problem`; it holds no regressor rows.
+    """
+
+    gram: np.ndarray           # (N, d, d), standardized G(k)
+    rhs: np.ndarray            # (N, d, p), standardized R(k)
+    scales: np.ndarray         # (d,), 1 / channel std (1 for a flat channel)
+    zero_variance: tuple       # indices of the flat channels
+    rank: int
+    n_trajectories: int
+    dt: float
+    single_trajectory: bool
+
+
+def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
+    """The lam-independent set-up of :func:`cosmic_fit` on ``data``.
+
+    Raises :class:`ExcitationError` when the stacked state/input rows do not
+    span the regressor space (no unique minimizer exists).
     """
     trajs = trajectories_of(data)
-    if cfg.single_trajectory:
+    if single_trajectory:
         trajs = trajs[:1]
     report = check_excitation(trajs)
     if not report.satisfied:
@@ -63,7 +80,6 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
         )
     v, xn = _stack_all(trajs)
     n, _, d = v.shape
-    p = xn.shape[2]
 
     # Exact change of variables: standardize regressor channels, solve the
     # transformed (better conditioned) system, map back.  The solution is the
@@ -73,29 +89,60 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     rows = v.reshape(-1, d)
     stds = rows.std(axis=0)
     flat = stds <= 1e-12 * np.sqrt(np.mean(rows**2, axis=0))
-    zero_var = np.flatnonzero(flat)
     scales = 1.0 / np.where(flat, 1.0, stds)
 
     vs = v * scales[None, None, :]
     gram = np.einsum("kli,klj->kij", vs, vs) / n
     rhs = np.einsum("kli,klp->kip", vs, xn) / n
+    for arr in (gram, rhs, scales):
+        arr.flags.writeable = False   # shared by every fit of a tuning grid
+    return CosmicProblem(
+        gram=gram,
+        rhs=rhs,
+        scales=scales,
+        zero_variance=tuple(int(i) for i in np.flatnonzero(flat)),
+        rank=report.rank,
+        n_trajectories=len(trajs),
+        dt=trajs[0].dt,
+        single_trajectory=single_trajectory,
+    )
+
+
+def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
+    """Exact minimizer of the smoothed identification objective.
+
+    ``data`` is a dataset, a trajectory list, or a single trajectory; with
+    ``cfg.single_trajectory`` only the first trajectory is used.  It may also
+    be a :class:`CosmicProblem` built once for several fits (a tuning grid),
+    which gives the same model as the data it was built from.  Raises
+    :class:`ExcitationError` when the stacked state/input rows do not span
+    the regressor space (no unique minimizer exists).
+    """
+    if isinstance(data, CosmicProblem):
+        problem = data
+        if problem.single_trajectory != cfg.single_trajectory:
+            raise ValueError("problem and config disagree on single_trajectory")
+    else:
+        problem = cosmic_problem(data, cfg.single_trajectory)
+    scales = problem.scales
+    n, d, p = problem.rhs.shape
     lam = np.full(n + 1, float(cfg.lam))
     lam[0] = lam[-1] = 0.0
-    blocks = solve_block_tridiag(gram, lam, rhs, weight=scales**2)
+    blocks = solve_block_tridiag(problem.gram, lam, problem.rhs, weight=scales**2)
     blocks = blocks * scales[:, None]
 
     return LtvModel.from_stacked(
         blocks,
-        q=v.shape[2] - p,
-        dt=trajs[0].dt,
+        q=d - p,
+        dt=problem.dt,
         method="cosmic-single" if cfg.single_trajectory else "cosmic",
         hyperparams={"lam": float(cfg.lam)},
         preconditioning={
             "state_scale": scales[:p].tolist(),
             "input_scale": scales[p:].tolist(),
-            "zero_variance": [int(i) for i in zero_var],
+            "zero_variance": list(problem.zero_variance),
         },
-        info={"excitation_rank": report.rank, "n_trajectories": len(trajs)},
+        info={"excitation_rank": problem.rank, "n_trajectories": problem.n_trajectories},
     )
 
 

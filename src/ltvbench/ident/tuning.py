@@ -8,7 +8,7 @@ import numpy as np
 
 from ..exceptions import RECORDED_ERRORS, TuningError
 from ..models import LtvModel
-from .cosmic import CosmicConfig, cosmic_fit
+from .cosmic import CosmicConfig, cosmic_fit, cosmic_problem
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
 from .predict import trajectory_prediction_loss
 from .regression import lti_fit, perstep_ls_fit, trajectories_of
@@ -38,6 +38,22 @@ def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def prepare_training(method: str, train_data):
+    """The training data that each grid point's :func:`fit_method` reads.
+
+    For ``cosmic`` and ``cosmic-single`` this is their lam-independent
+    set-up (:func:`cosmic_problem`), built once for the whole grid; for the
+    other methods, ``train_data`` itself.  Data that cannot be set up is
+    returned as it is, so that each point's fit raises and records the error.
+    """
+    if method in ("cosmic", "cosmic-single"):
+        try:
+            return cosmic_problem(train_data, single_trajectory=method == "cosmic-single")
+        except RECORDED_ERRORS:
+            pass
+    return train_data
+
+
 @dataclass
 class GridPoint:
     params: dict
@@ -64,7 +80,8 @@ def _grid_sorted(grid) -> list:
 
 
 def tune(method: str, grid, train_data, validation_data) -> TuneResult:
-    """Fit each grid point on the training data, score the fitted models by
+    """Fit each grid point on the training data (from one
+    :func:`prepare_training` set-up), score the fitted models by
     the validation rollout loss in one batched rollout, and return the winner
     (ties go to the later/larger point).  A point whose fit fails or whose
     loss is not finite is recorded as failed and never wins."""
@@ -72,12 +89,14 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     if not points:
         raise ValueError("empty hyperparameter grid")
     val_trajs = trajectories_of(validation_data)
+    shared = prepare_training(method, train_data)
     fitted, errors = {}, {}
     for i, params in enumerate(points):
         try:
-            fitted[i] = fit_method(method, train_data, params)
+            fitted[i] = fit_method(method, shared, params)
         except RECORDED_ERRORS as exc:   # recorded, the sweep continues
             errors[i] = str(exc)
+    del shared   # scoring needs none of the set-up; free it first
     losses = {}
     if fitted:
         try:

@@ -268,6 +268,35 @@ class TestPipeline:
         assert fits == ["ltvmodels"] * len(grid) == ["ltvmodels"] * 3
         assert len(scored) == 1 and len(scored[0]) == len(grid)
 
+    @pytest.mark.parametrize(
+        "suite, stacks, tuned, fits",
+        [
+            # per scenario: the gain recursions (models in each), the tuned
+            # methods that share a cosmic set-up, and the fit calls that
+            # tune (grid points) and bench (untuned methods, sweep points) make
+            ("prediction", [], ["cosmic-single", "cosmic"], (10, 1)),
+            ("control", [3], ["cosmic"], (3, 1)),
+            ("lambda", [3], ["cosmic"], (0, 3)),
+        ],
+    )
+    def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, stacks, tuned, fits):
+        recursions = _count_calls(monkeypatch, bench, "lqr_ltv")
+        setups = []
+        real = tuning.cosmic_problem
+
+        def counted(data, single_trajectory=False):
+            setups.append("cosmic-single" if single_trajectory else "cosmic")
+            return real(data, single_trajectory)
+
+        monkeypatch.setattr(tuning, "cosmic_problem", counted)
+        tuned_fits = _count_calls(monkeypatch, tuning, "fit_method")
+        bench_fits = _count_calls(monkeypatch, bench, "fit_method")
+        run_bench(suite, self.CFG, tmp_path)
+        scenarios = len(self.CFG.scenarios[:1] if suite == "lambda" else self.CFG.scenarios)
+        assert [len(models) for models in recursions] == stacks * scenarios
+        assert setups == tuned * scenarios
+        assert (len(tuned_fits), len(bench_fits)) == (fits[0] * scenarios, fits[1] * scenarios)
+
     def test_ecdf_parallel_workers_write_same_bytes(self, tmp_path):
         run_bench("ecdf", self.CFG, tmp_path / "seq")
         written = run_bench("ecdf", replace(self.CFG, jobs=2), tmp_path / "par")

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from ltvbench.cli import main
+from ltvbench.bench import BenchConfig
+from ltvbench.cli import build_parser, main
 from ltvbench.datagen import load_dataset
 from ltvbench.models import load_model
 
@@ -220,3 +221,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ltvbench simulate: error:") and "horizon" in err
         assert not (tmp_path / "s.csv").exists()
+
+
+def test_size_defaults_come_from_bench_config():
+    cfg = BenchConfig()
+    parse = build_parser().parse_args
+    ds = parse(["dataset", "--scenario", "ltv", "--seed", "1", "--out", "d"])
+    assert (ds.l_train, ds.l_val, ds.l_test, ds.n_free) == (cfg.l_train, cfg.l_val, cfg.l_test, cfg.n_free)
+    assert (ds.noise_var, ds.input_noise_var) == (cfg.noise_var, cfg.input_noise_var)
+    assert (ds.n_free_experiments, ds.n_forced_experiments) == (cfg.tvera_free, cfg.tvera_forced)
+    bn = parse(["bench", "--suite", "control", "--seed", "1", "--out", "b"])
+    assert (bn.l_train, bn.l_val, bn.l_test) == (cfg.l_train, cfg.l_val, cfg.l_test)
+    assert (bn.noise_var, bn.jobs) == (cfg.noise_var, cfg.jobs)

@@ -104,6 +104,112 @@ class TestLqrRecursion:
             CostWeights(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1), H=np.eye(2))
 
 
+def loop_lqr(model, weights):
+    """The recursion one step and one model at a time: the oracle for the stack."""
+    n = model.n_steps
+    K = np.empty((n, model.q, model.p))
+    P_stack = np.empty((n + 1, model.p, model.p))
+    P = P_stack[n] = weights.H.copy()
+    for k in range(n - 1, -1, -1):
+        A, B = model.A[k], model.B[k]
+        BtP = B.T @ P
+        K[k] = np.linalg.solve(weights.R + BtP @ B, BtP @ A)
+        Acl = A - B @ K[k]
+        P = weights.Q + K[k].T @ weights.R @ K[k] + Acl.T @ P @ Acl
+        P = P_stack[k] = 0.5 * (P + P.T)
+    return K, P_stack
+
+
+@st.composite
+def model_stacks(draw):
+    """1-9 random models sharing N, p and q, plus PSD weights.  A model is
+    stored in one of the three memory layouts the package makes: the
+    column-major views of ``LtvModel.from_stacked`` (the fits), row-major
+    slices of one augmented matrix per step (``ground_truth_ltv``), or
+    contiguous arrays (``from_constant``, ``load_model``)."""
+    n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    models = []
+    for _ in range(draw(st.integers(1, 9))):
+        blocks = draw(arrays(float, (n, p + q, p), elements=entries))
+        layout = draw(st.sampled_from(["stacked", "augmented", "contiguous"]))
+        if layout == "stacked":
+            models.append(LtvModel.from_stacked(blocks, q=q, dt=0.1))
+            continue
+        augmented = np.zeros((n, p + q, p + q))
+        augmented[:, :p] = blocks.transpose(0, 2, 1)
+        A, B = augmented[:, :p, :p], augmented[:, :p, p:]
+        if layout == "contiguous":
+            A, B = A.copy(), B.copy()
+        models.append(LtvModel(A=A, B=B, dt=0.1))
+    root = draw(arrays(float, (p + q, p + q), elements=st.floats(-1.0, 1.0)))
+    gram = root @ root.T
+    weights = CostWeights(
+        Q=gram[:p, :p], R=gram[p:, p:] + np.eye(q), H=0.5 * gram[:p, :p] + np.eye(p)
+    )
+    return models, weights
+
+
+class TestStackedLqr:
+    """``lqr_ltv`` on a sequence runs one recursion over the stacked models."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_stacks())
+    def test_each_model_matches_its_own_recursion(self, case):
+        models, weights = case
+        stacked = lqr_ltv(models, weights)
+        assert len(stacked) == len(models)
+        for model, sched in zip(models, stacked):
+            alone = lqr_ltv(model, weights)
+            K, P = loop_lqr(model, weights)
+            for got in (sched, alone):
+                assert got.K.tobytes() == K.tobytes()
+                assert got.cost_to_go.tobytes() == P.tobytes()
+                assert got.provenance == model.method
+                assert not got.u_ff.any()
+
+    @pytest.mark.parametrize("entry", ["A", "B"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_fails_only_its_own_cell(self, entry, bad):
+        models = [ground_truth_ltv(scenario(name)) for name in ("ltv", "nl", "inst-reconfig")]
+        broken = models[1]
+        broken = replace(broken, A=broken.A.copy(), B=broken.B.copy())
+        getattr(broken, entry)[200] = bad
+        models[1] = broken
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = lqr_ltv(models, default_weights())
+            with pytest.raises(SynthesisError) as alone:
+                lqr_ltv(broken, default_weights())
+        assert isinstance(stacked[1], SynthesisError)
+        assert str(stacked[1]) == str(alone.value) == "gain recursion produced non-finite gains"
+        for g in (0, 2):
+            expected = lqr_ltv(models[g], default_weights())
+            assert stacked[g].K.tobytes() == expected.K.tobytes()
+            assert stacked[g].cost_to_go.tobytes() == expected.cost_to_go.tobytes()
+
+    def test_singular_input_cost_fails_only_its_own_cell(self):
+        # A zero input cost (past CostWeights' check) and a zero B(k) make the
+        # input-cost term of one model singular: the stack falls back to one
+        # recursion per model, and only that model's entry is the error.
+        weights = default_weights()
+        object.__setattr__(weights, "R", np.zeros((1, 1)))
+        models = [ground_truth_ltv(scenario(name)) for name in ("ltv", "nl")]
+        dead = replace(models[0], B=models[0].B.copy())
+        dead.B[137] = 0.0
+        stacked = lqr_ltv([models[0], dead, models[1]], weights)
+        with pytest.raises(SynthesisError, match="singular input-cost term at step 137$"):
+            lqr_ltv(dead, weights)
+        assert str(stacked[1]) == "singular input-cost term at step 137"
+        for g, model in ((0, models[0]), (2, models[1])):
+            assert stacked[g].K.tobytes() == lqr_ltv(model, weights).K.tobytes()
+
+    def test_models_must_share_their_shape(self):
+        models = [ground_truth_ltv(scenario("ltv")), ground_truth_ltv(replace(scenario("ltv"), horizon=4.0))]
+        with pytest.raises(ValueError, match="share N, p and q"):
+            lqr_ltv(models, default_weights())
+        assert lqr_ltv([], default_weights()) == []
+
+
 def loop_feedforward(model, ref):
     """Per-step ``np.linalg.lstsq`` feedforward: the oracle for the stacked solve."""
     out = np.empty((model.n_steps, model.q))
@@ -280,6 +386,9 @@ class TestReferenceSpec:
         ref, times = case
         for t in times:
             assert ref.position_at(t) == linear_scan_position(ref, t)
+        # an array of times is looked up at once, to the same bytes
+        expected = np.array([linear_scan_position(ref, t) for t in times])
+        assert ref.position_at(np.array(times)).tobytes() == expected.tobytes()
 
     def test_piecewise_lookup(self):
         ref = ReferenceSpec(segments=((0.0, 1.0), (2.0, -1.0)))

@@ -11,6 +11,7 @@ from ltvbench.ident import (
     cosmic_objective,
     lti_fit,
 )
+from ltvbench.ident.cosmic import cosmic_problem
 from ltvbench.ident.regression import _stack_all
 from ltvbench.models import LtvModel
 
@@ -145,3 +146,25 @@ class TestCosmicObjective:
             blocks = cosmic_fit(trajs, CosmicConfig(lam=float(lam))).stacked()
             path.append(float(np.sum((blocks[1:] - blocks[:-1]) ** 2)))
         assert all(b <= a * (1 + 1e-9) for a, b in zip(path, path[1:]))
+
+
+class TestSharedProblem:
+    """A tuning grid builds cosmic's lam-independent set-up once."""
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_one_problem_serves_every_lam(self, constant_model, single):
+        trajs = model_trajectories(constant_model, 5, seed=21, noise=1e-3)
+        problem = cosmic_problem(trajs, single_trajectory=single)
+        for lam in (1e-3, 1.0, 1e3, 1.0):   # a repeated lam sees the same set-up
+            cfg = CosmicConfig(lam=lam, single_trajectory=single)
+            shared, own = cosmic_fit(problem, cfg), cosmic_fit(trajs, cfg)
+            assert shared.stacked().tobytes() == own.stacked().tobytes()
+            assert (shared.method, shared.hyperparams) == (own.method, own.hyperparams)
+            assert shared.preconditioning == own.preconditioning
+            assert shared.info == own.info
+        assert not problem.gram.flags.writeable and not problem.rhs.flags.writeable
+
+    def test_problem_and_config_must_agree(self, constant_model):
+        trajs = model_trajectories(constant_model, 3, seed=22)
+        with pytest.raises(ValueError, match="single_trajectory"):
+            cosmic_fit(cosmic_problem(trajs), CosmicConfig(single_trajectory=True))

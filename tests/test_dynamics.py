@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -588,6 +589,19 @@ class TestStageTable:
         for k in range(spec.n_steps):
             columns = [step_rk4(spec, times[k], x, u, spec.dt) for x, u in basis]
             assert_bytes_equal(table[k], np.array(columns).T.ravel())
+
+    def test_long_record_table_build_stays_small(self):
+        # the step maps of a 5000-step record take 240 kB; building them one
+        # substep column at a time never holds the 3.6 MB stage table
+        spec = replace(scenario("ltv"), horizon=100.0)
+        tracemalloc.start()
+        try:
+            table, _ = _substep_kernel.__wrapped__(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == spec.n_steps * 6 * 8
+        assert peak < spec.n_steps * RK4_SUBSTEPS * 9 * 8
 
     def test_one_table_per_spec(self):
         spec = scenario("ltv")

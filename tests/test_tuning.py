@@ -92,6 +92,27 @@ class TestTune:
             tune("cosmic", [{"lam": -1.0}, {"lam": -2.0}], train, val)
         assert len(exc_info.value.diagnostics) == 2
 
+    @pytest.mark.parametrize("method", ["cosmic", "cosmic-single"])
+    def test_unexcited_training_set_fails_every_point_alike(self, monkeypatch, method):
+        # at rest with zero input the rows span rank 0 < 3, so cosmic's shared
+        # set-up cannot be built; every point still calls its own fit and
+        # records the error that fitting it alone raises
+        rest = Trajectory(times=np.arange(11) * 0.1, states=np.zeros((11, 2)), inputs=np.zeros(10))
+        calls = []
+
+        def fit(method, data, params):
+            calls.append(params)
+            return fit_method(method, data, params)
+
+        monkeypatch.setattr(tuning, "fit_method", fit)
+        grid = [{"lam": 0.1}, {"lam": 1.0}, {"lam": 10.0}]
+        with pytest.raises(TuningError) as failed:
+            tune(method, grid, [rest, rest], [rest])
+        with pytest.raises(ExcitationError) as alone:
+            fit_method(method, [rest, rest], {"lam": 1.0})
+        assert calls == grid
+        assert failed.value.diagnostics == [f"{point}: {alone.value}" for point in grid]
+
     def test_programming_error_propagates(self, monkeypatch, constant_model):
         # only data, settings and linear-algebra failures become grid-point errors
         def broken_fit(*args, **kwargs):
