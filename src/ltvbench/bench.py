@@ -162,15 +162,10 @@ def _model(method: str, spec, seed: int, splits, cfg: BenchConfig) -> tuple:
     return result.best_model, result.best_params
 
 
-def _schedule(model, ref):
-    """LQR gains plus feedforward for tracking ``ref`` with ``model``."""
-    return with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
-
-
 def _schedules(models, ref) -> list:
-    """:func:`_schedule` for each of a scenario's models, the gains from one
-    recursion over the stack.  An entry is the model's schedule, or the
-    recorded error of its own synthesis."""
+    """LQR gains plus feedforward for tracking ``ref`` with each of a
+    scenario's models, the gains from one recursion over the stack.  An entry
+    is the model's schedule, or the recorded error of its own synthesis."""
     out = []
     for model, gains in zip(models, lqr_ltv(models, default_weights())):
         try:

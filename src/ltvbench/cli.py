@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchConfig, _schedule, method_grid, run_bench
+from .bench import BenchConfig, _schedules, method_grid, run_bench
 from .control import ReferenceSpec, closed_loop, default_reference, save_gains
 from .datagen import (
     Split,
@@ -173,7 +173,9 @@ def _cmd_control(args) -> int:
             ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
     else:
         ref = default_reference(spec.horizon)
-    sched = _schedule(model, ref)
+    sched = _schedules([model], ref)[0]
+    if isinstance(sched, Exception):
+        raise sched
     traj = closed_loop(spec, sched, ref, _parse_x0(args.x0), seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)

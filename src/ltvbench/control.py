@@ -115,12 +115,6 @@ class ReferenceSpec:
         i = np.searchsorted(starts, t + 1e-12, side="right")
         return positions[np.maximum(i - 1, 0)]
 
-    def state_at(self, t: float, p: int = 2) -> np.ndarray:
-        """Reference state: target position, zero for the remaining components."""
-        x = np.zeros(p)
-        x[0] = self.position_at(t)
-        return x
-
 
 def default_reference(horizon: float) -> ReferenceSpec:
     """Alternating +/-1 setpoints, switching every 2 seconds."""
@@ -146,9 +140,9 @@ def lqr_ltv(model, weights: CostWeights):
     ``SynthesisError``), or a sequence of models that share N, p and q,
     giving a list with one entry per model: its schedule, or the
     ``SynthesisError`` that its own recursion raises.  The sequence runs one
-    recursion on the stacked ``(L, p, p)`` arrays; every product is taken per
-    model, in that model's memory order of A(k), so each model's gains and
-    cost-to-go are byte-identical to its own recursion.
+    recursion on the stacked ``(L, p, p)`` arrays.  Every model stores its
+    matrices in one memory layout, so each model's gains and cost-to-go are
+    byte-identical to its own recursion.
     """
     single = isinstance(model, LtvModel)
     models = [model] if single else list(model)
@@ -159,7 +153,10 @@ def lqr_ltv(model, weights: CostWeights):
         raise ValueError(f"models to stack must share N, p and q, got {sorted(shapes)}")
     (_, p, q), = shapes
     if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
-        raise ValueError("weight dimensions do not match the model")
+        raise ValueError(
+            f"weights Q {weights.Q.shape} and R {weights.R.shape} do not match "
+            f"the model's p={p} and q={q}"
+        )
     try:
         results = _riccati(models, weights)
     except SynthesisError as exc:
@@ -180,74 +177,44 @@ def _riccati(models, weights: CostWeights) -> list:
 
     Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
     block; a single model runs on its own ``(N, ...)`` arrays, uncopied.
+    Every model stores A(k) and B(k) C-contiguous (:class:`LtvModel`), so a
+    stack's products round as each model's own do.
     """
-    # The rounding of a product with A(k) follows the BLAS kernel that A(k)'s
-    # memory order selects: the fits store A(k) column-major, the other models
-    # row-major.  So the stack keeps one A array per memory order, each model's
-    # matrices in their own order, and takes the products with A on each.
     one = len(models) == 1
-    column = [m.A.strides[1] < m.A.strides[2] for m in models]
-    order = sorted(range(len(models)), key=column.__getitem__)
-    groups, start = [], 0   # (the group's rows of the sorted stack, its A stack)
-    for col in (False, True):
-        group = [models[g].A for g in order if column[g] == col]
-        if group:
-            stack = group[0] if one else _stack_steps(group, col)
-            groups.append((slice(start, start + len(group)), stack))
-            start += len(group)
-    B = models[0].B if one else np.stack([models[g].B for g in order], axis=1)
+    if one:
+        A, B = models[0].A, models[0].B
+    else:
+        A = np.stack([m.A for m in models], axis=1)
+        B = np.stack([m.B for m in models], axis=1)
     n, p, q = models[0].n_steps, models[0].p, models[0].q
     lead = () if one else (len(models),)
     K = np.empty((n,) + lead + (q, p))
     P_stack = np.empty((n + 1,) + lead + (p, p))
     P = P_stack[n] = np.broadcast_to(weights.H, lead + (p, p))
-    (_, A), *mixed = groups
-    if mixed:   # the products with A write each group's rows of these
-        BtPA, Acl = np.empty(lead + (q, p)), np.empty(lead + (p, p))
     for k in range(n - 1, -1, -1):
         B_k = B[k]
         BtP = B_k.mT @ P
-        if mixed:
-            for rows, A_g in groups:
-                np.matmul(BtP[rows], A_g[k], out=BtPA[rows])
-        else:
-            BtPA = BtP @ A[k]
         try:
-            K[k] = np.linalg.solve(weights.R + BtP @ B_k, BtPA)
+            K[k] = np.linalg.solve(weights.R + BtP @ B_k, BtP @ A[k])
         except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"singular input-cost term at step {k}") from exc
-        BK = B_k @ K[k]
-        if mixed:
-            for rows, A_g in groups:
-                np.subtract(A_g[k], BK[rows], out=Acl[rows])
-        else:
-            Acl = A[k] - BK
+        Acl = A[k] - B_k @ K[k]
         P = weights.Q + K[k].mT @ weights.R @ K[k] + Acl.mT @ P @ Acl
         P = P_stack[k] = 0.5 * (P + P.mT)
     K = K.reshape(n, len(models), q, p)
     P_stack = P_stack.reshape(n + 1, len(models), p, p)
     finite = np.isfinite(K).all(axis=(0, 2, 3))
-    results = [None] * len(models)
-    for i, g in enumerate(order):
-        results[g] = (
-            GainSchedule(
-                K=np.ascontiguousarray(K[:, i]),
-                u_ff=np.zeros((n, q)),
-                provenance=models[g].method,
-                cost_to_go=np.ascontiguousarray(P_stack[:, i]),
-            )
-            if finite[i]
-            else SynthesisError("gain recursion produced non-finite gains")
+    return [
+        GainSchedule(
+            K=np.ascontiguousarray(K[:, i]),
+            u_ff=np.zeros((n, q)),
+            provenance=model.method,
+            cost_to_go=np.ascontiguousarray(P_stack[:, i]),
         )
-    return results
-
-
-def _stack_steps(arrays, column_major: bool) -> np.ndarray:
-    """Step-major ``(N, L, p, p)`` stack of ``(N, p, p)`` arrays whose
-    matrices keep the memory order given."""
-    if column_major:
-        return np.stack([a.mT for a in arrays], axis=1).mT
-    return np.stack(arrays, axis=1)
+        if finite[i]
+        else SynthesisError("gain recursion produced non-finite gains")
+        for i, model in enumerate(models)
+    ]
 
 
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
@@ -280,13 +247,13 @@ def closed_loop(
 ) -> Trajectory:
     """Run u(k) = -K_k (x(k) - x_ref(k)) + u_ff(k) against the ground-truth plant.
 
-    Raises :class:`InstabilityError` (with the partial trajectory attached)
-    if the state leaves the divergence guard.
+    The gains must be shaped (N, 1, 2), N the scenario's steps; others raise
+    ``ValueError``.  Raises :class:`InstabilityError` (with the partial
+    trajectory attached) if the state leaves the divergence guard.
     """
-    if sched.n_steps != spec.n_steps:
-        raise ValueError(
-            f"schedule covers {sched.n_steps} steps but scenario has {spec.n_steps}"
-        )
+    expected = (spec.n_steps, 1, 2)   # the plant has one force input and two states
+    if sched.K.shape != expected:
+        raise ValueError(f"schedule gains must be shaped {expected}, got {sched.K.shape}")
     rng = np.random.default_rng(seed) if seed is not None else None
     K, u_ff = sched.K, sched.u_ff[:, 0].tolist()
     targets = ref.position_at(np.arange(spec.n_steps) * spec.dt).tolist()

@@ -108,9 +108,7 @@ def perstep_ls_fit(data) -> LtvModel:
         raise ExcitationError(
             f"per-step fit needs at least {d} trajectories, got {ell}"
         )
-    # C order, as the other fits store their blocks: the rounding of a rollout's
-    # matrix-vector products depends on the strides of A(k) and B(k).
-    blocks = np.ascontiguousarray(stacked_lstsq(v, xn, range(n), "time step"))
+    blocks = stacked_lstsq(v, xn, range(n), "time step")
     return LtvModel.from_stacked(blocks, q=trajs[0].q, dt=trajs[0].dt, method="perstep")
 
 

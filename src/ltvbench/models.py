@@ -16,9 +16,12 @@ MODEL_FORMAT = "ltv-model/1"
 class LtvModel:
     """Discrete LTV model x(k+1) = A(k) x(k) + B(k) u(k) for k = 0..N-1.
 
-    ``A`` has shape (N, p, p) and ``B`` shape (N, p, q).  ``info`` holds
-    solver diagnostics (iteration counts, convergence flags); it is not part
-    of the persisted file format.
+    ``A`` has shape (N, p, p) and ``B`` shape (N, p, q).  Both are stored
+    C-contiguous, whatever layout they arrive in: the memory order of A(k)
+    picks the BLAS kernel of every product with it, and so its rounding, so
+    one layout makes a model's products independent of the fit that built
+    it.  ``info`` holds solver diagnostics (iteration counts, convergence
+    flags); it is not part of the persisted file format.
     """
 
     A: np.ndarray
@@ -30,8 +33,8 @@ class LtvModel:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
+        self.A = np.ascontiguousarray(self.A, dtype=float)
+        self.B = np.ascontiguousarray(self.B, dtype=float)
         if self.A.ndim != 3 or self.A.shape[1] != self.A.shape[2]:
             raise ValueError(f"A must be (N, p, p), got shape {self.A.shape}")
         if self.B.ndim != 3 or self.B.shape[:2] != self.A.shape[:2]:

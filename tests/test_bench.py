@@ -119,7 +119,7 @@ class TestLambdaSweep:
         assert all(r.tracking_rmse is not None for r in rows)
 
     def test_infinite_smoothing_matches_lti_controller(self):
-        from ltvbench.bench import _scenario_data, _schedule, _tracking_stats
+        from ltvbench.bench import _scenario_data, _schedules, _tracking_stats
         from ltvbench.control import default_reference
         from ltvbench.datagen import Split
         from ltvbench.ident import CosmicConfig, cosmic_fit, fit_method
@@ -129,7 +129,10 @@ class TestLambdaSweep:
         ref = default_reference(spec.horizon)
 
         def rmse_for(model):
-            return _tracking_stats(spec, _schedule(model, ref), ref, cfg, "ltv")[2]
+            sched = _schedules([model], ref)[0]
+            if isinstance(sched, Exception):
+                raise sched
+            return _tracking_stats(spec, sched, ref, cfg, "ltv")[2]
 
         plateau = rmse_for(cosmic_fit(splits[Split.TRAIN], CosmicConfig(lam=1e9)))
         lti = rmse_for(fit_method("lti", splits[Split.TRAIN]))

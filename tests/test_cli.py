@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ltvbench.bench import BenchConfig
@@ -156,6 +157,22 @@ class TestControlCommand:
         err = capsys.readouterr().err
         assert err.startswith("ltvbench control: error:")
         assert "0.02" in err and "0.01" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 1)], ids=["two-inputs", "three-states"])
+    def test_model_must_fit_the_plant(self, tmp_path, capsys, p, q):
+        from ltvbench.models import LtvModel, save_model
+
+        model = LtvModel.from_constant(0.5 * np.eye(p), np.ones((p, q)), 500, 0.02)
+        save_model(model, tmp_path / "m.json")
+        code = run(
+            "control", "--model", str(tmp_path / "m.json"), "--scenario", "ltv",
+            "--x0", "1,0", "--seed", "2", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench control: error:")
+        assert f"p={p} and q={q}" in err
         assert not (tmp_path / "t.csv").exists()
 
 

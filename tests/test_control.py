@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
-from conftest import read_gains, reference_params
+from conftest import model_trajectories, read_gains, reference_params
+from ltvbench.bench import path_smoothness
 from ltvbench.control import (
     CostWeights,
     GainSchedule,
@@ -30,6 +31,7 @@ from ltvbench.dynamics import (
     simulate,
 )
 from ltvbench.exceptions import InstabilityError, SynthesisError
+from ltvbench.ident import per_trajectory_losses, perstep_ls_fit
 from ltvbench.models import LtvModel
 
 
@@ -120,34 +122,68 @@ def loop_lqr(model, weights):
     return K, P_stack
 
 
-@st.composite
-def model_stacks(draw):
-    """1-9 random models sharing N, p and q, plus PSD weights.  A model is
-    stored in one of the three memory layouts the package makes: the
+LAYOUTS = ("stacked", "augmented", "contiguous")
+
+
+def in_layout(blocks, q, layout):
+    """The model of per-step blocks ``[A(k)^T; B(k)^T]`` built in one of the
+    three memory layouts the fits and the plant give their matrices: the
     column-major views of ``LtvModel.from_stacked`` (the fits), row-major
     slices of one augmented matrix per step (``ground_truth_ltv``), or
     contiguous arrays (``from_constant``, ``load_model``)."""
+    if layout == "stacked":
+        return LtvModel.from_stacked(blocks, q=q, dt=0.1)
+    n, d, p = blocks.shape
+    augmented = np.zeros((n, d, d))
+    augmented[:, :p] = blocks.transpose(0, 2, 1)
+    A, B = augmented[:, :p, :p], augmented[:, :p, p:]
+    if layout == "contiguous":
+        A, B = A.copy(), B.copy()
+    return LtvModel(A=A, B=B, dt=0.1)
+
+
+@st.composite
+def model_stacks(draw):
+    """1-9 random models sharing N, p and q, plus PSD weights.  Each model's
+    matrices come in one of the layouts of :func:`in_layout`, which the
+    ``LtvModel`` constructor stores C-contiguous."""
     n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     entries = st.floats(-2.0, 2.0, allow_subnormal=False)
-    models = []
-    for _ in range(draw(st.integers(1, 9))):
-        blocks = draw(arrays(float, (n, p + q, p), elements=entries))
-        layout = draw(st.sampled_from(["stacked", "augmented", "contiguous"]))
-        if layout == "stacked":
-            models.append(LtvModel.from_stacked(blocks, q=q, dt=0.1))
-            continue
-        augmented = np.zeros((n, p + q, p + q))
-        augmented[:, :p] = blocks.transpose(0, 2, 1)
-        A, B = augmented[:, :p, :p], augmented[:, :p, p:]
-        if layout == "contiguous":
-            A, B = A.copy(), B.copy()
-        models.append(LtvModel(A=A, B=B, dt=0.1))
+    models = [
+        in_layout(
+            draw(arrays(float, (n, p + q, p), elements=entries)), q, draw(st.sampled_from(LAYOUTS))
+        )
+        for _ in range(draw(st.integers(1, 9)))
+    ]
     root = draw(arrays(float, (p + q, p + q), elements=st.floats(-1.0, 1.0)))
     gram = root @ root.T
     weights = CostWeights(
         Q=gram[:p, :p], R=gram[p:, p:] + np.eye(q), H=0.5 * gram[:p, :p] + np.eye(p)
     )
     return models, weights
+
+
+def test_results_do_not_depend_on_the_layout_given():
+    # One perstep fit of noisy data, built in each layout: every product with
+    # A(k) and B(k) rounds alike.
+    spec = scenario("ltv")
+    truth = ground_truth_ltv(spec)
+    blocks = perstep_ls_fit(model_trajectories(truth, 8, seed=3, noise=1e-3)).stacked()
+    test = model_trajectories(truth, 4, seed=4)
+    ref = default_reference(spec.horizon)
+    results = []
+    for layout in LAYOUTS:
+        model = replace(in_layout(blocks, 1, layout), dt=truth.dt)
+        assert model.A.flags.c_contiguous and model.B.flags.c_contiguous
+        sched = lqr_ltv(model, default_weights())
+        results.append([
+            per_trajectory_losses(model, test).tobytes(),
+            sched.K.tobytes(),
+            sched.cost_to_go.tobytes(),
+            feedforward(model, ref).tobytes(),
+            path_smoothness(model),
+        ])
+    assert results[0] == results[1] == results[2]
 
 
 class TestStackedLqr:
@@ -214,8 +250,8 @@ def loop_feedforward(model, ref):
     """Per-step ``np.linalg.lstsq`` feedforward: the oracle for the stacked solve."""
     out = np.empty((model.n_steps, model.q))
     for k in range(model.n_steps):
-        x_now = ref.state_at(k * model.dt, model.p)
-        x_next = ref.state_at((k + 1) * model.dt, model.p)
+        x_now = np.array((ref.position_at(k * model.dt), 0.0))
+        x_next = np.array((ref.position_at((k + 1) * model.dt), 0.0))
         out[k] = np.linalg.lstsq(model.B[k], x_next - model.A[k] @ x_now, rcond=None)[0]
     return out
 
@@ -252,10 +288,10 @@ class TestFeedforward:
         u_ff = feedforward(model, ref)
         _, cs, _ = reference_params(spec, 0.0)
         assert_allclose(u_ff, cs * 2.0, rtol=1e-9)
-        x = ref.state_at(0.0)
+        x = x_ref = np.array((ref.position_at(0.0), 0.0))
         for k in range(model.n_steps):
             x = model.A[k] @ x + model.B[k] @ u_ff[k]
-        assert_allclose(x, ref.state_at(0.0), atol=1e-9)
+        assert_allclose(x, x_ref, atol=1e-9)
 
     def test_zero_reference_needs_no_input(self):
         model = ground_truth_ltv(scenario("ltv"))
@@ -313,6 +349,14 @@ class TestClosedLoop:
         spec = scenario("ltv")
         sched = GainSchedule(K=np.zeros((7, 1, 2)), u_ff=np.zeros((7, 1)))
         with pytest.raises(ValueError):
+            closed_loop(spec, sched, default_reference(spec.horizon), np.zeros(2))
+
+    @pytest.mark.parametrize("q, p", [(2, 2), (1, 3)], ids=["two-inputs", "three-states"])
+    def test_schedule_must_fit_the_plant(self, q, p):
+        spec = scenario("ltv")
+        n = spec.n_steps
+        sched = GainSchedule(K=np.zeros((n, q, p)), u_ff=np.zeros((n, q)))
+        with pytest.raises(ValueError, match=rf"shaped \(500, 1, 2\), got \(500, {q}, {p}\)"):
             closed_loop(spec, sched, default_reference(spec.horizon), np.zeros(2))
 
     def test_error_envelope_settles_on_lti_plant(self):

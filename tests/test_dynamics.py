@@ -414,7 +414,7 @@ def oracle_rollout(spec, x0, control, rng, guard=None):
 
 def tracking_policy(sched, ref):
     """The closed-loop input law of ``control.closed_loop``."""
-    return lambda k, t, x: sched.u_ff[k, 0] - (sched.K[k] @ (x - ref.state_at(t, 2)))[0]
+    return lambda k, t, x: sched.u_ff[k, 0] - (sched.K[k] @ (x - (ref.position_at(t), 0.0)))[0]
 
 
 # Linear-kind rollouts compose per-step maps, so they differ from the step loop
