@@ -12,6 +12,7 @@ import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .datagen import (
     tvera_experiments,
 )
 from .dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
-from .exceptions import RECORDED_ERRORS, InstabilityError
+from .exceptions import RECORDED_ERRORS, InstabilityError, TuningError
 from .files import write_json, write_table
 from .ident import (
     DEFAULT_LAMBDA_GRID,
@@ -42,7 +43,6 @@ from .ident import (
     cosmic_objective,
     fit_method,
     per_trajectory_losses,
-    prepare_training,
     rollout_residuals,
     tune,
 )
@@ -56,7 +56,9 @@ PREDICTION_METHODS = (
     "linearization",
 )
 CONTROLLERS = ("cosmic", "linearization", "lti")
+ALL_METHODS = PREDICTION_METHODS + ("lti",)
 ECDF_METHODS = ("cosmic", "tvera", "linearization")
+SUITES = ("prediction", "control", "all")
 
 _STREAM_DATASET = 2
 _STREAM_CONTROL = 3
@@ -136,30 +138,49 @@ def method_grid(method: str, cfg: BenchConfig) -> tuple:
     return ({},)
 
 
-def _model(method: str, spec, seed: int, splits, cfg: BenchConfig) -> tuple:
-    """The one place a suite gets a model: (model, best_params).
+@dataclass
+class Entry:
+    """One method's model on one scenario (or the recorded error of getting
+    it), its chosen hyperparameters and ``tune``'s grid rows, each with its
+    fit."""
+
+    model: object
+    best_params: dict = field(default_factory=dict)
+    grid: list = field(default_factory=list)
+
+
+def _ok(value):
+    """``value``, unless it is a recorded error, which is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _entry(method: str, spec, seed: int, splits, cfg: BenchConfig) -> Entry:
+    """The one place a suite gets a model.
 
     ``linearization`` is the ground-truth L-LTV model; ``perstep`` and ``lti``
     have no hyperparameters and are fitted once; every other method is tuned
     over its grid on the validation rollout loss.  The realization baseline
-    trains on its own free/forced experiments, built only here.
+    trains on its own free/forced experiments, built only here.  A failure
+    is recorded in the entry, and the run goes on.
     """
-    if method == "linearization":
-        return ground_truth_ltv(spec), {}
-    grid = method_grid(method, cfg)
-    train = splits[Split.TRAIN]
-    if grid == ({},):
-        return fit_method(method, train, {}), {}
-    if method == "tvera":
-        train = tvera_experiments(
-            spec,
-            n_free=cfg.tvera_free,
-            n_forced=cfg.tvera_forced,
-            noise_var=cfg.noise_var,
-            master_seed=seed,
-        )
-    result = tune(method, grid, train, splits[Split.VALIDATION])
-    return result.best_model, result.best_params
+    try:
+        if method == "linearization":
+            return Entry(ground_truth_ltv(spec))
+        grid = method_grid(method, cfg)
+        train = splits[Split.TRAIN]
+        if grid == ({},):
+            return Entry(fit_method(method, train, {}))
+        if method == "tvera":
+            train = tvera_experiments(
+                spec, n_free=cfg.tvera_free, n_forced=cfg.tvera_forced,
+                noise_var=cfg.noise_var, master_seed=seed,
+            )
+        result = tune(method, grid, train, splits[Split.VALIDATION])
+        return Entry(result.best_model, result.best_params, result.rows)
+    except RECORDED_ERRORS as exc:
+        return Entry(exc)
 
 
 def _schedules(models, ref) -> list:
@@ -169,9 +190,7 @@ def _schedules(models, ref) -> list:
     out = []
     for model, gains in zip(models, lqr_ltv(models, default_weights())):
         try:
-            if isinstance(gains, Exception):
-                raise gains
-            out.append(with_feedforward(gains, feedforward(model, ref)))
+            out.append(with_feedforward(_ok(gains), feedforward(model, ref)))
         except RECORDED_ERRORS as exc:
             out.append(exc)
     return out
@@ -191,28 +210,22 @@ def _map_scenarios(fn, cfg: BenchConfig) -> list:
     return [fn(name, cfg) for name in cfg.scenarios]
 
 
-def _prediction_rows(name: str, cfg: BenchConfig) -> list:
-    spec, seed, splits = _scenario_data(name, cfg)
+def _prediction_rows(name: str, entries: dict, test) -> list:
     rows = []
     for method in PREDICTION_METHODS:
+        entry = entries[method]
         try:   # cell failures are recorded, the run continues
-            model, best_params = _model(method, spec, seed, splits, cfg)
-            losses = per_trajectory_losses(model, splits[Split.TEST].trajectories)
+            losses = per_trajectory_losses(_ok(entry.model), test)
         except RECORDED_ERRORS as exc:
             rows.append(PredictionRow(name, method, None, None, 0, error=_error(exc)))
             continue
         rows.append(
             PredictionRow(
                 name, method, float(np.mean(losses)), float(np.std(losses)),
-                len(losses), best_params,
+                len(losses), entry.best_params,
             )
         )
     return rows
-
-
-def run_prediction_benchmark(cfg: BenchConfig = BenchConfig()) -> list:
-    """Tune every method per scenario and score test-set rollout losses."""
-    return [row for rows in _map_scenarios(_prediction_rows, cfg) for row in rows]
 
 
 def _tracking_stats(spec, sched, ref, cfg, name):
@@ -244,33 +257,21 @@ def _tracking_stats(spec, sched, ref, cfg, name):
     return float(np.mean(pooled)), float(np.std(pooled)), rmse, unstable
 
 
-def _control_rows(name: str, cfg: BenchConfig) -> list:
-    spec, seed, splits = _scenario_data(name, cfg)
+def _control_rows(name: str, spec, entries: dict, cfg: BenchConfig) -> list:
     ref = default_reference(spec.horizon)
-    cells = {}   # controller -> its model, then its schedule, or the recorded error
-    for controller in CONTROLLERS:
-        try:
-            cells[controller] = _model(controller, spec, seed, splits, cfg)[0]
-        except RECORDED_ERRORS as exc:
-            cells[controller] = exc
+    # controller -> its model, then its schedule, or the recorded error
+    cells = {controller: entries[controller].model for controller in CONTROLLERS}
     fitted = [c for c in CONTROLLERS if not isinstance(cells[c], Exception)]
     cells.update(zip(fitted, _schedules([cells[c] for c in fitted], ref)))
     rows = []
     for controller in CONTROLLERS:
         try:
-            if isinstance(cells[controller], Exception):
-                raise cells[controller]
-            stats = _tracking_stats(spec, cells[controller], ref, cfg, name)
+            stats = _tracking_stats(spec, _ok(cells[controller]), ref, cfg, name)
         except RECORDED_ERRORS as exc:
             rows.append(TrackingRow(name, controller, None, None, None, error=_error(exc)))
             continue
         rows.append(TrackingRow(name, controller, *stats))
     return rows
-
-
-def run_control_benchmark(cfg: BenchConfig = BenchConfig()) -> list:
-    """Closed-loop tracking statistics for the three controller sources."""
-    return [row for rows in _map_scenarios(_control_rows, cfg) for row in rows]
 
 
 def ecdf_residuals(model, trajectories) -> EcdfSeries:
@@ -287,22 +288,6 @@ def ecdf_residuals(model, trajectories) -> EcdfSeries:
     values = np.sort((np.abs(residual) / denoms).ravel())
     fractions = np.arange(1, len(values) + 1) / len(values)
     return EcdfSeries(values=values, fractions=fractions)
-
-
-def _ecdf_series(name: str, cfg: BenchConfig) -> dict:
-    spec, seed, splits = _scenario_data(name, cfg)
-    return {
-        method: ecdf_residuals(
-            _model(method, spec, seed, splits, cfg)[0], splits[Split.TEST].trajectories
-        )
-        for method in ECDF_METHODS
-    }
-
-
-def run_ecdf_suite(cfg: BenchConfig = BenchConfig()) -> dict:
-    """Per scenario: ECDF series for the tuned cosmic fit, the tuned
-    realization baseline, and the ground-truth linearization."""
-    return dict(zip(cfg.scenarios, _map_scenarios(_ecdf_series, cfg)))
 
 
 @dataclass
@@ -324,37 +309,52 @@ def path_smoothness(model) -> float:
     return float(np.sum((blocks[1:] - blocks[:-1]) ** 2))
 
 
-def lambda_sweep(cfg: BenchConfig = BenchConfig()) -> list:
-    """Smoothing-strength study on ``cfg.scenarios[0]``: objective
-    decomposition plus closed-loop RMSE.
+def _sweep_rows(spec, entry: Entry, train, cfg: BenchConfig, name: str) -> list:
+    """Smoothing-strength study: objective decomposition plus closed-loop
+    RMSE of the cosmic fit at every lam of ``cfg.lambda_grid``, in its order.
 
-    For each lam of ``cfg.lambda_grid``: fit cosmic on the training split at
-    that lam (the sweep reports every point, so nothing is tuned; the fits
-    share one set-up), decompose the objective on the same data, then run the
-    full controller pipeline, with the gains of all points from one
-    recursion, and report the tracking RMSE over the benchmark initial
-    conditions.
+    The fits are ``tune``'s grid points (the sweep reports every point,
+    whatever its validation loss); the gains of all points come from one
+    recursion.  A point without a fit fails the run.
     """
-    name = cfg.scenarios[0]
-    spec, _, splits = _scenario_data(name, cfg)
-    train = splits[Split.TRAIN]
-    ref = default_reference(spec.horizon)
+    _ok(entry.model)   # tune itself failed: no point has a fit
+    points = {row.params["lam"]: row for row in entry.grid}
     lams = [float(lam) for lam in cfg.lambda_grid]
-    shared = prepare_training("cosmic", train)
-    models = [fit_method("cosmic", shared, {"lam": lam}) for lam in lams]
+    for lam in lams:
+        if points[lam].model is None:
+            raise TuningError(f"lambda sweep point lam={lam} failed to fit: {points[lam].error}")
+    models = [points[lam].model for lam in lams]
+    ref = default_reference(spec.horizon)
     rows = []
     for lam, model, sched in zip(lams, models, _schedules(models, ref)):
-        if isinstance(sched, Exception):
-            raise sched
         _, fidelity, _ = cosmic_objective(model, train, lam)
-        _, _, rmse, unstable = _tracking_stats(spec, sched, ref, cfg, name)
-        rows.append(
-            LambdaSweepRow(
-                lam=lam, fidelity=fidelity, smoothness=path_smoothness(model),
-                tracking_rmse=rmse, unstable=unstable,
-            )
-        )
+        _, _, rmse, unstable = _tracking_stats(spec, _ok(sched), ref, cfg, name)
+        rows.append(LambdaSweepRow(lam, fidelity, path_smoothness(model), rmse, unstable))
     return rows
+
+
+def _scenario_results(suite: str, name: str, cfg: BenchConfig) -> dict:
+    """The one place a suite builds a scenario's data and models.
+
+    The splits are built once, and each method the suite reads gets one
+    :class:`Entry`.  ``table1`` and ``table2`` rows, the ECDF series and
+    (on ``cfg.scenarios[0]``) the lambda-sweep rows all come from those
+    entries.  A failed ECDF model or sweep point fails the run.
+    """
+    spec, seed, splits = _scenario_data(name, cfg)
+    methods = {"prediction": PREDICTION_METHODS, "control": CONTROLLERS}.get(suite, ALL_METHODS)
+    entries = {method: _entry(method, spec, seed, splits, cfg) for method in methods}
+    test = splits[Split.TEST].trajectories
+    out = {}
+    if suite != "control":
+        out["table1"] = _prediction_rows(name, entries, test)
+    if suite != "prediction":
+        out["table2"] = _control_rows(name, spec, entries, cfg)
+    if suite == "all":
+        out["ecdf"] = {m: ecdf_residuals(_ok(entries[m].model), test) for m in ECDF_METHODS}
+        if name == cfg.scenarios[0]:
+            out["sweep"] = _sweep_rows(spec, entries["cosmic"], splits[Split.TRAIN], cfg, name)
+    return out
 
 
 def write_prediction_csv(rows: list, path) -> None:
@@ -397,30 +397,32 @@ def write_lambda_csv(rows, path) -> None:
 
 
 def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
-    """Run one benchmark suite and write its CSV artifacts plus a manifest.
+    """Run one benchmark suite and write its CSV artifacts plus a manifest:
+    ``prediction`` writes ``table1.csv``, ``control`` ``table2.csv``, and
+    ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.
 
     Returns the list of files written (relative names).
     """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
+    results = _map_scenarios(partial(_scenario_results, suite), cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if suite == "prediction":
-        write_prediction_csv(run_prediction_benchmark(cfg), out_dir / "table1.csv")
+    if suite != "control":
+        write_prediction_csv([row for r in results for row in r["table1"]], out_dir / "table1.csv")
         written.append("table1.csv")
-    elif suite == "control":
-        write_tracking_csv(run_control_benchmark(cfg), out_dir / "table2.csv")
+    if suite != "prediction":
+        write_tracking_csv([row for r in results for row in r["table2"]], out_dir / "table2.csv")
         written.append("table2.csv")
-    elif suite == "ecdf":
-        for name, by_method in run_ecdf_suite(cfg).items():
-            fname = f"ecdf_{name.replace('-', '_')}.csv"
-            write_ecdf_csv(by_method, out_dir / fname)
-            written.append(fname)
-    elif suite == "lambda":
-        rows = lambda_sweep(cfg)
-        write_lambda_csv(rows, out_dir / "lambda_sweep.csv")
+    if suite == "all":
+        for name, result in zip(cfg.scenarios, results):
+            written.append(f"ecdf_{name.replace('-', '_')}.csv")
+            write_ecdf_csv(result["ecdf"], out_dir / written[-1])
+        write_lambda_csv(results[0]["sweep"], out_dir / "lambda_sweep.csv")
         written.append("lambda_sweep.csv")
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
     write_json(
         out_dir / "manifest.json",
         {"suite": suite, "config": asdict(cfg), "version": __version__, "files": written},

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchConfig, _schedules, method_grid, run_bench
+from .bench import SUITES, BenchConfig, _ok, _schedules, method_grid, run_bench
 from .control import ReferenceSpec, closed_loop, default_reference, save_gains
 from .datagen import (
     Split,
@@ -61,8 +61,12 @@ def _parse_x0(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_grid(text: str) -> list:
-    return [{"lam": float(v)} for v in text.split(",") if v.strip()]
+def _parse_lams(text: str) -> tuple:
+    """The lambda values of a comma-separated list; blank entries are skipped."""
+    lams = tuple(float(v) for v in text.split(",") if v.strip())
+    if not lams:
+        raise ValueError(f"no lambda values in {text!r}")
+    return lams
 
 
 def _write_manifest(path: Path, command: str, options: dict) -> None:
@@ -140,9 +144,10 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    cfg = BenchConfig(lambda_grid=_parse_lams(args.grid)) if args.grid else BenchConfig()
+    grid = method_grid(args.method, cfg)
     train = load_dataset(args.train)
     validation = load_dataset(args.validation)
-    grid = _parse_grid(args.grid) if args.grid else method_grid(args.method, BenchConfig())
     result = tune(args.method, grid, train, validation)
     out = Path(args.out)
     save_model(result.best_model, out)
@@ -173,9 +178,7 @@ def _cmd_control(args) -> int:
             ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
     else:
         ref = default_reference(spec.horizon)
-    sched = _schedules([model], ref)[0]
-    if isinstance(sched, Exception):
-        raise sched
+    sched = _ok(_schedules([model], ref)[0])
     traj = closed_loop(spec, sched, ref, _parse_x0(args.x0), seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)
@@ -194,9 +197,7 @@ def _cmd_bench(args) -> int:
         l_val=args.l_val,
         l_test=args.l_test,
         noise_var=args.noise_var,
-        lambda_grid=tuple(float(v) for v in args.lambda_grid.split(","))
-        if args.lambda_grid
-        else BenchConfig.lambda_grid,
+        lambda_grid=_parse_lams(args.lambda_grid) if args.lambda_grid else BenchConfig.lambda_grid,
         jobs=args.jobs,
     )
     written = run_bench(args.suite, cfg, args.out)
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ctl.set_defaults(func=_cmd_control, stage="control")
 
     bn = sub.add_parser("bench", help="run a benchmark suite")
-    bn.add_argument("--suite", required=True, choices=("prediction", "control", "ecdf", "lambda"))
+    bn.add_argument("--suite", required=True, choices=SUITES)
     bn.add_argument("--seed", type=int, required=True)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
@@ -294,6 +295,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "tune" and args.grid and args.method not in LAMBDA_METHODS:
             parser.error(f"tune --grid sets lambda, which method {args.method!r} does not take")
+        if args.command == "bench" and args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,7 +23,6 @@ _EXPORTS = {
     "per_trajectory_losses": "predict",
     "perstep_ls_fit": "regression",
     "predict_rollout": "predict",
-    "prepare_training": "tuning",
     "rollout_residuals": "predict",
     "solve_block_tridiag": "tridiag",
     "trajectory_prediction_loss": "predict",

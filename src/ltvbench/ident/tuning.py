@@ -38,27 +38,12 @@ def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def prepare_training(method: str, train_data):
-    """The training data that each grid point's :func:`fit_method` reads.
-
-    For ``cosmic`` and ``cosmic-single`` this is their lam-independent
-    set-up (:func:`cosmic_problem`), built once for the whole grid; for the
-    other methods, ``train_data`` itself.  Data that cannot be set up is
-    returned as it is, so that each point's fit raises and records the error.
-    """
-    if method in ("cosmic", "cosmic-single"):
-        try:
-            return cosmic_problem(train_data, single_trajectory=method == "cosmic-single")
-        except RECORDED_ERRORS:
-            pass
-    return train_data
-
-
 @dataclass
 class GridPoint:
     params: dict
     loss: float | None
     error: str | None = None
+    model: LtvModel | None = None   # the point's fit, kept when its loss failed
 
 
 @dataclass
@@ -80,16 +65,26 @@ def _grid_sorted(grid) -> list:
 
 
 def tune(method: str, grid, train_data, validation_data) -> TuneResult:
-    """Fit each grid point on the training data (from one
-    :func:`prepare_training` set-up), score the fitted models by
+    """Fit each grid point on the training data, score the fitted models by
     the validation rollout loss in one batched rollout, and return the winner
     (ties go to the later/larger point).  A point whose fit fails or whose
-    loss is not finite is recorded as failed and never wins."""
+    loss is not finite is recorded as failed and never wins; every row keeps
+    its point's fit.
+
+    The fits share one set-up: for ``cosmic`` and ``cosmic-single`` the
+    lam-independent :func:`cosmic_problem`, built once for the grid.  Data
+    that cannot be set up is passed on as it is, so that each point's fit
+    raises and records the error."""
     points = _grid_sorted(grid)
     if not points:
         raise ValueError("empty hyperparameter grid")
     val_trajs = trajectories_of(validation_data)
-    shared = prepare_training(method, train_data)
+    shared = train_data
+    if method in ("cosmic", "cosmic-single"):
+        try:
+            shared = cosmic_problem(train_data, single_trajectory=method == "cosmic-single")
+        except RECORDED_ERRORS:
+            pass
     fitted, errors = {}, {}
     for i, params in enumerate(points):
         try:
@@ -113,9 +108,9 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     best = None
     for i, params in enumerate(points):
         if i not in losses:
-            rows.append(GridPoint(params=params, loss=None, error=errors[i]))
+            rows.append(GridPoint(params, None, errors[i], fitted.get(i)))
             continue
-        rows.append(GridPoint(params=params, loss=losses[i]))
+        rows.append(GridPoint(params, losses[i], model=fitted[i]))
         if best is None or losses[i] <= best[0]:
             best = (losses[i], params, fitted[i])
     if best is None:

@@ -13,14 +13,14 @@ means something for values at rounding level, such as small ECDF residuals.  Row
 cells (e.g. scenario and method) and, where those repeat, by their order.
 The report goes to stdout; the exit code is 0 unless the arguments are bad.
 
-``tests/golden/`` holds the artifacts of all four suites at master seed 7:
+``tests/golden/`` holds the artifacts of ``--suite all`` at master seed 7:
 ``table1.csv``, ``table2.csv`` and ``lambda_sweep.csv`` in full, and in
 ``golden.json`` the toolchain that wrote them plus, for each ``ecdf_*.csv``
 (~550 kB each), its SHA-256, row count and a few quantiles per method.
 :func:`check_golden` compares a fresh run with them; ``--update`` rewrites
 them from RUN_DIR, for a change that moves cells on purpose.  RUN_DIR must
-hold all eight artifacts and the ``manifest.json`` of a run at master seed 7
-(``ltvbench bench --suite S --seed 7 --out RUN_DIR`` for each suite);
+hold all eight artifacts and the ``manifest.json`` of a run at master seed 7,
+as one ``ltvbench bench --suite all --seed 7 --out RUN_DIR`` writes them;
 otherwise nothing is written and the exit code is 2.
 """
 

@@ -2,8 +2,9 @@
 
 Each test prints one pass/fail line.  The two benchmark suites run once per
 session at full default configuration (each twice, for the byte-identity
-check) through module-scoped fixtures; with one run each of the ecdf and
-lambda suites they are also compared with the golden artifacts.
+check) through module-scoped fixtures; one run of the ``all`` suite writes
+all eight artifacts, which are compared with the golden set and whose two
+tables must match the single suites' byte for byte.
 """
 
 import csv
@@ -65,10 +66,9 @@ def control_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def ecdf_lambda_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("ecdf_lambda")
-    run_bench("ecdf", DEFAULT_CFG, out)
-    run_bench("lambda", DEFAULT_CFG, out)
+def all_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all")
+    run_bench("all", DEFAULT_CFG, out)
     return out
 
 
@@ -287,8 +287,10 @@ def test_criterion_9_bench_determinism(prediction_runs, control_runs):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_golden_artifacts(prediction_runs, control_runs, ecdf_lambda_run):
+def test_golden_artifacts(prediction_runs, control_runs, all_run):
     # the eight artifacts at master seed 7 against tests/golden/; the bytes
     # depend on the toolchain, so another one fails here and is named
-    differences = check_golden([prediction_runs[0], control_runs[0], ecdf_lambda_run])
+    differences = check_golden([all_run])
     assert not differences, "\n".join(differences)
+    for run, table in ((prediction_runs[0], "table1.csv"), (control_runs[0], "table2.csv")):
+        assert (run / table).read_bytes() == (all_run / table).read_bytes()

@@ -1,7 +1,9 @@
 import importlib
 import importlib.util
+import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +16,8 @@ import ltvbench.ident.tuning as tuning
 from ltvbench.datagen import Split
 from ltvbench.dynamics import scenario
 from conftest import model_trajectories
-from ltvbench.bench import (
-    BenchConfig,
-    ecdf_residuals,
-    lambda_sweep,
-    run_bench,
-    run_control_benchmark,
-    run_prediction_benchmark,
-    write_prediction_csv,
-)
+from ltvbench.bench import BenchConfig, ecdf_residuals, run_bench, write_prediction_csv
+from ltvbench.exceptions import ExcitationError, NumericalError, TuningError
 
 SMALL = BenchConfig(
     scenarios=("ltv",),
@@ -33,6 +28,17 @@ SMALL = BenchConfig(
     tvera_rows_cols=((3, 3),),
     master_seed=13,
 )
+
+
+def suite_results(suite, cfg) -> list:
+    """Each scenario's results (tables' rows, ECDF series, sweep rows), as
+    ``run_bench`` gathers them."""
+    return bench._map_scenarios(partial(bench._scenario_results, suite), cfg)
+
+
+def suite_rows(suite, cfg, table) -> list:
+    """One table's rows over every scenario, in ``run_bench``'s order."""
+    return [row for result in suite_results(suite, cfg) for row in result[table]]
 
 
 class TestEcdf:
@@ -81,7 +87,7 @@ class TestPredictionBenchmark:
             lambda_grid=(1e-3,),
             tvera_rows_cols=((3, 3),),
         )
-        rows = run_prediction_benchmark(cfg)
+        rows = suite_rows("prediction", cfg, "table1")
         assert len(rows) == 6
         by_method = {r.method: r for r in rows}
         assert by_method["perstep"].error is not None
@@ -89,19 +95,19 @@ class TestPredictionBenchmark:
         assert by_method["cosmic"].mean is not None
 
     def test_deterministic_under_master_seed(self):
-        a = run_prediction_benchmark(SMALL)
-        b = run_prediction_benchmark(SMALL)
+        a = suite_rows("prediction", SMALL, "table1")
+        b = suite_rows("prediction", SMALL, "table1")
         assert a == b
 
     def test_parallel_workers_match_sequential(self):
-        a = run_prediction_benchmark(replace(SMALL, scenarios=("ltv", "nl")))
-        b = run_prediction_benchmark(replace(SMALL, scenarios=("ltv", "nl"), jobs=2))
+        a = suite_rows("prediction", replace(SMALL, scenarios=("ltv", "nl")), "table1")
+        b = suite_rows("prediction", replace(SMALL, scenarios=("ltv", "nl"), jobs=2), "table1")
         assert a == b
 
 
 class TestControlBenchmark:
     def test_rows_and_stats(self):
-        rows = run_control_benchmark(SMALL)
+        rows = suite_rows("control", SMALL, "table2")
         assert [r.controller for r in rows] == ["cosmic", "linearization", "lti"]
         for row in rows:
             assert row.error is None
@@ -110,10 +116,14 @@ class TestControlBenchmark:
 
 class TestLambdaSweep:
     def test_smoothness_path_and_plateau(self):
+        # the sweep keeps the grid's order, which tune does not
         cfg = BenchConfig(
-            scenarios=("ltv",), l_train=6, l_val=3, l_test=3, lambda_grid=(1e-3, 1e-1, 10.0, 1e3)
+            scenarios=("ltv",), l_train=6, l_val=3, l_test=3, lambda_grid=(1e-3, 10.0, 1e-1, 1e3),
+            tvera_rows_cols=((3, 3),),
         )
-        rows = lambda_sweep(cfg)
+        rows = suite_results("all", cfg)[0]["sweep"]
+        assert [r.lam for r in rows] == list(cfg.lambda_grid)
+        rows.sort(key=lambda r: r.lam)
         smooth = [r.smoothness for r in rows]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(smooth, smooth[1:]))
         assert all(r.tracking_rmse is not None for r in rows)
@@ -147,7 +157,7 @@ class TestEmit:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_prediction_csv_shape(self, tmp_path):
-        rows = run_prediction_benchmark(SMALL)
+        rows = suite_rows("prediction", SMALL, "table1")
         write_prediction_csv(rows, tmp_path / "table1.csv")
         lines = (tmp_path / "table1.csv").read_text().strip().splitlines()
         assert lines[0].startswith("scenario,method,mean_loss")
@@ -158,7 +168,7 @@ class TestEmit:
             scenarios=("ltv",), l_train=4, l_val=2, l_test=2,
             lambda_grid=(1e-3,), tvera_rows_cols=((3, 3),),
         )
-        run_bench("ecdf", cfg, tmp_path)
+        run_bench("all", cfg, tmp_path)
         lines = (tmp_path / "ecdf_ltv.csv").read_text().strip().splitlines()[1:]
         by_method = {}
         for line in lines:
@@ -169,19 +179,26 @@ class TestEmit:
             assert values == sorted(values)
 
     def test_unknown_suite(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_bench("nope", SMALL, tmp_path)
+        # ``all`` writes what the ecdf and lambda suites wrote
+        for suite in ("nope", "ecdf", "lambda"):
+            with pytest.raises(ValueError, match="unknown suite"):
+                run_bench(suite, SMALL, tmp_path / suite)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_bench("control", replace(SMALL, jobs=jobs), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_ecdf_cosmic_dominates_realization_baseline():
     # tuned smoothed fit should sit far left of the realization baseline
-    from ltvbench.bench import run_ecdf_suite
-
     cfg = BenchConfig(
         scenarios=("ltv",), l_train=8, l_val=4, l_test=4,
         lambda_grid=(1e-3, 1e-1), tvera_rows_cols=((3, 3),),
     )
-    series = run_ecdf_suite(cfg)["ltv"]
+    series = suite_results("all", cfg)[0]["ecdf"]
     cosmic = series["cosmic"]
     tvera = series["tvera"]
     assert np.median(cosmic.values) < 0.1 * np.median(tvera.values)
@@ -224,23 +241,27 @@ def _benchmark_modules() -> tuple:
 
 
 class TestPipeline:
-    """Every suite builds each scenario's data once, and only the suites that
-    score the realization baseline build its experiments."""
+    """Every suite builds each scenario's data once and tunes each method
+    once, and only the suites that score the realization baseline build its
+    experiments."""
 
     CFG = replace(SMALL, scenarios=("ltv", "nl"), l_train=4, l_val=2, l_test=2)
 
     @pytest.mark.parametrize(
         "suite, tvera_builds",
-        [("prediction", 1), ("ecdf", 1), ("control", 0), ("lambda", 0)],
+        [("prediction", 1), ("control", 0), ("all", 1)],
     )
     def test_one_dataset_build_per_scenario(self, monkeypatch, tmp_path, suite, tvera_builds):
         datasets = _count_calls(monkeypatch, bench, "build_dataset")
         experiments = _count_calls(monkeypatch, bench, "tvera_experiments")
+        tunes = _count_calls(monkeypatch, bench, "tune")
         run_bench(suite, self.CFG, tmp_path)
-        # the lambda sweep runs on the first scenario only
-        names = list(self.CFG.scenarios[:1] if suite == "lambda" else self.CFG.scenarios)
+        names = list(self.CFG.scenarios)
         assert datasets == names
         assert experiments == names * tvera_builds
+        # the ECDFs and the sweep read the tuned models of table1 and table2
+        tuned = ["cosmic"] if suite == "control" else ["tvera", "ltvmodels", "cosmic-single", "cosmic"]
+        assert tunes == tuned * len(names)
 
     def test_benchmark_call_paths_resolve(self):
         # the benchmark traces these bindings; each must still name a function
@@ -276,10 +297,10 @@ class TestPipeline:
         [
             # per scenario: the gain recursions (models in each), the tuned
             # methods that share a cosmic set-up, and the fit calls that
-            # tune (grid points) and bench (untuned methods, sweep points) make
+            # tune (grid points) and bench (untuned methods) make
             ("prediction", [], ["cosmic-single", "cosmic"], (10, 1)),
             ("control", [3], ["cosmic"], (3, 1)),
-            ("lambda", [3], ["cosmic"], (0, 3)),
+            ("all", [3], ["cosmic-single", "cosmic"], (10, 2)),
         ],
     )
     def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, stacks, tuned, fits):
@@ -295,20 +316,58 @@ class TestPipeline:
         tuned_fits = _count_calls(monkeypatch, tuning, "fit_method")
         bench_fits = _count_calls(monkeypatch, bench, "fit_method")
         run_bench(suite, self.CFG, tmp_path)
-        scenarios = len(self.CFG.scenarios[:1] if suite == "lambda" else self.CFG.scenarios)
-        assert [len(models) for models in recursions] == stacks * scenarios
+        scenarios = len(self.CFG.scenarios)
+        # all adds one recursion over the first scenario's sweep, after its controllers'
+        sweep = [len(self.CFG.lambda_grid)] if suite == "all" else []
+        assert [len(models) for models in recursions] == stacks + sweep + stacks * (scenarios - 1)
         assert setups == tuned * scenarios
         assert (len(tuned_fits), len(bench_fits)) == (fits[0] * scenarios, fits[1] * scenarios)
 
-    def test_ecdf_parallel_workers_write_same_bytes(self, tmp_path):
-        run_bench("ecdf", self.CFG, tmp_path / "seq")
-        written = run_bench("ecdf", replace(self.CFG, jobs=2), tmp_path / "par")
-        assert written == ["ecdf_ltv.csv", "ecdf_nl.csv"]
+    def test_all_parallel_workers_write_same_bytes(self, tmp_path):
+        run_bench("all", self.CFG, tmp_path / "seq")
+        written = run_bench("all", replace(self.CFG, jobs=2), tmp_path / "par")
+        assert written == [
+            "table1.csv", "table2.csv", "ecdf_ltv.csv", "ecdf_nl.csv", "lambda_sweep.csv"
+        ]
         for name in written:
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+        manifest = json.loads((tmp_path / "par" / "manifest.json").read_text())
+        assert (manifest["suite"], manifest["files"]) == ("all", written)
+
+    def test_all_tables_match_the_single_suites(self, tmp_path):
+        run_bench("all", self.CFG, tmp_path / "all")
+        for suite, table in (("prediction", "table1.csv"), ("control", "table2.csv")):
+            assert run_bench(suite, self.CFG, tmp_path / suite) == [table]
+            assert (tmp_path / "all" / table).read_bytes() == (tmp_path / suite / table).read_bytes()
+
+    @pytest.mark.parametrize("fault", ["sweep point", "ecdf model"])
+    def test_failed_sweep_point_or_ecdf_model_fails_the_run(self, monkeypatch, tmp_path, fault):
+        # table1 records either failure in a cell; the sweep and the ECDFs
+        # have no cell to record it in, so the all run fails and writes nothing
+        if fault == "sweep point":
+            real = tuning.fit_method
+
+            def fit(method, data, params):
+                if method == "cosmic" and params["lam"] == self.CFG.lambda_grid[1]:
+                    raise NumericalError("singular system")
+                return real(method, data, params)
+
+            monkeypatch.setattr(tuning, "fit_method", fit)
+            error, match = TuningError, "lambda sweep point lam=0.1 failed to fit: singular system"
+        else:
+            def no_experiments(*args, **kwargs):
+                raise ExcitationError("no experiments")
+
+            monkeypatch.setattr(bench, "tvera_experiments", no_experiments)
+            error, match = ExcitationError, "no experiments"
+        run_bench("prediction", self.CFG, tmp_path / "prediction")
+        assert (tmp_path / "prediction" / "table1.csv").is_file()
+        with pytest.raises(error, match=match):
+            run_bench("all", self.CFG, tmp_path / "all")
+        assert not (tmp_path / "all").exists()
 
 
-def test_programming_error_fails_the_prediction_run(monkeypatch):
+def test_programming_error_fails_the_prediction_run(monkeypatch, tmp_path):
     # a TypeError is a bug, not an error cell
     def broken_fit(*args, **kwargs):
         raise TypeError("bug in a fit")
@@ -316,4 +375,4 @@ def test_programming_error_fails_the_prediction_run(monkeypatch):
     monkeypatch.setattr(tuning, "fit_method", broken_fit)
     monkeypatch.setattr(bench, "fit_method", broken_fit)
     with pytest.raises(TypeError, match="bug in a fit"):
-        run_prediction_benchmark(SMALL)
+        run_bench("prediction", SMALL, tmp_path)

@@ -191,15 +191,62 @@ class TestBenchCommand:
         assert manifest["suite"] == "control"
         assert manifest["config"]["master_seed"] == 5
 
-    def test_lambda_suite(self, tmp_path):
+    def test_all_suite(self, tmp_path):
         code = run(
-            "bench", "--suite", "lambda", "--seed", "2", "--scenarios", "ltv",
+            "bench", "--suite", "all", "--seed", "2", "--scenarios", "ltv",
             "--l-train", "5", "--l-val", "3", "--l-test", "3",
             "--lambda-grid", "0.001,0.1,10", "--out", str(tmp_path / "sweep"),
         )
         assert code == 0
         lines = (tmp_path / "sweep" / "lambda_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
+        written = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["files"]
+        assert written == ["table1.csv", "table2.csv", "ecdf_ltv.csv", "lambda_sweep.csv"]
+
+    @pytest.mark.parametrize("suite", ["ecdf", "lambda"])
+    def test_retired_suites_are_usage_errors(self, tmp_path, capsys, suite):
+        args = ("bench", "--suite", suite, "--seed", "1", "--out", str(tmp_path / "b"))
+        assert run(*args) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        code = run(
+            "bench", "--suite", "control", "--seed", "1", "--scenarios", "ltv",
+            "--jobs", jobs, "--out", str(tmp_path / "b"),
+        )
+        assert code == 1
+        assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_lambda_lists_skip_blank_entries(self, tmp_path, capsys):
+        # tune --grid and bench --lambda-grid read their lists with one parser
+        run(*dataset_args(tmp_path / "d"))
+        assert run(
+            "tune", "--method", "cosmic", "--grid", "1e-3,,1e-1,",
+            "--train", str(tmp_path / "d" / "train"),
+            "--validation", str(tmp_path / "d" / "validation"),
+            "--out", str(tmp_path / "m.json"),
+        ) == 0
+        with open(tmp_path / "m_grid.csv", newline="") as fh:
+            assert [json.loads(row["params"]) for row in csv.DictReader(fh)] == [
+                {"lam": 0.001}, {"lam": 0.1}
+            ]
+        assert run(
+            "bench", "--suite", "control", "--seed", "1", "--scenarios", "ltv",
+            "--l-train", "5", "--l-val", "3", "--l-test", "3",
+            "--lambda-grid", "1e-3,,1e-1", "--out", str(tmp_path / "b"),
+        ) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"]["lambda_grid"] == [0.001, 0.1]
+        # a list with no value in it is an error of either command
+        tune_args = ("tune", "--method", "cosmic", "--train", "d", "--validation", "d")
+        bench_args = ("bench", "--suite", "control", "--seed", "1")
+        for args in (tune_args + ("--grid",), bench_args + ("--lambda-grid",)):
+            assert run(*args, " , ", "--out", str(tmp_path / "blank")) == 2
+            assert "no lambda values in ' , '" in capsys.readouterr().err
+        assert not (tmp_path / "blank").exists()
 
 
 class TestExitCodes:

@@ -59,7 +59,7 @@ ECDF = "method,value,fraction\ncosmic,0.1,0.5\ncosmic,0.2,1.0\nlti,0.3,1.0\n"
 def fake_run(tmp_path, master_seed=7):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "manifest.json").write_text(json.dumps({"suite": "lambda", "config": {"master_seed": master_seed}}))
+    (run / "manifest.json").write_text(json.dumps({"suite": "all", "config": {"master_seed": master_seed}}))
     for name in GOLDEN_TABLES:
         (run / name).write_text(TABLE)
     for name in GOLDEN_ECDFS:

@@ -200,6 +200,9 @@ class TestGridScoring:
         assert overflowed.loss is None and "validation loss is" in overflowed.error
         assert scored.error is None and scored.loss == trajectory_prediction_loss(models[(0.1,)], val)
         assert result.best_params == {"lam": 0.1}
+        # each row keeps its point's fit, also when only the loss failed
+        assert failed.model is None
+        assert scored.model is result.best_model and overflowed.model is models[(10.0,)]
 
     def test_a_set_that_cannot_be_scored_fails_every_point(self):
         # validation trajectories longer than the training ones: no model
