@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -110,6 +110,16 @@ class EcdfSeries:
 
     values: np.ndarray
     fractions: np.ndarray
+
+
+def scenario_names(names) -> tuple:
+    """``scenario(name).name`` of each name, which a run seeds, labels and
+    names files by; an unknown or repeated scenario raises ``ValueError``."""
+    canonical = tuple(scenario(name).name for name in names)
+    repeated = sorted({name for name in canonical if canonical.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scenarios given more than once: {', '.join(repeated)}")
+    return canonical
 
 
 def _scenario_data(name: str, cfg: BenchConfig):
@@ -399,7 +409,8 @@ def write_lambda_csv(rows, path) -> None:
 def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
     """Run one benchmark suite and write its CSV artifacts plus a manifest:
     ``prediction`` writes ``table1.csv``, ``control`` ``table2.csv``, and
-    ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.
+    ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.  The
+    scenario names are checked and canonicalized before any work.
 
     Returns the list of files written (relative names).
     """
@@ -407,6 +418,7 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
+    cfg = replace(cfg, scenarios=scenario_names(cfg.scenarios))
     results = _map_scenarios(partial(_scenario_results, suite), cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

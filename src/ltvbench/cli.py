@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import SUITES, BenchConfig, _ok, _schedules, method_grid, run_bench
+from .bench import SUITES, BenchConfig, _ok, _schedules, method_grid, run_bench, scenario_names
 from .control import ReferenceSpec, closed_loop, default_reference, save_gains
 from .datagen import (
     Split,
@@ -297,6 +297,11 @@ def main(argv=None) -> int:
             parser.error(f"tune --grid sets lambda, which method {args.method!r} does not take")
         if args.command == "bench" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        if args.command == "bench" and args.scenarios:
+            try:
+                scenario_names(args.scenarios.split(","))
+            except ValueError as exc:
+                parser.error(f"argument --scenarios: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

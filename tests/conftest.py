@@ -62,17 +62,20 @@ def read_gains(path) -> GainSchedule:
 # --- the reference time law and RK4 step: oracles for the package's array
 # time law and its rollout kernels ---
 
-def reference_params(spec: ScenarioSpec, t: float) -> tuple:
+def reference_params(spec: ScenarioSpec, t: float, step_start: float | None = None) -> tuple:
     """Effective (mass, stiffness, damping) of the plant at one time ``t``.
 
     The law of ``dynamics.params_at`` on Python floats (``math.cos``, ``** 2``),
     one time at a time: the oracle the array version must match byte for byte.
+    A reconfiguration frame is the one containing ``step_start``, the start
+    of the step that ``t`` belongs to (by default ``t``).
     """
     if t < -1e-12 or t > spec.horizon + 1e-9:
         raise ValueError(f"t={t} outside scenario horizon [0, {spec.horizon}]")
     w = spec.param_freq
     if spec.kind in (Kind.INST_RECONFIG, Kind.MIXED_RECONFIG):
-        i = min(int((t + 1e-9) // spec.frame_duration), spec.n_frames - 1)
+        start = t if step_start is None else step_start
+        i = min(int((start + 1e-9) // spec.frame_duration), spec.n_frames - 1)
         m_i, cs_i, cd_i = spec.frames[i]
         if spec.kind is Kind.INST_RECONFIG:
             return m_i, cs_i, cd_i
@@ -118,8 +121,11 @@ def _force_law(spec: ScenarioSpec):
     return accel
 
 
-def _accel(spec: ScenarioSpec, t: float, x1: float, x2: float, u: float, kick: float) -> float:
-    return _force_law(spec)(*reference_params(spec, t), x1, x2, u, kick)
+def _accel(
+    spec: ScenarioSpec, t: float, step_start: float | None,
+    x1: float, x2: float, u: float, kick: float,
+) -> float:
+    return _force_law(spec)(*reference_params(spec, t, step_start), x1, x2, u, kick)
 
 
 def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> np.ndarray:
@@ -130,7 +136,7 @@ def derivative(spec: ScenarioSpec, t: float, x, u: float, kick: float = 0.0) -> 
     scales a Gaussian bump centered at ``dist_center``.
     """
     x1, x2 = float(x[0]), float(x[1])
-    return np.array([x2, _accel(spec, t, x1, x2, float(u), kick)])
+    return np.array([x2, _accel(spec, t, None, x1, x2, float(u), kick)])
 
 
 def step_rk4(
@@ -146,7 +152,8 @@ def step_rk4(
     The input is held constant over the step (zero-order hold) and so is any
     stochastic disturbance amplitude, which is sampled once per call.  The
     step is internally subdivided into ``RK4_SUBSTEPS`` substeps so the
-    continuously varying parameters are tracked accurately.  This is the
+    continuously varying parameters are tracked accurately; every stage reads
+    the reconfiguration frame of the step's start ``t``.  This is the
     reference the package's per-family rollout kernels are tested against.
     """
     u = float(u)
@@ -158,13 +165,13 @@ def step_rk4(
     for i in range(RK4_SUBSTEPS):
         ti = t + i * h
         a1 = x2
-        b1 = _accel(spec, ti, x1, x2, u, kick)
+        b1 = _accel(spec, ti, t, x1, x2, u, kick)
         a2 = x2 + 0.5 * h * b1
-        b2 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u, kick)
+        b2 = _accel(spec, ti + 0.5 * h, t, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u, kick)
         a3 = x2 + 0.5 * h * b2
-        b3 = _accel(spec, ti + 0.5 * h, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u, kick)
+        b3 = _accel(spec, ti + 0.5 * h, t, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u, kick)
         a4 = x2 + h * b3
-        b4 = _accel(spec, ti + h, x1 + h * a3, x2 + h * b3, u, kick)
+        b4 = _accel(spec, ti + h, t, x1 + h * a3, x2 + h * b3, u, kick)
         x1 += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         x2 += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     if not (math.isfinite(x1) and math.isfinite(x2)):

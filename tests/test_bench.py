@@ -191,6 +191,35 @@ class TestEmit:
             run_bench("control", replace(SMALL, jobs=jobs), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_scenarios_are_known_by_their_canonical_names(self, tmp_path):
+        # the seed, the row labels and the ECDF file name come from the
+        # canonical name, so a spelling of it runs the same data
+        cfg = replace(SMALL, lambda_grid=(1e-3,))
+        run_bench("all", cfg, tmp_path / "canonical")
+        run_bench("all", replace(cfg, scenarios=(" LTV ",)), tmp_path / "spelled")
+        for name in ("table1.csv", "table2.csv", "ecdf_ltv.csv", "lambda_sweep.csv", "manifest.json"):
+            assert (tmp_path / "spelled" / name).read_bytes() == (
+                tmp_path / "canonical" / name
+            ).read_bytes()
+        assert bench.scenario_names(("Inst_Reconfig", "nl")) == ("inst-reconfig", "nl")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("ltv", "ltv"), "more than once: ltv"),
+            (("inst-reconfig", "nl", "Inst_Reconfig"), "more than once: inst-reconfig"),
+            (("ltv", "bogus"), "unknown scenario 'bogus'"),
+        ],
+        ids=["repeated", "two-spellings", "unknown"],
+    )
+    def test_bad_scenario_lists_fail_before_any_work(self, tmp_path, monkeypatch, names, message):
+        built = []
+        monkeypatch.setattr(bench, "_scenario_data", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_bench("control", replace(SMALL, scenarios=names), tmp_path / "out")
+        assert not built
+        assert not (tmp_path / "out").exists()
+
 
 def test_ecdf_cosmic_dominates_realization_baseline():
     # tuned smoothed fit should sit far left of the realization baseline

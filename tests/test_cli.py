@@ -220,6 +220,22 @@ class TestBenchCommand:
         assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [("ltv,ltv", "more than once: ltv"), ("ltv,LTV", "more than once: ltv"),
+         ("ltv,bogus", "unknown scenario 'bogus'")],
+        ids=["repeated", "two-spellings", "unknown"],
+    )
+    def test_bad_scenario_lists_are_usage_errors(self, tmp_path, capsys, names, message):
+        code = run(
+            "bench", "--suite", "control", "--seed", "1", "--scenarios", names,
+            "--out", str(tmp_path / "b"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: argument --scenarios:" in err and message in err
+        assert not (tmp_path / "b").exists()
+
     def test_lambda_lists_skip_blank_entries(self, tmp_path, capsys):
         # tune --grid and bench --lambda-grid read their lists with one parser
         run(*dataset_args(tmp_path / "d"))
@@ -284,6 +300,21 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ltvbench simulate: error:") and "horizon" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("name", ["inst-reconfig", "mixed-reconfig"])
+    def test_frames_off_the_step_grid_file_is_two(self, tmp_path, capsys, name):
+        from ltvbench.dynamics import save_scenario, scenario
+
+        path = tmp_path / "spec.json"
+        save_scenario(scenario(name), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dt": 0.03}))
+        code = run(
+            "simulate", "--scenario", str(path), "--seed", "1", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench simulate: error:") and "start on a step" in err
         assert not (tmp_path / "s.csv").exists()
 
 

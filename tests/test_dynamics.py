@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -23,7 +23,7 @@ from ltvbench.control import (
     lqr_ltv,
     with_feedforward,
 )
-from ltvbench.datagen import ExcitationSpec, chirp
+from ltvbench.datagen import ExcitationSpec, chirp, default_excitations
 from ltvbench.dynamics import (
     RK4_SUBSTEPS,
     Kind,
@@ -102,6 +102,16 @@ class TestParamsAt:
         assert m == 2.0
         assert cs == pytest.approx(math.cos(3.0 * w + math.pi / 4) ** 2 * 3.0)
         assert cd == pytest.approx((1.5 + math.cos(2.0 * w)) * 4.0)
+
+    def test_stage_at_a_step_end_reads_the_step_frame(self):
+        # the last stage of the step that ends on the boundary at 2.0 s
+        spec = two_frame_spec(Kind.INST_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
+        start = 2.0 - spec.dt
+        assert reference_params(spec, 2.0, start) == (1.0, 1.0, 1.0)
+        assert reference_params(spec, 2.0, 2.0) == (2.0, 3.0, 4.0)
+        assert np.array(params_at(spec, [2.0, 2.0], [start, 2.0])).T.tolist() == [
+            [1.0, 1.0, 1.0], [2.0, 3.0, 4.0]
+        ]
 
     def test_horizon_end_uses_last_frame(self):
         spec = two_frame_spec(Kind.INST_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
@@ -215,6 +225,37 @@ class TestSimulate:
         assert kicks == {100, 200, 300, 400}
         assert len(kicks) == math.ceil(spec.horizon / 2.0) - 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        per_frame=st.integers(1, 400),
+        nudge=st.integers(-2, 2),
+        steps=st.integers(1, 2000),
+        fraction=st.floats(-0.6, 0.6),
+        tiny=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
+    )
+    def test_kick_steps_match_the_ceil_formula(self, per_frame, nudge, steps, fraction, tiny):
+        # every spec whose frames start on a step (dt = 2 s / per_frame, give
+        # or take 2 ulp) keeps the kick steps that the formula used before
+        # that rule, ceil(j * frame_duration / dt - 1e-9), gave it; horizons
+        # on and off the step grid and near frame boundaries
+        dt = 2.0 / per_frame
+        for _ in range(abs(nudge)):
+            dt = float(np.nextafter(dt, math.copysign(math.inf, nudge)))
+        horizon = (steps + fraction) * dt + tiny
+        assume(horizon >= dt)
+        spec = ScenarioSpec(
+            kind=Kind.INST_RECONFIG, dt=dt, horizon=horizon,
+            frames=((1.0, 1.0, 1.0),) * math.ceil(horizon / 2.0),
+        )
+        ceil_steps = set()
+        j = 1
+        while j * spec.frame_duration < spec.horizon - 1e-9:
+            k = math.ceil(j * spec.frame_duration / spec.dt - 1e-9)
+            if 1 <= k <= spec.n_steps:
+                ceil_steps.add(k)
+            j += 1
+        assert _kick_step_indices(spec) == ceil_steps
+
     def test_kicks_perturb_only_after_first_boundary(self):
         spec = scenario("inst-reconfig")
         quiet = replace(spec, kick_sigma=0.0)
@@ -321,6 +362,14 @@ class TestSpecValidation:
     def test_frame_count_must_cover_horizon(self):
         with pytest.raises(ValueError):
             ScenarioSpec(kind=Kind.INST_RECONFIG, frames=((1.0, 1.0, 1.0),), horizon=10.0)
+
+    @pytest.mark.parametrize("name", ["inst-reconfig", "mixed-reconfig"])
+    @pytest.mark.parametrize("dt", [0.03, 0.064, 2.5])
+    def test_frames_must_start_on_a_step(self, tmp_path, name, dt):
+        # 2 s / dt = 66.7, 31.25, 0.8: a frame would change inside a step
+        self.assert_rejected(tmp_path, name, "dt", dt)
+        assert replace(scenario(name), dt=2.0 / 49).n_steps == 245
+        assert replace(scenario("ltv"), dt=dt).dt == dt   # no frames, no rule
 
     @pytest.mark.parametrize(
         "field, value",
@@ -556,10 +605,58 @@ class TestRolloutOracle:
         assert str(got.value) == str(expected.value)
 
 
+def convergence_inputs(spec):
+    """(inputs, x0) pairs: a noise-free chirp in each split's band, a free
+    response, white noise and a constant input above the saturation limit."""
+    times = np.arange(spec.n_steps) * spec.dt
+    cases = [(chirp(ex, times), (0.0, 0.0)) for ex in default_excitations(spec.horizon, 0.0).values()]
+    cases.append((np.zeros(spec.n_steps), (1.0, -0.5)))
+    cases.append((np.random.default_rng(0).normal(0.0, 1.0, spec.n_steps), (0.0, 0.0)))
+    cases.append((np.full(spec.n_steps, 8.0), (0.0, 0.0)))
+    return cases
+
+
+@pytest.fixture
+def substeps(monkeypatch):
+    """``substeps(count)`` sets ``RK4_SUBSTEPS`` for the rest of the test; the
+    step tables built meanwhile leave the cache with it."""
+    def use(count):
+        monkeypatch.setattr("ltvbench.dynamics.RK4_SUBSTEPS", count)
+        _substep_kernel.cache_clear()
+    yield use
+    _substep_kernel.cache_clear()
+
+
+class TestSubstepConvergence:
+    """The ground truth converges at RK4's fourth order on every kind, frames
+    included: at ``RK4_SUBSTEPS`` a rollout is within 1e-5 (relative) of the
+    same rollout at 80 substeps, within 1e-9 on the kinds without frames, and
+    doubling the substeps cuts that error at least 8x (16x at fourth order)."""
+
+    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    def test_fourth_order_against_80_substeps(self, name, substeps):
+        spec = scenario(name)
+        bound = 1e-5 if spec.frames else 1e-9
+        cases = convergence_inputs(spec)
+        rollouts = {}
+        for count in (80, RK4_SUBSTEPS, 2 * RK4_SUBSTEPS):
+            substeps(count)
+            rollouts[count] = [simulate(spec, x0, u, seed=3).states for u, x0 in cases]
+        for i, fine in enumerate(rollouts[80]):
+            scale = np.max(np.abs(fine))
+            err, err_doubled = (
+                np.max(np.abs(rollouts[count][i] - fine)) / scale
+                for count in (RK4_SUBSTEPS, 2 * RK4_SUBSTEPS)
+            )
+            assert err <= bound, (i, err)
+            assert err >= 8.0 * err_doubled, (i, err, err_doubled)
+
+
 class TestStageTable:
     @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
     def test_rows_are_params_at_stage_times(self, name):
-        # against the reference law at the reference step's stage times
+        # against the reference law at the reference step's stage times, in
+        # the step's frame
         spec = short_scenario(name, horizon=2.5)
         table = _stage_params(spec)
         h = spec.dt / RK4_SUBSTEPS
@@ -569,9 +666,9 @@ class TestStageTable:
             for i in range(RK4_SUBSTEPS):
                 ti = times[k] + i * h
                 row = (
-                    reference_params(spec, ti)
-                    + reference_params(spec, ti + 0.5 * h)
-                    + reference_params(spec, ti + h)
+                    reference_params(spec, ti, times[k])
+                    + reference_params(spec, ti + 0.5 * h, times[k])
+                    + reference_params(spec, ti + h, times[k])
                 )
                 assert tuple(table[k, i].tolist()) == row
         if spec.kind in (Kind.NL, Kind.NLD):
@@ -592,7 +689,8 @@ class TestStageTable:
 
     def test_long_record_table_build_stays_small(self):
         # the step maps of a 5000-step record take 240 kB; building them one
-        # substep column at a time never holds the 3.6 MB stage table
+        # substep column at a time peaks at ~2.5 MB, below the 3.6 MB that a
+        # whole 10-substep stage table of the record would take
         spec = replace(scenario("ltv"), horizon=100.0)
         tracemalloc.start()
         try:
@@ -601,7 +699,7 @@ class TestStageTable:
         finally:
             tracemalloc.stop()
         assert table.nbytes == spec.n_steps * 6 * 8
-        assert peak < spec.n_steps * RK4_SUBSTEPS * 9 * 8
+        assert peak < 3_600_000
 
     def test_one_table_per_spec(self):
         spec = scenario("ltv")
