@@ -104,14 +104,6 @@ class TrackingRow:
     error: str | None = None
 
 
-@dataclass
-class EcdfSeries:
-    """Sorted pooled residual samples and their cumulative fractions."""
-
-    values: np.ndarray
-    fractions: np.ndarray
-
-
 def scenario_names(names) -> tuple:
     """``scenario(name).name`` of each name, which a run seeds, labels and
     names files by; an unknown or repeated scenario raises ``ValueError``."""
@@ -221,18 +213,26 @@ def _map_scenarios(fn, cfg: BenchConfig) -> list:
 
 
 def _prediction_rows(name: str, entries: dict, test) -> list:
+    """table1's rows.  Every fitted model of the scenario is scored in one
+    stacked rollout; an error of that scoring is recorded on each of them."""
+    # method -> its model, then its per-trajectory losses, or the recorded error
+    cells = {method: entries[method].model for method in PREDICTION_METHODS}
+    fitted = [m for m in PREDICTION_METHODS if not isinstance(cells[m], Exception)]
+    if fitted:
+        try:
+            cells.update(zip(fitted, per_trajectory_losses([cells[m] for m in fitted], test)))
+        except RECORDED_ERRORS as exc:
+            cells.update(dict.fromkeys(fitted, exc))
     rows = []
     for method in PREDICTION_METHODS:
-        entry = entries[method]
-        try:   # cell failures are recorded, the run continues
-            losses = per_trajectory_losses(_ok(entry.model), test)
-        except RECORDED_ERRORS as exc:
-            rows.append(PredictionRow(name, method, None, None, 0, error=_error(exc)))
+        losses = cells[method]
+        if isinstance(losses, Exception):
+            rows.append(PredictionRow(name, method, None, None, 0, error=_error(losses)))
             continue
         rows.append(
             PredictionRow(
                 name, method, float(np.mean(losses)), float(np.std(losses)),
-                len(losses), entry.best_params,
+                len(losses), entries[method].best_params,
             )
         )
     return rows
@@ -284,8 +284,9 @@ def _control_rows(name: str, spec, entries: dict, cfg: BenchConfig) -> list:
     return rows
 
 
-def ecdf_residuals(model, trajectories) -> EcdfSeries:
-    """Empirical CDF of relative absolute position residuals.
+def ecdf_residuals(models, trajectories) -> np.ndarray:
+    """Empirical CDF values of relative absolute position residuals: one
+    sorted row per model, from one stacked rollout of the models.
 
     Per trajectory, rollout residuals |x1_hat(k) - x1(k)| for k >= 1 are
     scaled by that trajectory's mean absolute position, then pooled.
@@ -294,10 +295,8 @@ def ecdf_residuals(model, trajectories) -> EcdfSeries:
     denoms = np.array([np.mean(np.abs(traj.states[:, 0])) for traj in trajectories])
     if np.any(denoms == 0.0):
         raise ValueError("trajectory has zero mean absolute position")
-    residual = rollout_residuals(model, trajectories)[:, :, 0]
-    values = np.sort((np.abs(residual) / denoms).ravel())
-    fractions = np.arange(1, len(values) + 1) / len(values)
-    return EcdfSeries(values=values, fractions=fractions)
+    residual = rollout_residuals(models, trajectories)[..., 0].swapaxes(0, 1)
+    return np.sort((np.abs(residual) / denoms).reshape(len(residual), -1), axis=1)
 
 
 @dataclass
@@ -347,7 +346,7 @@ def _scenario_results(suite: str, name: str, cfg: BenchConfig) -> dict:
     """The one place a suite builds a scenario's data and models.
 
     The splits are built once, and each method the suite reads gets one
-    :class:`Entry`.  ``table1`` and ``table2`` rows, the ECDF series and
+    :class:`Entry`.  ``table1`` and ``table2`` rows, the ECDF values and
     (on ``cfg.scenarios[0]``) the lambda-sweep rows all come from those
     entries.  A failed ECDF model or sweep point fails the run.
     """
@@ -361,7 +360,8 @@ def _scenario_results(suite: str, name: str, cfg: BenchConfig) -> dict:
     if suite != "prediction":
         out["table2"] = _control_rows(name, spec, entries, cfg)
     if suite == "all":
-        out["ecdf"] = {m: ecdf_residuals(_ok(entries[m].model), test) for m in ECDF_METHODS}
+        models = [_ok(entries[m].model) for m in ECDF_METHODS]
+        out["ecdf"] = dict(zip(ECDF_METHODS, ecdf_residuals(models, test)))
         if name == cfg.scenarios[0]:
             out["sweep"] = _sweep_rows(spec, entries["cosmic"], splits[Split.TRAIN], cfg, name)
     return out
@@ -389,12 +389,13 @@ def write_tracking_csv(rows: list, path) -> None:
     )
 
 
-def write_ecdf_csv(series_by_method: dict, path) -> None:
+def write_ecdf_csv(values_by_method: dict, path) -> None:
+    """Each method's sorted values with their cumulative fractions i / n."""
     rows = []
-    for method in sorted(series_by_method):
-        series = series_by_method[method]
-        for value, fraction in zip(series.values, series.fractions):
-            rows.append((method, float(value), float(fraction)))
+    for method in sorted(values_by_method):
+        values = values_by_method[method]
+        fractions = np.arange(1, len(values) + 1) / len(values)
+        rows.extend((method, float(v), float(f)) for v, f in zip(values, fractions))
     write_table(path, ["method", "value", "fraction"], rows)
 
 

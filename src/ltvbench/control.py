@@ -176,7 +176,10 @@ def _riccati(models, weights: CostWeights) -> list:
     ``SynthesisError`` when an input-cost term of the stack is singular.
 
     Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
-    block; a single model runs on its own ``(N, ...)`` arrays, uncopied.
+    block; a single model runs on its own ``(N, ...)`` arrays, uncopied.  At
+    N=5000 a stack of one gave the same bytes but was slower: min 101-105 ms
+    per call against 91-101 ms (min of 15 calls in each of four alternating
+    processes, shared 2-vCPU box).
     Every model stores A(k) and B(k) C-contiguous (:class:`LtvModel`), so a
     stack's products round as each model's own do.
     """

@@ -128,13 +128,16 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.horizon >= self.dt:
             raise ValueError(f"horizon must cover at least one step, got {self.horizon}")
+        steps = self.horizon / self.dt
+        if not math.isclose(steps, round(steps), rel_tol=1e-14):
+            raise ValueError(f"horizon must be a whole number of steps, got {steps!r} steps")
         if self.kind in _RECONFIG_KINDS:
             if abs(self.frame_duration - 2.0) > 1e-12:
                 raise ValueError("reconfiguration frames are fixed at 2.0 s")
             per_frame = self.frame_duration / self.dt
             if not math.isclose(per_frame, round(per_frame), rel_tol=1e-14):
                 raise ValueError(f"frames must start on a step, but 2.0 / dt = {per_frame!r}")
-            expected = math.ceil(self.horizon / self.frame_duration)
+            expected = math.ceil(self.n_steps / round(per_frame))
             if len(self.frames) != expected:
                 raise ValueError(
                     f"need {expected} frame parameter triples, got {len(self.frames)}"
@@ -293,14 +296,11 @@ def params_at(spec: ScenarioSpec, t, step_start=None) -> tuple:
 
 def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     """Step indices at which boundary velocity kicks land (reconfig kinds):
-    the first step of every frame after the first, inside the horizon."""
+    the first step of every frame after the first."""
     if spec.kind not in _RECONFIG_KINDS:
         return frozenset()
     per_frame = round(spec.frame_duration / spec.dt)
-    return frozenset(
-        j * per_frame for j in range(1, spec.n_frames)
-        if j * spec.frame_duration < spec.horizon - 1e-9
-    )
+    return frozenset(range(per_frame, spec.n_steps, per_frame))
 
 
 def _stage_column(spec: ScenarioSpec, i: int) -> np.ndarray:

@@ -22,7 +22,6 @@ _EXPORTS = {
     "ltvmodels_fit": "ltvmodels",
     "per_trajectory_losses": "predict",
     "perstep_ls_fit": "regression",
-    "predict_rollout": "predict",
     "rollout_residuals": "predict",
     "solve_block_tridiag": "tridiag",
     "trajectory_prediction_loss": "predict",

@@ -15,8 +15,9 @@ The report goes to stdout; the exit code is 0 unless the arguments are bad.
 
 ``tests/golden/`` holds the artifacts of ``--suite all`` at master seed 7:
 ``table1.csv``, ``table2.csv`` and ``lambda_sweep.csv`` in full, and in
-``golden.json`` the toolchain that wrote them plus, for each ``ecdf_*.csv``
-(~550 kB each), its SHA-256, row count and a few quantiles per method.
+``golden.json`` the toolchain that wrote them (versions and OpenBLAS cores)
+plus, for each ``ecdf_*.csv`` (~550 kB each), its SHA-256, row count and a
+few quantiles per method.
 :func:`check_golden` compares a fresh run with them; ``--update`` rewrites
 them from RUN_DIR, for a change that moves cells on purpose.  RUN_DIR must
 hold all eight artifacts and the ``manifest.json`` of a run at master seed 7,
@@ -25,6 +26,7 @@ otherwise nothing is written and the exit code is 2.
 """
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -149,9 +151,37 @@ def diff_dirs(old_dir, new_dir) -> list:
     return lines
 
 
+# package -> the OpenBLAS symbol that names the core its kernels were chosen for
+OPENBLAS_CORENAMES = {
+    "numpy": "scipy_openblas_get_corename64_",
+    "scipy": "scipy_openblas_get_corename",
+}
+
+
+def openblas_core(package: str) -> str | None:
+    """The core (e.g. ``SkylakeX``) of the OpenBLAS library bundled in the
+    ``<package>.libs`` directory of a wheel install; ``None`` when the
+    library or its symbol is not found."""
+    libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
+    symbol = OPENBLAS_CORENAMES[package]
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def toolchain() -> dict:
-    """The versions the artifacts' bytes depend on."""
-    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    """The versions the artifacts' bytes depend on, and the core each
+    OpenBLAS dispatched to: another core may round differently."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{f"openblas_core_{package}": openblas_core(package) for package in OPENBLAS_CORENAMES},
+    }
 
 
 def ecdf_summary(path: Path) -> dict:
@@ -180,13 +210,13 @@ def check_golden(run_dirs, golden_dir=GOLDEN_DIR) -> list:
 
     ``run_dirs`` together hold the eight artifacts.  An empty list means all
     are byte-identical on the golden toolchain; a different toolchain is
-    itself a difference, named with its versions.
+    itself a difference, named with its versions or OpenBLAS cores.
     """
     golden = json.loads((Path(golden_dir) / "golden.json").read_text())
     lines = [
-        f"toolchain: {tool} {golden['toolchain'][tool]} -> {version}"
+        f"toolchain: {tool} {golden['toolchain'].get(tool)} -> {version}"
         for tool, version in toolchain().items()
-        if golden["toolchain"][tool] != version
+        if golden["toolchain"].get(tool) != version
     ]
     for name in GOLDEN_TABLES + GOLDEN_ECDFS:
         path = _find(name, run_dirs)

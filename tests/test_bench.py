@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import partial
@@ -13,11 +14,18 @@ from numpy.testing import assert_allclose
 import ltvbench.bench as bench
 import ltvbench.datagen as datagen
 import ltvbench.ident.tuning as tuning
+from ltvbench.control import GainSchedule, closed_loop, default_reference, tracking_errors
 from ltvbench.datagen import Split
-from ltvbench.dynamics import scenario
+from ltvbench.dynamics import Trajectory, scenario
 from conftest import model_trajectories
-from ltvbench.bench import BenchConfig, ecdf_residuals, run_bench, write_prediction_csv
-from ltvbench.exceptions import ExcitationError, NumericalError, TuningError
+from ltvbench.bench import (
+    BenchConfig,
+    ecdf_residuals,
+    run_bench,
+    write_ecdf_csv,
+    write_prediction_csv,
+)
+from ltvbench.exceptions import ExcitationError, InstabilityError, NumericalError, TuningError
 
 SMALL = BenchConfig(
     scenarios=("ltv",),
@@ -41,10 +49,21 @@ def suite_rows(suite, cfg, table) -> list:
     return [row for result in suite_results(suite, cfg) for row in result[table]]
 
 
+def written_ecdf(values_by_method, path) -> dict:
+    """method -> (values, fractions), read back from ``write_ecdf_csv``'s file."""
+    write_ecdf_csv(values_by_method, path)
+    columns = {}
+    for line in path.read_text().splitlines()[1:]:
+        method, value, fraction = line.split(",")
+        columns.setdefault(method, ([], []))
+        columns[method][0].append(float(value))
+        columns[method][1].append(float(fraction))
+    return columns
+
+
 class TestEcdf:
-    def test_perfect_model_all_zero(self, constant_model):
+    def test_perfect_model_all_zero(self, constant_model, tmp_path):
         from conftest import rollout_model
-        from ltvbench.dynamics import Trajectory
 
         rng = np.random.default_rng(0)
         trajs = []
@@ -56,23 +75,29 @@ class TestEcdf:
                     times=np.arange(len(states), dtype=float), states=states, inputs=inputs
                 )
             )
-        series = ecdf_residuals(constant_model, trajs)
-        assert_allclose(series.values, 0.0)
-        n = len(series.values)
-        assert_allclose(series.fractions, np.arange(1, n + 1) / n)
+        (values,) = ecdf_residuals([constant_model], trajs)
+        assert_allclose(values, 0.0)
+        n = len(values)
+        written, fractions = written_ecdf({"cosmic": values}, tmp_path / "ecdf.csv")["cosmic"]
+        assert written == values.tolist()
+        assert fractions == (np.arange(1, n + 1) / n).tolist()
 
-    def test_fractions_non_decreasing_end_at_one(self, constant_model):
+    def test_fractions_non_decreasing_end_at_one(self, constant_model, tmp_path):
         noisy = model_trajectories(constant_model, 2, seed=1, noise=0.01)
-        series = ecdf_residuals(constant_model, noisy)
-        assert np.all(np.diff(series.fractions) > 0)
-        assert series.fractions[-1] == 1.0
-        assert np.all(np.diff(series.values) >= 0)
+        values = ecdf_residuals([constant_model, constant_model], noisy)
+        assert np.array_equal(values[0], values[1])
+        series = written_ecdf({"cosmic": values[0], "lti": values[1][:7]}, tmp_path / "ecdf.csv")
+        assert list(series) == ["cosmic", "lti"]
+        for written, fractions in series.values():
+            assert np.all(np.diff(fractions) > 0)
+            assert fractions[-1] == 1.0
+            assert np.all(np.diff(written) >= 0)
 
     def test_zero_position_trajectory_rejected(self, constant_model):
         trajs = model_trajectories(constant_model, 1, seed=2)
         trajs[0].states[:, 0] = 0.0
         with pytest.raises(ValueError):
-            ecdf_residuals(constant_model, trajs)
+            ecdf_residuals([constant_model], trajs)
 
 
 class TestPredictionBenchmark:
@@ -94,6 +119,27 @@ class TestPredictionBenchmark:
         assert by_method["cosmic"].error is None
         assert by_method["cosmic"].mean is not None
 
+    def test_scoring_error_is_recorded_on_every_fitted_cell(self, monkeypatch):
+        # the fitted models are scored together, so they fail together; a
+        # method without a model keeps its own error
+        real = bench.fit_method
+
+        def fit(method, *args):
+            if method == "perstep":
+                raise ExcitationError("too few trajectories")
+            return real(method, *args)
+
+        def unscorable(models, data):
+            assert len(models) == 5
+            raise NumericalError("non-finite rollout")
+
+        monkeypatch.setattr(bench, "fit_method", fit)
+        monkeypatch.setattr(bench, "per_trajectory_losses", unscorable)
+        rows = {r.method: r for r in suite_rows("prediction", SMALL, "table1")}
+        assert rows.pop("perstep").error == "ExcitationError: too few trajectories"
+        assert [r.error for r in rows.values()] == ["NumericalError: non-finite rollout"] * 5
+        assert all(r.mean is None and r.n_test == 0 and r.best_params == {} for r in rows.values())
+
     def test_deterministic_under_master_seed(self):
         a = suite_rows("prediction", SMALL, "table1")
         b = suite_rows("prediction", SMALL, "table1")
@@ -112,6 +158,27 @@ class TestControlBenchmark:
         for row in rows:
             assert row.error is None
             assert row.mean >= 0.0 and row.std >= 0.0 and row.rmse >= 0.0
+
+    def test_guard_trip_pools_the_partial_run(self):
+        # destabilizing gains trip the guard; the errors up to the trip are
+        # pooled, the run's rms skips the error at t=0 (x0 is off the
+        # reference there) and the row is unstable.  The ltv plant draws no
+        # noise, so the run's seed does not matter.
+        spec = scenario("ltv")
+        ref = default_reference(spec.horizon)
+        n = spec.n_steps
+        sched = GainSchedule(K=np.full((n, 1, 2), -20.0), u_ff=np.zeros((n, 1)))
+        x0 = (0.0, 0.0)
+        with pytest.raises(InstabilityError) as trip:
+            closed_loop(spec, sched, ref, np.array(x0))
+        partial = Trajectory(trip.value.times, trip.value.states, trip.value.inputs)
+        errors = tracking_errors(partial, ref)
+        assert errors[0] == 1.0 and len(errors) < n + 1
+        cfg = replace(SMALL, initial_conditions=(x0,))
+        mean, std, rmse, unstable = bench._tracking_stats(spec, sched, ref, cfg, "ltv")
+        assert unstable
+        assert (mean, std) == (np.mean(errors), np.std(errors))
+        assert rmse == math.sqrt(float(np.mean(errors[1:] ** 2))) / n
 
 
 class TestLambdaSweep:
@@ -227,12 +294,12 @@ def test_ecdf_cosmic_dominates_realization_baseline():
         scenarios=("ltv",), l_train=8, l_val=4, l_test=4,
         lambda_grid=(1e-3, 1e-1), tvera_rows_cols=((3, 3),),
     )
-    series = suite_results("all", cfg)[0]["ecdf"]
-    cosmic = series["cosmic"]
-    tvera = series["tvera"]
-    assert np.median(cosmic.values) < 0.1 * np.median(tvera.values)
-    frac_cosmic = np.mean(cosmic.values <= 0.1)
-    frac_tvera = np.mean(tvera.values <= 0.1)
+    values = suite_results("all", cfg)[0]["ecdf"]
+    cosmic = values["cosmic"]
+    tvera = values["tvera"]
+    assert np.median(cosmic) < 0.1 * np.median(tvera)
+    frac_cosmic = np.mean(cosmic <= 0.1)
+    frac_tvera = np.mean(tvera <= 0.1)
     assert frac_cosmic > frac_tvera
 
 
@@ -344,6 +411,8 @@ class TestPipeline:
         monkeypatch.setattr(tuning, "cosmic_problem", counted)
         tuned_fits = _count_calls(monkeypatch, tuning, "fit_method")
         bench_fits = _count_calls(monkeypatch, bench, "fit_method")
+        scored = _count_calls(monkeypatch, bench, "per_trajectory_losses")
+        ecdf_rollouts = _count_calls(monkeypatch, bench, "rollout_residuals")
         run_bench(suite, self.CFG, tmp_path)
         scenarios = len(self.CFG.scenarios)
         # all adds one recursion over the first scenario's sweep, after its controllers'
@@ -351,6 +420,10 @@ class TestPipeline:
         assert [len(models) for models in recursions] == stacks + sweep + stacks * (scenarios - 1)
         assert setups == tuned * scenarios
         assert (len(tuned_fits), len(bench_fits)) == (fits[0] * scenarios, fits[1] * scenarios)
+        # table1 scores the six models in one stacked rollout, the ECDFs
+        # their three in another
+        assert [len(models) for models in scored] == [6] * scenarios * (suite != "control")
+        assert [len(models) for models in ecdf_rollouts] == [3] * scenarios * (suite == "all")
 
     def test_all_parallel_workers_write_same_bytes(self, tmp_path):
         run_bench("all", self.CFG, tmp_path / "seq")

@@ -308,7 +308,8 @@ class TestExitCodes:
 
         path = tmp_path / "spec.json"
         save_scenario(scenario(name), path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), "dt": 0.03}))
+        # 2 s / 0.03 = 66.7 steps per frame; the horizon is 50 whole steps
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dt": 0.03, "horizon": 1.5}))
         code = run(
             "simulate", "--scenario", str(path), "--seed", "1", "--out", str(tmp_path / "s.csv")
         )

@@ -41,7 +41,7 @@ from ltvbench.dynamics import (
     simulate,
 )
 from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError
-from ltvbench.ident import predict_rollout
+from ltvbench.ident import rollout_residuals
 
 
 def two_frame_spec(kind, frames):
@@ -230,23 +230,27 @@ class TestSimulate:
         per_frame=st.integers(1, 400),
         nudge=st.integers(-2, 2),
         steps=st.integers(1, 2000),
-        fraction=st.floats(-0.6, 0.6),
-        tiny=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
+        fraction=st.floats(0.01, 0.99),
+        tiny=st.sampled_from([0.0, 4e-15, -4e-15]),
     )
     def test_kick_steps_match_the_ceil_formula(self, per_frame, nudge, steps, fraction, tiny):
         # every spec whose frames start on a step (dt = 2 s / per_frame, give
-        # or take 2 ulp) keeps the kick steps that the formula used before
-        # that rule, ceil(j * frame_duration / dt - 1e-9), gave it; horizons
-        # on and off the step grid and near frame boundaries
+        # or take 2 ulp) and whose horizon is a whole number of steps (give or
+        # take a relative 4e-15) keeps the kick steps that the formula used
+        # before those rules, ceil(j * frame_duration / dt - 1e-9), gave it;
+        # a horizon between two steps is rejected
         dt = 2.0 / per_frame
         for _ in range(abs(nudge)):
             dt = float(np.nextafter(dt, math.copysign(math.inf, nudge)))
-        horizon = (steps + fraction) * dt + tiny
+        frames = ((1.0, 1.0, 1.0),) * math.ceil(steps / per_frame)
+        with pytest.raises(ValueError, match="horizon must be a whole number of steps"):
+            ScenarioSpec(
+                kind=Kind.INST_RECONFIG, dt=dt, horizon=(steps + fraction) * dt, frames=frames
+            )
+        horizon = steps * dt * (1.0 + tiny)
         assume(horizon >= dt)
-        spec = ScenarioSpec(
-            kind=Kind.INST_RECONFIG, dt=dt, horizon=horizon,
-            frames=((1.0, 1.0, 1.0),) * math.ceil(horizon / 2.0),
-        )
+        spec = ScenarioSpec(kind=Kind.INST_RECONFIG, dt=dt, horizon=horizon, frames=frames)
+        assert spec.n_steps == steps
         ceil_steps = set()
         j = 1
         while j * spec.frame_duration < spec.horizon - 1e-9:
@@ -316,8 +320,7 @@ class TestGroundTruthLtv:
         spec = scenario("ltv")
         traj = simulate(spec, np.array([1.0, 0.0]), np.zeros(spec.n_steps))
         model = ground_truth_ltv(spec)
-        predicted = predict_rollout(model, traj.states[0], traj.inputs)
-        assert np.max(np.abs(predicted - traj.states)) <= 1e-4
+        assert np.max(np.abs(rollout_residuals([model], [traj]))) <= 1e-4
 
     def test_inst_reconfig_blocks_constant_within_frames(self):
         spec = scenario("inst-reconfig")
@@ -367,9 +370,10 @@ class TestSpecValidation:
     @pytest.mark.parametrize("dt", [0.03, 0.064, 2.5])
     def test_frames_must_start_on_a_step(self, tmp_path, name, dt):
         # 2 s / dt = 66.7, 31.25, 0.8: a frame would change inside a step
-        self.assert_rejected(tmp_path, name, "dt", dt)
+        # (the horizon of 50 steps passes its own rule)
+        self.assert_rejected(tmp_path, name, "dt", dt, horizon=50 * dt)
         assert replace(scenario(name), dt=2.0 / 49).n_steps == 245
-        assert replace(scenario("ltv"), dt=dt).dt == dt   # no frames, no rule
+        assert replace(scenario("ltv"), dt=dt, horizon=50 * dt).dt == dt   # no frames, no rule
 
     @pytest.mark.parametrize(
         "field, value",
@@ -379,27 +383,35 @@ class TestSpecValidation:
             ("spring", math.nan), ("damping", math.nan), ("cubic_damping", math.nan),
             ("dist_center", math.nan), ("mass", math.inf), ("dt", math.inf),
             ("horizon", math.inf), ("param_freq", math.inf), ("sat_limit", math.inf),
+            ("horizon", 4.01),   # 200.5 steps
         ],
     )
     def test_bad_plant_constant(self, tmp_path, field, value):
         self.assert_rejected(tmp_path, "nld", field, value)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("horizon", math.inf), ("frames", ((1.0, math.nan, 0.5),) * 5)],
-        ids=["horizon-inf", "frames-nan"],
+        "field, value, others",
+        [
+            ("horizon", math.inf, {}),
+            ("frames", ((1.0, math.nan, 0.5),) * 5, {}),
+            # 200.5 steps: three frames, and a kick after the last step
+            ("horizon", 4.01, {"frames": scenario("inst-reconfig").frames[:3]}),
+        ],
+        ids=["horizon-inf", "frames-nan", "horizon-off-grid"],
     )
-    def test_bad_reconfig_constant(self, tmp_path, field, value):
-        self.assert_rejected(tmp_path, "inst-reconfig", field, value)
+    def test_bad_reconfig_constant(self, tmp_path, field, value, others):
+        self.assert_rejected(tmp_path, "inst-reconfig", field, value, **others)
 
     @staticmethod
-    def assert_rejected(tmp_path, name, field, value):
-        """``field = value`` fails on the constructor and on a scenario file."""
+    def assert_rejected(tmp_path, name, field, value, **others):
+        """``field = value`` (with ``others``) fails on the constructor and on
+        a scenario file."""
         with pytest.raises(ValueError, match=field):
-            replace(scenario(name), **{field: value})
+            replace(scenario(name), **{field: value}, **others)
         path = tmp_path / "spec.json"
         save_scenario(scenario(name), path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, **others, field: value}))
         with pytest.raises(DataFormatError, match=field):
             load_scenario(path)
 

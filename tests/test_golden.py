@@ -5,7 +5,16 @@ import json
 
 import pytest
 
-from golden import GOLDEN_ECDFS, GOLDEN_TABLES, check_golden, diff_dirs, main, write_golden
+from golden import (
+    GOLDEN_ECDFS,
+    GOLDEN_TABLES,
+    OPENBLAS_CORENAMES,
+    check_golden,
+    diff_dirs,
+    main,
+    openblas_core,
+    write_golden,
+)
 
 TABLE = (
     "scenario,method,mean_loss,std_loss,n_test,best_params,error\n"
@@ -91,6 +100,23 @@ def test_golden_names_every_difference(tmp_path):
     assert "ecdf_nl.csv: sha256 differs, 3 -> 3 rows" in lines
     assert any(line.startswith("  cosmic quantiles") for line in lines)
     assert not any(line.startswith(("table1", "ecdf_ltv")) for line in lines)
+
+
+def test_golden_names_another_openblas_core(tmp_path, monkeypatch):
+    # the same versions on another core may round differently
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "golden")
+    cores = {package: openblas_core(package) for package in ("numpy", "scipy")}
+    monkeypatch.setattr("golden.openblas_core", lambda package: f"{cores[package]}+other")
+    assert check_golden([run], tmp_path / "golden") == [
+        f"toolchain: openblas_core_{package} {core} -> {core}+other"
+        for package, core in cores.items()
+    ]
+
+
+def test_openblas_core_without_its_symbol_is_null(monkeypatch):
+    monkeypatch.setitem(OPENBLAS_CORENAMES, "numpy", "no_such_symbol")
+    assert openblas_core("numpy") is None
 
 
 @pytest.mark.parametrize("fault", ["ecdf_nld.csv", "table2.csv", "manifest.json", "seed"])

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import model_trajectories, rollout_model
 from ltvbench.bench import ecdf_residuals
 from ltvbench.dynamics import Trajectory
-from ltvbench.ident import per_trajectory_losses, predict_rollout, trajectory_prediction_loss
+from ltvbench.ident import per_trajectory_losses, rollout_residuals, trajectory_prediction_loss
 from ltvbench.models import LtvModel
 
 
@@ -19,25 +19,39 @@ def scalar_model(a, b, n):
     )
 
 
+def predicted(models, x0, inputs):
+    """The states x(1..N), shape (N, G, p), that ``models`` predict from
+    ``x0``: their residuals against a record that is zero after x(0)."""
+    inputs = np.asarray(inputs, dtype=float)
+    states = np.zeros((len(inputs) + 1, len(x0)))
+    states[0] = x0
+    traj = Trajectory(times=np.arange(len(states), dtype=float), states=states, inputs=inputs)
+    return rollout_residuals(models, [traj])[:, :, 0]
+
+
 class TestPredictRollout:
+    """``rollout_residuals``: the one rollout of models against recorded data."""
+
     def test_identity_dynamics_hold_state(self):
         model = LtvModel.from_constant(np.eye(2), np.zeros((2, 1)), 5, 0.1)
-        states = predict_rollout(model, [1.5, -0.5], np.ones((5, 1)))
-        assert_allclose(states, np.tile([1.5, -0.5], (6, 1)))
+        states = predicted([model], [1.5, -0.5], np.ones((5, 1)))
+        assert states.shape == (5, 1, 2)
+        assert_allclose(states[:, 0], np.tile([1.5, -0.5], (5, 1)))
 
     def test_hand_iterated_scalar_case(self):
-        # x+ = 2x + u from 1 with u = (1, 1): 1, 3, 7
-        states = predict_rollout(scalar_model(2, 1, 2), [1.0], [[1.0], [1.0]])
-        assert_allclose(states, [[1.0], [3.0], [7.0]])
+        # x+ = 2x + u from 1 with u = (1, 1): 1, 3, 7; x+ = -x: 1, -1, 1
+        states = predicted([scalar_model(2, 1, 2), scalar_model(-1, 0, 2)], [1.0], [[1.0], [1.0]])
+        assert_allclose(states[..., 0], [[3.0, -1.0], [7.0, 1.0]])
 
     def test_self_consistency_on_generated_data(self, constant_model):
         traj = model_trajectories(constant_model, 1, seed=0)[0]
-        predicted = predict_rollout(constant_model, traj.states[0], traj.inputs)
-        assert_allclose(predicted, traj.states, atol=1e-12)
+        residuals = rollout_residuals([constant_model], [traj])
+        assert residuals.shape == (constant_model.n_steps, 1, 1, 2)
+        assert_allclose(residuals, 0.0, atol=1e-12)
 
     def test_too_many_inputs_rejected(self, constant_model):
-        with pytest.raises(ValueError):
-            predict_rollout(constant_model, [0.0, 0.0], np.zeros((1000, 1)))
+        with pytest.raises(ValueError, match="model covers"):
+            predicted([constant_model], [0.0, 0.0], np.zeros((1000, 1)))
 
 
 class TestPredictionLoss:
@@ -121,19 +135,20 @@ SHAPES = dict(
 
 class TestBatchedRollout:
     @settings(max_examples=60, deadline=None)
-    @given(**SHAPES)
-    def test_stack_matches_scalar_oracle(self, seed, p, q, n, ell, stacked):
+    @given(g=st.integers(1, 3), **SHAPES)
+    def test_stack_matches_scalar_oracle(self, g, seed, p, q, n, ell, stacked):
         rng = np.random.default_rng(seed)
-        model = random_model(rng, n, p, q, stacked)
-        x0 = rng.normal(size=(ell, p))
-        inputs = rng.normal(size=(n, ell, q))
-        states = predict_rollout(model, x0, inputs)
-        assert states.shape == (n + 1, ell, p)
-        for l in range(ell):
-            oracle = rollout_model(model, x0[l], inputs[:, l])
-            scale = max(1.0, float(np.max(np.abs(oracle))))
-            assert np.max(np.abs(states[:, l] - oracle)) <= 1e-12 * scale
-            assert_allclose(predict_rollout(model, x0[l], inputs[:, l]), states[:, l], rtol=0, atol=0)
+        models = [random_model(rng, n, p, q, stacked) for _ in range(g)]
+        trajs = random_set(rng, n, p, q, ell)
+        residuals = rollout_residuals(models, trajs)
+        assert residuals.shape == (n, g, ell, p)
+        for i, model in enumerate(models):
+            for l, oracle in enumerate(oracle_rollouts(model, trajs)):
+                expected = oracle[1:] - trajs[l].states[1:]
+                scale = max(1.0, float(np.max(np.abs(oracle))))
+                assert np.max(np.abs(residuals[:, i, l] - expected)) <= 1e-12 * scale
+            # a model of the stack rolls out byte for byte as it does alone
+            assert_allclose(rollout_residuals([model], trajs)[:, 0], residuals[:, i], rtol=0, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(**SHAPES)
@@ -161,20 +176,21 @@ class TestBatchedRollout:
         with pytest.raises(ValueError, match="model covers"):
             per_trajectory_losses(model, longer)
         with pytest.raises(ValueError, match="model covers"):
-            predict_rollout(model, np.zeros((ell, p)), np.zeros((n + 1, ell, q)))
+            rollout_residuals([random_model(rng, n + 1, p, q, stacked), model], longer)
 
     @settings(max_examples=20, deadline=None)
     @given(**SHAPES)
     def test_ecdf_residuals_match_per_trajectory_oracle(self, seed, p, q, n, ell, stacked):
         rng = np.random.default_rng(seed)
-        model = random_model(rng, n, p, q, stacked)
+        models = [random_model(rng, n, p, q, stacked) for _ in range(2)]
         trajs = random_set(rng, n, p, q, ell)
-        samples = [
-            np.abs(pred[1:, 0] - t.states[1:, 0]) / np.mean(np.abs(t.states[:, 0]))
-            for pred, t in zip(oracle_rollouts(model, trajs), trajs)
-        ]
-        expected = np.sort(np.concatenate(samples))
-        series = ecdf_residuals(model, trajs)
-        scale = max(1.0, float(np.max(expected)))
-        assert np.max(np.abs(series.values - expected)) <= 1e-12 * scale
-        assert_allclose(series.fractions, np.arange(1, n * ell + 1) / (n * ell))
+        values = ecdf_residuals(models, trajs)
+        assert values.shape == (2, n * ell)
+        for model, got in zip(models, values):
+            samples = [
+                np.abs(pred[1:, 0] - t.states[1:, 0]) / np.mean(np.abs(t.states[:, 0]))
+                for pred, t in zip(oracle_rollouts(model, trajs), trajs)
+            ]
+            expected = np.sort(np.concatenate(samples))
+            scale = max(1.0, float(np.max(expected)))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale

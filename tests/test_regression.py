@@ -105,6 +105,18 @@ class TestCheckExcitation:
         assert not report.satisfied
 
 
+    @pytest.mark.parametrize("ratio, rank", [(1e-9, 3), (1e-11, 2)])
+    def test_relative_rank_threshold(self, ratio, rank):
+        # stacked rows with singular values (1, 1, ratio): the threshold
+        # RANK_RTOL = 1e-10 lies between the two ratios
+        rotation, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        rows = np.diag([1.0, 1.0, ratio]) @ rotation
+        states = np.vstack([rows[:, :2], np.zeros((1, 2))])
+        report = check_excitation([tiny_traj(states, rows[:, 2:])])
+        assert report.rank == rank
+        assert report.satisfied == (rank == 3)
+
+
 class TestPrecondition:
     """The per-channel 1/std scaling inside ``cosmic_fit``."""
 
