@@ -147,6 +147,9 @@ class TestBatchedRollout:
                 expected = oracle[1:] - trajs[l].states[1:]
                 scale = max(1.0, float(np.max(np.abs(oracle))))
                 assert np.max(np.abs(residuals[:, i, l] - expected)) <= 1e-12 * scale
+                # a trajectory of the set rolls out byte for byte as it does alone
+                alone = rollout_residuals([model], [trajs[l]])[:, 0, 0]
+                assert alone.tobytes() == residuals[:, i, l].tobytes()
             # a model of the stack rolls out byte for byte as it does alone
             assert_allclose(rollout_residuals([model], trajs)[:, 0], residuals[:, i], rtol=0, atol=0)
 
