@@ -9,6 +9,7 @@ against a spring, hence the feedforward term.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -82,9 +83,9 @@ class GainSchedule:
 class ReferenceSpec:
     """Piecewise-constant position targets (velocity reference is zero).
 
-    ``segments`` is a sequence of (start_time, position) pairs with strictly
-    increasing start times beginning at zero; each segment holds until the
-    next one starts.
+    ``segments`` is a sequence of finite (start_time, position) pairs with
+    strictly increasing start times beginning at zero; each segment holds
+    until the next one starts.
     """
 
     segments: tuple
@@ -94,6 +95,8 @@ class ReferenceSpec:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("reference needs at least one segment")
+        if not all(math.isfinite(v) for seg in segs for v in seg):
+            raise ValueError(f"reference segments must be finite, got {segs}")
         if abs(segs[0][0]) > 1e-12:
             raise ValueError("first reference segment must start at t=0")
         starts = tuple(t for t, _ in segs)
@@ -176,24 +179,16 @@ def _riccati(models, weights: CostWeights) -> list:
     ``SynthesisError`` when an input-cost term of the stack is singular.
 
     Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
-    block; a single model runs on its own ``(N, ...)`` arrays, uncopied.  At
-    N=5000 a stack of one gave the same bytes but was slower: min 101-105 ms
-    per call against 91-101 ms (min of 15 calls in each of four alternating
-    processes, shared 2-vCPU box).
-    Every model stores A(k) and B(k) C-contiguous (:class:`LtvModel`), so a
-    stack's products round as each model's own do.
+    block; a single model runs as a stack of one, to the same bytes as on its
+    own ``(N, ...)`` arrays.  Every model stores A(k) and B(k) C-contiguous
+    (:class:`LtvModel`), so a stack's products round as each model's own do.
     """
-    one = len(models) == 1
-    if one:
-        A, B = models[0].A, models[0].B
-    else:
-        A = np.stack([m.A for m in models], axis=1)
-        B = np.stack([m.B for m in models], axis=1)
+    A = np.stack([m.A for m in models], axis=1)
+    B = np.stack([m.B for m in models], axis=1)
     n, p, q = models[0].n_steps, models[0].p, models[0].q
-    lead = () if one else (len(models),)
-    K = np.empty((n,) + lead + (q, p))
-    P_stack = np.empty((n + 1,) + lead + (p, p))
-    P = P_stack[n] = np.broadcast_to(weights.H, lead + (p, p))
+    K = np.empty((n, len(models), q, p))
+    P_stack = np.empty((n + 1, len(models), p, p))
+    P = P_stack[n] = np.broadcast_to(weights.H, (len(models), p, p))
     for k in range(n - 1, -1, -1):
         B_k = B[k]
         BtP = B_k.mT @ P
@@ -204,8 +199,6 @@ def _riccati(models, weights: CostWeights) -> list:
         Acl = A[k] - B_k @ K[k]
         P = weights.Q + K[k].mT @ weights.R @ K[k] + Acl.mT @ P @ Acl
         P = P_stack[k] = 0.5 * (P + P.mT)
-    K = K.reshape(n, len(models), q, p)
-    P_stack = P_stack.reshape(n + 1, len(models), p, p)
     finite = np.isfinite(K).all(axis=(0, 2, 3))
     return [
         GainSchedule(
@@ -250,20 +243,23 @@ def closed_loop(
 ) -> Trajectory:
     """Run u(k) = -K_k (x(k) - x_ref(k)) + u_ff(k) against the ground-truth plant.
 
-    The gains must be shaped (N, 1, 2), N the scenario's steps; others raise
-    ``ValueError``.  Raises :class:`InstabilityError` (with the partial
-    trajectory attached) if the state leaves the divergence guard.
+    The policy is Python float arithmetic in the order ``u_ff[k] - (K[k, 0, 0]
+    * (x1 - x_ref[k]) + K[k, 0, 1] * x2)``, which a BLAS ``gemv`` may round
+    differently; no step calls numpy.  The gains must be shaped (N, 1, 2), N
+    the scenario's steps; others raise ``ValueError``.  Raises
+    :class:`InstabilityError` (with the partial trajectory attached) if the
+    state leaves the divergence guard.
     """
     expected = (spec.n_steps, 1, 2)   # the plant has one force input and two states
     if sched.K.shape != expected:
         raise ValueError(f"schedule gains must be shaped {expected}, got {sched.K.shape}")
     rng = np.random.default_rng(seed) if seed is not None else None
-    K, u_ff = sched.K, sched.u_ff[:, 0].tolist()
+    u_ff = sched.u_ff[:, 0].tolist()
+    k1, k2 = sched.K[:, 0, 0].tolist(), sched.K[:, 0, 1].tolist()
     targets = ref.position_at(np.arange(spec.n_steps) * spec.dt).tolist()
 
-    def policy(k, t, x1, x2):
-        # the error stays a numpy matmul: a scalar dot product rounds differently
-        return u_ff[k] - (K[k] @ np.array((x1 - targets[k], x2)))[0]
+    def policy(k, x1, x2):
+        return u_ff[k] - (k1[k] * (x1 - targets[k]) + k2[k] * x2)
 
     times, states, inputs = _rollout(spec, x0, policy, rng, guard=DIVERGENCE_GUARD)
     return Trajectory(

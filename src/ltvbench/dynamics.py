@@ -22,17 +22,18 @@ start on steps (``2.0 / dt`` is an integer), and every RK4 stage of a step
 reads that step's frame, so every kind converges at RK4's fourth order.
 
 The plant parameters depend only on time, so :func:`simulate` and
-:func:`control.closed_loop` (both through :func:`_rollout`) step with a table
-built once per spec by :func:`_substep_kernel` and cached for the
-:data:`STAGE_TABLE_CACHE` latest specs.  On the linear plants (``ltv``,
-reconfiguration) a step is one affine map of ``(x1, x2, u)``, bit-equal to the
-reference RK4 step on the basis vectors, so rollouts differ from stepping the
-reference in a loop by rounding only; on the saturated plants (``nl``,
-``nld``) they are bit-identical to it.  The reference step lives in the tests
-(``tests/conftest.py``).  The caller draws the inputs of an open-loop rollout
-from its own generator and passes them as an array; the process generator
-draws only the kicks, all before the first step (:func:`_kicks`): one ``nld``
-kick per step, or one kick per frame boundary in step order.
+:func:`control.closed_loop` (both through :func:`_rollout`) run one Python
+loop per force law over a table built once per spec by :func:`_substep_kernel`
+and kept, with its rows as Python lists, for the :data:`STAGE_TABLE_CACHE`
+latest specs; no step makes a numpy call, open or closed loop.  On the linear
+plants (``ltv``, reconfiguration) a step is one affine map of ``(x1, x2, u)``,
+bit-equal to the reference RK4 step on the basis vectors, so rollouts differ
+from stepping the reference in a loop by rounding only; on the saturated
+plants (``nl``, ``nld``) they are bit-identical to it.  The reference step
+lives in the tests (``tests/conftest.py``).  The caller draws the inputs of an
+open-loop rollout from its own generator and passes them as an array; the
+process generator draws only the kicks, all before the first step
+(:func:`_kicks`): one ``nld`` kick per step, or one per frame boundary.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -55,8 +57,9 @@ from .models import LtvModel
 # frames (m = 0.02, the stiffest case) reach 8.5e-6.
 RK4_SUBSTEPS = 4
 
-# Scenario specs whose step tables stay cached: 6 float64 per step for a linear
-# plant, RK4_SUBSTEPS * 9 for a saturated one (24 kB / 144 kB at 500 steps).
+# Scenario specs whose step tables stay cached, each with its rows as Python
+# lists: ~300 B per step for a linear plant (150 kB at 500 steps, 1.5 MB for a
+# 5000-step record), ~1.8 kB per step for a saturated one (0.9 MB at 500).
 STAGE_TABLE_CACHE = 8
 
 # Frame parameter ranges for the reconfiguration scenarios.  Masses follow a
@@ -331,78 +334,117 @@ def _stage_params(spec: ScenarioSpec) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
-def _substep_kernel(spec: ScenarioSpec):
-    """The plant's step as ``(table, advance)``, cached per spec.
+def _step_maps(spec: ScenarioSpec) -> np.ndarray:
+    """The linear plant's step maps, shape (N, 6).
 
-    ``advance(table[k].tolist(), x1, x2, u, kick) -> (x1, x2)`` takes the
-    plant over step k with ``u`` held; the table is read-only.  This is the
-    only code that writes either force law.  Linear kinds: row k is the map
-    ``(M00, M01, g0, M10, M11, g1)``, ``x(k+1) = M_k x(k) + g_k u(k)``, found
-    by running the ``RK4_SUBSTEPS`` reference substeps, in their float order,
-    on the basis columns of ``(x1, x2, u)`` for all steps at once.  Saturated
-    kinds: the table is :func:`_stage_params`; ``advance`` runs the substeps
-    inline with saturation, cubic damping and the ``nld`` bump (when ``kick``
-    is nonzero), in the reference step's float order.
+    Row k is ``(M00, M01, g0, M10, M11, g1)``, ``x(k+1) = M_k x(k) + g_k u(k)``,
+    found by running the ``RK4_SUBSTEPS`` reference substeps, in their float
+    order, on the basis columns of ``(x1, x2, u)`` for all steps at once.
     """
     h = spec.dt / RK4_SUBSTEPS
     half_h = 0.5 * h
     sixth_h = h / 6.0
-    if spec.kind not in _SATURATED_KINDS:
-        def advance(row, x1, x2, u, kick):
-            m00, m01, g0, m10, m11, g1 = row
-            return m00 * x1 + m01 * x2 + g0 * u, m10 * x1 + m11 * x2 + g1 * u
+    x1, x2, u = np.eye(3)
+    for i in range(RK4_SUBSTEPS):
+        m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = _stage_column(spec, i).T[..., None]
+        b1 = (u - cs1 * x1 - cd1 * x2) / m1
+        a2 = x2 + half_h * b1
+        b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
+        a3 = x2 + half_h * b2
+        b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
+        a4 = x2 + h * b3
+        b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
+        x1 = x1 + sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+        x2 = x2 + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    return np.concatenate((x1, x2), axis=1)
 
-        x1, x2, u = np.eye(3)
-        for i in range(RK4_SUBSTEPS):
-            m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = _stage_column(spec, i).T[..., None]
-            b1 = (u - cs1 * x1 - cd1 * x2) / m1
-            a2 = x2 + half_h * b1
-            b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
-            a3 = x2 + half_h * b2
-            b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
-            a4 = x2 + h * b3
-            b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
-            x1 = x1 + sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-            x2 = x2 + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        table = np.concatenate((x1, x2), axis=1)
-        table.flags.writeable = False
-        return table, advance
 
-    stages = _stage_params(spec)
-    stages.flags.writeable = False
+@functools.lru_cache(maxsize=STAGE_TABLE_CACHE)
+def _substep_kernel(spec: ScenarioSpec):
+    """The plant's rollout loop as ``(table, run)``, cached per spec.
+
+    ``run(x1, x2, control, nld, boundary, guard) -> (x1s, x2s, us)`` steps the
+    plant from ``(x1, x2)`` on Python floats and returns the state and input
+    lists.  ``control`` holds the inputs of an open loop, or is the policy
+    ``control(k, x1, x2)`` of a closed one.  The kicks come from
+    :func:`_kicks`, and each law reads those its kinds have.  The loop stops
+    after the first state that is non-finite or outside ``[-guard, guard]``.
+
+    This is the only code that writes either force law, one loop each, over
+    the read-only table's rows as Python lists, converted once per spec.
+    Linear kinds: the table is :func:`_step_maps`; a step is one affine map.
+    Saturated kinds: the table is :func:`_stage_params`; a step runs the
+    substeps inline with saturation, cubic damping and the ``nld`` bump (when
+    its kick is nonzero), in the reference step's float order.
+    """
+    saturated = spec.kind in _SATURATED_KINDS
+    table = _stage_params(spec) if saturated else _step_maps(spec)
+    table.flags.writeable = False
+    rows = table.tolist()
+    if not saturated:
+        def run(x1, x2, control, nld, boundary, guard):
+            closed = callable(control)
+            x1s, x2s, us = [x1], [x2], []
+            for k, (m00, m01, g0, m10, m11, g1) in enumerate(rows):
+                u = control(k, x1, x2) if closed else control[k]
+                us.append(u)
+                x1, x2 = m00 * x1 + m01 * x2 + g0 * u, m10 * x1 + m11 * x2 + g1 * u
+                if k + 1 in boundary:
+                    x2 += boundary[k + 1]
+                x1s.append(x1)
+                x2s.append(x2)
+                if not (abs(x1) <= guard and abs(x2) <= guard):
+                    break
+            return x1s, x2s, us
+        return table, run
+
+    h = spec.dt / RK4_SUBSTEPS
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     limit = spec.sat_limit
     c = spec.cubic_damping
     center = spec.dist_center
     spread = 2.0 * spec.dist_width * spec.dist_width
     exp = math.exp
 
-    def advance(rows, x1, x2, u, kick):
-        f = -limit if u < -limit else (limit if u > limit else u)
-        bump = kick != 0.0
-        for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in rows:
-            b1 = (f - cs1 * x1 - cd1 * x2 - c * x2 * x2 * x2) / m1
-            if bump:
-                b1 += kick * exp(-(x1 - center) * (x1 - center) / spread)
-            a2 = x2 + half_h * b1
-            z2 = x1 + half_h * x2
-            b2 = (f - cs2 * z2 - cd2 * a2 - c * a2 * a2 * a2) / m2
-            if bump:
-                b2 += kick * exp(-(z2 - center) * (z2 - center) / spread)
-            a3 = x2 + half_h * b2
-            z3 = x1 + half_h * a2
-            b3 = (f - cs2 * z3 - cd2 * a3 - c * a3 * a3 * a3) / m2
-            if bump:
-                b3 += kick * exp(-(z3 - center) * (z3 - center) / spread)
-            a4 = x2 + h * b3
-            z4 = x1 + h * a3
-            b4 = (f - cs3 * z4 - cd3 * a4 - c * a4 * a4 * a4) / m3
-            if bump:
-                b4 += kick * exp(-(z4 - center) * (z4 - center) / spread)
-            x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-            x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        return x1, x2
-    return stages, advance
+    def run(x1, x2, control, nld, boundary, guard):
+        closed = callable(control)
+        x1s, x2s, us = [x1], [x2], []
+        kick = 0.0
+        for k, substeps in enumerate(rows):
+            u = control(k, x1, x2) if closed else control[k]
+            us.append(u)
+            f = -limit if u < -limit else (limit if u > limit else u)
+            if nld:
+                kick = nld[k]
+            bump = kick != 0.0
+            for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in substeps:
+                b1 = (f - cs1 * x1 - cd1 * x2 - c * x2 * x2 * x2) / m1
+                if bump:
+                    b1 += kick * exp(-(x1 - center) * (x1 - center) / spread)
+                a2 = x2 + half_h * b1
+                z2 = x1 + half_h * x2
+                b2 = (f - cs2 * z2 - cd2 * a2 - c * a2 * a2 * a2) / m2
+                if bump:
+                    b2 += kick * exp(-(z2 - center) * (z2 - center) / spread)
+                a3 = x2 + half_h * b2
+                z3 = x1 + half_h * a2
+                b3 = (f - cs2 * z3 - cd2 * a3 - c * a3 * a3 * a3) / m2
+                if bump:
+                    b3 += kick * exp(-(z3 - center) * (z3 - center) / spread)
+                a4 = x2 + h * b3
+                z4 = x1 + h * a3
+                b4 = (f - cs3 * z4 - cd3 * a4 - c * a4 * a4 * a4) / m3
+                if bump:
+                    b4 += kick * exp(-(z4 - center) * (z4 - center) / spread)
+                x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
+                x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            x1s.append(x1)
+            x2s.append(x2)
+            if not (abs(x1) <= guard and abs(x2) <= guard):
+                break
+        return x1s, x2s, us
+    return table, run
 
 
 def _kicks(spec: ScenarioSpec, rng) -> tuple:
@@ -422,51 +464,28 @@ def _kicks(spec: ScenarioSpec, rng) -> tuple:
     return nld, dict(zip(steps, rng.normal(0.0, spec.kick_sigma, size=len(steps)).tolist()))
 
 
-def _initial_state(x0) -> tuple:
+def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
+    """One rollout of ``control`` (held inputs or a policy, as in
+    :func:`_substep_kernel`) through the spec's ``run`` loop, with the kicks
+    of :func:`_kicks`.  A boundary velocity kick lands on the state at the
+    frame boundary, and the recorded state includes it.  A non-finite state
+    raises :class:`IntegrationError`, and a state beyond ``guard`` (by default
+    the largest float) :class:`InstabilityError`, carrying the partial arrays.
+    """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
-    return float(x[0]), float(x[1])
-
-
-def _rollout(spec, x0, control, rng, guard: float = math.inf):
-    """Kernel loop: ``control(k, t, x1, x2)`` supplies the input.
-
-    It runs every closed loop, and the open-loop rollouts of the saturated
-    kinds (their inputs looked up by step).
-
-    Each step is one ``advance`` call of the spec's :func:`_substep_kernel`
-    on Python floats and the step's row of its cached table.  The kicks come
-    from :func:`_kicks`; ``control`` may draw from generators of its own.
-    Reconfiguration velocity kicks are applied to the state exactly when a
-    step lands on a frame boundary; the recorded state at that time includes
-    the kick.  A state exceeding ``guard`` raises :class:`InstabilityError`
-    carrying the partial trajectory.
-    """
-    n = spec.n_steps
-    times = np.arange(n + 1) * spec.dt
-    x1, x2 = _initial_state(x0)
-    table, advance = _substep_kernel(spec)
-    nld, boundary = _kicks(spec, rng)
-    states = [(x1, x2)]
-    inputs = []
-    for k, t in enumerate(times[:-1].tolist()):
-        u = float(control(k, t, x1, x2))
-        inputs.append(u)
-        x1, x2 = advance(table[k].tolist(), x1, x2, u, nld[k] if nld else 0.0)
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise IntegrationError(f"non-finite state after step at t={t}")
-        if k + 1 in boundary:
-            x2 += boundary[k + 1]
-        states.append((x1, x2))
-        if abs(x1) > guard or abs(x2) > guard:
-            raise InstabilityError(
-                k + 1,
-                times=times[: k + 2],
-                states=np.array(states),
-                inputs=np.array(inputs).reshape(k + 1, 1),
-            )
-    return times, np.array(states), np.array(inputs).reshape(n, 1)
+    run = _substep_kernel(spec)[1]
+    x1s, x2s, us = run(float(x[0]), float(x[1]), control, *_kicks(spec, rng), guard)
+    steps = len(us)
+    times = np.arange(steps + 1) * spec.dt
+    states = np.column_stack((x1s, x2s))
+    inputs = np.array(us).reshape(steps, 1)
+    if not np.isfinite(states[-1]).all():
+        raise IntegrationError(f"non-finite state after step at t={float(times[-2])}")
+    if np.abs(states[-1]).max() > guard:
+        raise InstabilityError(steps, times=times, states=states, inputs=inputs)
+    return times, states, inputs
 
 
 def simulate(spec: ScenarioSpec, x0, inputs, seed=None) -> Trajectory:
@@ -475,42 +494,18 @@ def simulate(spec: ScenarioSpec, x0, inputs, seed=None) -> Trajectory:
     ``inputs`` holds the ``spec.n_steps`` inputs, shape (N,) or (N, 1); the
     caller draws any randomness in them.  ``seed`` (an int or a numpy
     Generator) drives the kicks only; omitted, there are none.  Two calls
-    with identical inputs, seeds and specs are bitwise-identical.  On the
-    linear kinds a step is the inlined affine map of the step-map table.
+    with identical inputs, seeds and specs are bitwise-identical.
     """
     n = spec.n_steps
     u = np.array(inputs, dtype=float)
     if u.shape not in ((n,), (n, 1)):
         raise ValueError(f"need {n} inputs, shape ({n},) or ({n}, 1), got {u.shape}")
-    u = u.reshape(n)
     rng = np.random.default_rng(seed) if seed is not None else None
-    if spec.kind in _SATURATED_KINDS:
-        held = u.tolist()
-        times, states, _ = _rollout(spec, x0, lambda k, t, x1, x2: held[k], rng)
-    else:
-        times = np.arange(n + 1) * spec.dt
-        x1, x2 = _initial_state(x0)
-        _, boundary = _kicks(spec, rng)
-        m00, m01, g0, m10, m11, g1 = _substep_kernel(spec)[0].T
-        steps = zip(
-            m00.tolist(), m01.tolist(), (g0 * u).tolist(),
-            m10.tolist(), m11.tolist(), (g1 * u).tolist(),
-        )
-        isfinite = math.isfinite
-        x1s, x2s = [x1], [x2]
-        for k, (a, b, c, d, e, f) in enumerate(steps, 1):
-            x1, x2 = a * x1 + b * x2 + c, d * x1 + e * x2 + f
-            if not (isfinite(x1) and isfinite(x2)):
-                raise IntegrationError(f"non-finite state after step at t={float(times[k - 1])}")
-            if k in boundary:
-                x2 += boundary[k]
-            x1s.append(x1)
-            x2s.append(x2)
-        states = np.column_stack((x1s, x2s))
+    times, states, inputs = _rollout(spec, x0, u.reshape(n).tolist(), rng)
     return Trajectory(
         times=times,
         states=states,
-        inputs=u[:, None],
+        inputs=inputs,
         seed=seed if isinstance(seed, int) else None,
     )
 

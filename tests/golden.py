@@ -21,8 +21,9 @@ few quantiles per method.
 :func:`check_golden` compares a fresh run with them; ``--update`` rewrites
 them from RUN_DIR, for a change that moves cells on purpose.  RUN_DIR must
 hold all eight artifacts and the ``manifest.json`` of a run at master seed 7,
-as one ``ltvbench bench --suite all --seed 7 --out RUN_DIR`` writes them;
-otherwise nothing is written and the exit code is 2.
+as one ``ltvbench bench --suite all --seed 7 --out RUN_DIR`` writes them (or,
+from a checkout, ``PYTHONPATH=src python -m ltvbench bench ...``); otherwise
+nothing is written and the exit code is 2.
 """
 
 import csv

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltvbench
 from ltvbench.bench import BenchConfig
 from ltvbench.cli import build_parser, main
 from ltvbench.datagen import load_dataset
@@ -329,3 +334,18 @@ def test_size_defaults_come_from_bench_config():
     bn = parse(["bench", "--suite", "control", "--seed", "1", "--out", "b"])
     assert (bn.l_train, bn.l_val, bn.l_test) == (cfg.l_train, cfg.l_val, cfg.l_test)
     assert (bn.noise_var, bn.jobs) == (cfg.noise_var, cfg.jobs)
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # ``python -m ltvbench`` needs only the package on the path, no install
+    src = str(Path(ltvbench.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "ltvbench", "--version"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"ltvbench {ltvbench.__version__}\n"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -314,14 +315,20 @@ class TestClosedLoop:
         traj = closed_loop(spec, sched, ref, np.array([1.0, 0.0]))
         assert np.max(tracking_errors(traj, ref)) <= 1e-6
 
-    def test_zero_gains_reduce_to_open_loop(self):
-        spec = scenario("inst-reconfig")
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_zero_gains_reduce_to_open_loop(self, name):
+        # one loop per force law serves both: with zero gains the policy
+        # returns u_ff exactly, so the closed loop is the seeded open loop of
+        # u_ff, inputs and kicks included; 8 N reaches past the nl/nld limit
+        spec = scenario(name)
         n = spec.n_steps
-        sched = GainSchedule(K=np.zeros((n, 1, 2)), u_ff=np.zeros((n, 1)))
+        u_ff = np.random.default_rng(4).uniform(-8.0, 8.0, (n, 1))
+        sched = GainSchedule(K=np.zeros((n, 1, 2)), u_ff=u_ff)
         ref = default_reference(spec.horizon)
         a = closed_loop(spec, sched, ref, np.array([0.5, 0.0]), seed=9)
-        b = simulate(spec, np.array([0.5, 0.0]), np.zeros(n), seed=9)
+        b = simulate(spec, np.array([0.5, 0.0]), u_ff, seed=9)
         assert a == b
+        assert np.abs(u_ff).max() > spec.sat_limit
 
     def test_identical_seeds_identical_runs(self):
         spec = scenario("mixed-reconfig")
@@ -452,6 +459,22 @@ class TestReferenceSpec:
             ReferenceSpec(segments=((1.0, 0.0),))
         with pytest.raises(ValueError):
             ReferenceSpec(segments=((0.0, 1.0), (0.0, 2.0)))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ((0.0, 1.0), (math.nan, 2.0)),
+            ((math.nan, 1.0),),
+            ((0.0, math.nan),),
+            ((0.0, math.inf),),
+            ((0.0, 1.0), (2.0, -math.inf)),
+        ],
+    )
+    def test_non_finite_segment_is_rejected(self, segments):
+        # a NaN start compares false with its neighbours, so the ordering
+        # check alone lets it through
+        with pytest.raises(ValueError, match="must be finite"):
+            ReferenceSpec(segments=segments)
 
 
 def test_gain_schedule_round_trip(tmp_path):

@@ -474,8 +474,11 @@ def oracle_rollout(spec, x0, control, rng, guard=None):
 
 
 def tracking_policy(sched, ref):
-    """The closed-loop input law of ``control.closed_loop``."""
-    return lambda k, t, x: sched.u_ff[k, 0] - (sched.K[k] @ (x - (ref.position_at(t), 0.0)))[0]
+    """The closed-loop input law of ``control.closed_loop``, in its float order."""
+    def policy(k, t, x):
+        k1, k2 = sched.K[k, 0].tolist()
+        return sched.u_ff[k, 0] - (k1 * (x[0] - ref.position_at(t)) + k2 * x[1])
+    return policy
 
 
 # Linear-kind rollouts compose per-step maps, so they differ from the step loop
@@ -712,6 +715,20 @@ class TestStageTable:
             tracemalloc.stop()
         assert table.nbytes == spec.n_steps * 6 * 8
         assert peak < 3_600_000
+
+    @pytest.mark.parametrize("name, horizon, bound", [("ltv", 100.0, 1.7e6), ("nl", 10.0, 1.0e6)])
+    def test_cached_rows_stay_small(self, name, horizon, bound):
+        # one cached spec keeps its table and the table's rows as Python
+        # lists: ~300 B per step on a linear plant (1.5 MB for the 5000-step
+        # record) and ~1.8 kB per step on a saturated one (0.9 MB at 500)
+        spec = replace(scenario(name), horizon=horizon)
+        tracemalloc.start()
+        try:
+            table, _ = _substep_kernel.__wrapped__(spec)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 3 * table.nbytes < kept < bound
 
     def test_one_table_per_spec(self):
         spec = scenario("ltv")

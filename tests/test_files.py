@@ -8,6 +8,7 @@ corpus against every reader of a dataset.
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,23 @@ def test_malformed_file_is_typed(tmp_path, capsys, reader, case):
         read(path)   # the good file loads
     CASES[case](path, key, wrong)
     _assert_typed(read, path, path, capsys)
+
+
+@pytest.mark.parametrize(
+    "segment", [{"t": 2.0, "z": math.nan}, {"t": math.nan, "z": -1.0}, {"t": 2.0, "z": math.inf}]
+)
+def test_non_finite_reference_is_malformed(tmp_path, capsys, segment):
+    # json writes and reads NaN and Infinity; the spec, not the parser, rejects them
+    path = _ref_file(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["segments"][1] = segment
+    path.write_text(json.dumps(payload))
+    read = READERS["control-ref"][1]
+    assert read(path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ltvbench control: error: malformed reference spec {path}")
+    assert "must be finite" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # The rows of the trajectory CSV that ``_dataset_dir`` writes.
