@@ -10,6 +10,7 @@ against a spring, hence the feedforward term.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,8 @@ class CostWeights:
                 raise ValueError(f"{name} must be square, got {arr.shape}")
             if not np.allclose(arr, arr.T):
                 raise ValueError(f"{name} must be symmetric")
+        if self.H.shape != self.Q.shape:
+            raise ValueError(f"H {self.H.shape} must have the shape of Q {self.Q.shape}")
         if np.any(np.linalg.eigvalsh(self.R) <= 0):
             raise ValueError("R must be positive definite")
         for name, m in (("Q", self.Q), ("H", self.H)):
@@ -102,18 +105,22 @@ class ReferenceSpec:
         starts = tuple(t for t, _ in segs)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must strictly increase")
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_lookup", (np.array(starts), np.array([z for _, z in segs])))
+        positions = tuple(z for _, z in segs)
+        # bisect_right gives 0 before the first start, so a scalar lookup's
+        # table repeats the first position in front
+        object.__setattr__(self, "_scalar", (starts, positions[:1] + positions))
+        object.__setattr__(self, "_lookup", (np.array(starts), np.array(positions)))
 
     def position_at(self, t):
         """Position of the last segment starting at or before ``t`` (1e-12 slack).
 
-        ``t`` is a float, giving a float, or an array of times, giving an
-        array of their positions.
+        ``t`` is a number (a numpy scalar too), giving a float, or an array of
+        times, giving an array of their positions.  A time before zero gets
+        the first segment's position.
         """
         if not isinstance(t, np.ndarray):
-            i = bisect_right(self._starts, t + 1e-12)
-            return self.segments[max(i - 1, 0)][1]
+            starts, positions = self._scalar
+            return positions[bisect_right(starts, float(t) + 1e-12)]
         starts, positions = self._lookup
         i = np.searchsorted(starts, t + 1e-12, side="right")
         return positions[np.maximum(i - 1, 0)]
@@ -142,10 +149,12 @@ def lqr_ltv(model, weights: CostWeights):
     ``model`` is one model, giving its ``GainSchedule`` (or raising
     ``SynthesisError``), or a sequence of models that share N, p and q,
     giving a list with one entry per model: its schedule, or the
-    ``SynthesisError`` that its own recursion raises.  The sequence runs one
-    recursion on the stacked ``(L, p, p)`` arrays.  Every model stores its
-    matrices in one memory layout, so each model's gains and cost-to-go are
-    byte-identical to its own recursion.
+    ``SynthesisError`` that its own recursion raises.  Models of the plant's
+    shape (p=2 states, q=1 input) run one Python-float recursion each
+    (:func:`_plant_riccati`), which differs from the numpy recursion by
+    rounding only.  Other shapes run one numpy recursion on the stacked
+    ``(L, p, p)`` arrays (:func:`_riccati`).  Either way each model's gains
+    and cost-to-go are byte-identical to its own recursion.
     """
     single = isinstance(model, LtvModel)
     models = [model] if single else list(model)
@@ -157,15 +166,18 @@ def lqr_ltv(model, weights: CostWeights):
     (_, p, q), = shapes
     if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
         raise ValueError(
-            f"weights Q {weights.Q.shape} and R {weights.R.shape} do not match "
-            f"the model's p={p} and q={q}"
+            f"weights Q {weights.Q.shape}, R {weights.R.shape} and H {weights.H.shape} "
+            f"do not match the model's p={p} and q={q}"
         )
-    try:
-        results = _riccati(models, weights)
-    except SynthesisError as exc:
-        # A singular input-cost term stops the whole stack; on its own, each
-        # model either finishes or names its own singular step.
-        results = [exc] if len(models) == 1 else [lqr_ltv([m], weights)[0] for m in models]
+    if (p, q) == (2, 1):
+        results = [_plant_riccati(m, weights) for m in models]
+    else:
+        try:
+            results = _riccati(models, weights)
+        except SynthesisError as exc:
+            # A singular input-cost term stops the whole stack; on its own,
+            # each model either finishes or names its own singular step.
+            results = [exc] if len(models) == 1 else [lqr_ltv([m], weights)[0] for m in models]
     if not single:
         return results
     if isinstance(results[0], SynthesisError):
@@ -173,10 +185,63 @@ def lqr_ltv(model, weights: CostWeights):
     return results[0]
 
 
+def _plant_riccati(model, weights: CostWeights):
+    """The recursion of :func:`lqr_ltv` for one model with p=2 and q=1, on
+    Python floats; the model's schedule, or its ``SynthesisError``.
+
+    Each matrix product sums its two terms in index order, as the docstring
+    formula reads: ``BtP = B^T P``, ``s = R + BtP B``, ``K = (BtP A) / s``,
+    then ``P = (Q + (K^T R) K) + (A_cl^T P) A_cl`` and ``0.5 (P + P^T)``.
+    A(k) and B(k) are read once, step by step as Python floats, from flat
+    copies in step order N-1..0; the gains and cost-to-go go to flat
+    ``array('d')`` buffers, 8 B a value, that become arrays at the end.  No
+    step calls numpy, and no value is kept as a Python float object.
+    """
+    n = model.n_steps
+    a = iter(memoryview(model.A[::-1].ravel()))
+    b = iter(memoryview(model.B[::-1].ravel()))
+    q00, q01, q10, q11 = weights.Q.ravel().tolist()
+    (r,) = weights.R.ravel().tolist()
+    p00, p01, p10, p11 = weights.H.ravel().tolist()
+    gains = array("d")
+    costs = array("d", (p00, p01, p10, p11))
+    for k, a00, a01, a10, a11, b0, b1 in zip(range(n - 1, -1, -1), a, a, a, a, b, b):
+        bp0 = b0 * p00 + b1 * p10
+        bp1 = b0 * p01 + b1 * p11
+        s = r + (bp0 * b0 + bp1 * b1)
+        if s == 0.0:
+            return SynthesisError(f"singular input-cost term at step {k}")
+        k0 = (bp0 * a00 + bp1 * a10) / s
+        k1 = (bp0 * a01 + bp1 * a11) / s
+        c00 = a00 - b0 * k0
+        c01 = a01 - b0 * k1
+        c10 = a10 - b1 * k0
+        c11 = a11 - b1 * k1
+        m00 = c00 * p00 + c10 * p10
+        m01 = c00 * p01 + c10 * p11
+        m10 = c01 * p00 + c11 * p10
+        m11 = c01 * p01 + c11 * p11
+        kr0 = k0 * r
+        kr1 = k1 * r
+        x00 = q00 + kr0 * k0 + (m00 * c00 + m01 * c10)
+        x01 = q01 + kr0 * k1 + (m00 * c01 + m01 * c11)
+        x10 = q10 + kr1 * k0 + (m10 * c00 + m11 * c10)
+        x11 = q11 + kr1 * k1 + (m10 * c01 + m11 * c11)
+        p00 = 0.5 * (x00 + x00)
+        p01 = p10 = 0.5 * (x01 + x10)
+        p11 = 0.5 * (x11 + x11)
+        gains.extend((k0, k1))
+        costs.extend((p00, p01, p10, p11))
+    K = np.frombuffer(gains).reshape(n, 1, 2)[::-1]
+    P = np.frombuffer(costs).reshape(n + 1, 2, 2)[::-1]
+    return _schedule(model, K, P)
+
+
 def _riccati(models, weights: CostWeights) -> list:
-    """The recursion of :func:`lqr_ltv` on the stacked models; an entry is a
-    model's schedule, or its non-finite-gain ``SynthesisError``.  Raises
-    ``SynthesisError`` when an input-cost term of the stack is singular.
+    """The recursion of :func:`lqr_ltv` on the stacked models of any shape
+    but the plant's; an entry is a model's schedule, or its non-finite-gain
+    ``SynthesisError``.  Raises ``SynthesisError`` when an input-cost term of
+    the stack is singular.
 
     Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
     block; a single model runs as a stack of one, to the same bytes as on its
@@ -199,18 +264,20 @@ def _riccati(models, weights: CostWeights) -> list:
         Acl = A[k] - B_k @ K[k]
         P = weights.Q + K[k].mT @ weights.R @ K[k] + Acl.mT @ P @ Acl
         P = P_stack[k] = 0.5 * (P + P.mT)
-    finite = np.isfinite(K).all(axis=(0, 2, 3))
-    return [
-        GainSchedule(
-            K=np.ascontiguousarray(K[:, i]),
-            u_ff=np.zeros((n, q)),
-            provenance=model.method,
-            cost_to_go=np.ascontiguousarray(P_stack[:, i]),
-        )
-        if finite[i]
-        else SynthesisError("gain recursion produced non-finite gains")
-        for i, model in enumerate(models)
-    ]
+    return [_schedule(model, K[:, i], P_stack[:, i]) for i, model in enumerate(models)]
+
+
+def _schedule(model, K, P):
+    """The zero-feedforward schedule of gains ``K`` and cost-to-go ``P``, both
+    copied C-contiguous, or the ``SynthesisError`` of a non-finite gain."""
+    if not np.isfinite(K).all():
+        return SynthesisError("gain recursion produced non-finite gains")
+    return GainSchedule(
+        K=np.ascontiguousarray(K),
+        u_ff=np.zeros((K.shape[0], K.shape[1])),
+        provenance=model.method,
+        cost_to_go=np.ascontiguousarray(P),
+    )
 
 
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:

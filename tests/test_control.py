@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -106,9 +108,18 @@ class TestLqrRecursion:
         with pytest.raises(ValueError):
             CostWeights(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1), H=np.eye(2))
 
+    def test_weights_must_fit_the_model(self):
+        with pytest.raises(ValueError, match=r"Q \(1, 1\), R \(1, 1\) and H \(1, 1\) do not match"):
+            lqr_ltv(ground_truth_ltv(scenario("ltv")), unit_weights())
+
+    def test_terminal_cost_must_have_the_state_cost_shape(self):
+        with pytest.raises(ValueError, match=r"H \(3, 3\) must have the shape of Q \(2, 2\)"):
+            CostWeights(Q=np.eye(2), R=np.eye(1), H=np.eye(3))
+
 
 def loop_lqr(model, weights):
-    """The recursion one step and one model at a time: the oracle for the stack."""
+    """The numpy recursion one step and one model at a time: the byte oracle
+    for models of other shapes than the plant's, a cross-check for the plant's."""
     n = model.n_steps
     K = np.empty((n, model.q, model.p))
     P_stack = np.empty((n + 1, model.p, model.p))
@@ -121,6 +132,43 @@ def loop_lqr(model, weights):
         P = weights.Q + K[k].T @ weights.R @ K[k] + Acl.T @ P @ Acl
         P = P_stack[k] = 0.5 * (P + P.T)
     return K, P_stack
+
+
+def _mul(x, y):
+    """The matrix product of nested lists, each entry's terms summed in index order."""
+    return [[reduce(add, (x[i][m] * y[m][j] for m in range(len(y)))) for j in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def _add(x, y):
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _sub(x, y):
+    return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _t(x):
+    return [list(col) for col in zip(*x)]
+
+
+def float_lqr(model, weights):
+    """The recursion one step and one model at a time on nested lists of
+    Python floats, the docstring formula read left to right: the oracle for
+    models of the plant's shape (p=2, q=1), whose 1x1 solve is a division."""
+    Q, R, H = weights.Q.tolist(), weights.R.tolist(), weights.H.tolist()
+    K = [None] * model.n_steps
+    P_stack = [None] * model.n_steps + [H]
+    P = H
+    for k in range(model.n_steps - 1, -1, -1):
+        A, B = model.A[k].tolist(), model.B[k].tolist()
+        BtP = _mul(_t(B), P)
+        (s,), = _add(R, _mul(BtP, B))
+        K[k] = [[g / s for g in row] for row in _mul(BtP, A)]
+        Acl = _sub(A, _mul(B, K[k]))
+        P = _add(_add(Q, _mul(_mul(_t(K[k]), R), K[k])), _mul(_mul(_t(Acl), P), Acl))
+        P = P_stack[k] = [[0.5 * (a + b) for a, b in zip(rp, rt)] for rp, rt in zip(P, _t(P))]
+    return np.array(K), np.array(P_stack)
 
 
 LAYOUTS = ("stacked", "augmented", "contiguous")
@@ -145,10 +193,12 @@ def in_layout(blocks, q, layout):
 
 @st.composite
 def model_stacks(draw):
-    """1-9 random models sharing N, p and q, plus PSD weights.  Each model's
-    matrices come in one of the layouts of :func:`in_layout`, which the
-    ``LtvModel`` constructor stores C-contiguous."""
-    n, p, q = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    """1-9 random models sharing N, p and q, plus PSD weights; about half the
+    stacks have the plant's shape, p=2 and q=1.  Each model's matrices come in
+    one of the layouts of :func:`in_layout`, which the ``LtvModel``
+    constructor stores C-contiguous."""
+    n = draw(st.integers(1, 12))
+    p, q = draw(st.one_of(st.just((2, 1)), st.tuples(st.integers(1, 3), st.integers(1, 2))))
     entries = st.floats(-2.0, 2.0, allow_subnormal=False)
     models = [
         in_layout(
@@ -188,7 +238,8 @@ def test_results_do_not_depend_on_the_layout_given():
 
 
 class TestStackedLqr:
-    """``lqr_ltv`` on a sequence runs one recursion over the stacked models."""
+    """``lqr_ltv`` on a sequence: one float recursion per model of the plant's
+    shape, one numpy recursion over the stacked models of other shapes."""
 
     @settings(max_examples=150, deadline=None)
     @given(model_stacks())
@@ -199,6 +250,13 @@ class TestStackedLqr:
         for model, sched in zip(models, stacked):
             alone = lqr_ltv(model, weights)
             K, P = loop_lqr(model, weights)
+            if (model.p, model.q) == (2, 1):
+                # the float recursion differs from numpy's products by
+                # rounding, relative to each stack's largest entry: an entry
+                # that cancels is an exact zero in one and a residue in the other
+                assert_allclose(sched.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+                assert_allclose(sched.cost_to_go, P, rtol=1e-12, atol=1e-12 * np.abs(P).max())
+                K, P = float_lqr(model, weights)
             for got in (sched, alone):
                 assert got.K.tobytes() == K.tobytes()
                 assert got.cost_to_go.tobytes() == P.tobytes()
@@ -436,7 +494,14 @@ class TestReferenceSpec:
     def test_lookup_matches_linear_scan(self, case):
         ref, times = case
         for t in times:
-            assert ref.position_at(t) == linear_scan_position(ref, t)
+            expected = linear_scan_position(ref, t)
+            # a numpy scalar (as an array's element) looks up as its float
+            for form in (t, np.float64(t)):
+                got = ref.position_at(form)
+                assert type(got) is float and got == expected
+            assert ref.position_at(math.floor(t)) == linear_scan_position(ref, math.floor(t))
+            # any time before zero gets the first segment
+            assert ref.position_at(-abs(t) - 1e-9) == ref.segments[0][1]
         # an array of times is looked up at once, to the same bytes
         expected = np.array([linear_scan_position(ref, t) for t in times])
         assert ref.position_at(np.array(times)).tobytes() == expected.tobytes()

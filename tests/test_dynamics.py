@@ -716,6 +716,21 @@ class TestStageTable:
         assert table.nbytes == spec.n_steps * 6 * 8
         assert peak < 3_600_000
 
+    def test_long_record_gain_recursion_stays_small(self):
+        # the float recursion of a 5000-step record holds its flat input
+        # copies (240 kB), its gain and cost buffers (240 kB) and the
+        # schedule's arrays (280 kB); Python float lists of the same values
+        # would add ~1 MB
+        model = ground_truth_ltv(replace(scenario("ltv"), horizon=100.0))
+        tracemalloc.start()
+        try:
+            sched = lqr_ltv(model, default_weights())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.K.shape == (5000, 1, 2)
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("name, horizon, bound", [("ltv", 100.0, 1.7e6), ("nl", 10.0, 1.0e6)])
     def test_cached_rows_stay_small(self, name, horizon, bound):
         # one cached spec keeps its table and the table's rows as Python
