@@ -185,19 +185,6 @@ def _entry(method: str, spec, seed: int, splits, cfg: BenchConfig) -> Entry:
         return Entry(exc)
 
 
-def _schedules(models, ref) -> list:
-    """LQR gains plus feedforward for tracking ``ref`` with each of a
-    scenario's models, the gains from one recursion over the stack.  An entry
-    is the model's schedule, or the recorded error of its own synthesis."""
-    out = []
-    for model, gains in zip(models, lqr_ltv(models, default_weights())):
-        try:
-            out.append(with_feedforward(_ok(gains), feedforward(model, ref)))
-        except RECORDED_ERRORS as exc:
-            out.append(exc)
-    return out
-
-
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -268,15 +255,16 @@ def _tracking_stats(spec, sched, ref, cfg, name):
 
 
 def _control_rows(name: str, spec, entries: dict, cfg: BenchConfig) -> list:
+    """table2's rows.  Each controller's LQR gains and feedforward come from
+    its own model; an error of getting its model or schedule is recorded in
+    its own row."""
     ref = default_reference(spec.horizon)
-    # controller -> its model, then its schedule, or the recorded error
-    cells = {controller: entries[controller].model for controller in CONTROLLERS}
-    fitted = [c for c in CONTROLLERS if not isinstance(cells[c], Exception)]
-    cells.update(zip(fitted, _schedules([cells[c] for c in fitted], ref)))
     rows = []
     for controller in CONTROLLERS:
         try:
-            stats = _tracking_stats(spec, _ok(cells[controller]), ref, cfg, name)
+            model = _ok(entries[controller].model)
+            sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
+            stats = _tracking_stats(spec, sched, ref, cfg, name)
         except RECORDED_ERRORS as exc:
             rows.append(TrackingRow(name, controller, None, None, None, error=_error(exc)))
             continue
@@ -323,21 +311,21 @@ def _sweep_rows(spec, entry: Entry, train, cfg: BenchConfig, name: str) -> list:
     RMSE of the cosmic fit at every lam of ``cfg.lambda_grid``, in its order.
 
     The fits are ``tune``'s grid points (the sweep reports every point,
-    whatever its validation loss); the gains of all points come from one
-    recursion.  A point without a fit fails the run.
+    whatever its validation loss), and each point's gains and feedforward
+    come from its own model.  A point without a fit or a schedule fails the
+    run.
     """
     _ok(entry.model)   # tune itself failed: no point has a fit
     points = {row.params["lam"]: row for row in entry.grid}
-    lams = [float(lam) for lam in cfg.lambda_grid]
-    for lam in lams:
-        if points[lam].model is None:
-            raise TuningError(f"lambda sweep point lam={lam} failed to fit: {points[lam].error}")
-    models = [points[lam].model for lam in lams]
     ref = default_reference(spec.horizon)
     rows = []
-    for lam, model, sched in zip(lams, models, _schedules(models, ref)):
+    for lam in map(float, cfg.lambda_grid):
+        model = points[lam].model
+        if model is None:
+            raise TuningError(f"lambda sweep point lam={lam} failed to fit: {points[lam].error}")
+        sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
         _, fidelity, _ = cosmic_objective(model, train, lam)
-        _, _, rmse, unstable = _tracking_stats(spec, _ok(sched), ref, cfg, name)
+        _, _, rmse, unstable = _tracking_stats(spec, sched, ref, cfg, name)
         rows.append(LambdaSweepRow(lam, fidelity, path_smoothness(model), rmse, unstable))
     return rows
 

@@ -17,8 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import SUITES, BenchConfig, _ok, _schedules, method_grid, run_bench, scenario_names
-from .control import ReferenceSpec, closed_loop, default_reference, save_gains
+from .bench import SUITES, BenchConfig, method_grid, run_bench, scenario_names
+from .control import (
+    ReferenceSpec,
+    closed_loop,
+    default_reference,
+    default_weights,
+    feedforward,
+    lqr_ltv,
+    save_gains,
+    with_feedforward,
+)
 from .datagen import (
     Split,
     build_dataset,
@@ -178,7 +187,7 @@ def _cmd_control(args) -> int:
             ref = ReferenceSpec(segments=tuple((s["t"], s["z"]) for s in payload["segments"]))
     else:
         ref = default_reference(spec.horizon)
-    sched = _ok(_schedules([model], ref)[0])
+    sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
     traj = closed_loop(spec, sched, ref, _parse_x0(args.x0), seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)

@@ -138,7 +138,7 @@ def default_reference(horizon: float) -> ReferenceSpec:
     return ReferenceSpec(segments=tuple(segments))
 
 
-def lqr_ltv(model, weights: CostWeights):
+def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
     """Backward dynamic-programming recursion for the finite-horizon gains.
 
     P_N = H; then for k = N-1..0:
@@ -146,48 +146,33 @@ def lqr_ltv(model, weights: CostWeights):
         P_k = Q + K_k^T R K_k + (A(k) - B(k) K_k)^T P_{k+1} (A(k) - B(k) K_k)
     Every P_k is symmetrized; all are PSD by construction.
 
-    ``model`` is one model, giving its ``GainSchedule`` (or raising
-    ``SynthesisError``), or a sequence of models that share N, p and q,
-    giving a list with one entry per model: its schedule, or the
-    ``SynthesisError`` that its own recursion raises.  Models of the plant's
-    shape (p=2 states, q=1 input) run one Python-float recursion each
-    (:func:`_plant_riccati`), which differs from the numpy recursion by
-    rounding only.  Other shapes run one numpy recursion on the stacked
-    ``(L, p, p)`` arrays (:func:`_riccati`).  Either way each model's gains
-    and cost-to-go are byte-identical to its own recursion.
+    Gives the model's zero-feedforward ``GainSchedule``, with its cost-to-go.
+    A model of the plant's shape (p=2 states, q=1 input) runs the
+    Python-float recursion :func:`_plant_riccati`, which differs from the
+    numpy recursion :func:`_riccati` that other shapes run by rounding only.
+    A singular input-cost term or a non-finite gain raises ``SynthesisError``.
     """
-    single = isinstance(model, LtvModel)
-    models = [model] if single else list(model)
-    if not models:
-        return []
-    shapes = {(m.n_steps, m.p, m.q) for m in models}
-    if len(shapes) > 1:
-        raise ValueError(f"models to stack must share N, p and q, got {sorted(shapes)}")
-    (_, p, q), = shapes
+    p, q = model.p, model.q
     if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
         raise ValueError(
             f"weights Q {weights.Q.shape}, R {weights.R.shape} and H {weights.H.shape} "
             f"do not match the model's p={p} and q={q}"
         )
-    if (p, q) == (2, 1):
-        results = [_plant_riccati(m, weights) for m in models]
-    else:
-        try:
-            results = _riccati(models, weights)
-        except SynthesisError as exc:
-            # A singular input-cost term stops the whole stack; on its own,
-            # each model either finishes or names its own singular step.
-            results = [exc] if len(models) == 1 else [lqr_ltv([m], weights)[0] for m in models]
-    if not single:
-        return results
-    if isinstance(results[0], SynthesisError):
-        raise results[0]
-    return results[0]
+    K, P = (_plant_riccati if (p, q) == (2, 1) else _riccati)(model, weights)
+    if not np.isfinite(K).all():
+        raise SynthesisError("gain recursion produced non-finite gains")
+    return GainSchedule(
+        K=np.ascontiguousarray(K),
+        u_ff=np.zeros((model.n_steps, q)),
+        provenance=model.method,
+        cost_to_go=np.ascontiguousarray(P),
+    )
 
 
-def _plant_riccati(model, weights: CostWeights):
+def _plant_riccati(model, weights: CostWeights) -> tuple:
     """The recursion of :func:`lqr_ltv` for one model with p=2 and q=1, on
-    Python floats; the model's schedule, or its ``SynthesisError``.
+    Python floats: its gains ``(N, 1, 2)`` and cost-to-go ``(N+1, 2, 2)``.
+    Raises ``SynthesisError`` at the first step whose input-cost term is zero.
 
     Each matrix product sums its two terms in index order, as the docstring
     formula reads: ``BtP = B^T P``, ``s = R + BtP B``, ``K = (BtP A) / s``,
@@ -210,7 +195,7 @@ def _plant_riccati(model, weights: CostWeights):
         bp1 = b0 * p01 + b1 * p11
         s = r + (bp0 * b0 + bp1 * b1)
         if s == 0.0:
-            return SynthesisError(f"singular input-cost term at step {k}")
+            raise SynthesisError(f"singular input-cost term at step {k}")
         k0 = (bp0 * a00 + bp1 * a10) / s
         k1 = (bp0 * a01 + bp1 * a11) / s
         c00 = a00 - b0 * k0
@@ -234,50 +219,30 @@ def _plant_riccati(model, weights: CostWeights):
         costs.extend((p00, p01, p10, p11))
     K = np.frombuffer(gains).reshape(n, 1, 2)[::-1]
     P = np.frombuffer(costs).reshape(n + 1, 2, 2)[::-1]
-    return _schedule(model, K, P)
+    return K, P
 
 
-def _riccati(models, weights: CostWeights) -> list:
-    """The recursion of :func:`lqr_ltv` on the stacked models of any shape
-    but the plant's; an entry is a model's schedule, or its non-finite-gain
-    ``SynthesisError``.  Raises ``SynthesisError`` when an input-cost term of
-    the stack is singular.
-
-    Stacks are step-major, ``(N, L, ...)``, so that step k is one ``(L, ...)``
-    block; a single model runs as a stack of one, to the same bytes as on its
-    own ``(N, ...)`` arrays.  Every model stores A(k) and B(k) C-contiguous
-    (:class:`LtvModel`), so a stack's products round as each model's own do.
+def _riccati(model, weights: CostWeights) -> tuple:
+    """The recursion of :func:`lqr_ltv` in numpy, one step at a time on the
+    model's own ``(N, p, p)`` and ``(N, p, q)`` arrays: its gains and
+    cost-to-go.  Raises ``SynthesisError`` at the first step whose
+    input-cost term is singular.
     """
-    A = np.stack([m.A for m in models], axis=1)
-    B = np.stack([m.B for m in models], axis=1)
-    n, p, q = models[0].n_steps, models[0].p, models[0].q
-    K = np.empty((n, len(models), q, p))
-    P_stack = np.empty((n + 1, len(models), p, p))
-    P = P_stack[n] = np.broadcast_to(weights.H, (len(models), p, p))
+    n, p, q = model.n_steps, model.p, model.q
+    K = np.empty((n, q, p))
+    P_stack = np.empty((n + 1, p, p))
+    P = P_stack[n] = weights.H
     for k in range(n - 1, -1, -1):
-        B_k = B[k]
-        BtP = B_k.mT @ P
+        A, B = model.A[k], model.B[k]
+        BtP = B.T @ P
         try:
-            K[k] = np.linalg.solve(weights.R + BtP @ B_k, BtP @ A[k])
+            K[k] = np.linalg.solve(weights.R + BtP @ B, BtP @ A)
         except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"singular input-cost term at step {k}") from exc
-        Acl = A[k] - B_k @ K[k]
-        P = weights.Q + K[k].mT @ weights.R @ K[k] + Acl.mT @ P @ Acl
-        P = P_stack[k] = 0.5 * (P + P.mT)
-    return [_schedule(model, K[:, i], P_stack[:, i]) for i, model in enumerate(models)]
-
-
-def _schedule(model, K, P):
-    """The zero-feedforward schedule of gains ``K`` and cost-to-go ``P``, both
-    copied C-contiguous, or the ``SynthesisError`` of a non-finite gain."""
-    if not np.isfinite(K).all():
-        return SynthesisError("gain recursion produced non-finite gains")
-    return GainSchedule(
-        K=np.ascontiguousarray(K),
-        u_ff=np.zeros((K.shape[0], K.shape[1])),
-        provenance=model.method,
-        cost_to_go=np.ascontiguousarray(P),
-    )
+        Acl = A - B @ K[k]
+        P = weights.Q + K[k].T @ weights.R @ K[k] + Acl.T @ P @ Acl
+        P = P_stack[k] = 0.5 * (P + P.T)
+    return K, P_stack
 
 
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:

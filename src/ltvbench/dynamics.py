@@ -471,10 +471,13 @@ def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
     frame boundary, and the recorded state includes it.  A non-finite state
     raises :class:`IntegrationError`, and a state beyond ``guard`` (by default
     the largest float) :class:`InstabilityError`, carrying the partial arrays.
+    An initial state that is not two finite numbers raises ``ValueError``.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"initial state must have shape (2,), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"initial state must be finite, got {x.tolist()}")
     run = _substep_kernel(spec)[1]
     x1s, x2s, us = run(float(x[0]), float(x[1]), control, *_kicks(spec, rng), guard)
     steps = len(us)

@@ -25,7 +25,13 @@ from ltvbench.bench import (
     write_ecdf_csv,
     write_prediction_csv,
 )
-from ltvbench.exceptions import ExcitationError, InstabilityError, NumericalError, TuningError
+from ltvbench.exceptions import (
+    ExcitationError,
+    InstabilityError,
+    NumericalError,
+    SynthesisError,
+    TuningError,
+)
 
 SMALL = BenchConfig(
     scenarios=("ltv",),
@@ -159,6 +165,26 @@ class TestControlBenchmark:
             assert row.error is None
             assert row.mean >= 0.0 and row.std >= 0.0 and row.rmse >= 0.0
 
+    def test_failed_schedule_is_only_its_own_row(self, monkeypatch):
+        # each controller's schedule is its own: a failed feedforward of the
+        # lti model is its row's error, and the other rows are as without it
+        clean = suite_rows("control", SMALL, "table2")
+        real = bench.feedforward
+
+        def feedforward(model, ref):
+            if model.method == "lti":
+                raise SynthesisError("feedforward at step 3: B(k) is rank-deficient")
+            return real(model, ref)
+
+        monkeypatch.setattr(bench, "feedforward", feedforward)
+        rows = suite_rows("control", SMALL, "table2")
+        assert [r.controller for r in rows] == ["cosmic", "linearization", "lti"]
+        assert rows[2] == replace(
+            clean[2], mean=None, std=None, rmse=None,
+            error="SynthesisError: feedforward at step 3: B(k) is rank-deficient",
+        )
+        assert rows[:2] == clean[:2]
+
     def test_guard_trip_pools_the_partial_run(self):
         # destabilizing gains trip the guard; the errors up to the trip are
         # pooled, the run's rms skips the error at t=0 (x0 is off the
@@ -196,8 +222,14 @@ class TestLambdaSweep:
         assert all(r.tracking_rmse is not None for r in rows)
 
     def test_infinite_smoothing_matches_lti_controller(self):
-        from ltvbench.bench import _scenario_data, _schedules, _tracking_stats
-        from ltvbench.control import default_reference
+        from ltvbench.bench import _scenario_data, _tracking_stats
+        from ltvbench.control import (
+            default_reference,
+            default_weights,
+            feedforward,
+            lqr_ltv,
+            with_feedforward,
+        )
         from ltvbench.datagen import Split
         from ltvbench.ident import CosmicConfig, cosmic_fit, fit_method
 
@@ -206,9 +238,7 @@ class TestLambdaSweep:
         ref = default_reference(spec.horizon)
 
         def rmse_for(model):
-            sched = _schedules([model], ref)[0]
-            if isinstance(sched, Exception):
-                raise sched
+            sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
             return _tracking_stats(spec, sched, ref, cfg, "ltv")[2]
 
         plateau = rmse_for(cosmic_fit(splits[Split.TRAIN], CosmicConfig(lam=1e9)))
@@ -389,17 +419,17 @@ class TestPipeline:
         assert len(scored) == 1 and len(scored[0]) == len(grid)
 
     @pytest.mark.parametrize(
-        "suite, stacks, tuned, fits",
+        "suite, controllers, tuned, fits",
         [
-            # per scenario: the gain recursions (models in each), the tuned
+            # per scenario: the models given a gain recursion, the tuned
             # methods that share a cosmic set-up, and the fit calls that
             # tune (grid points) and bench (untuned methods) make
             ("prediction", [], ["cosmic-single", "cosmic"], (10, 1)),
-            ("control", [3], ["cosmic"], (3, 1)),
-            ("all", [3], ["cosmic-single", "cosmic"], (10, 2)),
+            ("control", ["cosmic", "linearization", "lti"], ["cosmic"], (3, 1)),
+            ("all", ["cosmic", "linearization", "lti"], ["cosmic-single", "cosmic"], (10, 2)),
         ],
     )
-    def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, stacks, tuned, fits):
+    def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, controllers, tuned, fits):
         recursions = _count_calls(monkeypatch, bench, "lqr_ltv")
         setups = []
         real = tuning.cosmic_problem
@@ -415,9 +445,14 @@ class TestPipeline:
         ecdf_rollouts = _count_calls(monkeypatch, bench, "rollout_residuals")
         run_bench(suite, self.CFG, tmp_path)
         scenarios = len(self.CFG.scenarios)
-        # all adds one recursion over the first scenario's sweep, after its controllers'
-        sweep = [len(self.CFG.lambda_grid)] if suite == "all" else []
-        assert [len(models) for models in recursions] == stacks + sweep + stacks * (scenarios - 1)
+        # one recursion per model; all adds the first scenario's sweep points,
+        # after its controllers
+        sweep = list(self.CFG.lambda_grid) if suite == "all" else []
+        assert [model.method for model in recursions] == (
+            controllers + ["cosmic"] * len(sweep) + controllers * (scenarios - 1)
+        )
+        swept = recursions[len(controllers):len(controllers) + len(sweep)]
+        assert [model.hyperparams["lam"] for model in swept] == sweep
         assert setups == tuned * scenarios
         assert (len(tuned_fits), len(bench_fits)) == (fits[0] * scenarios, fits[1] * scenarios)
         # table1 scores the six models in one stacked rollout, the ECDFs
@@ -442,10 +477,11 @@ class TestPipeline:
             assert run_bench(suite, self.CFG, tmp_path / suite) == [table]
             assert (tmp_path / "all" / table).read_bytes() == (tmp_path / suite / table).read_bytes()
 
-    @pytest.mark.parametrize("fault", ["sweep point", "ecdf model"])
+    @pytest.mark.parametrize("fault", ["sweep point", "sweep gains", "ecdf model"])
     def test_failed_sweep_point_or_ecdf_model_fails_the_run(self, monkeypatch, tmp_path, fault):
-        # table1 records either failure in a cell; the sweep and the ECDFs
-        # have no cell to record it in, so the all run fails and writes nothing
+        # table1 and table2 record each failure in a cell; the sweep and the
+        # ECDFs have no cell to record it in, so the all run fails and writes
+        # nothing
         if fault == "sweep point":
             real = tuning.fit_method
 
@@ -456,6 +492,16 @@ class TestPipeline:
 
             monkeypatch.setattr(tuning, "fit_method", fit)
             error, match = TuningError, "lambda sweep point lam=0.1 failed to fit: singular system"
+        elif fault == "sweep gains":
+            real = bench.lqr_ltv
+
+            def lqr(model, weights):
+                if model.hyperparams.get("lam") == self.CFG.lambda_grid[1]:
+                    raise SynthesisError("singular input-cost term at step 7")
+                return real(model, weights)
+
+            monkeypatch.setattr(bench, "lqr_ltv", lqr)
+            error, match = SynthesisError, "singular input-cost term at step 7"
         else:
             def no_experiments(*args, **kwargs):
                 raise ExcitationError("no experiments")

@@ -193,10 +193,10 @@ def in_layout(blocks, q, layout):
 
 @st.composite
 def model_stacks(draw):
-    """1-9 random models sharing N, p and q, plus PSD weights; about half the
-    stacks have the plant's shape, p=2 and q=1.  Each model's matrices come in
-    one of the layouts of :func:`in_layout`, which the ``LtvModel``
-    constructor stores C-contiguous."""
+    """1-9 random models sharing N, p and q, plus PSD weights that fit them;
+    about half the draws have the plant's shape, p=2 and q=1.  Each model's
+    matrices come in one of the layouts of :func:`in_layout`, which the
+    ``LtvModel`` constructor stores C-contiguous."""
     n = draw(st.integers(1, 12))
     p, q = draw(st.one_of(st.just((2, 1)), st.tuples(st.integers(1, 3), st.integers(1, 2))))
     entries = st.floats(-2.0, 2.0, allow_subnormal=False)
@@ -237,72 +237,60 @@ def test_results_do_not_depend_on_the_layout_given():
     assert results[0] == results[1] == results[2]
 
 
-class TestStackedLqr:
-    """``lqr_ltv`` on a sequence: one float recursion per model of the plant's
-    shape, one numpy recursion over the stacked models of other shapes."""
+def model_and_weights(shape):
+    """A copy of a model that runs the plant's float recursion (the ``ltv``
+    linearization) or the numpy one (p=q=1, 300 steps), with weights that
+    fit it; a test may edit the copy's A(k), B(k) and R."""
+    if shape == "plant":
+        model, weights = ground_truth_ltv(scenario("ltv")), default_weights()
+    else:
+        model, weights = scalar_unit_model(300), unit_weights()
+    return replace(model, A=model.A.copy(), B=model.B.copy()), weights
+
+
+class TestGainRecursions:
+    """``lqr_ltv`` runs one recursion on one model: on Python floats for the
+    plant's shape (p=2, q=1), in numpy for every other shape."""
 
     @settings(max_examples=150, deadline=None)
     @given(model_stacks())
-    def test_each_model_matches_its_own_recursion(self, case):
+    def test_each_model_matches_its_oracle(self, case):
         models, weights = case
-        stacked = lqr_ltv(models, weights)
-        assert len(stacked) == len(models)
-        for model, sched in zip(models, stacked):
-            alone = lqr_ltv(model, weights)
+        for model in models:
+            sched = lqr_ltv(model, weights)
             K, P = loop_lqr(model, weights)
             if (model.p, model.q) == (2, 1):
                 # the float recursion differs from numpy's products by
-                # rounding, relative to each stack's largest entry: an entry
+                # rounding, relative to each model's largest entry: an entry
                 # that cancels is an exact zero in one and a residue in the other
                 assert_allclose(sched.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
                 assert_allclose(sched.cost_to_go, P, rtol=1e-12, atol=1e-12 * np.abs(P).max())
                 K, P = float_lqr(model, weights)
-            for got in (sched, alone):
-                assert got.K.tobytes() == K.tobytes()
-                assert got.cost_to_go.tobytes() == P.tobytes()
-                assert got.provenance == model.method
-                assert not got.u_ff.any()
+            assert sched.K.tobytes() == K.tobytes()
+            assert sched.cost_to_go.tobytes() == P.tobytes()
+            assert sched.provenance == model.method
+            assert sched.u_ff.shape == (model.n_steps, model.q)
+            assert not sched.u_ff.any()
 
+    @pytest.mark.parametrize("shape", ["plant", "scalar"])
     @pytest.mark.parametrize("entry", ["A", "B"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_model_fails_only_its_own_cell(self, entry, bad):
-        models = [ground_truth_ltv(scenario(name)) for name in ("ltv", "nl", "inst-reconfig")]
-        broken = models[1]
-        broken = replace(broken, A=broken.A.copy(), B=broken.B.copy())
-        getattr(broken, entry)[200] = bad
-        models[1] = broken
+    def test_non_finite_model_raises(self, shape, entry, bad):
+        model, weights = model_and_weights(shape)
+        getattr(model, entry)[200] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            stacked = lqr_ltv(models, default_weights())
-            with pytest.raises(SynthesisError) as alone:
-                lqr_ltv(broken, default_weights())
-        assert isinstance(stacked[1], SynthesisError)
-        assert str(stacked[1]) == str(alone.value) == "gain recursion produced non-finite gains"
-        for g in (0, 2):
-            expected = lqr_ltv(models[g], default_weights())
-            assert stacked[g].K.tobytes() == expected.K.tobytes()
-            assert stacked[g].cost_to_go.tobytes() == expected.cost_to_go.tobytes()
+            with pytest.raises(SynthesisError, match="^gain recursion produced non-finite gains$"):
+                lqr_ltv(model, weights)
 
-    def test_singular_input_cost_fails_only_its_own_cell(self):
+    @pytest.mark.parametrize("shape", ["plant", "scalar"])
+    def test_singular_input_cost_raises(self, shape):
         # A zero input cost (past CostWeights' check) and a zero B(k) make the
-        # input-cost term of one model singular: the stack falls back to one
-        # recursion per model, and only that model's entry is the error.
-        weights = default_weights()
+        # input-cost term of step k exactly zero.
+        model, weights = model_and_weights(shape)
         object.__setattr__(weights, "R", np.zeros((1, 1)))
-        models = [ground_truth_ltv(scenario(name)) for name in ("ltv", "nl")]
-        dead = replace(models[0], B=models[0].B.copy())
-        dead.B[137] = 0.0
-        stacked = lqr_ltv([models[0], dead, models[1]], weights)
-        with pytest.raises(SynthesisError, match="singular input-cost term at step 137$"):
-            lqr_ltv(dead, weights)
-        assert str(stacked[1]) == "singular input-cost term at step 137"
-        for g, model in ((0, models[0]), (2, models[1])):
-            assert stacked[g].K.tobytes() == lqr_ltv(model, weights).K.tobytes()
-
-    def test_models_must_share_their_shape(self):
-        models = [ground_truth_ltv(scenario("ltv")), ground_truth_ltv(replace(scenario("ltv"), horizon=4.0))]
-        with pytest.raises(ValueError, match="share N, p and q"):
-            lqr_ltv(models, default_weights())
-        assert lqr_ltv([], default_weights()) == []
+        model.B[137] = 0.0
+        with pytest.raises(SynthesisError, match="^singular input-cost term at step 137$"):
+            lqr_ltv(model, weights)
 
 
 def loop_feedforward(model, ref):

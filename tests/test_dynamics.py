@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from scipy.linalg import expm
 
 import ltvbench as lb
 from conftest import derivative, reference_chirp, reference_params, sat, step_rk4
+from ltvbench.cli import main
 from ltvbench.control import (
     DIVERGENCE_GUARD,
     GainSchedule,
@@ -274,6 +276,35 @@ class TestSimulate:
         a = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
         b = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "x0, message, cli_message",
+    [
+        ([1.0], "must have shape (2,), got (1,)", "needs two components, got 1"),
+        ([1.0, 0.0, 0.0], "must have shape (2,), got (3,)", "needs two components, got 3"),
+        ([math.nan, 0.0], "must be finite, got [nan, 0.0]", None),
+        ([math.inf, 0.0], "must be finite, got [inf, 0.0]", None),
+        ([0.0, -math.inf], "must be finite, got [0.0, -inf]", None),
+    ],
+)
+def test_bad_initial_state_fails_before_any_step(tmp_path, capsys, x0, message, cli_message):
+    # simulate and closed_loop share _rollout's check; the CLI counts the
+    # components itself (cli_message) and leaves the values to that check
+    spec = scenario("ltv")
+    n = spec.n_steps
+    expected = f"^{re.escape('initial state ' + message)}$"
+    with pytest.raises(ValueError, match=expected):
+        simulate(spec, x0, np.zeros(n))
+    sched = GainSchedule(K=np.zeros((n, 1, 2)), u_ff=np.zeros((n, 1)))
+    with pytest.raises(ValueError, match=expected):
+        closed_loop(spec, sched, default_reference(spec.horizon), x0)
+    out = tmp_path / "s.csv"
+    text = ",".join(str(v) for v in x0)
+    assert main(["simulate", "--scenario", "ltv", "--x0", text, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"ltvbench simulate: error: initial state {cli_message or message}"
+    assert not out.exists()
 
 
 class TestDiscretize:

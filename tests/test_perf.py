@@ -4,9 +4,9 @@ loss of one validation-sized set (8 trajectories x 500 steps), one
 ``ltvmodels_fit`` that iterates (500 steps, not screened at its lam), one 3x3
 ``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, one
 ``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps,
-one ``feedforward`` of the ``ltv`` linearization at 5000 steps, and the
-``ltv`` time-law tables (RK4 stage parameters plus the ZOH linearization) at
-N=500 and N=5000.
+one ``lqr_ltv`` and one ``feedforward`` of the ``ltv`` linearization at 5000
+steps, and the ``ltv`` time-law tables (RK4 stage parameters plus the ZOH
+linearization) at N=500 and N=5000.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -114,6 +114,13 @@ def test_dataset_round_trip(benchmark, tmp_path):
     loaded = benchmark.pedantic(round_trip, **ROUNDS)
     assert trajs[0].n_steps == 5000
     assert loaded == ds
+
+
+def test_lqr_ltv(benchmark):
+    model = ground_truth_ltv(replace(scenario("ltv"), horizon=100.0))
+    sched = benchmark.pedantic(lqr_ltv, args=(model, default_weights()), **ROUNDS)
+    assert sched.K.shape == (5000, 1, 2)
+    assert sched.cost_to_go.shape == (5001, 2, 2)
 
 
 def test_feedforward(benchmark):
