@@ -35,7 +35,7 @@ from .datagen import (
     tvera_experiments,
 )
 from .dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
-from .exceptions import RECORDED_ERRORS, InstabilityError, TuningError
+from .exceptions import InputError, InstabilityError, LtvBenchError, TuningError
 from .files import write_json, write_table
 from .ident import (
     DEFAULT_LAMBDA_GRID,
@@ -46,6 +46,7 @@ from .ident import (
     rollout_residuals,
     tune,
 )
+from .toolchain import toolchain
 
 PREDICTION_METHODS = (
     "tvera",
@@ -106,11 +107,11 @@ class TrackingRow:
 
 def scenario_names(names) -> tuple:
     """``scenario(name).name`` of each name, which a run seeds, labels and
-    names files by; an unknown or repeated scenario raises ``ValueError``."""
+    names files by; an unknown or repeated scenario raises ``InputError``."""
     canonical = tuple(scenario(name).name for name in names)
     repeated = sorted({name for name in canonical if canonical.count(name) > 1})
     if repeated:
-        raise ValueError(f"scenarios given more than once: {', '.join(repeated)}")
+        raise InputError(f"scenarios given more than once: {', '.join(repeated)}")
     return canonical
 
 
@@ -128,6 +129,13 @@ def _scenario_data(name: str, cfg: BenchConfig):
         n_free=cfg.n_free,
     )
     return spec, seed, splits
+
+
+def check_lambda_grid(grid) -> None:
+    """Raise ``InputError`` unless ``grid`` holds lambda values, each positive
+    and finite."""
+    if not grid or not all(lam > 0 and math.isfinite(lam) for lam in grid):
+        raise InputError(f"lambda values must be positive and finite, got {tuple(grid)}")
 
 
 def method_grid(method: str, cfg: BenchConfig) -> tuple:
@@ -164,8 +172,8 @@ def _entry(method: str, spec, seed: int, splits, cfg: BenchConfig) -> Entry:
     ``linearization`` is the ground-truth L-LTV model; ``perstep`` and ``lti``
     have no hyperparameters and are fitted once; every other method is tuned
     over its grid on the validation rollout loss.  The realization baseline
-    trains on its own free/forced experiments, built only here.  A failure
-    is recorded in the entry, and the run goes on.
+    trains on its own free/forced experiments, built only here.  An
+    ``LtvBenchError`` is recorded in the entry, and the run goes on.
     """
     try:
         if method == "linearization":
@@ -181,7 +189,7 @@ def _entry(method: str, spec, seed: int, splits, cfg: BenchConfig) -> Entry:
             )
         result = tune(method, grid, train, splits[Split.VALIDATION])
         return Entry(result.best_model, result.best_params, result.rows)
-    except RECORDED_ERRORS as exc:
+    except LtvBenchError as exc:
         return Entry(exc)
 
 
@@ -201,14 +209,15 @@ def _map_scenarios(fn, cfg: BenchConfig) -> list:
 
 def _prediction_rows(name: str, entries: dict, test) -> list:
     """table1's rows.  Every fitted model of the scenario is scored in one
-    stacked rollout; an error of that scoring is recorded on each of them."""
+    stacked rollout; an ``LtvBenchError`` of that scoring is recorded on each
+    of them."""
     # method -> its model, then its per-trajectory losses, or the recorded error
     cells = {method: entries[method].model for method in PREDICTION_METHODS}
     fitted = [m for m in PREDICTION_METHODS if not isinstance(cells[m], Exception)]
     if fitted:
         try:
             cells.update(zip(fitted, per_trajectory_losses([cells[m] for m in fitted], test)))
-        except RECORDED_ERRORS as exc:
+        except LtvBenchError as exc:
             cells.update(dict.fromkeys(fitted, exc))
     rows = []
     for method in PREDICTION_METHODS:
@@ -256,8 +265,8 @@ def _tracking_stats(spec, sched, ref, cfg, name):
 
 def _control_rows(name: str, spec, entries: dict, cfg: BenchConfig) -> list:
     """table2's rows.  Each controller's LQR gains and feedforward come from
-    its own model; an error of getting its model or schedule is recorded in
-    its own row."""
+    its own model; an ``LtvBenchError`` of getting its model or schedule is
+    recorded in its own row."""
     ref = default_reference(spec.horizon)
     rows = []
     for controller in CONTROLLERS:
@@ -265,7 +274,7 @@ def _control_rows(name: str, spec, entries: dict, cfg: BenchConfig) -> list:
             model = _ok(entries[controller].model)
             sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
             stats = _tracking_stats(spec, sched, ref, cfg, name)
-        except RECORDED_ERRORS as exc:
+        except LtvBenchError as exc:
             rows.append(TrackingRow(name, controller, None, None, None, error=_error(exc)))
             continue
         rows.append(TrackingRow(name, controller, *stats))
@@ -282,7 +291,7 @@ def ecdf_residuals(models, trajectories) -> np.ndarray:
     trajectories = list(trajectories)
     denoms = np.array([np.mean(np.abs(traj.states[:, 0])) for traj in trajectories])
     if np.any(denoms == 0.0):
-        raise ValueError("trajectory has zero mean absolute position")
+        raise InputError("trajectory has zero mean absolute position")
     residual = rollout_residuals(models, trajectories)[..., 0].swapaxes(0, 1)
     return np.sort((np.abs(residual) / denoms).reshape(len(residual), -1), axis=1)
 
@@ -399,14 +408,21 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
     """Run one benchmark suite and write its CSV artifacts plus a manifest:
     ``prediction`` writes ``table1.csv``, ``control`` ``table2.csv``, and
     ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.  The
-    scenario names are checked and canonicalized before any work.
+    suite, ``cfg.jobs``, ``cfg.master_seed``, ``cfg.lambda_grid`` and the
+    scenario names are checked, and the names canonicalized, before any
+    work; a bad one raises ``InputError``.  The manifest records the config,
+    the version, the files and the :func:`~ltvbench.toolchain.toolchain`
+    that wrote them.
 
     Returns the list of files written (relative names).
     """
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        raise InputError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if cfg.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
+        raise InputError(f"jobs must be at least 1, got {cfg.jobs}")
+    if cfg.master_seed < 0:
+        raise InputError(f"master_seed must be a non-negative integer, got {cfg.master_seed}")
+    check_lambda_grid(cfg.lambda_grid)
     cfg = replace(cfg, scenarios=scenario_names(cfg.scenarios))
     results = _map_scenarios(partial(_scenario_results, suite), cfg)
     out_dir = Path(out_dir)
@@ -426,6 +442,9 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
         written.append("lambda_sweep.csv")
     write_json(
         out_dir / "manifest.json",
-        {"suite": suite, "config": asdict(cfg), "version": __version__, "files": written},
+        {
+            "suite": suite, "config": asdict(cfg), "version": __version__, "files": written,
+            "toolchain": toolchain(),
+        },
     )
     return written

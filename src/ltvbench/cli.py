@@ -4,8 +4,11 @@ Subcommands: simulate, dataset, identify, tune, control, bench.  Every
 stochastic subcommand requires --seed and writes a manifest next to its
 artifacts so any output can be regenerated bit-exactly.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error (with a diagnostic
-naming the failing stage).
+Exit codes: 0 success, 1 usage error, 2 runtime error: an ``LtvBenchError``
+(an unusable argument or file, or a failure the benchmark expects; see
+:mod:`ltvbench.exceptions`) or an ``OSError``, with a diagnostic naming the
+failing stage.  Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import SUITES, BenchConfig, method_grid, run_bench, scenario_names
+from .bench import SUITES, BenchConfig, check_lambda_grid, method_grid, run_bench, scenario_names
 from .control import (
     ReferenceSpec,
     closed_loop,
@@ -39,7 +42,7 @@ from .datagen import (
     tvera_experiments,
 )
 from .dynamics import BUILTIN_SCENARIOS, ground_truth_ltv, load_scenario, scenario, simulate
-from .exceptions import LtvBenchError
+from .exceptions import InputError, LtvBenchError
 from .files import field_errors, read_json, write_json, write_table
 from .ident import LAMBDA_METHODS, METHODS, fit_method, tune
 from .models import load_model, save_model
@@ -60,21 +63,33 @@ def _load_spec(name_or_path: str):
     return scenario(name_or_path)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy takes non-negative integer seeds."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_x0(text: str) -> np.ndarray:
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"cannot parse initial state {text!r}; expected 'z,zdot'")
+        raise InputError(f"cannot parse initial state {text!r}; expected 'z,zdot'") from None
     if len(values) != 2:
-        raise ValueError(f"initial state needs two components, got {len(values)}")
+        raise InputError(f"initial state needs two components, got {len(values)}")
     return np.array(values)
 
 
 def _parse_lams(text: str) -> tuple:
-    """The lambda values of a comma-separated list; blank entries are skipped."""
-    lams = tuple(float(v) for v in text.split(",") if v.strip())
+    """The lambda values of a comma-separated list; blank entries are skipped.
+    Each must be positive and finite."""
+    try:
+        lams = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise InputError(f"cannot parse lambda values {text!r}") from None
     if not lams:
-        raise ValueError(f"no lambda values in {text!r}")
+        raise InputError(f"no lambda values in {text!r}")
+    check_lambda_grid(lams)
     return lams
 
 
@@ -180,7 +195,9 @@ def _cmd_control(args) -> int:
     else:
         model = load_model(args.model)
         if abs(model.dt - spec.dt) > 1e-9 * spec.dt:
-            raise ValueError(f"model time step {model.dt} differs from the scenario's {spec.dt}")
+            raise InputError(f"model time step {model.dt} differs from the scenario's {spec.dt}")
+        if model.n_steps != spec.n_steps:
+            raise InputError(f"model covers {model.n_steps} steps, the scenario {spec.n_steps}")
     if args.ref:
         payload = read_json(args.ref, "reference spec")
         with field_errors(args.ref, "reference spec"):
@@ -224,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", required=True, help="built-in name or spec file")
     sim.add_argument("--x0", default="0,0", help="initial state 'z,zdot'")
     sim.add_argument("--input", choices=("zero", "chirp"), default="zero")
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--out", required=True, help="output trajectory CSV")
     sim.set_defaults(func=_cmd_simulate, stage="simulate")
 
     ds = sub.add_parser("dataset", help="generate train/validation/test datasets")
     ds.add_argument("--scenario", required=True)
-    ds.add_argument("--seed", type=int, required=True)
+    ds.add_argument("--seed", type=_seed, required=True)
     ds.add_argument("--out", required=True, help="output directory")
     ds.add_argument("--l-train", type=int, default=defaults.l_train)
     ds.add_argument("--l-val", type=int, default=defaults.l_val)
@@ -277,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     ctl.add_argument("--scenario", required=True)
     ctl.add_argument("--ref", help="reference spec JSON (default: alternating setpoints)")
     ctl.add_argument("--x0", default="0,0")
-    ctl.add_argument("--seed", type=int, required=True)
+    ctl.add_argument("--seed", type=_seed, required=True)
     ctl.add_argument("--out", required=True, help="output trajectory CSV")
     ctl.add_argument("--gains-out", help="also persist the gain schedule")
     ctl.set_defaults(func=_cmd_control, stage="control")
 
     bn = sub.add_parser("bench", help="run a benchmark suite")
     bn.add_argument("--suite", required=True, choices=SUITES)
-    bn.add_argument("--seed", type=int, required=True)
+    bn.add_argument("--seed", type=_seed, required=True)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
     bn.add_argument("--l-train", type=int, default=defaults.l_train)
@@ -309,13 +326,13 @@ def main(argv=None) -> int:
         if args.command == "bench" and args.scenarios:
             try:
                 scenario_names(args.scenarios.split(","))
-            except ValueError as exc:
+            except InputError as exc:
                 parser.error(f"argument --scenarios: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LtvBenchError, ValueError, OSError) as exc:
+    except (LtvBenchError, OSError) as exc:
         print(f"ltvbench {args.stage}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, _rollout
-from .exceptions import ExcitationError, SynthesisError
+from .exceptions import ExcitationError, InputError, SynthesisError
 from .files import write_json
 from .ident.regression import stacked_lstsq
 from .models import LtvModel
@@ -39,16 +39,16 @@ class CostWeights:
             arr = np.asarray(m, dtype=float)
             object.__setattr__(self, name, arr)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} must be square, got {arr.shape}")
+                raise InputError(f"{name} must be square, got {arr.shape}")
             if not np.allclose(arr, arr.T):
-                raise ValueError(f"{name} must be symmetric")
+                raise InputError(f"{name} must be symmetric")
         if self.H.shape != self.Q.shape:
-            raise ValueError(f"H {self.H.shape} must have the shape of Q {self.Q.shape}")
+            raise InputError(f"H {self.H.shape} must have the shape of Q {self.Q.shape}")
         if np.any(np.linalg.eigvalsh(self.R) <= 0):
-            raise ValueError("R must be positive definite")
+            raise InputError("R must be positive definite")
         for name, m in (("Q", self.Q), ("H", self.H)):
             if np.any(np.linalg.eigvalsh(m) < -1e-12):
-                raise ValueError(f"{name} must be positive semidefinite")
+                raise InputError(f"{name} must be positive semidefinite")
 
 
 def default_weights() -> CostWeights:
@@ -75,7 +75,7 @@ class GainSchedule:
         if self.u_ff.shape != (self.K.shape[0], self.K.shape[1]):
             raise ValueError("feedforward shape must match the gain schedule")
         if not np.all(np.isfinite(self.K)) or not np.all(np.isfinite(self.u_ff)):
-            raise ValueError("gain schedule must be finite")
+            raise SynthesisError("gain schedule must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -97,14 +97,14 @@ class ReferenceSpec:
         segs = tuple((float(t), float(z)) for t, z in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
-            raise ValueError("reference needs at least one segment")
+            raise InputError("reference needs at least one segment")
         if not all(math.isfinite(v) for seg in segs for v in seg):
-            raise ValueError(f"reference segments must be finite, got {segs}")
+            raise InputError(f"reference segments must be finite, got {segs}")
         if abs(segs[0][0]) > 1e-12:
-            raise ValueError("first reference segment must start at t=0")
+            raise InputError("first reference segment must start at t=0")
         starts = tuple(t for t, _ in segs)
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment start times must strictly increase")
+            raise InputError("segment start times must strictly increase")
         positions = tuple(z for _, z in segs)
         # bisect_right gives 0 before the first start, so a scalar lookup's
         # table repeats the first position in front
@@ -154,7 +154,7 @@ def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
     """
     p, q = model.p, model.q
     if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
-        raise ValueError(
+        raise InputError(
             f"weights Q {weights.Q.shape}, R {weights.R.shape} and H {weights.H.shape} "
             f"do not match the model's p={p} and q={q}"
         )

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ScenarioSpec, Trajectory, load_scenario, save_scenario, simulate
+from .exceptions import InputError
 from .files import (
     field_errors,
     read_json,
@@ -57,17 +58,17 @@ class ExcitationSpec:
     def __post_init__(self):
         # written so that NaN fails every check
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+            raise InputError(f"amplitude must be positive and finite, got {self.amplitude}")
         if not (0 < self.omega0 <= self.omega1 and math.isfinite(self.omega1)):
-            raise ValueError(
+            raise InputError(
                 f"need 0 < omega0 <= omega1 < inf, got ({self.omega0}, {self.omega1})"
             )
         if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+            raise InputError(f"phase must be finite, got {self.phase}")
         if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
-            raise ValueError(f"noise variance must be >= 0 and finite, got {self.noise_var}")
+            raise InputError(f"noise variance must be >= 0 and finite, got {self.noise_var}")
         if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+            raise InputError(f"duration must be positive and finite, got {self.duration}")
 
 
 def chirp(ex: ExcitationSpec, t, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -127,6 +128,11 @@ def substream_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(keys).generate_state(1, dtype=np.uint32)[0])
 
 
+def _check_noise_var(noise_var) -> None:
+    if not (noise_var >= 0 and math.isfinite(noise_var)):   # NaN fails too
+        raise InputError(f"measurement noise variance must be >= 0 and finite, got {noise_var}")
+
+
 def _experiment(spec, keys, setup, noise_var):
     """Simulate the experiment seeded by the substream ``keys``.
 
@@ -177,15 +183,18 @@ def build_dataset(
     split should sweep a distinct frequency band).  Training states carry
     additive measurement noise of variance ``noise_var``; validation and test
     are exact and get ``n_free`` extra free-response trajectories each.
+    Counts below one, a negative or non-finite ``noise_var`` and splits that
+    share a band raise ``InputError``.
     """
     if any(c < 1 for c in counts):
-        raise ValueError("each split needs at least one trajectory")
+        raise InputError("each split needs at least one trajectory")
+    _check_noise_var(noise_var)
     bands = [
         (excitations[s].omega0, excitations[s].omega1)
         for s in (Split.TRAIN, Split.VALIDATION, Split.TEST)
     ]
     if len(set(bands)) != len(bands):
-        raise ValueError("splits must sweep distinct chirp frequency bands")
+        raise InputError("splits must sweep distinct chirp frequency bands")
     out = {}
     for split, count in zip((Split.TRAIN, Split.VALIDATION, Split.TEST), counts):
         ex = excitations[split]
@@ -232,8 +241,10 @@ def tvera_experiments(
 
     Free runs start from random nonzero states with zero input; forced runs
     start at rest and receive unit-variance white-noise inputs.  States carry
-    training measurement noise.
+    training measurement noise; a negative or non-finite ``noise_var``
+    raises ``InputError``.
     """
+    _check_noise_var(noise_var)
     def random_input(init_rng, input_rng, times):
         return np.zeros(2), input_rng.normal(0.0, 1.0, size=len(times))
 

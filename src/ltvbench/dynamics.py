@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import InstabilityError, IntegrationError, NumericalError
+from .exceptions import InputError, InstabilityError, IntegrationError, NumericalError
 from .files import field_errors, read_json, write_json
 from .models import LtvModel
 
@@ -120,36 +120,36 @@ class ScenarioSpec:
         object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise InputError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not all(math.isfinite(v) for frame in self.frames for v in frame):
-            raise ValueError(f"frames entries must be finite, got {self.frames}")
+            raise InputError(f"frames entries must be finite, got {self.frames}")
         for name in ("mass", "dt", "sat_limit", "dist_width"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("dist_sigma", "kick_sigma"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.horizon >= self.dt:
-            raise ValueError(f"horizon must cover at least one step, got {self.horizon}")
+            raise InputError(f"horizon must cover at least one step, got {self.horizon}")
         steps = self.horizon / self.dt
         if not math.isclose(steps, round(steps), rel_tol=1e-14):
-            raise ValueError(f"horizon must be a whole number of steps, got {steps!r} steps")
+            raise InputError(f"horizon must be a whole number of steps, got {steps!r} steps")
         if self.kind in _RECONFIG_KINDS:
             if abs(self.frame_duration - 2.0) > 1e-12:
-                raise ValueError("reconfiguration frames are fixed at 2.0 s")
+                raise InputError("reconfiguration frames are fixed at 2.0 s")
             per_frame = self.frame_duration / self.dt
             if not math.isclose(per_frame, round(per_frame), rel_tol=1e-14):
-                raise ValueError(f"frames must start on a step, but 2.0 / dt = {per_frame!r}")
+                raise InputError(f"frames must start on a step, but 2.0 / dt = {per_frame!r}")
             expected = math.ceil(self.n_steps / round(per_frame))
             if len(self.frames) != expected:
-                raise ValueError(
+                raise InputError(
                     f"need {expected} frame parameter triples, got {len(self.frames)}"
                 )
             for m_i, _, _ in self.frames:
                 if not m_i > 0:
-                    raise ValueError("frame masses must be positive")
+                    raise InputError("frame masses must be positive")
         elif self.frames:
-            raise ValueError(f"{self.kind.value} scenarios take no frame table")
+            raise InputError(f"{self.kind.value} scenarios take no frame table")
 
     @property
     def n_steps(self) -> int:
@@ -248,7 +248,7 @@ def scenario(name: str) -> ScenarioSpec:
     try:
         kind = Kind(key)
     except ValueError:
-        raise ValueError(
+        raise InputError(
             f"unknown scenario {name!r}; expected one of {', '.join(BUILTIN_SCENARIOS)}"
         ) from None
     return _builtin(kind, key)
@@ -471,13 +471,13 @@ def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
     frame boundary, and the recorded state includes it.  A non-finite state
     raises :class:`IntegrationError`, and a state beyond ``guard`` (by default
     the largest float) :class:`InstabilityError`, carrying the partial arrays.
-    An initial state that is not two finite numbers raises ``ValueError``.
+    An initial state that is not two finite numbers raises ``InputError``.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
-        raise ValueError(f"initial state must have shape (2,), got {x.shape}")
+        raise InputError(f"initial state must have shape (2,), got {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError(f"initial state must be finite, got {x.tolist()}")
+        raise InputError(f"initial state must be finite, got {x.tolist()}")
     run = _substep_kernel(spec)[1]
     x1s, x2s, us = run(float(x[0]), float(x[1]), control, *_kicks(spec, rng), guard)
     steps = len(us)

@@ -1,10 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for errors.
 
-import numpy as np
+Only an :class:`LtvBenchError` is recorded: as a tuning grid row's error, a
+table cell's ``"<type>: <message>"``, or the CLI's exit 2 (with an
+``OSError``).  The recorded types: :class:`InputError` (an outside value
+the package cannot use), :class:`DataFormatError` (a malformed file),
+:class:`ExcitationError`, :class:`RealizationError`,
+:class:`NumericalError` and its :class:`IntegrationError`,
+:class:`SynthesisError`, :class:`InstabilityError` and :class:`TuningError`.
+Anything else (a ``TypeError``, numpy's ``LinAlgError``, a plain
+``ValueError`` from a wrong call or a shape bug) is a programming bug and
+fails the run with its traceback.  So each check raises its typed error
+where it is made; only a file reader or a CLI parser turns the
+``ValueError`` of parsing its input into a typed one.
+"""
 
 
 class LtvBenchError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InputError(LtvBenchError, ValueError):
+    """A value from outside the program (an argument, a setting, a spec or
+    the data's shape) that the package cannot use."""
 
 
 class NumericalError(LtvBenchError):
@@ -29,6 +46,9 @@ class InstabilityError(LtvBenchError):
         self.states = states
         self.inputs = inputs
 
+    def __reduce__(self):   # a worker process sends it whole, message included
+        return type(self), (self.step, self.times, self.states, self.inputs)
+
 
 class ExcitationError(LtvBenchError):
     """Data does not span the regressor space needed for identification."""
@@ -52,10 +72,3 @@ class TuningError(LtvBenchError):
 
 class DataFormatError(LtvBenchError):
     """A dataset, model, or schedule file is missing or malformed."""
-
-
-# What a tuning grid point or a benchmark table cell records as its error
-# instead of failing the run: the package's own errors, invalid settings
-# (e.g. ``lam=-1``) and singular linear algebra.  Anything else, e.g. a
-# ``TypeError``, is a bug and propagates.
-RECORDED_ERRORS = (LtvBenchError, ValueError, np.linalg.LinAlgError)

@@ -4,7 +4,8 @@ trajectory CSVs.
 A missing or malformed file raises :class:`DataFormatError` naming it:
 :func:`read_json` checks the file, its top-level object and ``format`` tag,
 :func:`field_errors` covers a loader's checks on the fields, and
-:func:`read_trajectory_csv` checks every row of a trajectory.
+:func:`read_trajectory_csv` checks every row of a trajectory (a ``nan`` or
+``inf`` cell too).
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ def read_trajectory_csv(path) -> tuple:
     :func:`write_trajectory_csv`.
 
     Line ends may be CRLF or LF and blank lines are skipped.  Every other
-    row must hold one float per header column, except the final row, whose
-    input cells must be empty.  The file is read whole and its rows before
-    the final one are parsed by one ``np.loadtxt``.
+    row must hold one finite float per header column, except the final row,
+    whose input cells must be empty.  The file is read whole and its rows
+    before the final one are parsed by one ``np.loadtxt``.
     """
     path = Path(path)
     if not path.exists():
@@ -153,6 +154,8 @@ def read_trajectory_csv(path) -> tuple:
         final = _parse_rows([head], 1 + p)[0]
     except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
         raise DataFormatError(f"cannot parse trajectory file {path}: {exc}") from exc
+    if not (np.isfinite(body).all() and np.isfinite(final).all()):
+        raise DataFormatError(f"trajectory file {path} holds a non-finite cell")
     times = np.append(body[:, 0], final[0])
     states = np.vstack([body[:, 1 : 1 + p], final[1:]])
     return times, states, np.ascontiguousarray(body[:, 1 + p :])

@@ -22,11 +22,12 @@ changes the arithmetic but not the minimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ExcitationError
+from ..exceptions import ExcitationError, InputError
 from ..models import LtvModel
 from .regression import _stack_all, check_excitation, trajectories_of
 from .tridiag import solve_block_tridiag
@@ -40,8 +41,8 @@ class CosmicConfig:
     single_trajectory: bool = False
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InputError(f"lam must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,12 @@ after the start and after each step, which is monotone by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ExcitationError, NumericalError
+from ..exceptions import ExcitationError, InputError, NumericalError
 from ..models import LtvModel
 from .regression import _stack_all, check_excitation, trajectories_of
 from .tridiag import banded_solve, factor_block_tridiag
@@ -97,12 +98,12 @@ class LtvModelsConfig:
     tol: float = 1e-8     # relative duality gap that certifies a fit
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InputError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
+            raise InputError("need at least one iteration")
         if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise InputError(f"tol must be positive, got {self.tol}")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -169,7 +170,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     """
     trajs = trajectories_of(traj)[:1]
     if trajs[0].n_steps < 2:
-        raise ValueError("need at least two transitions for a difference penalty")
+        raise InputError("need at least two transitions for a difference penalty")
     report = check_excitation(trajs)
     if not report.satisfied:
         raise ExcitationError(

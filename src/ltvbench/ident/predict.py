@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import InputError
 from ..models import LtvModel
 from .regression import _stack_all, trajectories_of
 
@@ -26,15 +27,20 @@ def rollout_residuals(models, data) -> np.ndarray:
     shape (N, G, L, p).
 
     Every trajectory is predicted from its own initial state; a ragged set,
-    or a model that covers fewer than N steps, raises ``ValueError``.  The
-    states are written in place: B u first, then A x added.
+    or a model that covers fewer than N steps or has other p or q than the
+    data, raises ``InputError``.  The states are written in place: B u first,
+    then A x added.
     """
     models = list(models)
     v, next_states = _stack_all(trajectories_of(data))
     n, ell, p = next_states.shape
     for model in models:
         if n > model.n_steps:
-            raise ValueError(f"model covers {model.n_steps} steps, got {n} inputs")
+            raise InputError(f"model covers {model.n_steps} steps, got {n} inputs")
+        if (model.p, model.q) != (p, v.shape[2] - p):
+            raise InputError(
+                f"model has p={model.p} and q={model.q}, the data p={p} and q={v.shape[2] - p}"
+            )
     states = np.empty((n + 1, len(models), ell, p))
     states[0] = v[0, :, :p]
     for g, model in enumerate(models):

@@ -8,21 +8,20 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..dynamics import Trajectory
-from ..exceptions import ExcitationError, NumericalError
+from ..exceptions import ExcitationError, InputError, NumericalError
 from ..models import LtvModel
 
 RANK_RTOL = 1e-10
 
 
 def trajectories_of(data) -> list:
-    """Normalize a Dataset / Trajectory / sequence of trajectories to a list."""
-    if isinstance(data, Dataset):
-        return list(data.trajectories)
+    """Normalize a Dataset / Trajectory / sequence of trajectories to a list;
+    an empty one raises ``InputError``."""
     if isinstance(data, Trajectory):
         return [data]
-    trajs = list(data)
+    trajs = list(data.trajectories if isinstance(data, Dataset) else data)
     if not trajs:
-        raise ValueError("no trajectories supplied")
+        raise InputError("no trajectories supplied")
     return trajs
 
 
@@ -32,7 +31,7 @@ def _stack_all(trajs) -> tuple:
     p, q = trajs[0].p, trajs[0].q
     for traj in trajs:
         if traj.n_steps != n or traj.p != p or traj.q != q:
-            raise ValueError(
+            raise InputError(
                 f"ragged trajectories: expected N={n}, p={p}, q={q}, "
                 f"got N={traj.n_steps}, p={traj.p}, q={traj.q}"
             )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import RECORDED_ERRORS, TuningError
+from ..exceptions import InputError, LtvBenchError, TuningError
 from ..models import LtvModel
 from .cosmic import CosmicConfig, cosmic_fit, cosmic_problem
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
@@ -77,26 +77,26 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     raises and records the error."""
     points = _grid_sorted(grid)
     if not points:
-        raise ValueError("empty hyperparameter grid")
+        raise InputError("empty hyperparameter grid")
     val_trajs = trajectories_of(validation_data)
     shared = train_data
     if method in ("cosmic", "cosmic-single"):
         try:
             shared = cosmic_problem(train_data, single_trajectory=method == "cosmic-single")
-        except RECORDED_ERRORS:
+        except LtvBenchError:
             pass
     fitted, errors = {}, {}
     for i, params in enumerate(points):
         try:
             fitted[i] = fit_method(method, shared, params)
-        except RECORDED_ERRORS as exc:   # recorded, the sweep continues
+        except LtvBenchError as exc:   # recorded, the sweep continues
             errors[i] = str(exc)
     del shared   # scoring needs none of the set-up; free it first
     losses = {}
     if fitted:
         try:
             scored = trajectory_prediction_loss(list(fitted.values()), val_trajs)
-        except RECORDED_ERRORS as exc:   # the set itself cannot be scored
+        except LtvBenchError as exc:   # the set itself cannot be scored
             errors.update(dict.fromkeys(fitted, str(exc)))
         else:
             for i, loss in zip(fitted, scored.tolist()):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..exceptions import ExcitationError, RealizationError
+from ..exceptions import ExcitationError, InputError, RealizationError
 from ..models import LtvModel
 from .regression import _stack_all, stacked_lstsq, trajectories_of
 
@@ -47,9 +47,9 @@ class TveraConfig:
 
     def __post_init__(self):
         if self.hankel_rows < 2:
-            raise ValueError("need at least two Hankel block rows to shift")
+            raise InputError("need at least two Hankel block rows to shift")
         if self.hankel_cols < 1:
-            raise ValueError("need at least one Hankel block column")
+            raise InputError("need at least one Hankel block column")
 
 
 def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
@@ -69,9 +69,9 @@ def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
     s, r = cfg.hankel_rows, cfg.hankel_cols
     w = s + r - 1
     if r * q < p:
-        raise ValueError("Hankel columns too few for the state dimension")
+        raise InputError("Hankel columns too few for the state dimension")
     if n < w + s:
-        raise ValueError(f"trajectories too short for a {s}x{r} Hankel window")
+        raise InputError(f"trajectories too short for a {s}x{r} Hankel window")
     if ell < p + w * q:
         raise ExcitationError(
             f"window regression needs at least {p + w * q} experiments, got {ell}"

@@ -1,7 +1,10 @@
 """Cell diff of two benchmark output directories, and the golden artifacts.
 
-    python tests/golden.py OLD_DIR NEW_DIR
-    python tests/golden.py --update RUN_DIR
+    PYTHONPATH=src python tests/golden.py OLD_DIR NEW_DIR
+    PYTHONPATH=src python tests/golden.py --check RUN_DIR
+    PYTHONPATH=src python tests/golden.py --update RUN_DIR
+
+(``ltvbench`` must be importable: it probes the toolchain.)
 
 For every CSV table in either directory (``table1.csv``, ``table2.csv``,
 ``lambda_sweep.csv``, the ``ecdf_*.csv`` files) it reports whether the file is
@@ -11,15 +14,18 @@ relative to the cell (with the row where it occurs) and the largest change
 relative to the column's largest magnitude; the second is the one that
 means something for values at rounding level, such as small ECDF residuals.  Rows are matched by their text
 cells (e.g. scenario and method) and, where those repeat, by their order.
-The report goes to stdout; the exit code is 0 unless the arguments are bad.
+The report goes to stdout; the exit code is 0 unless the arguments are bad
+(2).
 
 ``tests/golden/`` holds the artifacts of ``--suite all`` at master seed 7:
 ``table1.csv``, ``table2.csv`` and ``lambda_sweep.csv`` in full, and in
 ``golden.json`` the toolchain that wrote them (versions and OpenBLAS cores)
 plus, for each ``ecdf_*.csv`` (~550 kB each), its SHA-256, row count and a
 few quantiles per method.
-:func:`check_golden` compares a fresh run with them; ``--update`` rewrites
-them from RUN_DIR, for a change that moves cells on purpose.  RUN_DIR must
+:func:`check_golden` compares a fresh run with them; ``--check`` prints its
+lines for RUN_DIR and exits 1 when there are any, 0 when there are none.
+``--update`` rewrites them from RUN_DIR, for a change that moves cells on
+purpose.  RUN_DIR must
 hold all eight artifacts and the ``manifest.json`` of a run at master seed 7,
 as one ``ltvbench bench --suite all --seed 7 --out RUN_DIR`` writes them (or,
 from a checkout, ``PYTHONPATH=src python -m ltvbench bench ...``); otherwise
@@ -27,18 +33,16 @@ nothing is written and the exit code is 2.
 """
 
 import csv
-import ctypes
 import hashlib
 import json
 import math
-import platform
+import os
 import shutil
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-import scipy
+from ltvbench.toolchain import toolchain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_TABLES = ("table1.csv", "table2.csv", "lambda_sweep.csv")
@@ -152,39 +156,6 @@ def diff_dirs(old_dir, new_dir) -> list:
     return lines
 
 
-# package -> the OpenBLAS symbol that names the core its kernels were chosen for
-OPENBLAS_CORENAMES = {
-    "numpy": "scipy_openblas_get_corename64_",
-    "scipy": "scipy_openblas_get_corename",
-}
-
-
-def openblas_core(package: str) -> str | None:
-    """The core (e.g. ``SkylakeX``) of the OpenBLAS library bundled in the
-    ``<package>.libs`` directory of a wheel install; ``None`` when the
-    library or its symbol is not found."""
-    libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
-    symbol = OPENBLAS_CORENAMES[package]
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        corename = getattr(ctypes.CDLL(str(path)), symbol, None)
-        if corename is not None:
-            corename.argtypes = []
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
-def toolchain() -> dict:
-    """The versions the artifacts' bytes depend on, and the core each
-    OpenBLAS dispatched to: another core may round differently."""
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        **{f"openblas_core_{package}": openblas_core(package) for package in OPENBLAS_CORENAMES},
-    }
-
-
 def ecdf_summary(path: Path) -> dict:
     """SHA-256, row count and per-method quantile cells (as written) of one ECDF file."""
     with open(path, newline="") as fh:
@@ -209,10 +180,14 @@ def _find(name: str, run_dirs) -> Path | None:
 def check_golden(run_dirs, golden_dir=GOLDEN_DIR) -> list:
     """Lines naming every difference between a fresh run and the golden set.
 
-    ``run_dirs`` together hold the eight artifacts.  An empty list means all
-    are byte-identical on the golden toolchain; a different toolchain is
-    itself a difference, named with its versions or OpenBLAS cores.
+    ``run_dirs`` is a list of directories that together hold the eight
+    artifacts; one directory alone (a ``str`` or a path) raises
+    ``TypeError``.  An empty list means all are byte-identical on the golden
+    toolchain; a different toolchain is itself a difference, named with its
+    versions or OpenBLAS cores.
     """
+    if isinstance(run_dirs, (str, os.PathLike)):
+        raise TypeError(f"run_dirs must be a list of directories, got {run_dirs!r}; pass [run_dir]")
     golden = json.loads((Path(golden_dir) / "golden.json").read_text())
     lines = [
         f"toolchain: {tool} {golden['toolchain'].get(tool)} -> {version}"
@@ -290,9 +265,15 @@ def main(argv=None) -> int:
             print(f"golden set not updated:\n{exc}", file=sys.stderr)
             return 2
         return 0
+    if len(args) == 2 and args[0] == "--check" and Path(args[1]).is_dir():
+        differences = check_golden([args[1]], GOLDEN_DIR)
+        for line in differences:
+            print(line)
+        return 1 if differences else 0
     if len(args) != 2 or not all(Path(a).is_dir() for a in args):
         print(
             "usage: python tests/golden.py OLD_DIR NEW_DIR\n"
+            "       python tests/golden.py --check RUN_DIR\n"
             "       python tests/golden.py --update RUN_DIR",
             file=sys.stderr,
         )

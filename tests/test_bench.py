@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import pickle
 import sys
 from dataclasses import replace
 from functools import partial
@@ -12,11 +13,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ltvbench.bench as bench
+import ltvbench.cli as cli
 import ltvbench.datagen as datagen
 import ltvbench.ident.tuning as tuning
 from ltvbench.control import GainSchedule, closed_loop, default_reference, tracking_errors
 from ltvbench.datagen import Split
-from ltvbench.dynamics import Trajectory, scenario
+from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
 from conftest import model_trajectories
 from ltvbench.bench import (
     BenchConfig,
@@ -26,9 +28,14 @@ from ltvbench.bench import (
     write_prediction_csv,
 )
 from ltvbench.exceptions import (
+    DataFormatError,
     ExcitationError,
+    InputError,
     InstabilityError,
+    IntegrationError,
+    LtvBenchError,
     NumericalError,
+    RealizationError,
     SynthesisError,
     TuningError,
 )
@@ -282,6 +289,32 @@ class TestEmit:
                 run_bench(suite, SMALL, tmp_path / suite)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lambda_grid", (1e-3, -1.0), "lambda values must be positive and finite"),
+            ("lambda_grid", (math.nan,), "lambda values must be positive and finite"),
+            ("lambda_grid", (), "lambda values must be positive and finite, got ()"),
+            ("master_seed", -1, "master_seed must be a non-negative integer"),
+        ],
+    )
+    def test_bad_config_rejected_before_any_work(
+        self, tmp_path, monkeypatch, field, value, message
+    ):
+        built = []
+        monkeypatch.setattr(bench, "_scenario_data", lambda *args: built.append(args))
+        with pytest.raises(InputError, match=message):
+            run_bench("prediction", replace(SMALL, **{field: value}), tmp_path / "out")
+        assert not built and not (tmp_path / "out").exists()
+
+    def test_manifest_records_the_toolchain(self, tmp_path):
+        from ltvbench.toolchain import toolchain
+
+        run_bench("control", SMALL, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["toolchain"] == toolchain()
+        assert set(manifest["toolchain"]) >= {"python", "numpy", "scipy", "openblas_core_numpy"}
+
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
@@ -524,3 +557,99 @@ def test_programming_error_fails_the_prediction_run(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "fit_method", broken_fit)
     with pytest.raises(TypeError, match="bug in a fit"):
         run_bench("prediction", SMALL, tmp_path)
+
+
+# Bugs as numpy raises them: none is an LtvBenchError, so none may become a cell.
+BUGS = {
+    ValueError: lambda: np.ones(3) + np.ones(2),   # a failed broadcast
+    TypeError: lambda: float(None),
+    np.linalg.LinAlgError: lambda: np.linalg.inv(np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("error", list(BUGS), ids=lambda error: error.__name__)
+def test_a_bug_in_one_grid_point_fails_the_run(monkeypatch, tmp_path, error):
+    # the bug is in one ltvmodels grid point, which only a suite reaches
+    real = tuning.fit_method
+
+    def fit(method, data, params):
+        if method == "ltvmodels" and params["lam"] == SMALL.lambda_grid[1]:
+            BUGS[error]()
+        return real(method, data, params)
+
+    monkeypatch.setattr(tuning, "fit_method", fit)
+    with pytest.raises(error) as failed:
+        run_bench("prediction", SMALL, tmp_path / "api")
+    assert not isinstance(failed.value, LtvBenchError)
+    argv = [
+        "bench", "--suite", "prediction", "--seed", str(SMALL.master_seed), "--scenarios", "ltv",
+        "--l-train", "6", "--l-val", "3", "--l-test", "3", "--lambda-grid", "1e-3,1e-1,10",
+        "--out", str(tmp_path / "cli"),
+    ]
+    with pytest.raises(error):
+        cli.main(argv)
+    assert not (tmp_path / "api").exists() and not (tmp_path / "cli").exists()
+
+
+RECORDED = (
+    InputError, DataFormatError, ExcitationError, RealizationError, NumericalError,
+    IntegrationError, SynthesisError, InstabilityError, TuningError,
+)
+
+
+def test_recorded_types_are_the_package_errors():
+    def subclasses(cls):
+        return set(cls.__subclasses__()).union(*map(subclasses, cls.__subclasses__()))
+
+    assert subclasses(LtvBenchError) == set(RECORDED)
+    assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("error", RECORDED, ids=lambda error: error.__name__)
+def test_recorded_error_crosses_a_process_unchanged(error):
+    # with --jobs above one a recorded error reaches its cell through pickle
+    exc = error(7)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is error and bench._error(back) == bench._error(exc)
+
+
+@pytest.mark.parametrize("error", RECORDED, ids=lambda error: error.__name__)
+def test_each_recorded_type_becomes_its_cell_and_grid_row(monkeypatch, constant_model, error):
+    exc = error("no model")
+    cell = f"{error.__name__}: {exc}"
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    # _entry records the fit's error in the entry
+    monkeypatch.setattr(bench, "fit_method", fail)
+    entry = bench._entry("perstep", None, 0, {Split.TRAIN: None}, SMALL)
+    assert entry.model is exc
+    # table1: the failed entry is its own cell; a failed scoring is every fitted cell
+    test = model_trajectories(constant_model, 2, seed=3)
+    entries = {m: bench.Entry(constant_model) for m in bench.PREDICTION_METHODS}
+    entries["perstep"] = entry
+    rows = bench._prediction_rows("ltv", entries, test)
+    assert [r.error for r in rows] == [cell if r.method == "perstep" else None for r in rows]
+    monkeypatch.setattr(bench, "per_trajectory_losses", fail)
+    assert [r.error for r in bench._prediction_rows("ltv", entries, test)] == [cell] * 6
+    # table2: the failed entry is its own row
+    spec = scenario("ltv")
+    entries = {c: bench.Entry(ground_truth_ltv(spec)) for c in bench.CONTROLLERS}
+    entries["lti"] = entry
+    cfg = replace(SMALL, initial_conditions=((1.0, 0.0),))
+    rows = bench._control_rows("ltv", spec, entries, cfg)
+    assert [r.error for r in rows] == [None, None, cell]
+    # tune: a failed grid point is its row's error
+    real = tuning.fit_method
+
+    def fit(method, data, params):
+        if params["lam"] == 1.0:
+            raise exc
+        return real(method, data, params)
+
+    monkeypatch.setattr(tuning, "fit_method", fit)
+    train = model_trajectories(constant_model, 5, seed=4, noise=1e-4)
+    result = tuning.tune("cosmic", [{"lam": 0.1}, {"lam": 1.0}], train, test)
+    assert [row.error for row in result.rows] == [None, str(exc)]
+    assert result.best_params == {"lam": 0.1}

@@ -269,6 +269,30 @@ class TestBenchCommand:
             assert "no lambda values in ' , '" in capsys.readouterr().err
         assert not (tmp_path / "blank").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_lambda_lists_reject_a_bad_value_before_any_work(self, tmp_path, capsys, value):
+        # a non-positive lambda once ran as failed grid points that bench's
+        # tables do not show
+        run(*dataset_args(tmp_path / "d"))
+        capsys.readouterr()
+        grid = f"{value},1e-3,0.1"
+        tune_args = (
+            "tune", "--method", "ltvmodels", f"--grid={grid}", "--train",
+            str(tmp_path / "d" / "train"), "--validation", str(tmp_path / "d" / "validation"),
+        )
+        bench_args = (
+            "bench", "--suite", "prediction", "--seed", "7", "--scenarios", "ltv",
+            "--l-train", "6", "--l-val", "3", "--l-test", "3", f"--lambda-grid={grid}",
+        )
+        for args in (tune_args, bench_args):
+            assert run(*args, "--out", str(tmp_path / "out" / "m.json")) == 2
+            err = capsys.readouterr().err
+            assert f"error: lambda values must be positive and finite, got ({float(value)}," in err
+        out = str(tmp_path / "out" / "m.json")
+        assert run(*tune_args[:3], "--grid=1e-3,x", *tune_args[4:], "--out", out) == 2
+        assert "cannot parse lambda values '1e-3,x'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -284,6 +308,33 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert "identify" in captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "dataset", "control", "bench"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        # numpy takes no negative seed
+        args = {
+            "simulate": ("--scenario", "ltv"),
+            "dataset": ("--scenario", "ltv"),
+            "control": ("--model", "linearization", "--scenario", "ltv"),
+            "bench": ("--suite", "control"),
+        }[command]
+        assert run(command, *args, "--seed", "-3", "--out", str(tmp_path / "o")) == 1
+        assert "argument --seed: must be a non-negative integer, got '-3'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_model_of_another_length_is_two(self, tmp_path, capsys):
+        from ltvbench.models import LtvModel, save_model
+
+        model = LtvModel.from_constant(0.5 * np.eye(2), np.ones((2, 1)), 250, 0.02)
+        save_model(model, tmp_path / "m.json")
+        code = run(
+            "control", "--model", str(tmp_path / "m.json"), "--scenario", "ltv",
+            "--x0", "1,0", "--seed", "2", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench control: error: model covers 250 steps, the scenario 500")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_simulate_smoke(self, tmp_path):
         assert run(

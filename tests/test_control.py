@@ -33,7 +33,7 @@ from ltvbench.dynamics import (
     scenario,
     simulate,
 )
-from ltvbench.exceptions import InstabilityError, SynthesisError
+from ltvbench.exceptions import InputError, InstabilityError, SynthesisError
 from ltvbench.ident import per_trajectory_losses, perstep_ls_fit
 from ltvbench.models import LtvModel
 
@@ -562,3 +562,15 @@ def test_gain_schedule_round_trip_is_exact(tmp_path_factory, sched):
         a, b = getattr(loaded, name), getattr(sched, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert loaded.provenance == sched.provenance
+
+
+def test_non_finite_schedule_is_a_synthesis_error(constant_model):
+    # a feedforward that overflowed is a failed synthesis, recorded as a cell
+    sched = lqr_ltv(constant_model, default_weights())
+    u_ff = np.zeros((constant_model.n_steps, 1))
+    u_ff[4] = np.inf
+    with pytest.raises(SynthesisError, match="gain schedule must be finite"):
+        with_feedforward(sched, u_ff)
+    with pytest.raises(ValueError, match="feedforward shape") as shape:
+        with_feedforward(sched, u_ff[:-1])
+    assert not isinstance(shape.value, InputError)   # a wrong call, not an outside value

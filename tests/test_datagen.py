@@ -25,7 +25,7 @@ from ltvbench.datagen import (
     tvera_experiments,
 )
 from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, _substep_kernel, scenario
-from ltvbench.exceptions import DataFormatError
+from ltvbench.exceptions import DataFormatError, InputError
 
 
 def small_splits(noise_var=1e-6, seed=42, name="ltv"):
@@ -216,6 +216,16 @@ class TestBuildDataset:
         ex[Split.TEST] = ex[Split.TRAIN]
         with pytest.raises(ValueError):
             build_dataset(spec, ex, counts=(2, 2, 2), noise_var=0.0, master_seed=0)
+
+
+    @pytest.mark.parametrize("noise_var", [-1e-6, math.nan, math.inf])
+    def test_bad_noise_variance_rejected(self, noise_var):
+        # before any draw: a negative variance once failed in math.sqrt
+        spec = scenario("ltv")
+        with pytest.raises(InputError, match="measurement noise variance"):
+            build_dataset(spec, default_excitations(spec.horizon), (2, 2, 2), noise_var)
+        with pytest.raises(InputError, match="measurement noise variance"):
+            tvera_experiments(spec, 1, 1, noise_var)
 
 
 class TestExperiments:

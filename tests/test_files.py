@@ -200,6 +200,11 @@ CSV_CASES = {
     "no-x-columns": _rows((0, "t,y1,y2,u")),
     "misordered-header": _rows((0, "t,x1,u,x2")),
     "header-only": _rows((1, None)),
+    # numpy parses these; a fit would fail on them deep inside, so reading rejects them
+    "nan-state": _rows((1, "0.0,nan,1.0,1.0")),
+    "inf-final-state": _rows((3, "0.2,1.0,inf,")),
+    "nan-input": _rows((2, "0.1,1.0,1.0,nan")),
+    "inf-input": _rows((1, "0.0,1.0,1.0,-inf")),
 }
 DATASET_READERS = ("dataset", "identify-data")
 
@@ -236,3 +241,26 @@ def test_write_table_cells_read_back(tmp_path):
     assert [r["loss"] for r in back] == ["0.1", ""]
     assert [r["error"] for r in back] == ["", "bad, \"quoted\""]
     assert [r["flag"] for r in back] == ["true", "false"]
+
+
+def test_non_finite_training_cell_fails_at_load_not_in_the_fit(tmp_path, capsys):
+    # a nan state cell once reached cosmic's excitation check and failed
+    # there as numpy's "SVD did not converge"
+    data = tmp_path / "d"
+    assert main(["dataset", "--scenario", "ltv", "--seed", "7", "--out", str(data),
+                 "--l-train", "5", "--l-val", "3", "--l-test", "3"]) == 0
+    csv_path = data / "train" / "traj_0002.csv"
+    lines = csv_path.read_text().splitlines()
+    cells = lines[40].split(",")
+    cells[1] = "nan"
+    lines[40] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="traj_0002.csv holds a non-finite cell"):
+        load_dataset(data / "train")
+    capsys.readouterr()
+    code = main(["identify", "--method", "cosmic", "--data", str(data / "train"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ltvbench identify: error:") and "traj_0002.csv" in err
+    assert not (tmp_path / "m.json").exists()

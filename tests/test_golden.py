@@ -5,16 +5,8 @@ import json
 
 import pytest
 
-from golden import (
-    GOLDEN_ECDFS,
-    GOLDEN_TABLES,
-    OPENBLAS_CORENAMES,
-    check_golden,
-    diff_dirs,
-    main,
-    openblas_core,
-    write_golden,
-)
+from golden import GOLDEN_ECDFS, GOLDEN_TABLES, check_golden, diff_dirs, main, write_golden
+from ltvbench.toolchain import OPENBLAS_CORENAMES, openblas_core
 
 TABLE = (
     "scenario,method,mean_loss,std_loss,n_test,best_params,error\n"
@@ -107,7 +99,7 @@ def test_golden_names_another_openblas_core(tmp_path, monkeypatch):
     run = fake_run(tmp_path)
     write_golden(run, tmp_path / "golden")
     cores = {package: openblas_core(package) for package in ("numpy", "scipy")}
-    monkeypatch.setattr("golden.openblas_core", lambda package: f"{cores[package]}+other")
+    monkeypatch.setattr("ltvbench.toolchain.openblas_core", lambda package: f"{cores[package]}+other")
     assert check_golden([run], tmp_path / "golden") == [
         f"toolchain: openblas_core_{package} {core} -> {core}+other"
         for package, core in cores.items()
@@ -140,3 +132,24 @@ def test_update_from_a_complete_run(tmp_path, monkeypatch):
     run = fake_run(tmp_path)
     assert main(["--update", str(run)]) == 0
     assert check_golden([run], tmp_path / "golden") == []
+
+
+def test_one_directory_alone_is_a_type_error(tmp_path):
+    # a str was read as a list of one-character directories, a Path not at all
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "golden")
+    for lone in (run, str(run)):
+        with pytest.raises(TypeError, match="list of directories"):
+            check_golden(lone, tmp_path / "golden")
+    assert check_golden((str(run),), tmp_path / "golden") == []
+
+
+def test_check_prints_the_differences(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("golden.GOLDEN_DIR", tmp_path / "golden")
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "golden")
+    assert main(["--check", str(run)]) == 0
+    assert capsys.readouterr().out == ""
+    (run / "table2.csv").write_text(TABLE.replace("0.25,", "0.5,"))
+    assert main(["--check", str(run)]) == 1
+    assert "table2.csv: 2 -> 2 rows, not byte-identical" in capsys.readouterr().out.splitlines()

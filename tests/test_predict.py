@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import model_trajectories, rollout_model
 from ltvbench.bench import ecdf_residuals
 from ltvbench.dynamics import Trajectory
+from ltvbench.exceptions import InputError
 from ltvbench.ident import per_trajectory_losses, rollout_residuals, trajectory_prediction_loss
 from ltvbench.models import LtvModel
 
@@ -197,3 +198,12 @@ class TestBatchedRollout:
             expected = np.sort(np.concatenate(samples))
             scale = max(1.0, float(np.max(expected)))
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (2, 2)], ids=["three-states", "two-inputs"])
+def test_model_of_another_shape_is_an_input_error(constant_model, p, q):
+    # caught before the rollout, so numpy's broadcast error never surfaces
+    other = LtvModel.from_constant(0.5 * np.eye(p), np.ones((p, q)), constant_model.n_steps, 0.02)
+    data = model_trajectories(constant_model, 2, seed=1)
+    with pytest.raises(InputError, match=f"model has p={p} and q={q}, the data p=2 and q=1"):
+        rollout_residuals([constant_model, other], data)

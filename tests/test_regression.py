@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from conftest import model_trajectories
-from ltvbench.datagen import Split, build_dataset, default_excitations, tvera_experiments
+from ltvbench.datagen import Dataset, Split, build_dataset, default_excitations, tvera_experiments
 from ltvbench.dynamics import Trajectory, scenario
-from ltvbench.exceptions import ExcitationError, NumericalError
+from ltvbench.exceptions import ExcitationError, InputError, NumericalError
 from ltvbench.ident import (
     CosmicConfig,
     check_excitation,
@@ -17,7 +17,7 @@ from ltvbench.ident import (
     perstep_ls_fit,
     tvera_fit,
 )
-from ltvbench.ident.regression import _rank_deficient, _stack_all, stacked_lstsq
+from ltvbench.ident.regression import _rank_deficient, _stack_all, stacked_lstsq, trajectories_of
 from ltvbench.models import LtvModel
 from test_cosmic import dense_normal_solution
 
@@ -384,3 +384,12 @@ class TestLtiFit:
         perstep = perstep_ls_fit(trajs)
         assert_allclose(model.A, perstep.A, atol=1e-12)
         assert_allclose(model.B, perstep.B, atol=1e-12)
+
+
+@pytest.mark.parametrize("empty", [[], "dataset"])
+def test_no_trajectories_is_an_input_error(empty):
+    # an empty dataset once failed as an IndexError in the regressor stack
+    if empty == "dataset":
+        empty = Dataset(split=Split.TRAIN, trajectories=[], scenario=scenario("ltv"))
+    with pytest.raises(InputError, match="no trajectories supplied"):
+        trajectories_of(empty)

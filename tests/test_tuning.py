@@ -6,7 +6,7 @@ from conftest import model_trajectories
 from ltvbench.bench import BenchConfig, _scenario_data, method_grid
 from ltvbench.datagen import Split, tvera_experiments
 from ltvbench.dynamics import Trajectory
-from ltvbench.exceptions import ExcitationError, TuningError
+from ltvbench.exceptions import ExcitationError, InputError, TuningError
 from ltvbench.ident import fit_method, trajectory_prediction_loss, tune
 
 
@@ -114,7 +114,7 @@ class TestTune:
         assert failed.value.diagnostics == [f"{point}: {alone.value}" for point in grid]
 
     def test_programming_error_propagates(self, monkeypatch, constant_model):
-        # only data, settings and linear-algebra failures become grid-point errors
+        # only an LtvBenchError becomes a grid-point error
         def broken_fit(*args, **kwargs):
             raise TypeError("bug in a fit")
 
@@ -122,6 +122,15 @@ class TestTune:
         train = model_trajectories(constant_model, 5, seed=12, noise=1e-4)
         with pytest.raises(TypeError, match="bug in a fit"):
             tune("cosmic", [{"lam": 0.5}, {"lam": 1.0}], train, train)
+
+    def test_a_bad_lam_is_its_input_error_row(self, constant_model):
+        train = model_trajectories(constant_model, 5, seed=7, noise=1e-4)
+        val = model_trajectories(constant_model, 2, seed=8)
+        with pytest.raises(InputError) as alone:
+            fit_method("cosmic", train, {"lam": -1.0})
+        result = tune("cosmic", [{"lam": -1.0}, {"lam": 1.0}], train, val)
+        assert [row.error for row in result.rows] == [str(alone.value), None]
+        assert str(alone.value) == "lam must be positive and finite, got -1.0"
 
     def test_empty_grid_rejected(self, constant_model):
         train = model_trajectories(constant_model, 5, seed=11)
