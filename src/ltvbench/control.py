@@ -24,26 +24,27 @@ from .models import LtvModel
 
 GAINS_FORMAT = "gain-schedule/1"
 DIVERGENCE_GUARD = 1e6
+PLANT_SHAPE = (2, 1)   # (p, q): position and velocity, one force input
 
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Constant per-step quadratic weights: state Q >= 0, input R > 0, terminal H >= 0."""
+    """Constant per-step quadratic weights of the plant: state Q >= 0 (2, 2),
+    input R > 0 (1, 1), terminal H >= 0 (2, 2)."""
 
     Q: np.ndarray
     R: np.ndarray
     H: np.ndarray
 
     def __post_init__(self):
-        for name, m in (("Q", self.Q), ("R", self.R), ("H", self.H)):
-            arr = np.asarray(m, dtype=float)
+        p, q = PLANT_SHAPE
+        for name, shape in (("Q", (p, p)), ("R", (q, q)), ("H", (p, p))):
+            arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise InputError(f"{name} must be square, got {arr.shape}")
+            if arr.shape != shape:
+                raise InputError(f"{name} must be shaped {shape} for the plant, got {arr.shape}")
             if not np.allclose(arr, arr.T):
                 raise InputError(f"{name} must be symmetric")
-        if self.H.shape != self.Q.shape:
-            raise InputError(f"H {self.H.shape} must have the shape of Q {self.Q.shape}")
         if np.any(np.linalg.eigvalsh(self.R) <= 0):
             raise InputError("R must be positive definite")
         for name, m in (("Q", self.Q), ("H", self.H)):
@@ -60,12 +61,14 @@ def default_weights() -> CostWeights:
 
 @dataclass
 class GainSchedule:
-    """Time-indexed feedback gains plus optional feedforward inputs."""
+    """Time-indexed feedback gains plus optional feedforward inputs, shaped
+    for the plant's one input and two states (:func:`lqr_ltv`, and all that
+    :func:`closed_loop` runs)."""
 
-    K: np.ndarray                    # (N, q, p)
-    u_ff: np.ndarray                 # (N, q)
+    K: np.ndarray                    # (N, 1, 2)
+    u_ff: np.ndarray                 # (N, 1)
     provenance: str = ""
-    cost_to_go: np.ndarray | None = None   # (N+1, p, p) Riccati stack
+    cost_to_go: np.ndarray | None = None   # (N+1, 2, 2) Riccati stack
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
@@ -146,42 +149,26 @@ def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
         P_k = Q + K_k^T R K_k + (A(k) - B(k) K_k)^T P_{k+1} (A(k) - B(k) K_k)
     Every P_k is symmetrized; all are PSD by construction.
 
-    Gives the model's zero-feedforward ``GainSchedule``, with its cost-to-go.
-    A model of the plant's shape (p=2 states, q=1 input) runs the
-    Python-float recursion :func:`_plant_riccati`, which differs from the
-    numpy recursion :func:`_riccati` that other shapes run by rounding only.
-    A singular input-cost term or a non-finite gain raises ``SynthesisError``.
+    Gives the model's zero-feedforward ``GainSchedule``: gains ``(N, 1, 2)``
+    and cost-to-go ``(N+1, 2, 2)``.  A model whose shape is not the plant's
+    (:data:`PLANT_SHAPE`) raises ``InputError`` before any step; a zero
+    input-cost term (at the first step that has one) or a non-finite gain
+    raises ``SynthesisError``.
+
+    The recursion runs on Python floats.  Each matrix product sums its two
+    terms in index order, as the formula reads: ``BtP = B^T P``,
+    ``s = R + BtP B``, ``K = (BtP A) / s``, then
+    ``P = (Q + (K^T R) K) + (A_cl^T P) A_cl`` and ``0.5 (P + P^T)``.  A(k) and
+    B(k) are read once, step by step as Python floats, from flat copies in
+    step order N-1..0; the gains and cost-to-go go to flat ``array('d')``
+    buffers, 8 B a value, that become arrays at the end.  No step calls
+    numpy, and no value is kept as a Python float object.
     """
-    p, q = model.p, model.q
-    if weights.Q.shape != (p, p) or weights.R.shape != (q, q):
+    if (model.p, model.q) != PLANT_SHAPE:
         raise InputError(
-            f"weights Q {weights.Q.shape}, R {weights.R.shape} and H {weights.H.shape} "
-            f"do not match the model's p={p} and q={q}"
+            f"the gain recursion serves the plant's p={PLANT_SHAPE[0]} and q={PLANT_SHAPE[1]}, "
+            f"not the model's p={model.p} and q={model.q}"
         )
-    K, P = (_plant_riccati if (p, q) == (2, 1) else _riccati)(model, weights)
-    if not np.isfinite(K).all():
-        raise SynthesisError("gain recursion produced non-finite gains")
-    return GainSchedule(
-        K=np.ascontiguousarray(K),
-        u_ff=np.zeros((model.n_steps, q)),
-        provenance=model.method,
-        cost_to_go=np.ascontiguousarray(P),
-    )
-
-
-def _plant_riccati(model, weights: CostWeights) -> tuple:
-    """The recursion of :func:`lqr_ltv` for one model with p=2 and q=1, on
-    Python floats: its gains ``(N, 1, 2)`` and cost-to-go ``(N+1, 2, 2)``.
-    Raises ``SynthesisError`` at the first step whose input-cost term is zero.
-
-    Each matrix product sums its two terms in index order, as the docstring
-    formula reads: ``BtP = B^T P``, ``s = R + BtP B``, ``K = (BtP A) / s``,
-    then ``P = (Q + (K^T R) K) + (A_cl^T P) A_cl`` and ``0.5 (P + P^T)``.
-    A(k) and B(k) are read once, step by step as Python floats, from flat
-    copies in step order N-1..0; the gains and cost-to-go go to flat
-    ``array('d')`` buffers, 8 B a value, that become arrays at the end.  No
-    step calls numpy, and no value is kept as a Python float object.
-    """
     n = model.n_steps
     a = iter(memoryview(model.A[::-1].ravel()))
     b = iter(memoryview(model.B[::-1].ravel()))
@@ -219,30 +206,14 @@ def _plant_riccati(model, weights: CostWeights) -> tuple:
         costs.extend((p00, p01, p10, p11))
     K = np.frombuffer(gains).reshape(n, 1, 2)[::-1]
     P = np.frombuffer(costs).reshape(n + 1, 2, 2)[::-1]
-    return K, P
-
-
-def _riccati(model, weights: CostWeights) -> tuple:
-    """The recursion of :func:`lqr_ltv` in numpy, one step at a time on the
-    model's own ``(N, p, p)`` and ``(N, p, q)`` arrays: its gains and
-    cost-to-go.  Raises ``SynthesisError`` at the first step whose
-    input-cost term is singular.
-    """
-    n, p, q = model.n_steps, model.p, model.q
-    K = np.empty((n, q, p))
-    P_stack = np.empty((n + 1, p, p))
-    P = P_stack[n] = weights.H
-    for k in range(n - 1, -1, -1):
-        A, B = model.A[k], model.B[k]
-        BtP = B.T @ P
-        try:
-            K[k] = np.linalg.solve(weights.R + BtP @ B, BtP @ A)
-        except np.linalg.LinAlgError as exc:
-            raise SynthesisError(f"singular input-cost term at step {k}") from exc
-        Acl = A - B @ K[k]
-        P = weights.Q + K[k].T @ weights.R @ K[k] + Acl.T @ P @ Acl
-        P = P_stack[k] = 0.5 * (P + P.T)
-    return K, P_stack
+    if not np.isfinite(K).all():
+        raise SynthesisError("gain recursion produced non-finite gains")
+    return GainSchedule(
+        K=np.ascontiguousarray(K),
+        u_ff=np.zeros((n, 1)),
+        provenance=model.method,
+        cost_to_go=np.ascontiguousarray(P),
+    )
 
 
 def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
@@ -282,10 +253,10 @@ def closed_loop(
     :class:`InstabilityError` (with the partial trajectory attached) if the
     state leaves the divergence guard.
     """
-    expected = (spec.n_steps, 1, 2)   # the plant has one force input and two states
+    p, q = PLANT_SHAPE
+    expected = (spec.n_steps, q, p)
     if sched.K.shape != expected:
         raise ValueError(f"schedule gains must be shaped {expected}, got {sched.K.shape}")
-    rng = np.random.default_rng(seed) if seed is not None else None
     u_ff = sched.u_ff[:, 0].tolist()
     k1, k2 = sched.K[:, 0, 0].tolist(), sched.K[:, 0, 1].tolist()
     targets = ref.position_at(np.arange(spec.n_steps) * spec.dt).tolist()
@@ -293,13 +264,7 @@ def closed_loop(
     def policy(k, x1, x2):
         return u_ff[k] - (k1[k] * (x1 - targets[k]) + k2[k] * x2)
 
-    times, states, inputs = _rollout(spec, x0, policy, rng, guard=DIVERGENCE_GUARD)
-    return Trajectory(
-        times=times,
-        states=states,
-        inputs=inputs,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return _rollout(spec, x0, policy, seed, guard=DIVERGENCE_GUARD)
 
 
 def tracking_errors(traj: Trajectory, ref: ReferenceSpec) -> np.ndarray:

@@ -183,11 +183,13 @@ def build_dataset(
     split should sweep a distinct frequency band).  Training states carry
     additive measurement noise of variance ``noise_var``; validation and test
     are exact and get ``n_free`` extra free-response trajectories each.
-    Counts below one, a negative or non-finite ``noise_var`` and splits that
-    share a band raise ``InputError``.
+    Counts below one, a negative ``n_free``, a negative or non-finite
+    ``noise_var`` and splits that share a band raise ``InputError``.
     """
     if any(c < 1 for c in counts):
         raise InputError("each split needs at least one trajectory")
+    if n_free < 0:
+        raise InputError(f"free-response count must be >= 0, got {n_free}")
     _check_noise_var(noise_var)
     bands = [
         (excitations[s].omega0, excitations[s].omega1)
@@ -241,9 +243,13 @@ def tvera_experiments(
 
     Free runs start from random nonzero states with zero input; forced runs
     start at rest and receive unit-variance white-noise inputs.  States carry
-    training measurement noise; a negative or non-finite ``noise_var``
-    raises ``InputError``.
+    training measurement noise.  A negative count, no experiment at all and
+    a negative or non-finite ``noise_var`` raise ``InputError``.
     """
+    if n_free < 0 or n_forced < 0:
+        raise InputError(f"experiment counts must be >= 0, got {n_free} free and {n_forced} forced")
+    if n_free + n_forced == 0:
+        raise InputError("the experiment set needs at least one trajectory")
     _check_noise_var(noise_var)
     def random_input(init_rng, input_rng, times):
         return np.zeros(2), input_rng.normal(0.0, 1.0, size=len(times))

@@ -464,11 +464,13 @@ def _kicks(spec: ScenarioSpec, rng) -> tuple:
     return nld, dict(zip(steps, rng.normal(0.0, spec.kick_sigma, size=len(steps)).tolist()))
 
 
-def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
-    """One rollout of ``control`` (held inputs or a policy, as in
-    :func:`_substep_kernel`) through the spec's ``run`` loop, with the kicks
-    of :func:`_kicks`.  A boundary velocity kick lands on the state at the
-    frame boundary, and the recorded state includes it.  A non-finite state
+def _rollout(spec, x0, control, seed, guard: float = sys.float_info.max) -> Trajectory:
+    """The trajectory of one rollout of ``control`` (held inputs or a policy,
+    as in :func:`_substep_kernel`) through the spec's ``run`` loop, with the
+    kicks of :func:`_kicks` drawn by the generator of ``seed`` (an int or a
+    numpy Generator; None, no kicks).  The trajectory records an int seed.
+    A boundary velocity kick lands on the state at the frame boundary, and
+    the recorded state includes it.  A non-finite state
     raises :class:`IntegrationError`, and a state beyond ``guard`` (by default
     the largest float) :class:`InstabilityError`, carrying the partial arrays.
     An initial state that is not two finite numbers raises ``InputError``.
@@ -479,6 +481,7 @@ def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
     if not np.isfinite(x).all():
         raise InputError(f"initial state must be finite, got {x.tolist()}")
     run = _substep_kernel(spec)[1]
+    rng = np.random.default_rng(seed) if seed is not None else None
     x1s, x2s, us = run(float(x[0]), float(x[1]), control, *_kicks(spec, rng), guard)
     steps = len(us)
     times = np.arange(steps + 1) * spec.dt
@@ -488,7 +491,12 @@ def _rollout(spec, x0, control, rng, guard: float = sys.float_info.max):
         raise IntegrationError(f"non-finite state after step at t={float(times[-2])}")
     if np.abs(states[-1]).max() > guard:
         raise InstabilityError(steps, times=times, states=states, inputs=inputs)
-    return times, states, inputs
+    return Trajectory(
+        times=times,
+        states=states,
+        inputs=inputs,
+        seed=seed if isinstance(seed, int) else None,
+    )
 
 
 def simulate(spec: ScenarioSpec, x0, inputs, seed=None) -> Trajectory:
@@ -503,14 +511,7 @@ def simulate(spec: ScenarioSpec, x0, inputs, seed=None) -> Trajectory:
     u = np.array(inputs, dtype=float)
     if u.shape not in ((n,), (n, 1)):
         raise ValueError(f"need {n} inputs, shape ({n},) or ({n}, 1), got {u.shape}")
-    rng = np.random.default_rng(seed) if seed is not None else None
-    times, states, inputs = _rollout(spec, x0, u.reshape(n).tolist(), rng)
-    return Trajectory(
-        times=times,
-        states=states,
-        inputs=inputs,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return _rollout(spec, x0, u.reshape(n).tolist(), seed)
 
 
 def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> tuple:

@@ -231,10 +231,10 @@ def test_criterion_6_tracking_ordering(control_runs):
 
 def test_criterion_7_lqr_correctness():
     with criterion(7, "gain recursion: hand case, Riccati fixed point, PSD cost"):
-        unit = LtvModel.from_constant(np.eye(1), np.eye(1), 1, 1.0)
-        sched = lqr_ltv(unit, CostWeights(Q=np.eye(1), R=np.eye(1), H=np.eye(1)))
-        assert sched.K[0, 0, 0] == 0.5
-        assert sched.cost_to_go[0, 0, 0] == 1.5
+        unit = LtvModel.from_constant(np.eye(2), np.array([[0.0], [1.0]]), 1, 1.0)
+        sched = lqr_ltv(unit, CostWeights(Q=np.eye(2), R=np.eye(1), H=np.eye(2)))
+        assert sched.K.tolist() == [[[0.0, 0.5]]]
+        assert sched.cost_to_go[0].tolist() == [[2.0, 0.0], [0.0, 1.5]]
 
         A = np.array([[1.0, 0.05], [-0.03, 0.98]])
         B = np.array([[0.0], [0.05]])

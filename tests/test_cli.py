@@ -51,6 +51,17 @@ class TestDatasetCommand:
         assert code == 0
         assert len(load_dataset(tmp_path / "e")) == 6
 
+    def test_negative_experiment_counts_are_two(self, tmp_path, capsys):
+        # they once wrote "wrote 0 experiment trajectories" and exited 0
+        code = run(
+            "dataset", "--scenario", "ltv", "--seed", "3", "--out", str(tmp_path / "e"),
+            "--experiments", "--n-free-experiments", "-1", "--n-forced-experiments", "-5",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ltvbench dataset: error: experiment counts must be >= 0")
+        assert not (tmp_path / "e").exists()
+
 
 class TestIdentifyAndTune:
     def test_identify_then_singleton_tune_identical_files(self, tmp_path):
@@ -291,6 +302,16 @@ class TestBenchCommand:
         out = str(tmp_path / "out" / "m.json")
         assert run(*tune_args[:3], "--grid=1e-3,x", *tune_args[4:], "--out", out) == 2
         assert "cannot parse lambda values '1e-3,x'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lambda_list_starting_with_a_minus_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-1,1e-3" after a space as an option; such a list is
+        # never valid, since every lambda must be positive
+        tune_args = ("tune", "--method", "cosmic", "--train", "d", "--validation", "d", "--grid")
+        bench_args = ("bench", "--suite", "control", "--seed", "1", "--lambda-grid")
+        for args, option in ((tune_args, "--grid"), (bench_args, "--lambda-grid")):
+            assert run(*args, "-1,1e-3", "--out", str(tmp_path / "out")) == 1
+            assert f"argument {option}: expected one argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

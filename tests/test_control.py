@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -38,19 +39,14 @@ from ltvbench.ident import per_trajectory_losses, perstep_ls_fit
 from ltvbench.models import LtvModel
 
 
-def scalar_unit_model(n=1):
-    return LtvModel.from_constant(np.eye(1), np.eye(1), n, 1.0)
-
-
-def unit_weights():
-    return CostWeights(Q=np.eye(1), R=np.eye(1), H=np.eye(1))
-
-
 class TestLqrRecursion:
-    def test_hand_scalar_case(self):
-        sched = lqr_ltv(scalar_unit_model(), unit_weights())
-        assert sched.K[0, 0, 0] == 0.5
-        assert sched.cost_to_go[0, 0, 0] == 1.5
+    def test_hand_plant_case(self):
+        # P1 = I, s = 1 + 1 = 2, K = [0, 1] / 2, A_cl = diag(1, 0.5),
+        # P0 = I + diag(0, 0.25) + diag(1, 0.25)
+        model = LtvModel.from_constant(np.eye(2), np.array([[0.0], [1.0]]), 1, 1.0)
+        sched = lqr_ltv(model, CostWeights(Q=np.eye(2), R=np.eye(1), H=np.eye(2)))
+        assert sched.K.tolist() == [[[0.0, 0.5]]]
+        assert sched.cost_to_go[0].tolist() == [[2.0, 0.0], [0.0, 1.5]]
 
     def test_prohibitive_input_cost_kills_gains(self):
         model = ground_truth_ltv(scenario("ltv"))
@@ -109,17 +105,31 @@ class TestLqrRecursion:
             CostWeights(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1), H=np.eye(2))
 
     def test_weights_must_fit_the_model(self):
-        with pytest.raises(ValueError, match=r"Q \(1, 1\), R \(1, 1\) and H \(1, 1\) do not match"):
-            lqr_ltv(ground_truth_ltv(scenario("ltv")), unit_weights())
+        # weights of another shape than the plant's are refused when made
+        for Q, R, message in (
+            (np.eye(3), np.eye(1), "Q must be shaped (2, 2) for the plant, got (3, 3)"),
+            (np.eye(1), np.eye(1), "Q must be shaped (2, 2) for the plant, got (1, 1)"),
+            (np.eye(2), np.eye(2), "R must be shaped (1, 1) for the plant, got (2, 2)"),
+        ):
+            with pytest.raises(InputError, match=re.escape(message)):
+                CostWeights(Q=Q, R=R, H=Q)
 
     def test_terminal_cost_must_have_the_state_cost_shape(self):
-        with pytest.raises(ValueError, match=r"H \(3, 3\) must have the shape of Q \(2, 2\)"):
+        with pytest.raises(InputError, match=r"H must be shaped \(2, 2\) for the plant, got \(3, 3\)"):
             CostWeights(Q=np.eye(2), R=np.eye(1), H=np.eye(3))
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (3, 1), (2, 2)])
+    def test_model_of_another_shape_is_an_input_error(self, p, q):
+        # refused before any step, which would meet the NaN A(k)
+        A = np.full((4, p, p), np.nan)
+        model = LtvModel(A=A, B=np.ones((4, p, q)), dt=0.1)
+        with pytest.raises(InputError, match=rf"not the model's p={p} and q={q}$"):
+            lqr_ltv(model, default_weights())
 
 
 def loop_lqr(model, weights):
-    """The numpy recursion one step and one model at a time: the byte oracle
-    for models of other shapes than the plant's, a cross-check for the plant's."""
+    """The recursion one step at a time in numpy, with a general solve: a
+    cross-check of the float recursion to rounding."""
     n = model.n_steps
     K = np.empty((n, model.q, model.p))
     P_stack = np.empty((n + 1, model.p, model.p))
@@ -193,12 +203,12 @@ def in_layout(blocks, q, layout):
 
 @st.composite
 def model_stacks(draw):
-    """1-9 random models sharing N, p and q, plus PSD weights that fit them;
-    about half the draws have the plant's shape, p=2 and q=1.  Each model's
-    matrices come in one of the layouts of :func:`in_layout`, which the
-    ``LtvModel`` constructor stores C-contiguous."""
+    """1-9 random models of the plant's shape (p=2, q=1) sharing N, plus PSD
+    weights.  Each model's matrices come in one of the layouts of
+    :func:`in_layout`, which the ``LtvModel`` constructor stores
+    C-contiguous."""
     n = draw(st.integers(1, 12))
-    p, q = draw(st.one_of(st.just((2, 1)), st.tuples(st.integers(1, 3), st.integers(1, 2))))
+    p, q = 2, 1
     entries = st.floats(-2.0, 2.0, allow_subnormal=False)
     models = [
         in_layout(
@@ -237,20 +247,16 @@ def test_results_do_not_depend_on_the_layout_given():
     assert results[0] == results[1] == results[2]
 
 
-def model_and_weights(shape):
-    """A copy of a model that runs the plant's float recursion (the ``ltv``
-    linearization) or the numpy one (p=q=1, 300 steps), with weights that
-    fit it; a test may edit the copy's A(k), B(k) and R."""
-    if shape == "plant":
-        model, weights = ground_truth_ltv(scenario("ltv")), default_weights()
-    else:
-        model, weights = scalar_unit_model(300), unit_weights()
-    return replace(model, A=model.A.copy(), B=model.B.copy()), weights
+def model_and_weights():
+    """A copy of the ``ltv`` linearization and the design weights; a test may
+    edit the copy's A(k), B(k) and R."""
+    model = ground_truth_ltv(scenario("ltv"))
+    return replace(model, A=model.A.copy(), B=model.B.copy()), default_weights()
 
 
 class TestGainRecursions:
-    """``lqr_ltv`` runs one recursion on one model: on Python floats for the
-    plant's shape (p=2, q=1), in numpy for every other shape."""
+    """``lqr_ltv`` runs one recursion, on Python floats, on one model of the
+    plant's shape (p=2, q=1)."""
 
     @settings(max_examples=150, deadline=None)
     @given(model_stacks())
@@ -259,34 +265,33 @@ class TestGainRecursions:
         for model in models:
             sched = lqr_ltv(model, weights)
             K, P = loop_lqr(model, weights)
-            if (model.p, model.q) == (2, 1):
-                # the float recursion differs from numpy's products by
-                # rounding, relative to each model's largest entry: an entry
-                # that cancels is an exact zero in one and a residue in the other
-                assert_allclose(sched.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
-                assert_allclose(sched.cost_to_go, P, rtol=1e-12, atol=1e-12 * np.abs(P).max())
-                K, P = float_lqr(model, weights)
+            # the float recursion differs from numpy's products by rounding,
+            # relative to each model's largest entry: an entry that cancels
+            # is an exact zero in one and a residue in the other
+            assert_allclose(sched.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+            assert_allclose(sched.cost_to_go, P, rtol=1e-12, atol=1e-12 * np.abs(P).max())
+            K, P = float_lqr(model, weights)
             assert sched.K.tobytes() == K.tobytes()
             assert sched.cost_to_go.tobytes() == P.tobytes()
             assert sched.provenance == model.method
-            assert sched.u_ff.shape == (model.n_steps, model.q)
+            assert sched.u_ff.shape == (model.n_steps, 1)
             assert not sched.u_ff.any()
 
-    @pytest.mark.parametrize("shape", ["plant", "scalar"])
+    @pytest.mark.parametrize("shape", ["plant"])
     @pytest.mark.parametrize("entry", ["A", "B"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_model_raises(self, shape, entry, bad):
-        model, weights = model_and_weights(shape)
+        model, weights = model_and_weights()
         getattr(model, entry)[200] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(SynthesisError, match="^gain recursion produced non-finite gains$"):
                 lqr_ltv(model, weights)
 
-    @pytest.mark.parametrize("shape", ["plant", "scalar"])
+    @pytest.mark.parametrize("shape", ["plant"])
     def test_singular_input_cost_raises(self, shape):
         # A zero input cost (past CostWeights' check) and a zero B(k) make the
         # input-cost term of step k exactly zero.
-        model, weights = model_and_weights(shape)
+        model, weights = model_and_weights()
         object.__setattr__(weights, "R", np.zeros((1, 1)))
         model.B[137] = 0.0
         with pytest.raises(SynthesisError, match="^singular input-cost term at step 137$"):

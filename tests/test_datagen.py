@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import reference_chirp, step_rk4
+from ltvbench import datagen
 from ltvbench.datagen import (
     Dataset,
     ExcitationSpec,
@@ -227,6 +228,17 @@ class TestBuildDataset:
         with pytest.raises(InputError, match="measurement noise variance"):
             tvera_experiments(spec, 1, 1, noise_var)
 
+    def test_negative_free_response_count_rejected(self, monkeypatch):
+        # it once wrote validation and test splits with no free response
+        monkeypatch.setattr(datagen, "_experiment", no_experiment)
+        spec = scenario("ltv")
+        with pytest.raises(InputError, match="free-response count must be >= 0, got -2"):
+            build_dataset(spec, default_excitations(spec.horizon), (2, 2, 2), n_free=-2)
+
+
+def no_experiment(*args):
+    raise AssertionError("a bad count must fail before any draw")
+
 
 class TestExperiments:
     def test_structure(self):
@@ -245,6 +257,21 @@ class TestExperiments:
         a = tvera_experiments(scenario("nld"), master_seed=2)
         b = tvera_experiments(scenario("nld"), master_seed=2)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n_free, n_forced, message",
+        [(-1, 5, "got -1 free and 5 forced"), (3, -5, "got 3 free and -5 forced"),
+         (-1, -5, "got -1 free and -5 forced"), (0, 0, "needs at least one trajectory")],
+    )
+    def test_bad_counts_rejected(self, monkeypatch, n_free, n_forced, message):
+        # a negative count once gave fewer experiments than asked, or an empty set
+        monkeypatch.setattr(datagen, "_experiment", no_experiment)
+        with pytest.raises(InputError, match=message):
+            tvera_experiments(scenario("ltv"), n_free=n_free, n_forced=n_forced)
+
+    def test_one_kind_alone_is_enough(self):
+        assert tvera_experiments(scenario("ltv"), n_free=0, n_forced=1).labels == ("random",)
+        assert tvera_experiments(scenario("ltv"), n_free=1, n_forced=0).labels == ("free",)
 
 
 class TestPersistence:

@@ -276,6 +276,9 @@ class TestSimulate:
         a = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
         b = simulate(spec, np.array([0.4, -0.2]), inputs, seed=21)
         assert a == b
+        # an int seed is recorded; a generator's is not known
+        assert a.seed == 21
+        assert simulate(spec, [0.4, -0.2], inputs, seed=np.random.default_rng(21)).seed is None
 
 
 @pytest.mark.parametrize(
@@ -613,6 +616,7 @@ class TestRolloutOracle:
         spec = short_scenario(name)
         sched, ref = tracking_schedule(spec)
         got = closed_loop(spec, sched, ref, x0, seed=seed)
+        assert got.seed == seed
         times, states, inputs, _ = oracle_rollout(
             spec, x0, tracking_policy(sched, ref), np.random.default_rng(seed)
         )
