@@ -107,8 +107,11 @@ class TrackingRow:
 
 def scenario_names(names) -> tuple:
     """``scenario(name).name`` of each name, which a run seeds, labels and
-    names files by; an unknown or repeated scenario raises ``InputError``."""
+    names files by; no name, an unknown or a repeated scenario raises
+    ``InputError``."""
     canonical = tuple(scenario(name).name for name in names)
+    if not canonical:
+        raise InputError("need at least one scenario")
     repeated = sorted({name for name in canonical if canonical.count(name) > 1})
     if repeated:
         raise InputError(f"scenarios given more than once: {', '.join(repeated)}")
@@ -409,10 +412,10 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
     ``prediction`` writes ``table1.csv``, ``control`` ``table2.csv``, and
     ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.  The
     suite, ``cfg.jobs``, ``cfg.master_seed``, ``cfg.lambda_grid`` and the
-    scenario names are checked, and the names canonicalized, before any
-    work; a bad one raises ``InputError``.  The manifest records the config,
-    the version, the files and the :func:`~ltvbench.toolchain.toolchain`
-    that wrote them.
+    scenario names (at least one) are checked, and the names canonicalized,
+    before any work; a bad one raises ``InputError``.  The manifest records
+    the config, the version, the files and the
+    :func:`~ltvbench.toolchain.toolchain` that wrote them.
 
     Returns the list of files written (relative names).
     """

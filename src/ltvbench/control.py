@@ -141,6 +141,14 @@ def default_reference(horizon: float) -> ReferenceSpec:
     return ReferenceSpec(segments=tuple(segments))
 
 
+def _check_plant_shape(model: LtvModel, what: str) -> None:
+    if (model.p, model.q) != PLANT_SHAPE:
+        raise InputError(
+            f"{what} serves the plant's p={PLANT_SHAPE[0]} and q={PLANT_SHAPE[1]}, "
+            f"not the model's p={model.p} and q={model.q}"
+        )
+
+
 def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
     """Backward dynamic-programming recursion for the finite-horizon gains.
 
@@ -164,11 +172,7 @@ def lqr_ltv(model: LtvModel, weights: CostWeights) -> GainSchedule:
     buffers, 8 B a value, that become arrays at the end.  No step calls
     numpy, and no value is kept as a Python float object.
     """
-    if (model.p, model.q) != PLANT_SHAPE:
-        raise InputError(
-            f"the gain recursion serves the plant's p={PLANT_SHAPE[0]} and q={PLANT_SHAPE[1]}, "
-            f"not the model's p={model.p} and q={model.q}"
-        )
+    _check_plant_shape(model, "the gain recursion")
     n = model.n_steps
     a = iter(memoryview(model.A[::-1].ravel()))
     b = iter(memoryview(model.B[::-1].ravel()))
@@ -220,8 +224,11 @@ def feedforward(model: LtvModel, ref: ReferenceSpec) -> np.ndarray:
     """Per-step least-squares input making the reference an equilibrium of the model.
 
     u_ff(k) = argmin_u || x_ref(k+1) - A(k) x_ref(k) - B(k) u ||_2, all k in one
-    :func:`stacked_lstsq`; a rank-deficient B(k) raises ``SynthesisError``.
+    :func:`stacked_lstsq`, shaped (N, 1).  A model whose shape is not the
+    plant's (:data:`PLANT_SHAPE`) raises ``InputError`` before any solve; a
+    rank-deficient B(k) raises ``SynthesisError``.
     """
+    _check_plant_shape(model, "the feedforward")
     n = model.n_steps
     x_ref = np.zeros((n + 1, model.p))
     x_ref[:, 0] = ref.position_at(np.arange(n + 1) * model.dt)

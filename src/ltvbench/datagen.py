@@ -160,6 +160,10 @@ def _free_response(init_rng, input_rng, times):
     return init_rng.uniform(-1.0, 1.0, size=2), np.zeros(len(times))
 
 
+def _random_input(init_rng, input_rng, times):
+    return np.zeros(2), input_rng.normal(0.0, 1.0, size=len(times))
+
+
 def _chirp_response(ex: ExcitationSpec):
     def setup(init_rng, input_rng, times):
         x0 = init_rng.uniform(-1.0, 1.0, size=2)
@@ -167,6 +171,34 @@ def _chirp_response(ex: ExcitationSpec):
         return x0, chirp(ex_t, times, input_rng)
 
     return setup
+
+
+def _dataset(spec, split, stream, experiments, noise_var, master_seed, excitation=None):
+    """The ``split`` dataset of one experiment per ``(label, setup)`` pair,
+    the i-th seeded by the substream (master_seed, stream, split code, i).
+
+    Training states are measured: they carry noise of variance ``noise_var``,
+    which the dataset records as given; other splits are exact and record 0.0.
+    """
+    measured = split is Split.TRAIN
+    trajs = [
+        _experiment(
+            spec,
+            (int(master_seed), stream, _SPLIT_CODE[split], i),
+            setup,
+            noise_var if measured else None,
+        )
+        for i, (_, setup) in enumerate(experiments)
+    ]
+    return Dataset(
+        split=split,
+        trajectories=trajs,
+        scenario=spec,
+        excitation=excitation,
+        noise_var=noise_var if measured else 0.0,
+        labels=tuple(label for label, _ in experiments),
+        master_seed=master_seed,
+    )
 
 
 def build_dataset(
@@ -200,26 +232,9 @@ def build_dataset(
     out = {}
     for split, count in zip((Split.TRAIN, Split.VALIDATION, Split.TEST), counts):
         ex = excitations[split]
-        measured = split is Split.TRAIN
-        labels = ("chirp",) * count + ("free",) * (0 if measured else n_free)
-        trajs = [
-            _experiment(
-                spec,
-                (int(master_seed), _STREAM_CHIRP, _SPLIT_CODE[split], i),
-                _chirp_response(ex) if label == "chirp" else _free_response,
-                noise_var if measured else None,
-            )
-            for i, label in enumerate(labels)
-        ]
-        out[split] = Dataset(
-            split=split,
-            trajectories=trajs,
-            scenario=spec,
-            excitation=ex,
-            noise_var=noise_var if measured else 0.0,
-            labels=labels,
-            master_seed=master_seed,
-        )
+        free = 0 if split is Split.TRAIN else n_free
+        experiments = [("chirp", _chirp_response(ex))] * count + [("free", _free_response)] * free
+        out[split] = _dataset(spec, split, _STREAM_CHIRP, experiments, noise_var, master_seed, ex)
     return out
 
 
@@ -251,28 +266,8 @@ def tvera_experiments(
     if n_free + n_forced == 0:
         raise InputError("the experiment set needs at least one trajectory")
     _check_noise_var(noise_var)
-    def random_input(init_rng, input_rng, times):
-        return np.zeros(2), input_rng.normal(0.0, 1.0, size=len(times))
-
-    labels = ("free",) * n_free + ("random",) * n_forced
-    trajs = [
-        _experiment(
-            spec,
-            (int(master_seed), _STREAM_EXPERIMENTS, 0, i),
-            _free_response if label == "free" else random_input,
-            noise_var,
-        )
-        for i, label in enumerate(labels)
-    ]
-    return Dataset(
-        split=Split.TRAIN,
-        trajectories=trajs,
-        scenario=spec,
-        excitation=None,
-        noise_var=noise_var,
-        labels=labels,
-        master_seed=master_seed,
-    )
+    experiments = [("free", _free_response)] * n_free + [("random", _random_input)] * n_forced
+    return _dataset(spec, Split.TRAIN, _STREAM_EXPERIMENTS, experiments, noise_var, master_seed)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

@@ -69,8 +69,8 @@ the step computed at the iterate, and mu is divided by 10 once a centering
 ends.  Every iterate is shifted and certified, reusing the residual of the
 accepted trial point and the fit's constants ``v^T v`` and ``2 v``, and the
 fit stops as soon as the incumbent (the lowest-objective iterate, which is
-returned) has gap <= tol.  ``info``
-holds ``gap`` (a float), ``converged`` (a bool, gap <= tol),
+returned) has gap <= 1e-8, a fixed rule with no setting.  ``info``
+holds ``gap`` (a float), ``converged`` (a bool, gap <= 1e-8),
 ``iterations`` (Newton steps) and ``objective``, the incumbent objective
 after the start and after each step, which is monotone by construction.
 """
@@ -89,21 +89,22 @@ from .tridiag import banded_solve, factor_block_tridiag
 
 _ARMIJO = 0.25      # sufficient-decrease fraction of the backtracking search
 _MIN_STEP = 1e-10   # below this step length the centering has stalled in rounding
+_TOL = 1e-8         # relative duality gap that certifies a fit
 
 
 @dataclass(frozen=True)
 class LtvModelsConfig:
+    """The penalty weight ``lam`` and the Newton-step cap; the stop rule,
+    gap <= 1e-8, is fixed (module docstring)."""
+
     lam: float = 1.0
     max_iter: int = 200   # Newton-step cap
-    tol: float = 1e-8     # relative duality gap that certifies a fit
 
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise InputError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iter < 1:
             raise InputError("need at least one iteration")
-        if not self.tol > 0:
-            raise InputError(f"tol must be positive, got {self.tol}")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -193,21 +194,19 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     two_v = 2.0 * vt.T.copy()
 
     def barrier(blocks, mu):
-        """The barrier objective at ``blocks`` and their residual."""
+        """The barrier objective at ``blocks``, their residual, their jumps z
+        (N-1, m) and the q of each jump."""
         z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
         q = np.hypot(1.0, (lam / mu) * np.sqrt((z**2).sum(axis=1)))
         residual = _residual(blocks, vt, yt)
-        return float((residual**2).sum()) + mu * float((q - np.log1p(q)).sum()), residual
+        value = float((residual**2).sum()) + mu * float((q - np.log1p(q)).sum())
+        return value, residual, z, q
 
     def newton_step(blocks, mu, w):
         """Newton direction of the barrier objective, its squared decrement,
         the direction of the dual estimate ``w``, and the barrier at ``blocks``."""
-        z = (blocks[1:] - blocks[:-1]).reshape(n - 1, m)
-        ratio = lam / mu
-        q = np.hypot(1.0, ratio * np.sqrt((z**2).sum(axis=1)))
-        c = lam * ratio / (1.0 + q)
-        residual = _residual(blocks, vt, yt)
-        value = float((residual**2).sum()) + mu * float((q - np.log1p(q)).sum())
+        value, residual, z, q = barrier(blocks, mu)
+        c = lam * (lam / mu) / (1.0 + q)
         z_cols, w_cols = z.T.copy(), w.T.copy()
         grad = (two_v[:, None] * residual.T[None]).reshape(m, n)
         cz = c * z_cols
@@ -239,7 +238,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     mu = gap * best_obj / (2.0 * (n - 1))
     w = np.zeros((n - 1, m))
     iterations = 0
-    while gap > cfg.tol and iterations < cfg.max_iter:
+    while gap > _TOL and iterations < cfg.max_iter:
         try:
             step, decrement, dw, value = newton_step(blocks, mu, w)
         except NumericalError:
@@ -249,7 +248,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         t = 1.0
         while t >= _MIN_STEP:
             trial = blocks + t * step
-            trial_value, residual = barrier(trial, mu)
+            trial_value, residual, _, _ = barrier(trial, mu)
             if not trial_value > value - _ARMIJO * t * decrement:
                 break
             t *= 0.5
@@ -270,7 +269,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         method="ltvmodels",
         hyperparams={"lam": lam},
         info={
-            "converged": gap <= cfg.tol,
+            "converged": gap <= _TOL,
             "gap": gap,
             "iterations": iterations,
             "objective": history,

@@ -17,11 +17,6 @@ from ..models import LtvModel
 from .regression import _stack_all, trajectories_of
 
 
-# Steps per stacked copy of the models' A matrices: bounds the copy's memory
-# on long records (9 models x 5000 steps would take 1.4 MB at once).
-_A_CHUNK = 512
-
-
 def rollout_residuals(models, data) -> np.ndarray:
     """Predicted minus recorded states at steps k = 1..N of G ``models``,
     shape (N, G, L, p).
@@ -29,7 +24,7 @@ def rollout_residuals(models, data) -> np.ndarray:
     Every trajectory is predicted from its own initial state; a ragged set,
     or a model that covers fewer than N steps or has other p or q than the
     data, raises ``InputError``.  The states are written in place: B u first,
-    then A x added.
+    then A x added, with the models' A matrices stacked once, (N, G, p, p).
     """
     models = list(models)
     v, next_states = _stack_all(trajectories_of(data))
@@ -47,10 +42,9 @@ def rollout_residuals(models, data) -> np.ndarray:
         np.matvec(model.B[:n, None], v[:, :, p:], out=states[1:, g])
     # np.matvec computes each row exactly as ``A[k] @ x`` does, so the
     # batched rollout is byte-identical to one trajectory at a time.
-    for start in range(0, n, _A_CHUNK):
-        A = np.stack([model.A[start : start + _A_CHUNK] for model in models], axis=1)
-        for k, A_k in enumerate(A[:, :, None], start):
-            states[k + 1] += np.matvec(A_k, states[k])
+    A = np.stack([model.A[:n] for model in models], axis=1)
+    for k, A_k in enumerate(A[:, :, None]):
+        states[k + 1] += np.matvec(A_k, states[k])
     residuals = states[1:]
     residuals -= next_states[:, None]
     return residuals

@@ -350,6 +350,14 @@ class TestEmit:
         assert not built
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("suite", bench.SUITES)
+    def test_empty_scenario_list_fails_before_any_work(self, tmp_path, suite):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(InputError, match="need at least one scenario"):
+            run_bench(suite, replace(SMALL, scenarios=()), out)
+        assert list(out.iterdir()) == []
+
 
 def test_ecdf_cosmic_dominates_realization_baseline():
     # tuned smoothed fit should sit far left of the realization baseline

@@ -350,11 +350,22 @@ class TestFeedforward:
         u_ff = feedforward(model, ReferenceSpec(segments=((0.0, 0.0),)))
         assert np.max(np.abs(u_ff)) <= 1e-12
 
-    def test_scalar_case_is_exact_solve(self):
-        model = LtvModel.from_constant(np.array([[0.8]]), np.eye(1), 4, 1.0)
-        ref = ReferenceSpec(segments=((0.0, 3.0),))
-        u_ff = feedforward(model, ref)
-        assert_allclose(u_ff, 3.0 - 0.8 * 3.0)
+    def test_plant_case_is_exact_solve(self):
+        # x_ref = (3, 0) at every step, so u_ff solves B u = (3, 0) - 0.5 (3, 0)
+        model = LtvModel.from_constant(0.5 * np.eye(2), np.array([[1.0], [0.0]]), 4, 1.0)
+        u_ff = feedforward(model, ReferenceSpec(segments=((0.0, 3.0),)))
+        assert u_ff.tolist() == [[1.5]] * 4
+
+    @pytest.mark.parametrize(
+        "B", [[[1.0]], np.eye(2), [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]], ids=["1-1", "2-2", "2-3"]
+    )
+    def test_model_of_another_shape_is_an_input_error(self, B):
+        # refused before any solve: the over-actuated (2, 3) B is full rank,
+        # and the solve would fail on it with numpy's own LinAlgError
+        p, q = np.shape(B)
+        model = LtvModel.from_constant(np.eye(p), np.array(B), 4, 1.0)
+        with pytest.raises(InputError, match=rf"not the model's p={p} and q={q}$"):
+            feedforward(model, ReferenceSpec(segments=((0.0, 1.0),)))
 
 
 class TestClosedLoop:

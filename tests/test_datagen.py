@@ -205,6 +205,15 @@ class TestBuildDataset:
         assert not any(t.noisy for t in splits[Split.VALIDATION].trajectories)
         assert not any(t.noisy for t in splits[Split.TEST].trajectories)
 
+    @pytest.mark.parametrize("noise_var", [0, 1e-6])
+    def test_noise_variance_recorded_as_given(self, noise_var):
+        # measured sets record the value given, so an int stays an int in the
+        # manifest; exact splits record 0.0
+        splits = small_splits(noise_var=noise_var)
+        measured = [splits[Split.TRAIN], tvera_experiments(scenario("ltv"), 1, 1, noise_var)]
+        assert [repr(ds.noise_var) for ds in measured] == [repr(noise_var)] * 2
+        assert [repr(splits[s].noise_var) for s in (Split.VALIDATION, Split.TEST)] == ["0.0"] * 2
+
     def test_length_and_time_grid_invariants(self):
         for ds in small_splits().values():
             for traj in ds.trajectories:

@@ -254,5 +254,3 @@ class TestLtvModelsFit:
             LtvModelsConfig(lam=0.0)
         with pytest.raises(ValueError):
             LtvModelsConfig(lam=1.0, max_iter=0)
-        with pytest.raises(ValueError):
-            LtvModelsConfig(lam=1.0, tol=0.0)

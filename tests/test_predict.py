@@ -154,6 +154,22 @@ class TestBatchedRollout:
             # a model of the stack rolls out byte for byte as it does alone
             assert_allclose(rollout_residuals([model], trajs)[:, 0], residuals[:, i], rtol=0, atol=0)
 
+    def test_long_stack_matches_each_model_alone(self):
+        # 1100 steps, where the cases drawn above have at most 60: a fault
+        # that shows only far into a long record is seen here
+        rng = np.random.default_rng(11)
+        models = [random_model(rng, 1100, 2, 1, stacked) for stacked in (True, False, True)]
+        trajs = random_set(rng, 1100, 2, 1, 2)
+        residuals = rollout_residuals(models, trajs)
+        assert residuals.shape == (1100, 3, 2, 2)
+        for i, model in enumerate(models):
+            for l, oracle in enumerate(oracle_rollouts(model, trajs)):
+                alone = rollout_residuals([model], [trajs[l]])[:, 0, 0]
+                assert alone.tobytes() == residuals[:, i, l].tobytes()
+                expected = oracle[1:] - trajs[l].states[1:]
+                scale = max(1.0, float(np.max(np.abs(oracle))))
+                assert np.max(np.abs(alone - expected)) <= 1e-12 * scale
+
     @settings(max_examples=60, deadline=None)
     @given(**SHAPES)
     def test_losses_match_per_trajectory_formula(self, seed, p, q, n, ell, stacked):
