@@ -46,7 +46,7 @@ from .ident import (
     rollout_residuals,
     tune,
 )
-from .toolchain import toolchain
+from .toolchain import single_blas_thread, toolchain
 
 PREDICTION_METHODS = (
     "tvera",
@@ -202,9 +202,9 @@ def _error(exc: Exception) -> str:
 
 def _map_scenarios(fn, cfg: BenchConfig) -> list:
     """``fn(name, cfg)`` for every scenario, in order; across ``cfg.jobs``
-    worker processes when it is above one."""
+    worker processes, each with one BLAS thread, when it is above one."""
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=single_blas_thread) as pool:
             futures = {name: pool.submit(fn, name, cfg) for name in cfg.scenarios}
             return [futures[name].result() for name in cfg.scenarios]
     return [fn(name, cfg) for name in cfg.scenarios]

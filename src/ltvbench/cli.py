@@ -168,7 +168,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    cfg = BenchConfig(lambda_grid=_parse_lams(args.grid)) if args.grid else BenchConfig()
+    cfg = BenchConfig() if args.grid is None else BenchConfig(lambda_grid=_parse_lams(args.grid))
     grid = method_grid(args.method, cfg)
     train = load_dataset(args.train)
     validation = load_dataset(args.validation)
@@ -217,13 +217,15 @@ def _cmd_control(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = BenchConfig(
-        scenarios=tuple(args.scenarios.split(",")) if args.scenarios else BUILTIN_SCENARIOS,
+        scenarios=BUILTIN_SCENARIOS if args.scenarios is None else tuple(args.scenarios.split(",")),
         master_seed=args.seed,
         l_train=args.l_train,
         l_val=args.l_val,
         l_test=args.l_test,
         noise_var=args.noise_var,
-        lambda_grid=_parse_lams(args.lambda_grid) if args.lambda_grid else BenchConfig.lambda_grid,
+        lambda_grid=(
+            BenchConfig.lambda_grid if args.lambda_grid is None else _parse_lams(args.lambda_grid)
+        ),
         jobs=args.jobs,
     )
     written = run_bench(args.suite, cfg, args.out)
@@ -319,11 +321,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "tune" and args.grid and args.method not in LAMBDA_METHODS:
+        if args.command == "tune" and args.grid is not None and args.method not in LAMBDA_METHODS:
             parser.error(f"tune --grid sets lambda, which method {args.method!r} does not take")
         if args.command == "bench" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
-        if args.command == "bench" and args.scenarios:
+        if args.command == "bench" and args.scenarios is not None:
             try:
                 scenario_names(args.scenarios.split(","))
             except InputError as exc:

@@ -9,9 +9,10 @@ where row l of V(k) is [x_l(k)^T u_l(k)^T] and X'(k) stacks the states at
 k+1.  The objective is strictly convex whenever the stacked state/input rows
 span the regressor space, and its normal equations are block tridiagonal:
 
-    (G(k) + (lam_k + lam_{k+1}) I) C(k) - lam_k C(k-1) - lam_{k+1} C(k+1) = R(k)
+    (G(k) + (lam + lam) I) C(k) - lam C(k-1) - lam C(k+1) = R(k)
 
-with G(k) = V(k)^T V(k) / N, R(k) = V(k)^T X'(k) / N and lam_0 = lam_N = 0.
+with G(k) = V(k)^T V(k) / N and R(k) = V(k)^T X'(k) / N, where the end
+steps k = 0 and N-1 have one neighbour and carry lam I once.
 The solver factors them with a banded Cholesky in O(N (p+q)^3), i.e. linear
 in the number of time steps, and takes one refinement sweep on the residual.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ExcitationError, InputError
+from ..exceptions import InputError
 from ..models import LtvModel
 from .regression import _stack_all, check_excitation, trajectories_of
 from .tridiag import solve_block_tridiag
@@ -73,12 +74,7 @@ def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
     trajs = trajectories_of(data)
     if single_trajectory:
         trajs = trajs[:1]
-    report = check_excitation(trajs)
-    if not report.satisfied:
-        raise ExcitationError(
-            f"dataset spans rank {report.rank} < {report.required}; "
-            "cannot identify a unique model"
-        )
+    rank = check_excitation(trajs)
     v, xn = _stack_all(trajs)
     n, _, d = v.shape
 
@@ -102,7 +98,7 @@ def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
         rhs=rhs,
         scales=scales,
         zero_variance=tuple(int(i) for i in np.flatnonzero(flat)),
-        rank=report.rank,
+        rank=rank,
         n_trajectories=len(trajs),
         dt=trajs[0].dt,
         single_trajectory=single_trajectory,
@@ -126,10 +122,8 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     else:
         problem = cosmic_problem(data, cfg.single_trajectory)
     scales = problem.scales
-    n, d, p = problem.rhs.shape
-    lam = np.full(n + 1, float(cfg.lam))
-    lam[0] = lam[-1] = 0.0
-    blocks = solve_block_tridiag(problem.gram, lam, problem.rhs, weight=scales**2)
+    _, d, p = problem.rhs.shape
+    blocks = solve_block_tridiag(problem.gram, float(cfg.lam), problem.rhs, weight=scales**2)
     blocks = blocks * scales[:, None]
 
     return LtvModel.from_stacked(

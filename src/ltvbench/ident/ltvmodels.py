@@ -69,10 +69,12 @@ the step computed at the iterate, and mu is divided by 10 once a centering
 ends.  Every iterate is shifted and certified, reusing the residual of the
 accepted trial point and the fit's constants ``v^T v`` and ``2 v``, and the
 fit stops as soon as the incumbent (the lowest-objective iterate, which is
-returned) has gap <= 1e-8, a fixed rule with no setting.  ``info``
-holds ``gap`` (a float), ``converged`` (a bool, gap <= 1e-8),
-``iterations`` (Newton steps) and ``objective``, the incumbent objective
-after the start and after each step, which is monotone by construction.
+returned) has gap <= 1e-8, or after 200 Newton steps: a fixed rule with
+no setting.  ``info`` holds ``gap`` (a float), ``converged`` (a bool, gap
+<= 1e-8), ``iterations`` (Newton steps) and ``objective``, the incumbent
+objective after the start and after each step, which is monotone by
+construction.  The fit needs the trajectory's state/input rows to span
+rank p+q (:func:`~.regression.check_excitation`).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ExcitationError, InputError, NumericalError
+from ..exceptions import InputError, NumericalError
 from ..models import LtvModel
 from .regression import _stack_all, check_excitation, trajectories_of
 from .tridiag import banded_solve, factor_block_tridiag
@@ -90,21 +92,19 @@ from .tridiag import banded_solve, factor_block_tridiag
 _ARMIJO = 0.25      # sufficient-decrease fraction of the backtracking search
 _MIN_STEP = 1e-10   # below this step length the centering has stalled in rounding
 _TOL = 1e-8         # relative duality gap that certifies a fit
+_MAX_ITER = 200     # Newton-step cap
 
 
 @dataclass(frozen=True)
 class LtvModelsConfig:
-    """The penalty weight ``lam`` and the Newton-step cap; the stop rule,
-    gap <= 1e-8, is fixed (module docstring)."""
+    """The penalty weight ``lam``; the stop rule, gap <= 1e-8 within 200
+    Newton steps, is fixed (module docstring)."""
 
     lam: float = 1.0
-    max_iter: int = 200   # Newton-step cap
 
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise InputError(f"lam must be positive and finite, got {self.lam}")
-        if self.max_iter < 1:
-            raise InputError("need at least one iteration")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -167,16 +167,13 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     taken).  Reaching the Newton-step cap, or a Newton system that is no
     longer positive definite in floating point (possible only at a very
     small mu), returns the incumbent with ``info["converged"] = False`` and
-    its certified gap.
+    its certified gap.  Raises ``ExcitationError`` when the state/input rows
+    span a rank below p+q.
     """
     trajs = trajectories_of(traj)[:1]
     if trajs[0].n_steps < 2:
         raise InputError("need at least two transitions for a difference penalty")
-    report = check_excitation(trajs)
-    if not report.satisfied:
-        raise ExcitationError(
-            f"trajectory spans rank {report.rank} < {report.required}"
-        )
+    check_excitation(trajs)
     v, xn = _stack_all(trajs)         # L = 1
     n, _, d = v.shape
     p = xn.shape[2]
@@ -238,7 +235,7 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     mu = gap * best_obj / (2.0 * (n - 1))
     w = np.zeros((n - 1, m))
     iterations = 0
-    while gap > _TOL and iterations < cfg.max_iter:
+    while gap > _TOL and iterations < _MAX_ITER:
         try:
             step, decrement, dw, value = newton_step(blocks, mu, w)
         except NumericalError:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..datagen import Dataset
@@ -41,28 +39,20 @@ def _stack_all(trajs) -> tuple:
     return v, states[1:]
 
 
-@dataclass(frozen=True)
-class ExcitationReport:
-    rank: int
-    required: int
-    satisfied: bool
-    singular_values: tuple
-
-
-def check_excitation(data) -> ExcitationReport:
-    """Rank of all stacked state/input rows; identification needs rank p+q."""
+def check_excitation(data) -> int:
+    """The rank of all stacked state/input rows, whose singular values count
+    above ``RANK_RTOL`` times the largest.  Identification needs rank p+q;
+    a lower rank raises ``ExcitationError`` naming both ranks."""
     trajs = trajectories_of(data)
     v, _ = _stack_all(trajs)
     d = v.shape[2]
-    rows = v.reshape(-1, d)
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return ExcitationReport(
-        rank=rank, required=d, satisfied=rank == d, singular_values=tuple(s.tolist())
-    )
+    s = np.linalg.svd(v.reshape(-1, d), compute_uv=False)
+    rank = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
+    if rank < d:
+        raise ExcitationError(
+            f"stacked state/input rows span rank {rank} < {d}; cannot identify a unique model"
+        )
+    return rank
 
 
 def _rank_deficient(rmat: np.ndarray) -> np.ndarray:

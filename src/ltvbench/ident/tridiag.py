@@ -12,12 +12,13 @@ factorization can be reused across right-hand sides.
 
 The chain-coupled system of the cosmic fit,
 
-    (G[k] + (lam[k] + lam[k+1]) W) X[k] - lam[k] W X[k-1] - lam[k+1] W X[k+1] = R[k]
+    (G[k] + (lam + lam) W) X[k] - lam W X[k-1] - lam W X[k+1] = R[k]
 
-for k = 0..N-1 with the boundary convention lam[0] = lam[N] = 0, has
-diagonal couplings: G[k] are symmetric PSD blocks of size d, W is a fixed
-diagonal weight (identity by default), and the right-hand sides R[k] may
-carry multiple columns.  :func:`banded_factor` assembles it.
+for k = 0..N-1, where the terms in X[-1] and X[N] and their lam W on the
+diagonal are dropped, has diagonal couplings: lam >= 0 is one coupling, G[k]
+are symmetric PSD blocks of size d, W is a fixed diagonal weight (identity
+by default), and the right-hand sides R[k] may carry multiple columns.
+:func:`banded_factor` assembles it.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from ..exceptions import NumericalError
 
 
-def _check_lam(lam, n):
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n + 1,):
-        raise ValueError(f"lam must have shape ({n + 1},), got {lam.shape}")
-    if lam[0] != 0.0 or lam[-1] != 0.0:
-        raise ValueError("boundary couplings lam[0] and lam[N] must be zero")
-    if np.any(lam < 0):
-        raise ValueError("couplings must be nonnegative")
-    return lam
+def _coupling_sums(n: int, lam: float) -> np.ndarray:
+    """lam once per neighbour of each of the n blocks: lam + lam inside, lam
+    at the two ends, 0 for a lone block."""
+    sums = np.zeros(n)
+    sums[1:] += lam
+    sums[:-1] += lam
+    return sums
 
 
 def apply_block_tridiag(gram, lam, x, weight=None) -> np.ndarray:
@@ -44,13 +43,12 @@ def apply_block_tridiag(gram, lam, x, weight=None) -> np.ndarray:
     gram = np.asarray(gram, dtype=float)
     x = np.asarray(x, dtype=float)
     n, d = gram.shape[:2]
-    lam = _check_lam(lam, n)
     w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
     wx = w[None, :, None] * x
     out = np.einsum("kij,kjm->kim", gram, x)
-    out += (lam[:-1] + lam[1:])[:, None, None] * wx
-    out[1:] -= lam[1:-1, None, None] * wx[:-1]
-    out[:-1] -= lam[1:-1, None, None] * wx[1:]
+    out += _coupling_sums(n, lam)[:, None, None] * wx
+    out[1:] -= lam * wx[:-1]
+    out[:-1] -= lam * wx[1:]
     return out
 
 
@@ -90,18 +88,20 @@ def factor_block_tridiag(diag, upper):
 def banded_factor(gram, lam, weight=None):
     """Factor the chain-coupled system of the module docstring.
 
-    Raises :class:`NumericalError` when the blocks, couplings or weight are
-    not finite, or the system is not positive definite.
+    Raises ``ValueError`` when ``lam`` is negative, and
+    :class:`NumericalError` when the blocks, coupling or weight are not
+    finite, or the system is not positive definite.
     """
     gram = np.asarray(gram, dtype=float)
     n, d, d2 = gram.shape
     if d != d2:
         raise ValueError(f"gram blocks must be square, got {gram.shape}")
-    lam = _check_lam(lam, n)
+    if lam < 0:
+        raise ValueError(f"coupling lam must be nonnegative, got {lam}")
     w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
     diag = gram.copy()
-    diag[:, np.arange(d), np.arange(d)] += (lam[:-1] + lam[1:])[:, None] * w
-    return factor_block_tridiag(diag, -lam[1:-1, None] * w)
+    diag[:, np.arange(d), np.arange(d)] += _coupling_sums(n, lam)[:, None] * w
+    return factor_block_tridiag(diag, np.broadcast_to(-lam * w, (n - 1, d)))
 
 
 def banded_solve(fact, rhs) -> np.ndarray:

@@ -39,6 +39,19 @@ from ltvbench.exceptions import (
     SynthesisError,
     TuningError,
 )
+from ltvbench.toolchain import OPENBLAS_THREAD_SETTERS, openblas_symbol
+
+# package -> the OpenBLAS symbol that reads its thread count
+BLAS_THREAD_GETTERS = {
+    "numpy": "scipy_openblas_get_num_threads64_",
+    "scipy": "scipy_openblas_get_num_threads",
+}
+
+
+def blas_threads(name, cfg) -> dict:
+    """The thread count of each bundled OpenBLAS in the calling process."""
+    return {package: openblas_symbol(package, getter)() for package, getter in BLAS_THREAD_GETTERS.items()}
+
 
 SMALL = BenchConfig(
     scenarios=("ltv",),
@@ -162,6 +175,15 @@ class TestPredictionBenchmark:
         a = suite_rows("prediction", replace(SMALL, scenarios=("ltv", "nl")), "table1")
         b = suite_rows("prediction", replace(SMALL, scenarios=("ltv", "nl"), jobs=2), "table1")
         assert a == b
+
+    def test_each_parallel_worker_runs_one_blas_thread(self):
+        getters = [(package, BLAS_THREAD_GETTERS[package]) for package in OPENBLAS_THREAD_SETTERS]
+        if any(openblas_symbol(package, getter) is None for package, getter in getters):
+            pytest.skip("no bundled OpenBLAS with a thread count to read")
+        cfg = replace(SMALL, scenarios=("ltv", "nl"), jobs=2)
+        assert bench._map_scenarios(blas_threads, cfg) == [
+            {package: 1 for package in OPENBLAS_THREAD_SETTERS}
+        ] * 2
 
 
 class TestControlBenchmark:

@@ -239,8 +239,8 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "names, message",
         [("ltv,ltv", "more than once: ltv"), ("ltv,LTV", "more than once: ltv"),
-         ("ltv,bogus", "unknown scenario 'bogus'")],
-        ids=["repeated", "two-spellings", "unknown"],
+         ("ltv,bogus", "unknown scenario 'bogus'"), ("", "unknown scenario ''")],
+        ids=["repeated", "two-spellings", "unknown", "empty"],
     )
     def test_bad_scenario_lists_are_usage_errors(self, tmp_path, capsys, names, message):
         code = run(
@@ -276,8 +276,9 @@ class TestBenchCommand:
         tune_args = ("tune", "--method", "cosmic", "--train", "d", "--validation", "d")
         bench_args = ("bench", "--suite", "control", "--seed", "1")
         for args in (tune_args + ("--grid",), bench_args + ("--lambda-grid",)):
-            assert run(*args, " , ", "--out", str(tmp_path / "blank")) == 2
-            assert "no lambda values in ' , '" in capsys.readouterr().err
+            for blank in (" , ", ""):
+                assert run(*args, blank, "--out", str(tmp_path / "blank")) == 2
+                assert f"no lambda values in {blank!r}" in capsys.readouterr().err
         assert not (tmp_path / "blank").exists()
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import model_trajectories, rollout_model
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
 import ltvbench.ident.ltvmodels as ltvmodels
-from ltvbench.exceptions import NumericalError
+from ltvbench.exceptions import ExcitationError, NumericalError
 from ltvbench.ident import LtvModelsConfig, lti_fit, ltvmodels_fit
 from ltvbench.ident.ltvmodels import certify
 from ltvbench.models import LtvModel
@@ -102,7 +102,7 @@ class TestNewtonSteps:
     def test_jumping_fits_converge_within_the_default_cap(self, seed, n, p, log_lam):
         fit = ltvmodels_fit(jumping_trajectory(seed, n, p), LtvModelsConfig(lam=10.0**log_lam))
         assert fit.info["converged"]
-        assert fit.info["iterations"] < LtvModelsConfig().max_iter
+        assert fit.info["iterations"] < ltvmodels._MAX_ITER
 
     # Steps of the dual-estimate Newton method; the barrier-Hessian method it
     # replaced took 35, 46 and 67.
@@ -192,31 +192,34 @@ class TestLtvModelsFit:
         residual = predicted[1:] - traj.states[1:]
         assert np.sqrt(np.mean(np.sum(residual**2, axis=1))) < 0.5
 
-    def test_cap_sets_converged_false(self, constant_model):
+    def test_cap_sets_converged_false(self, constant_model, monkeypatch):
         # This data screens at lam = 0.5: the pooled start certifies, so the
         # cap is never reached.
+        monkeypatch.setattr(ltvmodels, "_MAX_ITER", 3)
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.5, max_iter=3))
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.5))
         assert fit.info["converged"] is True
         assert fit.info["iterations"] == 0
 
-    def test_cap_on_an_iterating_fit_reports_its_gap(self, constant_model):
+    def test_cap_on_an_iterating_fit_reports_its_gap(self, constant_model, monkeypatch):
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05, max_iter=3))
+        full = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
+        monkeypatch.setattr(ltvmodels, "_MAX_ITER", 3)
+        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
         assert fit.info["converged"] is False
         assert fit.info["iterations"] == 3
         assert len(fit.info["objective"]) == 4
         assert fit.info["gap"] > 1e-8
-        full = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
         assert full.info["converged"] and full.info["iterations"] > 3
         excess = (fit.info["objective"][-1] - full.info["objective"][-1]) / fit.info["objective"][-1]
         assert excess <= fit.info["gap"]
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, None])
-    def test_info_holds_python_scalars(self, constant_model, max_iter):
+    def test_info_holds_python_scalars(self, constant_model, monkeypatch, max_iter):
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
-        cfg = LtvModelsConfig(lam=0.05, **({} if max_iter is None else {"max_iter": max_iter}))
-        info = ltvmodels_fit(traj, cfg).info
+        if max_iter is not None:
+            monkeypatch.setattr(ltvmodels, "_MAX_ITER", max_iter)
+        info = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05)).info
         assert type(info["converged"]) is bool
         assert info["converged"] is (max_iter is None)
         assert type(info["gap"]) is float
@@ -249,8 +252,13 @@ class TestLtvModelsFit:
         with pytest.raises(ValueError):
             ltvmodels_fit(traj)
 
+    def test_unexcited_trajectory_raises_with_both_ranks(self):
+        # a zero input leaves the stacked rows [x(t); u(t)] at rank 2 < 3
+        rng = np.random.default_rng(4)
+        traj = Trajectory(times=np.arange(11.0), states=rng.normal(size=(11, 2)), inputs=np.zeros(10))
+        with pytest.raises(ExcitationError, match="rank 2 < 3"):
+            ltvmodels_fit(traj, LtvModelsConfig(lam=0.1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LtvModelsConfig(lam=0.0)
-        with pytest.raises(ValueError):
-            LtvModelsConfig(lam=1.0, max_iter=0)

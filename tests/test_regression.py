@@ -17,7 +17,13 @@ from ltvbench.ident import (
     perstep_ls_fit,
     tvera_fit,
 )
-from ltvbench.ident.regression import _rank_deficient, _stack_all, stacked_lstsq, trajectories_of
+from ltvbench.ident.regression import (
+    RANK_RTOL,
+    _rank_deficient,
+    _stack_all,
+    stacked_lstsq,
+    trajectories_of,
+)
 from ltvbench.models import LtvModel
 from test_cosmic import dense_normal_solution
 
@@ -75,9 +81,8 @@ class TestStackRegressors:
 class TestCheckExcitation:
     def test_all_zero_dataset(self):
         traj = tiny_traj(np.zeros((6, 2)), np.zeros((5, 1)))
-        report = check_excitation([traj])
-        assert report.rank == 0
-        assert not report.satisfied
+        with pytest.raises(ExcitationError, match="rank 0 < 3"):
+            check_excitation([traj])
 
     def test_chirp_dataset_satisfied(self):
         spec = scenario("ltv")
@@ -85,8 +90,7 @@ class TestCheckExcitation:
             spec, default_excitations(spec.horizon), counts=(2, 1, 1),
             noise_var=0.0, master_seed=3,
         )
-        report = check_excitation(splits[Split.TRAIN])
-        assert report.satisfied
+        assert check_excitation(splits[Split.TRAIN]) == 3
         # cross-check with the numpy rank oracle on the same stacked rows
         rows = np.concatenate(
             [
@@ -100,21 +104,58 @@ class TestCheckExcitation:
         a = np.linspace(0.0, 1.0, 7)
         states = np.stack([a, 2.0 * a], axis=1)
         traj = tiny_traj(states, np.zeros((6, 1)))
-        report = check_excitation([traj])
-        assert report.rank == 1
-        assert not report.satisfied
+        with pytest.raises(ExcitationError, match="rank 1 < 3"):
+            check_excitation([traj])
 
+    @staticmethod
+    def rows_traj(rows, p):
+        """A trajectory whose stacked state/input rows are ``rows``."""
+        return tiny_traj(np.vstack([rows[:, :p], np.zeros((1, p))]), rows[:, p:])
 
     @pytest.mark.parametrize("ratio, rank", [(1e-9, 3), (1e-11, 2)])
     def test_relative_rank_threshold(self, ratio, rank):
         # stacked rows with singular values (1, 1, ratio): the threshold
         # RANK_RTOL = 1e-10 lies between the two ratios
         rotation, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
-        rows = np.diag([1.0, 1.0, ratio]) @ rotation
-        states = np.vstack([rows[:, :2], np.zeros((1, 2))])
-        report = check_excitation([tiny_traj(states, rows[:, 2:])])
-        assert report.rank == rank
-        assert report.satisfied == (rank == 3)
+        traj = self.rows_traj(np.diag([1.0, 1.0, ratio]) @ rotation, 2)
+        if rank == 3:
+            assert check_excitation([traj]) == 3
+        else:
+            with pytest.raises(ExcitationError, match=f"rank {rank} < 3"):
+                check_excitation([traj])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 3),
+        q=st.integers(1, 2),
+        extra_rows=st.integers(0, 5),
+        log_scale=st.floats(-3.0, 3.0),
+        data=st.data(),
+    )
+    def test_rank_matches_numpy_oracle(self, seed, p, q, extra_rows, log_scale, data):
+        # Planted singular values, each at least a factor 10 above or below
+        # the threshold RANK_RTOL times the largest; zero is one of them.
+        d = p + q
+        log_ratios = data.draw(
+            st.lists(
+                st.one_of(st.floats(-9.0, 0.0), st.floats(-20.0, -11.0), st.just(-np.inf)),
+                min_size=d - 1,
+                max_size=d - 1,
+            )
+        )
+        s = 10.0**log_scale * 10.0 ** np.array([0.0, *log_ratios])
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.normal(size=(d + extra_rows, d)))
+        right, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        rows = (left * s) @ right.T
+        expected = np.linalg.matrix_rank(rows, tol=RANK_RTOL * s.max())
+        traj = self.rows_traj(rows, p)
+        if expected < d:
+            with pytest.raises(ExcitationError, match=f"rank {expected} < {d}"):
+                check_excitation([traj])
+        else:
+            assert check_excitation([traj]) == expected
 
 
 class TestPrecondition:

@@ -14,26 +14,26 @@ from ltvbench.ident.tridiag import (
 )
 
 
-def random_system(rng, n, d, cols, lam_scale=1.0, weight=None):
+def random_system(rng, n, d, cols, lam_scale=1.0):
     m = rng.normal(size=(n, d + 2, d))
     gram = np.einsum("kli,klj->kij", m, m)          # PSD blocks
-    lam = np.zeros(n + 1)
-    lam[1:-1] = lam_scale * rng.uniform(0.1, 1.0, size=max(n - 1, 0))
+    lam = lam_scale * rng.uniform(0.1, 1.0)
     rhs = rng.normal(size=(n, d, cols))
     return gram, lam, rhs
 
 
 def dense_assemble(gram, lam, weight=None):
+    """The system matrix, block by block: each block carries lam W once per
+    neighbour and -lam W towards it."""
     n, d = gram.shape[:2]
     w = np.ones(d) if weight is None else np.asarray(weight)
     big = np.zeros((n * d, n * d))
     for k in range(n):
-        big[k * d : (k + 1) * d, k * d : (k + 1) * d] = gram[k] + (
-            lam[k] + lam[k + 1]
-        ) * np.diag(w)
+        neighbours = (k > 0) + (k < n - 1)
+        big[k * d : (k + 1) * d, k * d : (k + 1) * d] = gram[k] + neighbours * lam * np.diag(w)
         if k > 0:
-            big[k * d : (k + 1) * d, (k - 1) * d : k * d] = -lam[k] * np.diag(w)
-            big[(k - 1) * d : k * d, k * d : (k + 1) * d] = -lam[k] * np.diag(w)
+            big[k * d : (k + 1) * d, (k - 1) * d : k * d] = -lam * np.diag(w)
+            big[(k - 1) * d : k * d, k * d : (k + 1) * d] = -lam * np.diag(w)
     return big
 
 
@@ -127,7 +127,7 @@ def test_refinement_handles_dominant_coupling():
 
 def test_singular_system_raises():
     gram = np.zeros((3, 2, 2))
-    lam = np.zeros(4)
+    lam = 0.0
     with pytest.raises(NumericalError):
         banded_factor(gram, lam)
     with pytest.raises(NumericalError):
@@ -155,9 +155,5 @@ def test_non_finite_rhs_raises():
 
 def test_lam_validation():
     gram = np.eye(2)[None].repeat(3, axis=0)
-    with pytest.raises(ValueError):
-        banded_factor(gram, np.ones(4))    # nonzero boundaries
-    with pytest.raises(ValueError):
-        banded_factor(gram, np.zeros(3))   # wrong length
-    with pytest.raises(ValueError):
-        solve_block_tridiag(gram, np.array([0.0, -1.0, -1.0, 0.0]), np.ones((3, 2, 1)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_block_tridiag(gram, -1.0, np.ones((3, 2, 1)))
