@@ -30,7 +30,7 @@ import numpy as np
 
 from ..exceptions import InputError
 from ..models import LtvModel
-from .regression import _stack_all, check_excitation, trajectories_of
+from .regression import _check_rows, _stack_all, trajectories_of
 from .tridiag import solve_block_tridiag
 
 
@@ -74,8 +74,8 @@ def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
     trajs = trajectories_of(data)
     if single_trajectory:
         trajs = trajs[:1]
-    rank = check_excitation(trajs)
     v, xn = _stack_all(trajs)
+    rank = _check_rows(v)
     n, _, d = v.shape
 
     # Exact change of variables: standardize regressor channels, solve the

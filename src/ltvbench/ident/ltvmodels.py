@@ -86,7 +86,7 @@ import numpy as np
 
 from ..exceptions import InputError, NumericalError
 from ..models import LtvModel
-from .regression import _stack_all, check_excitation, trajectories_of
+from .regression import _check_rows, _stack_all, trajectories_of
 from .tridiag import banded_solve, factor_block_tridiag
 
 _ARMIJO = 0.25      # sufficient-decrease fraction of the backtracking search
@@ -173,8 +173,8 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     trajs = trajectories_of(traj)[:1]
     if trajs[0].n_steps < 2:
         raise InputError("need at least two transitions for a difference penalty")
-    check_excitation(trajs)
     v, xn = _stack_all(trajs)         # L = 1
+    _check_rows(v)
     n, _, d = v.shape
     p = xn.shape[2]
     m = d * p

@@ -43,8 +43,11 @@ def check_excitation(data) -> int:
     """The rank of all stacked state/input rows, whose singular values count
     above ``RANK_RTOL`` times the largest.  Identification needs rank p+q;
     a lower rank raises ``ExcitationError`` naming both ranks."""
-    trajs = trajectories_of(data)
-    v, _ = _stack_all(trajs)
+    return _check_rows(_stack_all(trajectories_of(data))[0])
+
+
+def _check_rows(v: np.ndarray) -> int:
+    """:func:`check_excitation` on rows already stacked by :func:`_stack_all`."""
     d = v.shape[2]
     s = np.linalg.svd(v.reshape(-1, d), compute_uv=False)
     rank = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))

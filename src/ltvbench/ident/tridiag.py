@@ -6,9 +6,12 @@ that couple step k to step k+1.  An upper block is either a full m x m
 matrix, giving a band of half-bandwidth 2m-1 (the Newton systems of the
 ``ltvmodels`` fit), or a diagonal stored as a length-m vector, giving
 half-bandwidth m.  Both are factored by LAPACK's banded Cholesky
-(``dpbtrf``, called directly, then ``dpbtrs`` per solve) in O(N m u^2) for
-half-bandwidth u, i.e. linear in the number of blocks, and a
-factorization can be reused across right-hand sides.
+(``dpbtrf``, then ``dpbtrs`` per solve) in O(N m u^2) for half-bandwidth u,
+i.e. linear in the number of blocks, and a factorization can be reused
+across right-hand sides.  Both routines are called through ctypes from the
+OpenBLAS that numpy's wheel bundles (:func:`ltvbench.toolchain.lapack_routine`);
+importing this module fails, naming the symbol, where that library does not
+export them.
 
 The chain-coupled system of the cosmic fit,
 
@@ -23,10 +26,28 @@ by default), and the right-hand sides R[k] may carry multiple columns.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from ..exceptions import NumericalError
+from ..toolchain import lapack_routine
+
+# Fortran ABI: every argument by reference, 64-bit integers, and the length
+# of the UPLO string as a trailing hidden argument.
+_INT = ctypes.POINTER(ctypes.c_int64)
+_DPBTRF = lapack_routine("dpbtrf")   # UPLO, N, KD, AB, LDAB, INFO
+_DPBTRF.argtypes = [ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
+_DPBTRS = lapack_routine("dpbtrs")   # UPLO, N, KD, NRHS, AB, LDAB, B, LDB, INFO
+_DPBTRS.argtypes = [
+    ctypes.c_char_p, _INT, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT,
+    ctypes.c_size_t,
+]
+_DPBTRF.restype = _DPBTRS.restype = None
+
+
+def _ints(*values) -> list:
+    return [ctypes.byref(ctypes.c_int64(v)) for v in values]
 
 
 def _coupling_sums(n: int, lam: float) -> np.ndarray:
@@ -79,10 +100,13 @@ def factor_block_tridiag(diag, upper):
     ab = band.T
     if not np.all(np.isfinite(ab)):
         raise NumericalError("block-tridiagonal system has non-finite entries")
-    cb, info = dpbtrf(ab, lower=0, overwrite_ab=1)
-    if info != 0:
-        raise NumericalError(f"banded factorization failed (LAPACK info {info}); system not PD")
-    return cb, n, m
+    info = ctypes.c_int64()
+    _DPBTRF(b"U", *_ints(n * m, u), ab.ctypes.data, *_ints(u + 1), ctypes.byref(info), 1)
+    if info.value != 0:
+        raise NumericalError(
+            f"banded factorization failed (LAPACK info {info.value}); system not PD"
+        )
+    return ab, n, m
 
 
 def banded_factor(gram, lam, weight=None):
@@ -105,12 +129,19 @@ def banded_factor(gram, lam, weight=None):
 
 
 def banded_solve(fact, rhs) -> np.ndarray:
-    cb, n, d = fact
+    """Solve with a factorization of :func:`factor_block_tridiag` for the
+    stacked right-hand sides ``rhs`` (N, m, c), into a Fortran-ordered copy."""
+    ab, n, d = fact
     rhs = np.asarray(rhs, dtype=float)
     cols = rhs.shape[2]
-    out, info = dpbtrs(cb, rhs.reshape(n * d, cols), lower=0)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} to LAPACK dpbtrs")
+    out = np.array(rhs.reshape(n * d, cols), order="F")
+    info = ctypes.c_int64()
+    _DPBTRS(
+        b"U", *_ints(n * d, ab.shape[0] - 1, cols), ab.ctypes.data, *_ints(ab.shape[0]),
+        out.ctypes.data, *_ints(n * d), ctypes.byref(info), 1,
+    )
+    if info.value != 0:
+        raise ValueError(f"illegal argument {-info.value} to LAPACK dpbtrs")
     return out.reshape(n, d, cols)
 
 

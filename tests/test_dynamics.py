@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 import ltvbench as lb
 from conftest import derivative, reference_chirp, reference_params, sat, step_rk4
+from ltvbench import dynamics
 from ltvbench.cli import main
 from ltvbench.control import (
     DIVERGENCE_GUARD,
@@ -42,7 +43,7 @@ from ltvbench.dynamics import (
     scenario,
     simulate,
 )
-from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError
+from ltvbench.exceptions import DataFormatError, InstabilityError, IntegrationError, NumericalError
 from ltvbench.ident import rollout_residuals
 
 
@@ -308,6 +309,67 @@ def test_bad_initial_state_fails_before_any_step(tmp_path, capsys, x0, message, 
     err = capsys.readouterr().err.strip()
     assert err == f"ltvbench simulate: error: initial state {cli_message or message}"
     assert not out.exists()
+
+
+def assert_close_per_matrix(actual, expected, rtol):
+    """Each matrix of a stack within ``rtol`` of its largest expected entry."""
+    scale = np.abs(expected).max(axis=(-2, -1))
+    assert np.all(np.abs(actual - expected).max(axis=(-2, -1)) <= rtol * scale)
+
+
+def random_stack(seed, count, n, norm_range):
+    """``count`` Gaussian n x n matrices, each scaled to a 1-norm drawn
+    log-uniformly from ``norm_range``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, n, n))
+    norms = np.exp(rng.uniform(*np.log(norm_range), size=count))
+    return a * (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+class TestExpm:
+    # scipy.linalg.expm is the oracle.  Below the degree-13 bound neither
+    # side squares: on the scenarios they agree to 1e-15 of each matrix's
+    # largest entry, on random stacks to 4e-15 (1x1 near norm 2, where
+    # scipy takes np.exp, differs most).
+    def test_scenario_matrices_match_scipy(self):
+        for name in lb.BUILTIN_SCENARIOS:
+            spec = scenario(name)
+            aug = np.zeros((spec.n_steps, 3, 3))
+            for k in range(spec.n_steps):
+                A_c, B_c = reference_rates(spec, (k + 0.5) * spec.dt)
+                aug[k, :2, :2], aug[k, :2, 2:] = A_c, B_c
+            aug *= spec.dt
+            assert_close_per_matrix(dynamics.expm(aug), expm(aug), 1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 5))
+    def test_unsquared_random_stacks_match_scipy(self, seed, n):
+        a = random_stack(seed, 50, n, (1e-6, 2.0))
+        assert_close_per_matrix(dynamics.expm(a), expm(a), 4e-15)
+
+    def test_squared_random_stack_matches_scipy(self):
+        # 1-norms 6-12 square once or twice; there scipy's own error reaches
+        # ~1e-12 (see the rotation test), so the two agree to 1e-11
+        a = random_stack(11, 400, 3, (6.0, 12.0))
+        assert_close_per_matrix(dynamics.expm(a), expm(a), 1e-11)
+
+    def test_squared_rotation_generators_match_closed_form(self):
+        # exp([[0, -t], [t, 0]]) is the rotation by t; up to t = 40 (three
+        # squarings) within 1e-14, where scipy 1.17 is off by 5e-13
+        t = np.linspace(0.1, 40.0, 60)
+        gen = np.zeros((60, 2, 2))
+        gen[:, 0, 1], gen[:, 1, 0] = -t, t
+        rot = np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)], axis=-1).reshape(60, 2, 2)
+        assert_close_per_matrix(dynamics.expm(gen), rot, 1e-14)
+
+    def test_zero_matrix_is_identity(self):
+        assert_bytes_equal(dynamics.expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+    def test_non_finite_rates_raise(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            discretize(np.array([[0.0, 1.0], [math.nan, 0.0]]), np.zeros((2, 1)), 0.1)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            discretize(np.eye(2), np.zeros((2, 1)), math.inf)
 
 
 class TestDiscretize:

@@ -98,7 +98,7 @@ def test_golden_names_another_openblas_core(tmp_path, monkeypatch):
     # the same versions on another core may round differently
     run = fake_run(tmp_path)
     write_golden(run, tmp_path / "golden")
-    cores = {package: openblas_core(package) for package in ("numpy", "scipy")}
+    cores = {package: openblas_core(package) for package in OPENBLAS_CORENAMES}
     monkeypatch.setattr("ltvbench.toolchain.openblas_core", lambda package: f"{cores[package]}+other")
     assert check_golden([run], tmp_path / "golden") == [
         f"toolchain: openblas_core_{package} {core} -> {core}+other"

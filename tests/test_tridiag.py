@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from ltvbench.exceptions import NumericalError
 from ltvbench.ident.tridiag import (
@@ -114,6 +115,57 @@ def test_general_blocks_match_dense_oracle(seed, n, m, diagonal_coupling):
     x = banded_solve(factor_block_tridiag(diag, upper), rhs)
     dense = np.linalg.solve(big, rhs.reshape(n * m, 2))
     assert np.max(np.abs(x.reshape(n * m, 2) - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+
+
+def upper_band(big, u):
+    """The upper band of a symmetric matrix as scipy's LAPACK wrappers take
+    it: entry (i, j), i <= j, at [u + i - j, j]."""
+    size = big.shape[0]
+    band = np.zeros((u + 1, size))
+    for j in range(size):
+        for i in range(max(0, j - u), j + 1):
+            band[u + i - j, j] = big[i, j]
+    return band
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    m=st.integers(1, 6),
+    diagonal_coupling=st.booleans(),
+    cols=st.integers(1, 3),
+)
+def test_binding_matches_scipy_lapack_bytes(seed, n, m, diagonal_coupling, cols):
+    # the ctypes binding of numpy's OpenBLAS against scipy's dpbtrf/dpbtrs
+    # wrappers on the same band: factor and solution byte for byte
+    rng = np.random.default_rng(seed)
+    upper = rng.normal(size=(n - 1, m) if diagonal_coupling else (n - 1, m, m))
+    up_blocks = upper[:, :, None] * np.eye(m) if diagonal_coupling else upper
+    f = rng.normal(size=(n, m, m))
+    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(up_blocks).max(initial=0.0)) * np.eye(m)
+    big = np.zeros((n * m, n * m))
+    for k in range(n):
+        big[k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[k]
+        if k < n - 1:
+            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = up_blocks[k]
+    rhs = rng.normal(size=(n, m, cols))
+    fact = factor_block_tridiag(diag, upper)
+    cb, info = dpbtrf(upper_band(big, m if diagonal_coupling else 2 * m - 1), lower=0)
+    assert info == 0
+    assert fact[0].tobytes(order="F") == cb.tobytes(order="F")
+    expected, info = dpbtrs(cb, rhs.reshape(n * m, cols), lower=0)
+    assert info == 0
+    assert banded_solve(fact, rhs).reshape(n * m, cols).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block,entry,info", [(0, 0, 1), (2, 1, 6)])
+def test_non_pd_system_names_the_lapack_info(block, entry, info):
+    # a negative pivot at row block m + entry fails dpbtrf at that column
+    diag = np.eye(2)[None].repeat(4, axis=0)
+    diag[block, entry, entry] = -1.0
+    with pytest.raises(NumericalError, match=rf"LAPACK info {info}\)"):
+        factor_block_tridiag(diag, np.zeros((3, 2)))
 
 
 def test_refinement_handles_dominant_coupling():
