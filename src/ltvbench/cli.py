@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -154,11 +155,8 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_identify(args) -> int:
     ds = load_dataset(args.data)
-    params = {}
-    if args.method in LAMBDA_METHODS:
-        params["lam"] = args.lam
-    if args.method == "tvera":
-        params = {"hankel_rows": args.hankel_rows, "hankel_cols": args.hankel_cols}
+    config = METHODS[args.method][3]   # its fields are options of identify
+    params = {f.name: getattr(args, f.name) for f in (fields(config) if config else ())}
     model = fit_method(args.method, ds, params)
     out = Path(args.out)
     save_model(model, out)

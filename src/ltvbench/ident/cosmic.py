@@ -36,10 +36,9 @@ from .tridiag import solve_block_tridiag
 
 @dataclass(frozen=True)
 class CosmicConfig:
-    """Uniform smoothing strength and the single-trajectory switch."""
+    """Uniform smoothing strength."""
 
     lam: float = 1.0
-    single_trajectory: bool = False
 
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -49,8 +48,8 @@ class CosmicConfig:
 @dataclass(frozen=True)
 class CosmicProblem:
     """What every cosmic fit on one training set shares: the standardized
-    Gram blocks and right-hand sides of the normal equations, the channel
-    scales and the excitation rank.  Only the banded solve depends on lam.
+    Gram blocks and right-hand sides of the normal equations and the channel
+    scales.  Only the banded solve depends on lam.
 
     Build it with :func:`cosmic_problem`; it holds no regressor rows.
     """
@@ -59,23 +58,19 @@ class CosmicProblem:
     rhs: np.ndarray            # (N, d, p), standardized R(k)
     scales: np.ndarray         # (d,), 1 / channel std (1 for a flat channel)
     zero_variance: tuple       # indices of the flat channels
-    rank: int
     n_trajectories: int
     dt: float
-    single_trajectory: bool
 
 
-def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
+def cosmic_problem(data) -> CosmicProblem:
     """The lam-independent set-up of :func:`cosmic_fit` on ``data``.
 
     Raises :class:`ExcitationError` when the stacked state/input rows do not
     span the regressor space (no unique minimizer exists).
     """
     trajs = trajectories_of(data)
-    if single_trajectory:
-        trajs = trajs[:1]
     v, xn = _stack_all(trajs)
-    rank = _check_rows(v)
+    _check_rows(v)
     n, _, d = v.shape
 
     # Exact change of variables: standardize regressor channels, solve the
@@ -98,29 +93,22 @@ def cosmic_problem(data, single_trajectory: bool = False) -> CosmicProblem:
         rhs=rhs,
         scales=scales,
         zero_variance=tuple(int(i) for i in np.flatnonzero(flat)),
-        rank=rank,
         n_trajectories=len(trajs),
         dt=trajs[0].dt,
-        single_trajectory=single_trajectory,
     )
 
 
 def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     """Exact minimizer of the smoothed identification objective.
 
-    ``data`` is a dataset, a trajectory list, or a single trajectory; with
-    ``cfg.single_trajectory`` only the first trajectory is used.  It may also
-    be a :class:`CosmicProblem` built once for several fits (a tuning grid),
-    which gives the same model as the data it was built from.  Raises
-    :class:`ExcitationError` when the stacked state/input rows do not span
-    the regressor space (no unique minimizer exists).
+    ``data`` is a dataset, a trajectory list, or a single trajectory, and
+    every trajectory in it is fitted.  It may also be a :class:`CosmicProblem`
+    built once for several fits (a tuning grid), which gives the same model
+    as the data it was built from.  Raises :class:`ExcitationError` when the
+    stacked state/input rows do not span the regressor space (no unique
+    minimizer exists).
     """
-    if isinstance(data, CosmicProblem):
-        problem = data
-        if problem.single_trajectory != cfg.single_trajectory:
-            raise ValueError("problem and config disagree on single_trajectory")
-    else:
-        problem = cosmic_problem(data, cfg.single_trajectory)
+    problem = data if isinstance(data, CosmicProblem) else cosmic_problem(data)
     scales = problem.scales
     _, d, p = problem.rhs.shape
     blocks = solve_block_tridiag(problem.gram, float(cfg.lam), problem.rhs, weight=scales**2)
@@ -130,14 +118,14 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
         blocks,
         q=d - p,
         dt=problem.dt,
-        method="cosmic-single" if cfg.single_trajectory else "cosmic",
+        method="cosmic",
         hyperparams={"lam": float(cfg.lam)},
         preconditioning={
             "state_scale": scales[:p].tolist(),
             "input_scale": scales[p:].tolist(),
             "zero_variance": list(problem.zero_variance),
         },
-        info={"excitation_rank": problem.rank, "n_trajectories": problem.n_trajectories},
+        info={"n_trajectories": problem.n_trajectories},
     )
 
 

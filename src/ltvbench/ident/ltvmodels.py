@@ -163,14 +163,16 @@ def _dual_step(w, dw, lam) -> float:
 def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     """Fit a smooth-or-jumping LTV model to a single trajectory.
 
-    Accepts a Trajectory (or a dataset, from which the first trajectory is
-    taken).  Reaching the Newton-step cap, or a Newton system that is no
-    longer positive definite in floating point (possible only at a very
-    small mu), returns the incumbent with ``info["converged"] = False`` and
-    its certified gap.  Raises ``ExcitationError`` when the state/input rows
-    span a rank below p+q.
+    Accepts a Trajectory, or a list or dataset of exactly one (more raise
+    ``InputError``).  Reaching the Newton-step cap, or a Newton system that
+    is no longer positive definite in floating point (possible only at a
+    very small mu), returns the incumbent with ``info["converged"] = False``
+    and its certified gap.  Raises ``ExcitationError`` when the state/input
+    rows span a rank below p+q.
     """
-    trajs = trajectories_of(traj)[:1]
+    trajs = trajectories_of(traj)
+    if len(trajs) != 1:
+        raise InputError(f"ltvmodels fits one trajectory, got {len(trajs)}")
     if trajs[0].n_steps < 2:
         raise InputError("need at least two transitions for a difference penalty")
     v, xn = _stack_all(trajs)         # L = 1

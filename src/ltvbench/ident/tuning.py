@@ -1,4 +1,4 @@
-"""Hyperparameter grid search driven by validation rollout loss."""
+"""The method table, ``METHODS``, and the grid search scored by validation rollout loss."""
 
 from __future__ import annotations
 
@@ -8,34 +8,50 @@ import numpy as np
 
 from ..exceptions import InputError, LtvBenchError, TuningError
 from ..models import LtvModel
-from .cosmic import CosmicConfig, cosmic_fit, cosmic_problem
+from .cosmic import CosmicConfig, CosmicProblem, cosmic_fit, cosmic_problem
 from .ltvmodels import LtvModelsConfig, ltvmodels_fit
 from .predict import trajectory_prediction_loss
 from .regression import lti_fit, perstep_ls_fit, trajectories_of
 from .tvera import TveraConfig, tvera_fit
 
-METHODS = ("cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti")
+
+def _as_is(data):
+    return data
+
+
+def _first(data):
+    """The first trajectory of ``data``; a set-up built from it passes through."""
+    return data if isinstance(data, CosmicProblem) else trajectories_of(data)[:1]
+
+
+# name -> (training data, set-up its tuning grid shares, fit, config or None)
+METHODS = {
+    "cosmic": (_as_is, cosmic_problem, cosmic_fit, CosmicConfig),
+    "cosmic-single": (_first, cosmic_problem, cosmic_fit, CosmicConfig),
+    "ltvmodels": (_first, _as_is, ltvmodels_fit, LtvModelsConfig),
+    "tvera": (_as_is, _as_is, tvera_fit, TveraConfig),
+    "perstep": (_as_is, _as_is, perstep_ls_fit, None),
+    "lti": (_as_is, _as_is, lti_fit, None),
+}
 LAMBDA_METHODS = ("cosmic", "cosmic-single", "ltvmodels")   # tuned over lam
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 9).tolist())
 
 
+def _method(name: str) -> tuple:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; expected one of {tuple(METHODS)}")
+    return METHODS[name]
+
+
 def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
-    """Fit one identification method with the given hyperparameters."""
-    params = dict(params or {})
-    if method == "cosmic":
-        return cosmic_fit(train_data, CosmicConfig(**params))
-    if method == "cosmic-single":
-        return cosmic_fit(train_data, CosmicConfig(single_trajectory=True, **params))
-    if method == "ltvmodels":
-        return ltvmodels_fit(train_data, LtvModelsConfig(**params))
-    if method == "tvera":
-        return tvera_fit(train_data, TveraConfig(**params))
-    if method == "perstep":
-        return perstep_ls_fit(train_data)
-    if method == "lti":
-        return lti_fit(train_data)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Fit ``method`` with the given hyperparameters on its training data out
+    of ``train_data`` (or on :func:`tune`'s set-up); the model is named ``method``."""
+    data, _, fit, config = _method(method)
+    train_data = data(train_data)
+    model = fit(train_data, config(**(params or {}))) if config else fit(train_data)
+    model.method = method
+    return model
 
 
 @dataclass
@@ -71,20 +87,19 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     loss is not finite is recorded as failed and never wins; every row keeps
     its point's fit.
 
-    The fits share one set-up: for ``cosmic`` and ``cosmic-single`` the
-    lam-independent :func:`cosmic_problem`, built once for the grid.  Data
-    that cannot be set up is passed on as it is, so that each point's fit
-    raises and records the error."""
+    The fits share the method's set-up from ``METHODS``, built once for the
+    grid: for both cosmic methods the lam-independent :func:`cosmic_problem`.
+    Data that cannot be set up is passed on as it is, so that each point's
+    fit raises and records the error."""
     points = _grid_sorted(grid)
     if not points:
         raise InputError("empty hyperparameter grid")
+    data, setup, _, _ = _method(method)
     val_trajs = trajectories_of(validation_data)
-    shared = train_data
-    if method in ("cosmic", "cosmic-single"):
-        try:
-            shared = cosmic_problem(train_data, single_trajectory=method == "cosmic-single")
-        except LtvBenchError:
-            pass
+    try:
+        shared = setup(data(train_data))
+    except LtvBenchError:
+        shared = train_data
     fitted, errors = {}, {}
     for i, params in enumerate(points):
         try:
@@ -118,10 +133,5 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
             f"every {method} grid point failed to fit",
             diagnostics=[f"{row.params}: {row.error}" for row in rows],
         )
-    return TuneResult(
-        method=method,
-        best_params=best[1],
-        best_model=best[2],
-        best_loss=best[0],
-        rows=rows,
-    )
+    loss, params, model = best
+    return TuneResult(method, best_params=params, best_model=model, best_loss=loss, rows=rows)

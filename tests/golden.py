@@ -184,15 +184,16 @@ def check_golden(run_dirs, golden_dir=GOLDEN_DIR) -> list:
     artifacts; one directory alone (a ``str`` or a path) raises
     ``TypeError``.  An empty list means all are byte-identical on the golden
     toolchain; a different toolchain is itself a difference, named with its
-    versions or OpenBLAS cores.
+    versions or OpenBLAS cores (``None`` for a key that only one side has).
     """
     if isinstance(run_dirs, (str, os.PathLike)):
         raise TypeError(f"run_dirs must be a list of directories, got {run_dirs!r}; pass [run_dir]")
     golden = json.loads((Path(golden_dir) / "golden.json").read_text())
+    old, new = golden["toolchain"], toolchain()
     lines = [
-        f"toolchain: {tool} {golden['toolchain'].get(tool)} -> {version}"
-        for tool, version in toolchain().items()
-        if golden["toolchain"].get(tool) != version
+        f"toolchain: {tool} {old.get(tool)} -> {new.get(tool)}"
+        for tool in sorted(old.keys() | new.keys())
+        if old.get(tool) != new.get(tool)
     ]
     for name in GOLDEN_TABLES + GOLDEN_ECDFS:
         path = _find(name, run_dirs)

@@ -492,13 +492,14 @@ class TestPipeline:
     def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, controllers, tuned, fits):
         recursions = _count_calls(monkeypatch, bench, "lqr_ltv")
         setups = []
-        real = tuning.cosmic_problem
+        for method in ("cosmic", "cosmic-single"):
+            data, setup, fit, config = tuning.METHODS[method]
 
-        def counted(data, single_trajectory=False):
-            setups.append("cosmic-single" if single_trajectory else "cosmic")
-            return real(data, single_trajectory)
+            def counted(train, method=method, setup=setup):
+                setups.append(method)
+                return setup(train)
 
-        monkeypatch.setattr(tuning, "cosmic_problem", counted)
+            monkeypatch.setitem(tuning.METHODS, method, (data, counted, fit, config))
         tuned_fits = _count_calls(monkeypatch, tuning, "fit_method")
         bench_fits = _count_calls(monkeypatch, bench, "fit_method")
         scored = _count_calls(monkeypatch, bench, "per_trajectory_losses")

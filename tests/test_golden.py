@@ -2,6 +2,7 @@
 hand-made tables."""
 
 import json
+import shutil
 
 import pytest
 
@@ -104,6 +105,23 @@ def test_golden_names_another_openblas_core(tmp_path, monkeypatch):
         f"toolchain: openblas_core_{package} {core} -> {core}+other"
         for package, core in cores.items()
     ]
+
+
+def test_golden_names_a_toolchain_key_only_one_side_has(tmp_path):
+    # a key the probe no longer returns, and one the golden set never recorded
+    run = fake_run(tmp_path)
+    write_golden(run, tmp_path / "written")
+    shutil.copytree(tmp_path / "written", tmp_path / "golden")
+    meta = tmp_path / "golden" / "golden.json"
+    golden = json.loads(meta.read_text())
+    core = golden["toolchain"].pop("openblas_core_numpy")
+    golden["toolchain"]["scipy"] = "1.17.1"
+    meta.write_text(json.dumps(golden))
+    assert check_golden([run], tmp_path / "golden") == [
+        f"toolchain: openblas_core_numpy None -> {core}",
+        "toolchain: scipy 1.17.1 -> None",
+    ]
+    assert check_golden([run], tmp_path / "written") == []
 
 
 def test_openblas_core_without_its_symbol_is_null(monkeypatch):

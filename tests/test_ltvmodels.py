@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import model_trajectories, rollout_model
+from ltvbench.datagen import Dataset, Split
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
 import ltvbench.ident.ltvmodels as ltvmodels
-from ltvbench.exceptions import ExcitationError, NumericalError
+from ltvbench.exceptions import ExcitationError, InputError, NumericalError
 from ltvbench.ident import LtvModelsConfig, lti_fit, ltvmodels_fit
 from ltvbench.ident.ltvmodels import certify
 from ltvbench.models import LtvModel
@@ -244,6 +245,16 @@ class TestLtvModelsFit:
         assert fit.info["converged"] is False and fit.info["gap"] > 1e-8
         assert len(fit.info["objective"]) == 6
         assert objective(fit.stacked(), traj, 0.01) == pytest.approx(fit.info["objective"][-1])
+
+    def test_fits_exactly_one_trajectory(self, constant_model):
+        # picking the first of a set is the method table's choice, not the fit's
+        two = model_trajectories(constant_model, 2, seed=6, noise=1e-3)
+        for data in (two, Dataset(Split.TRAIN, two, scenario("ltv"))):
+            with pytest.raises(InputError, match="ltvmodels fits one trajectory, got 2"):
+                ltvmodels_fit(data)
+        listed = ltvmodels_fit([two[0]], LtvModelsConfig(lam=0.1))
+        alone = ltvmodels_fit(two[0], LtvModelsConfig(lam=0.1))
+        assert listed.stacked().tobytes() == alone.stacked().tobytes()
 
     def test_needs_two_transitions(self):
         traj = Trajectory(

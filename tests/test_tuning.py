@@ -3,24 +3,67 @@ import pytest
 
 import ltvbench.ident.tuning as tuning
 from conftest import model_trajectories
-from ltvbench.bench import BenchConfig, _scenario_data, method_grid
+from ltvbench.bench import (
+    CONTROLLERS,
+    ECDF_METHODS,
+    PREDICTION_METHODS,
+    BenchConfig,
+    _scenario_data,
+    method_grid,
+)
 from ltvbench.datagen import Split, tvera_experiments
 from ltvbench.dynamics import Trajectory
-from ltvbench.exceptions import ExcitationError, InputError, TuningError
-from ltvbench.ident import fit_method, trajectory_prediction_loss, tune
+from ltvbench.exceptions import ExcitationError, InputError, LtvBenchError, TuningError
+from ltvbench.ident import (
+    CosmicConfig,
+    LtvModelsConfig,
+    cosmic_fit,
+    fit_method,
+    ltvmodels_fit,
+    trajectory_prediction_loss,
+    tune,
+)
+from ltvbench.ident.cosmic import CosmicProblem
 
 
 class TestFitMethod:
     def test_dispatch_tags(self, constant_model):
-        trajs = model_trajectories(constant_model, 5, seed=0, noise=1e-4)
-        assert fit_method("cosmic", trajs, {"lam": 1.0}).method == "cosmic"
-        assert fit_method("cosmic-single", trajs, {"lam": 1.0}).method == "cosmic-single"
-        assert fit_method("perstep", trajs).method == "perstep"
-        lti = fit_method("lti", trajs)
-        assert lti.method == "lti"
-        assert lti.n_steps == constant_model.n_steps
-        with pytest.raises(ValueError):
+        # eight trajectories: tvera's default 3x3 Hankel window needs seven
+        trajs = model_trajectories(constant_model, 8, seed=0, noise=1e-4)
+        assert list(tuning.METHODS) == [
+            "cosmic", "cosmic-single", "ltvmodels", "tvera", "perstep", "lti"
+        ]
+        for method in tuning.METHODS:
+            params = {"lam": 1.0} if method in tuning.LAMBDA_METHODS else {}
+            model = fit_method(method, trajs, params)
+            assert model.method == method
+            assert model.n_steps == constant_model.n_steps
+        with pytest.raises(ValueError, match=r"unknown method 'nope'; expected one of \("):
             fit_method("nope", trajs)
+
+    def test_cosmic_single_is_cosmic_on_the_first_trajectory(self, constant_model):
+        trajs = model_trajectories(constant_model, 4, seed=4, noise=1e-3)
+        single = fit_method("cosmic-single", trajs, {"lam": 0.1})
+        first_only = cosmic_fit(trajs[:1], CosmicConfig(lam=0.1))
+        assert (single.method, first_only.method) == ("cosmic-single", "cosmic")
+        assert single.stacked().tobytes() == first_only.stacked().tobytes()
+        assert single.hyperparams == first_only.hyperparams
+        assert single.preconditioning == first_only.preconditioning
+        assert single.info == first_only.info == {"n_trajectories": 1}
+        multi = fit_method("cosmic", trajs, {"lam": 0.1})
+        assert not np.allclose(single.A, multi.A)
+
+    def test_ltvmodels_fits_the_first_trajectory(self, constant_model):
+        two = model_trajectories(constant_model, 2, seed=5, noise=1e-3)
+        table = fit_method("ltvmodels", two, {"lam": 0.1})
+        alone = ltvmodels_fit(two[0], LtvModelsConfig(lam=0.1))
+        assert table.stacked().tobytes() == alone.stacked().tobytes()
+        assert (table.method, table.hyperparams) == (alone.method, alone.hyperparams)
+        assert table.info == alone.info
+
+    def test_benchmark_methods_are_table_keys(self):
+        named = set(PREDICTION_METHODS) | set(CONTROLLERS) | set(ECDF_METHODS)
+        assert named - {"linearization"} <= set(tuning.METHODS)
 
     def test_default_grids(self):
         cfg = BenchConfig()
@@ -230,6 +273,45 @@ class TestGridScoring:
         result = tune("ltvmodels", [{"lam": 1e4}, {"lam": 1e2}, {"lam": 1e3}], train, val)
         assert len({row.loss for row in result.rows}) == 1
         assert result.best_params == {"lam": 1e4}
+
+
+class TestSharedSetUp:
+    """``tune`` builds a method's set-up once for its grid; every row's fit
+    must be what ``fit_method`` gives on the raw training data."""
+
+    @pytest.mark.parametrize("method", list(tuning.METHODS))
+    def test_rows_equal_fitting_the_raw_data(self, monkeypatch, method):
+        train, val = TestGridScoring().splits(method)
+        grid = method_grid(method, TestGridScoring.CFG)
+        if method in tuning.LAMBDA_METHODS:
+            grid += ({"lam": 1e-1},)   # a repeated lam sees the same set-up
+        data, setup, fit, config = tuning.METHODS[method]
+        setups = []
+
+        def recorded(train_data):
+            setups.append(setup(train_data))
+            return setups[-1]
+
+        monkeypatch.setitem(tuning.METHODS, method, (data, recorded, fit, config))
+        result = tune(method, grid, train, val)
+        assert len(setups) == 1 and len(result.rows) == len(grid)
+        assert sum(row.model is not None for row in result.rows) >= min(len(grid), 2)
+        for row in result.rows:
+            if row.model is None:   # a failed point fails alone with the same error
+                with pytest.raises(LtvBenchError) as alone:
+                    fit_method(method, train, row.params)
+                assert row.error == str(alone.value)
+                continue
+            own = fit_method(method, train, row.params)
+            assert row.model.stacked().tobytes() == own.stacked().tobytes()
+            assert (row.model.method, row.model.hyperparams) == (method, own.hyperparams)
+            assert row.model.preconditioning == own.preconditioning
+            assert row.model.info == own.info
+        if method.startswith("cosmic"):
+            problem = setups[0]
+            assert isinstance(problem, CosmicProblem)
+            assert problem.n_trajectories == (1 if method == "cosmic-single" else len(train))
+            assert not problem.gram.flags.writeable and not problem.rhs.flags.writeable
 
 
 def first_steps(traj, n):
