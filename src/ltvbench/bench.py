@@ -9,6 +9,7 @@ output files byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -46,6 +47,7 @@ from .ident import (
     rollout_residuals,
     tune,
 )
+from .ident.regression import check_lam
 from .toolchain import single_blas_thread, toolchain
 
 PREDICTION_METHODS = (
@@ -137,7 +139,11 @@ def _scenario_data(name: str, cfg: BenchConfig):
 def check_lambda_grid(grid) -> None:
     """Raise ``InputError`` unless ``grid`` holds lambda values, each positive
     and finite."""
-    if not grid or not all(lam > 0 and math.isfinite(lam) for lam in grid):
+    try:
+        lams = [check_lam(lam) for lam in grid]
+    except InputError:
+        lams = []
+    if not lams:
         raise InputError(f"lambda values must be positive and finite, got {tuple(grid)}")
 
 
@@ -423,7 +429,7 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
         raise InputError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if cfg.jobs < 1:
         raise InputError(f"jobs must be at least 1, got {cfg.jobs}")
-    if cfg.master_seed < 0:
+    if not isinstance(cfg.master_seed, numbers.Integral) or cfg.master_seed < 0:
         raise InputError(f"master_seed must be a non-negative integer, got {cfg.master_seed}")
     check_lambda_grid(cfg.lambda_grid)
     cfg = replace(cfg, scenarios=scenario_names(cfg.scenarios))

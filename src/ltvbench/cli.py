@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +155,8 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_identify(args) -> int:
     ds = load_dataset(args.data)
-    config = METHODS[args.method][3]   # its fields are options of identify
-    params = {f.name: getattr(args, f.name) for f in (fields(config) if config else ())}
+    fit = METHODS[args.method][2]   # its keyword arguments are options of identify
+    params = {name: getattr(args, name) for name in list(signature(fit).parameters)[1:]}
     model = fit_method(args.method, ds, params)
     out = Path(args.out)
     save_model(model, out)

@@ -23,26 +23,13 @@ changes the arithmetic but not the minimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import InputError
 from ..models import LtvModel
-from .regression import _check_rows, _stack_all, trajectories_of
+from .regression import _stack_all, check_excitation, check_lam, trajectories_of
 from .tridiag import solve_block_tridiag
-
-
-@dataclass(frozen=True)
-class CosmicConfig:
-    """Uniform smoothing strength."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InputError(f"lam must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +57,7 @@ def cosmic_problem(data) -> CosmicProblem:
     """
     trajs = trajectories_of(data)
     v, xn = _stack_all(trajs)
-    _check_rows(v)
+    check_excitation(v)
     n, _, d = v.shape
 
     # Exact change of variables: standardize regressor channels, solve the
@@ -98,8 +85,9 @@ def cosmic_problem(data) -> CosmicProblem:
     )
 
 
-def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
-    """Exact minimizer of the smoothed identification objective.
+def cosmic_fit(data, *, lam: float = 1.0) -> LtvModel:
+    """Exact minimizer of the smoothed identification objective at the
+    smoothing strength ``lam`` (positive and finite, else ``InputError``).
 
     ``data`` is a dataset, a trajectory list, or a single trajectory, and
     every trajectory in it is fitted.  It may also be a :class:`CosmicProblem`
@@ -108,10 +96,11 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
     stacked state/input rows do not span the regressor space (no unique
     minimizer exists).
     """
+    lam = check_lam(lam)
     problem = data if isinstance(data, CosmicProblem) else cosmic_problem(data)
     scales = problem.scales
     _, d, p = problem.rhs.shape
-    blocks = solve_block_tridiag(problem.gram, float(cfg.lam), problem.rhs, weight=scales**2)
+    blocks = solve_block_tridiag(problem.gram, lam, problem.rhs, weight=scales**2)
     blocks = blocks * scales[:, None]
 
     return LtvModel.from_stacked(
@@ -119,7 +108,7 @@ def cosmic_fit(data, cfg: CosmicConfig = CosmicConfig()) -> LtvModel:
         q=d - p,
         dt=problem.dt,
         method="cosmic",
-        hyperparams={"lam": float(cfg.lam)},
+        hyperparams={"lam": lam},
         preconditioning={
             "state_scale": scales[:p].tolist(),
             "input_scale": scales[p:].tolist(),

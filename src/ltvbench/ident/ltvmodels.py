@@ -79,32 +79,17 @@ rank p+q (:func:`~.regression.check_excitation`).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..exceptions import InputError, NumericalError
 from ..models import LtvModel
-from .regression import _check_rows, _stack_all, trajectories_of
+from .regression import _stack_all, check_excitation, check_lam, trajectories_of
 from .tridiag import banded_solve, factor_block_tridiag
 
 _ARMIJO = 0.25      # sufficient-decrease fraction of the backtracking search
 _MIN_STEP = 1e-10   # below this step length the centering has stalled in rounding
 _TOL = 1e-8         # relative duality gap that certifies a fit
 _MAX_ITER = 200     # Newton-step cap
-
-
-@dataclass(frozen=True)
-class LtvModelsConfig:
-    """The penalty weight ``lam``; the stop rule, gap <= 1e-8 within 200
-    Newton steps, is fixed (module docstring)."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InputError(f"lam must be positive and finite, got {self.lam}")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -115,19 +100,14 @@ def _residual(blocks, vt, yt) -> np.ndarray:
     return np.einsum("ti,tip->tp", vt, blocks) - yt
 
 
-def certify(blocks, vt, yt, lam) -> tuple:
+def _certify(blocks, residual, vt, gram, two_v, lam) -> tuple:
     """Shift ``blocks`` by the zero-summed-gradient constant and bound its excess.
 
-    Returns (shifted blocks, P, gap): the objective P of the shifted blocks
-    and the relative duality gap of the module docstring, which is at least
-    (P - P*) / P.
+    ``residual`` is that of ``blocks``; ``gram = vt^T vt`` and ``two_v = 2 vt^T``
+    are the fit's constants, computed once.  Returns (shifted blocks, P, gap):
+    the objective P of the shifted blocks and the relative duality gap of the
+    module docstring, which is at least (P - P*) / P.
     """
-    return _certify(blocks, _residual(blocks, vt, yt), vt, vt.T @ vt, 2.0 * vt.T, lam)
-
-
-def _certify(blocks, residual, vt, gram, two_v, lam) -> tuple:
-    """:func:`certify` given the residual of ``blocks`` and the fit's constants
-    ``gram = vt^T vt`` and ``two_v = 2 vt^T``, which a fit computes once."""
     shift = np.linalg.solve(gram, -(vt.T @ residual))
     blocks = blocks + shift
     residual = residual + vt @ shift
@@ -160,8 +140,11 @@ def _dual_step(w, dw, lam) -> float:
     return min(1.0, 0.99 * float(np.nan_to_num(reach, nan=0.0, copy=False).min()))
 
 
-def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
-    """Fit a smooth-or-jumping LTV model to a single trajectory.
+def ltvmodels_fit(traj, *, lam: float = 1.0) -> LtvModel:
+    """Fit a smooth-or-jumping LTV model to a single trajectory at the
+    penalty weight ``lam`` (positive and finite, else ``InputError``); the
+    stop rule, gap <= 1e-8 within 200 Newton steps, is fixed (module
+    docstring).
 
     Accepts a Trajectory, or a list or dataset of exactly one (more raise
     ``InputError``).  Reaching the Newton-step cap, or a Newton system that
@@ -170,19 +153,19 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
     and its certified gap.  Raises ``ExcitationError`` when the state/input
     rows span a rank below p+q.
     """
+    lam = check_lam(lam)
     trajs = trajectories_of(traj)
     if len(trajs) != 1:
         raise InputError(f"ltvmodels fits one trajectory, got {len(trajs)}")
     if trajs[0].n_steps < 2:
         raise InputError("need at least two transitions for a difference penalty")
     v, xn = _stack_all(trajs)         # L = 1
-    _check_rows(v)
+    check_excitation(v)
     n, _, d = v.shape
     p = xn.shape[2]
     m = d * p
     vt = v[:, 0, :]                   # (N, d)
     yt = xn[:, 0, :]                  # (N, p)
-    lam = float(cfg.lam)
 
     # Elementwise products (the Newton matrix among them) are formed with the
     # step index last, e.g. (m, m, N), so they run along N.  Every sum stays
@@ -229,7 +212,8 @@ def ltvmodels_fit(traj, cfg: LtvModelsConfig = LtvModelsConfig()) -> LtvModel:
         dw = c * (dz.T + z_cols) - w_cols - along * w_cols
         return step.reshape(n, d, p), -float((grad * step).sum()), dw.T.copy(), value
 
-    blocks, best_obj, gap = certify(np.zeros((n, d, p)), vt, yt, lam)
+    start = np.zeros((n, d, p))
+    blocks, best_obj, gap = _certify(start, _residual(start, vt, yt), vt, gram, two_v, lam)
     best = blocks
     history = [best_obj]
     # Start the path where the barrier's duality gap, 2 (N-1) mu, matches the

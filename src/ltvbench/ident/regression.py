@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..datagen import Dataset
@@ -39,16 +41,12 @@ def _stack_all(trajs) -> tuple:
     return v, states[1:]
 
 
-def check_excitation(data) -> int:
-    """The rank of all stacked state/input rows, whose singular values count
-    above ``RANK_RTOL`` times the largest.  Identification needs rank p+q;
-    a lower rank raises ``ExcitationError`` naming both ranks."""
-    return _check_rows(_stack_all(trajectories_of(data))[0])
-
-
-def _check_rows(v: np.ndarray) -> int:
-    """:func:`check_excitation` on rows already stacked by :func:`_stack_all`."""
-    d = v.shape[2]
+def check_excitation(v: np.ndarray) -> int:
+    """The rank of the stacked state/input rows ``v`` (as :func:`_stack_all`
+    returns them), whose singular values count above ``RANK_RTOL`` times the
+    largest.  Identification needs rank p+q; a lower rank raises
+    ``ExcitationError`` naming both ranks."""
+    d = v.shape[-1]
     s = np.linalg.svd(v.reshape(-1, d), compute_uv=False)
     rank = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
     if rank < d:
@@ -56,6 +54,13 @@ def _check_rows(v: np.ndarray) -> int:
             f"stacked state/input rows span rank {rank} < {d}; cannot identify a unique model"
         )
     return rank
+
+
+def check_lam(lam) -> float:
+    """``lam`` as a float; ``InputError`` unless it is positive and finite."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise InputError(f"lam must be positive and finite, got {lam}")
+    return float(lam)
 
 
 def _rank_deficient(rmat: np.ndarray) -> np.ndarray:

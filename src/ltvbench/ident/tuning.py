@@ -1,18 +1,20 @@
-"""The method table, ``METHODS``, and the grid search scored by validation rollout loss."""
+"""The method table, ``METHODS``, and the grid search scored by validation
+rollout loss.  A method's hyperparameters are the keyword arguments of its fit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 
 import numpy as np
 
 from ..exceptions import InputError, LtvBenchError, TuningError
 from ..models import LtvModel
-from .cosmic import CosmicConfig, CosmicProblem, cosmic_fit, cosmic_problem
-from .ltvmodels import LtvModelsConfig, ltvmodels_fit
+from .cosmic import CosmicProblem, cosmic_fit, cosmic_problem
+from .ltvmodels import ltvmodels_fit
 from .predict import trajectory_prediction_loss
 from .regression import lti_fit, perstep_ls_fit, trajectories_of
-from .tvera import TveraConfig, tvera_fit
+from .tvera import tvera_fit
 
 
 def _as_is(data):
@@ -24,16 +26,19 @@ def _first(data):
     return data if isinstance(data, CosmicProblem) else trajectories_of(data)[:1]
 
 
-# name -> (training data, set-up its tuning grid shares, fit, config or None)
+# name -> (training data, set-up its tuning grid shares, fit)
 METHODS = {
-    "cosmic": (_as_is, cosmic_problem, cosmic_fit, CosmicConfig),
-    "cosmic-single": (_first, cosmic_problem, cosmic_fit, CosmicConfig),
-    "ltvmodels": (_first, _as_is, ltvmodels_fit, LtvModelsConfig),
-    "tvera": (_as_is, _as_is, tvera_fit, TveraConfig),
-    "perstep": (_as_is, _as_is, perstep_ls_fit, None),
-    "lti": (_as_is, _as_is, lti_fit, None),
+    "cosmic": (_as_is, cosmic_problem, cosmic_fit),
+    "cosmic-single": (_first, cosmic_problem, cosmic_fit),
+    "ltvmodels": (_first, _as_is, ltvmodels_fit),
+    "tvera": (_as_is, _as_is, tvera_fit),
+    "perstep": (_as_is, _as_is, perstep_ls_fit),
+    "lti": (_as_is, _as_is, lti_fit),
 }
-LAMBDA_METHODS = ("cosmic", "cosmic-single", "ltvmodels")   # tuned over lam
+# the methods tuned over lam: those whose fit takes it
+LAMBDA_METHODS = tuple(
+    name for name, (_, _, fit) in METHODS.items() if "lam" in signature(fit).parameters
+)
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 9).tolist())
 
@@ -45,11 +50,12 @@ def _method(name: str) -> tuple:
 
 
 def fit_method(method: str, train_data, params: dict | None = None) -> LtvModel:
-    """Fit ``method`` with the given hyperparameters on its training data out
-    of ``train_data`` (or on :func:`tune`'s set-up); the model is named ``method``."""
-    data, _, fit, config = _method(method)
-    train_data = data(train_data)
-    model = fit(train_data, config(**(params or {}))) if config else fit(train_data)
+    """Fit ``method`` on its training data out of ``train_data`` (or on
+    :func:`tune`'s set-up), with ``params`` as the fit's keyword arguments (a
+    name the fit does not take raises ``TypeError``); the model is named
+    ``method``."""
+    data, _, fit = _method(method)
+    model = fit(data(train_data), **(params or {}))
     model.method = method
     return model
 
@@ -94,7 +100,7 @@ def tune(method: str, grid, train_data, validation_data) -> TuneResult:
     points = _grid_sorted(grid)
     if not points:
         raise InputError("empty hyperparameter grid")
-    data, setup, _, _ = _method(method)
+    data, setup, _ = _method(method)
     val_trajs = trajectories_of(validation_data)
     try:
         shared = setup(data(train_data))

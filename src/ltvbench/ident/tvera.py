@@ -25,8 +25,6 @@ initial-state variation, the forced runs input variation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -40,33 +38,28 @@ from .regression import _stack_all, stacked_lstsq, trajectories_of
 SVD_GAP_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TveraConfig:
-    hankel_rows: int = 3      # s, block rows of the Hankel matrices
-    hankel_cols: int = 3      # r, block columns
-
-    def __post_init__(self):
-        if self.hankel_rows < 2:
-            raise InputError("need at least two Hankel block rows to shift")
-        if self.hankel_cols < 1:
-            raise InputError("need at least one Hankel block column")
-
-
-def tvera_fit(experiments, cfg: TveraConfig = TveraConfig()) -> LtvModel:
+def tvera_fit(experiments, *, hankel_rows: int = 3, hankel_cols: int = 3) -> LtvModel:
     """Realize a time-indexed (A(k), B(k)) sequence from experiment data.
 
     ``experiments`` is a dataset or list of trajectories from repeated runs
-    of the same plant.  Raises ``ExcitationError`` when the experiments are
-    too few or rank-deficient at some step, and ``RealizationError`` when a
-    Hankel spectrum collapses below the state dimension or a frame is
-    singular; each names the first failing step.
+    of the same plant.  The Hankel matrices have ``hankel_rows`` block rows
+    (s, at least two to shift) and ``hankel_cols`` block columns (r, at
+    least one); fewer raise ``InputError``, before the data is read.
+    Raises ``ExcitationError`` when the experiments are too few or
+    rank-deficient at some step, and ``RealizationError`` when a Hankel
+    spectrum collapses below the state dimension or a frame is singular;
+    each names the first failing step.
     """
+    if hankel_rows < 2:
+        raise InputError("need at least two Hankel block rows to shift")
+    if hankel_cols < 1:
+        raise InputError("need at least one Hankel block column")
     trajs = trajectories_of(experiments)
     v, xn = _stack_all(trajs)
     n, ell, _ = v.shape
     p = xn.shape[2]
     q = v.shape[2] - p
-    s, r = cfg.hankel_rows, cfg.hankel_cols
+    s, r = hankel_rows, hankel_cols
     w = s + r - 1
     if r * q < p:
         raise InputError("Hankel columns too few for the state dimension")

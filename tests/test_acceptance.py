@@ -20,8 +20,6 @@ from ltvbench.bench import BenchConfig, run_bench
 from ltvbench.control import CostWeights, default_weights, lqr_ltv
 from ltvbench.dynamics import BUILTIN_SCENARIOS, Trajectory, ground_truth_ltv, scenario
 from ltvbench.ident import (
-    CosmicConfig,
-    LtvModelsConfig,
     cosmic_fit,
     cosmic_objective,
     lti_fit,
@@ -95,7 +93,7 @@ def test_criterion_1_block_solver_oracle_and_scaling():
         for n in (1, 2, 5, 10):
             trajs = random_trajectories(rng, n, count=5)
             lam = 0.8
-            fit = cosmic_fit(trajs, CosmicConfig(lam=lam))
+            fit = cosmic_fit(trajs, lam=lam)
             v, xn = _stack_all(trajs)
             d = 3
             big = np.zeros((n * d, n * d))
@@ -140,7 +138,7 @@ def test_criterion_2_recovery_on_exact_data():
             trajs = model_trajectories(
                 truth, 150, seed=hash(name) % 2**32, input_std=3.0
             )
-            smooth = cosmic_fit(trajs, CosmicConfig(lam=1e-6))
+            smooth = cosmic_fit(trajs, lam=1e-6)
             assert np.max(np.abs(smooth.A - truth.A)) <= 1e-4
             assert np.max(np.abs(smooth.B - truth.B)) <= 1e-4
             perstep = perstep_ls_fit(trajs)
@@ -155,7 +153,7 @@ def test_criterion_3_optimality():
         rng = np.random.default_rng(3)
         trajs = random_trajectories(rng, 6, count=4)
         lam = 0.3
-        fit = cosmic_fit(trajs, CosmicConfig(lam=lam))
+        fit = cosmic_fit(trajs, lam=lam)
         blocks = fit.stacked()
         h = 1e-6
         worst = 0.0
@@ -171,7 +169,7 @@ def test_criterion_3_optimality():
 
         truth = ground_truth_ltv(scenario("ltv"))
         traj = model_trajectories(truth, 1, seed=33, noise=1e-3)[0]
-        solver = ltvmodels_fit(traj, LtvModelsConfig(lam=1.0))
+        solver = ltvmodels_fit(traj, lam=1.0)
         history = np.array(solver.info["objective"])
         assert np.all(np.diff(history) <= 1e-9)
 
@@ -182,11 +180,11 @@ def test_criterion_4_regularization_path():
         trajs = model_trajectories(truth, 8, seed=44, noise=1e-3)
         path = []
         for lam in np.logspace(-4, 4, 9):
-            blocks = cosmic_fit(trajs, CosmicConfig(lam=float(lam))).stacked()
+            blocks = cosmic_fit(trajs, lam=float(lam)).stacked()
             path.append(float(np.sum((blocks[1:] - blocks[:-1]) ** 2)))
         assert all(b <= a * (1 + 1e-9) for a, b in zip(path, path[1:]))
 
-        blocks = cosmic_fit(trajs, CosmicConfig(lam=1e9)).stacked()
+        blocks = cosmic_fit(trajs, lam=1e9).stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-6
         pooled = lti_fit(trajs).stacked()[0]
         assert np.max(np.abs(blocks[0] - pooled)) <= 1e-5

@@ -39,15 +39,14 @@ from ltvbench.exceptions import (
     SynthesisError,
     TuningError,
 )
-from ltvbench.toolchain import OPENBLAS_THREAD_SETTERS, openblas_symbol
+from ltvbench.toolchain import openblas_symbol
 
-# package -> the OpenBLAS symbol that reads its thread count
-BLAS_THREAD_GETTERS = {"numpy": "scipy_openblas_get_num_threads64_"}
+BLAS_THREAD_GETTER = "scipy_openblas_get_num_threads64_"
 
 
-def blas_threads(name, cfg) -> dict:
+def blas_threads(name, cfg) -> int:
     """The thread count of numpy's bundled OpenBLAS in the calling process."""
-    return {package: openblas_symbol(package, getter)() for package, getter in BLAS_THREAD_GETTERS.items()}
+    return openblas_symbol(BLAS_THREAD_GETTER)()
 
 
 SMALL = BenchConfig(
@@ -174,13 +173,10 @@ class TestPredictionBenchmark:
         assert a == b
 
     def test_each_parallel_worker_runs_one_blas_thread(self):
-        getters = [(package, BLAS_THREAD_GETTERS[package]) for package in OPENBLAS_THREAD_SETTERS]
-        if any(openblas_symbol(package, getter) is None for package, getter in getters):
+        if openblas_symbol(BLAS_THREAD_GETTER) is None:
             pytest.skip("no bundled OpenBLAS with a thread count to read")
         cfg = replace(SMALL, scenarios=("ltv", "nl"), jobs=2)
-        assert bench._map_scenarios(blas_threads, cfg) == [
-            {package: 1 for package in OPENBLAS_THREAD_SETTERS}
-        ] * 2
+        assert bench._map_scenarios(blas_threads, cfg) == [1, 1]
 
 
 class TestControlBenchmark:
@@ -257,7 +253,7 @@ class TestLambdaSweep:
             with_feedforward,
         )
         from ltvbench.datagen import Split
-        from ltvbench.ident import CosmicConfig, cosmic_fit, fit_method
+        from ltvbench.ident import cosmic_fit, fit_method
 
         cfg = BenchConfig(scenarios=("ltv",), l_train=6, l_val=3, l_test=3)
         spec, _, splits = _scenario_data("ltv", cfg)
@@ -267,7 +263,7 @@ class TestLambdaSweep:
             sched = with_feedforward(lqr_ltv(model, default_weights()), feedforward(model, ref))
             return _tracking_stats(spec, sched, ref, cfg, "ltv")[2]
 
-        plateau = rmse_for(cosmic_fit(splits[Split.TRAIN], CosmicConfig(lam=1e9)))
+        plateau = rmse_for(cosmic_fit(splits[Split.TRAIN], lam=1e9))
         lti = rmse_for(fit_method("lti", splits[Split.TRAIN]))
         assert plateau == pytest.approx(lti, rel=0.05)
 
@@ -315,6 +311,7 @@ class TestEmit:
             ("lambda_grid", (math.nan,), "lambda values must be positive and finite"),
             ("lambda_grid", (), "lambda values must be positive and finite, got ()"),
             ("master_seed", -1, "master_seed must be a non-negative integer"),
+            ("master_seed", 7.5, "master_seed must be a non-negative integer, got 7.5"),
         ],
     )
     def test_bad_config_rejected_before_any_work(
@@ -493,13 +490,13 @@ class TestPipeline:
         recursions = _count_calls(monkeypatch, bench, "lqr_ltv")
         setups = []
         for method in ("cosmic", "cosmic-single"):
-            data, setup, fit, config = tuning.METHODS[method]
+            data, setup, fit = tuning.METHODS[method]
 
             def counted(train, method=method, setup=setup):
                 setups.append(method)
                 return setup(train)
 
-            monkeypatch.setitem(tuning.METHODS, method, (data, counted, fit, config))
+            monkeypatch.setitem(tuning.METHODS, method, (data, counted, fit))
         tuned_fits = _count_calls(monkeypatch, tuning, "fit_method")
         bench_fits = _count_calls(monkeypatch, bench, "fit_method")
         scored = _count_calls(monkeypatch, bench, "per_trajectory_losses")

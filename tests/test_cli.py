@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import ltvbench
 from ltvbench.bench import BenchConfig
 from ltvbench.cli import build_parser, main
 from ltvbench.datagen import load_dataset
+from ltvbench.ident import METHODS
 from ltvbench.models import load_model
 
 
@@ -407,6 +409,17 @@ def test_size_defaults_come_from_bench_config():
     bn = parse(["bench", "--suite", "control", "--seed", "1", "--out", "b"])
     assert (bn.l_train, bn.l_val, bn.l_test) == (cfg.l_train, cfg.l_val, cfg.l_test)
     assert (bn.noise_var, bn.jobs) == (cfg.noise_var, cfg.jobs)
+
+
+def test_identify_defaults_are_the_fits_keyword_defaults():
+    ident = build_parser().parse_args(["identify", "--method", "cosmic", "--data", "d", "--out", "m"])
+    defaults = {
+        name: param.default
+        for _, _, fit in METHODS.values()
+        for name, param in list(signature(fit).parameters.items())[1:]
+    }
+    assert defaults == {"lam": 1.0, "hankel_rows": 3, "hankel_cols": 3}
+    assert {name: getattr(ident, name) for name in defaults} == defaults
 
 
 def test_module_entry_point_runs_from_a_checkout():

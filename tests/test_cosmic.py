@@ -3,9 +3,8 @@ import pytest
 
 from conftest import model_trajectories
 from ltvbench.dynamics import ground_truth_ltv, scenario
-from ltvbench.exceptions import ExcitationError
+from ltvbench.exceptions import ExcitationError, InputError
 from ltvbench.ident import (
-    CosmicConfig,
     cosmic_fit,
     cosmic_objective,
     lti_fit,
@@ -37,21 +36,21 @@ def dense_normal_solution(trajs, lam):
 class TestCosmicFit:
     def test_recovers_constant_system(self, constant_model):
         trajs = model_trajectories(constant_model, 6, seed=0)
-        fit = cosmic_fit(trajs, CosmicConfig(lam=1.0))
+        fit = cosmic_fit(trajs, lam=1.0)
         assert np.max(np.abs(fit.A - constant_model.A)) <= 1e-6
         assert np.max(np.abs(fit.B - constant_model.B)) <= 1e-6
 
     def test_recovers_time_varying_truth_at_small_lam(self):
         truth = ground_truth_ltv(scenario("ltv"))
         trajs = model_trajectories(truth, 8, seed=1)
-        fit = cosmic_fit(trajs, CosmicConfig(lam=1e-6))
+        fit = cosmic_fit(trajs, lam=1e-6)
         assert np.max(np.abs(fit.A - truth.A)) <= 1e-4
         assert np.max(np.abs(fit.B - truth.B)) <= 1e-4
 
     def test_large_lam_collapses_to_pooled_least_squares(self):
         truth = ground_truth_ltv(scenario("ltv"))
         trajs = model_trajectories(truth, 8, seed=2)
-        fit = cosmic_fit(trajs, CosmicConfig(lam=1e9))
+        fit = cosmic_fit(trajs, lam=1e9)
         blocks = fit.stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-6
         pooled = lti_fit(trajs).stacked()[0]
@@ -63,7 +62,7 @@ class TestCosmicFit:
             type(t)(times=t.times[:4], states=t.states[:4], inputs=t.inputs[:3])
             for t in trajs
         ]
-        fit = cosmic_fit(short, CosmicConfig(lam=0.7))
+        fit = cosmic_fit(short, lam=0.7)
         assert np.max(np.abs(fit.stacked() - dense_normal_solution(short, 0.7))) <= 1e-10
 
     def test_unexcited_data_raises(self):
@@ -73,7 +72,13 @@ class TestCosmicFit:
             times=np.arange(6.0), states=np.zeros((6, 2)), inputs=np.zeros((5, 1))
         )
         with pytest.raises(ExcitationError):
-            cosmic_fit([traj], CosmicConfig(lam=1.0))
+            cosmic_fit([traj], lam=1.0)
+
+    def test_lam_must_be_positive_and_finite(self):
+        # lam is checked before the data, here no trajectory at all
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match=f"^lam must be positive and finite, got {lam}$"):
+                cosmic_fit([], lam=lam)
 
     def test_preconditioning_survives_badly_scaled_channels(self, constant_model):
         # one state channel six orders larger: recovery should still be exact
@@ -82,7 +87,7 @@ class TestCosmicFit:
         B = constant_model.B * scale[None, :, None]
         scaled_model = LtvModel(A=A, B=B, dt=constant_model.dt)
         trajs = model_trajectories(scaled_model, 6, seed=5)
-        fit = cosmic_fit(trajs, CosmicConfig(lam=1e-8))
+        fit = cosmic_fit(trajs, lam=1e-8)
         assert np.max(np.abs(fit.A - scaled_model.A)) <= 1e-6
         assert fit.preconditioning is not None
         assert fit.preconditioning["state_scale"][0] < 1e-4
@@ -113,7 +118,7 @@ class TestCosmicObjective:
             for t in trajs
         ]
         lam = 0.3
-        fit = cosmic_fit(short, CosmicConfig(lam=lam))
+        fit = cosmic_fit(short, lam=lam)
         blocks = fit.stacked()
         h = 1e-6
         worst = 0.0
@@ -132,7 +137,7 @@ class TestCosmicObjective:
         trajs = model_trajectories(truth, 6, seed=9, noise=1e-3)
         path = []
         for lam in np.logspace(-4, 4, 9):
-            blocks = cosmic_fit(trajs, CosmicConfig(lam=float(lam))).stacked()
+            blocks = cosmic_fit(trajs, lam=float(lam)).stacked()
             path.append(float(np.sum((blocks[1:] - blocks[:-1]) ** 2)))
         assert all(b <= a * (1 + 1e-9) for a, b in zip(path, path[1:]))
 

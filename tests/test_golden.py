@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from golden import GOLDEN_ECDFS, GOLDEN_TABLES, check_golden, diff_dirs, main, write_golden
-from ltvbench.toolchain import OPENBLAS_CORENAMES, openblas_core
+from ltvbench import toolchain
 
 TABLE = (
     "scenario,method,mean_loss,std_loss,n_test,best_params,error\n"
@@ -99,11 +99,10 @@ def test_golden_names_another_openblas_core(tmp_path, monkeypatch):
     # the same versions on another core may round differently
     run = fake_run(tmp_path)
     write_golden(run, tmp_path / "golden")
-    cores = {package: openblas_core(package) for package in OPENBLAS_CORENAMES}
-    monkeypatch.setattr("ltvbench.toolchain.openblas_core", lambda package: f"{cores[package]}+other")
+    core = toolchain.openblas_core()
+    monkeypatch.setattr(toolchain, "openblas_core", lambda: f"{core}+other")
     assert check_golden([run], tmp_path / "golden") == [
-        f"toolchain: openblas_core_{package} {core} -> {core}+other"
-        for package, core in cores.items()
+        f"toolchain: openblas_core_numpy {core} -> {core}+other"
     ]
 
 
@@ -125,8 +124,9 @@ def test_golden_names_a_toolchain_key_only_one_side_has(tmp_path):
 
 
 def test_openblas_core_without_its_symbol_is_null(monkeypatch):
-    monkeypatch.setitem(OPENBLAS_CORENAMES, "numpy", "no_such_symbol")
-    assert openblas_core("numpy") is None
+    assert toolchain.openblas_symbol("no_such_symbol") is None
+    monkeypatch.setattr(toolchain, "openblas_symbol", lambda symbol: None)
+    assert toolchain.openblas_core() is None
 
 
 @pytest.mark.parametrize("fault", ["ecdf_nld.csv", "table2.csv", "manifest.json", "seed"])

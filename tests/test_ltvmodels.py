@@ -9,8 +9,7 @@ from ltvbench.datagen import Dataset, Split
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
 import ltvbench.ident.ltvmodels as ltvmodels
 from ltvbench.exceptions import ExcitationError, InputError, NumericalError
-from ltvbench.ident import LtvModelsConfig, lti_fit, ltvmodels_fit
-from ltvbench.ident.ltvmodels import certify
+from ltvbench.ident import lti_fit, ltvmodels_fit
 from ltvbench.models import LtvModel
 
 
@@ -52,7 +51,7 @@ class TestCertificate:
     def test_gap_bounds_the_excess_over_any_perturbation(self, seed, n, p, log_lam):
         lam = 10.0**log_lam
         traj = jumping_trajectory(seed, n, p)
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+        fit = ltvmodels_fit(traj, lam=lam)
         gap = fit.info["gap"]
         assert fit.info["converged"] == (gap <= 1e-8)
         blocks = fit.stacked()
@@ -79,7 +78,8 @@ class TestCertificate:
         rng = np.random.default_rng(seed)
         lam = [1e-3, 1e-1, 10.0][seed % 3]
         start = pooled_blocks(traj) + 0.3 * rng.normal(size=(30, 3, 2))
-        shifted, total, gap = certify(start, v, y, lam)
+        residual = ltvmodels._residual(start, v, y)
+        shifted, total, gap = ltvmodels._certify(start, residual, v, v.T @ v, 2.0 * v.T, lam)
         assert_allclose(np.diff(shifted, axis=0), np.diff(start, axis=0), atol=1e-14)
         residual = np.einsum("ti,tip->tp", v, shifted) - y
         grads = 2.0 * v[:, :, None] * residual[:, None, :]
@@ -101,7 +101,7 @@ class TestNewtonSteps:
         log_lam=st.floats(-4.0, 4.0),
     )
     def test_jumping_fits_converge_within_the_default_cap(self, seed, n, p, log_lam):
-        fit = ltvmodels_fit(jumping_trajectory(seed, n, p), LtvModelsConfig(lam=10.0**log_lam))
+        fit = ltvmodels_fit(jumping_trajectory(seed, n, p), lam=10.0**log_lam)
         assert fit.info["converged"]
         assert fit.info["iterations"] < ltvmodels._MAX_ITER
 
@@ -118,7 +118,7 @@ class TestNewtonSteps:
     def test_iterating_fits_take_few_steps(self, kind, seed, noise, lam, bound):
         truth = ground_truth_ltv(scenario(kind))
         traj = model_trajectories(truth, 1, seed=seed, noise=noise)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+        fit = ltvmodels_fit(traj, lam=lam)
         assert fit.info["converged"]
         assert 0 < fit.info["iterations"] <= bound
 
@@ -134,12 +134,12 @@ class TestScreening:
         lam_max = float(np.sqrt(np.sum(prefix[:-1] ** 2, axis=(1, 2))).max())
 
         for lam in (lam_max, 10.0 * lam_max):
-            fit = ltvmodels_fit(traj, LtvModelsConfig(lam=lam))
+            fit = ltvmodels_fit(traj, lam=lam)
             assert fit.info["iterations"] == 0
             assert fit.info["converged"] and fit.info["gap"] <= 1e-8
             assert_allclose(fit.stacked(), pooled, rtol=1e-9, atol=1e-12)
 
-        below = ltvmodels_fit(traj, LtvModelsConfig(lam=0.99 * lam_max))
+        below = ltvmodels_fit(traj, lam=0.99 * lam_max)
         assert below.info["iterations"] > 0
         assert below.info["converged"]
         blocks = below.stacked()
@@ -152,7 +152,7 @@ class TestScreening:
 class TestLtvModelsFit:
     def test_large_lam_matches_pooled_least_squares(self, constant_model):
         traj = model_trajectories(constant_model, 1, seed=1)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=1e6))
+        fit = ltvmodels_fit(traj, lam=1e6)
         blocks = fit.stacked()
         assert np.max(np.abs(blocks - blocks.mean(axis=0))) <= 1e-4
         pooled = lti_fit([traj]).stacked()[0]
@@ -163,7 +163,7 @@ class TestLtvModelsFit:
         # start certifies and the history is the single start objective.
         truth = ground_truth_ltv(scenario("ltv"))
         traj = model_trajectories(truth, 1, seed=2, noise=1e-3)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=1.0))
+        fit = ltvmodels_fit(traj, lam=1.0)
         assert fit.info["iterations"] == 0
         assert fit.info["converged"] and fit.info["gap"] <= 1e-8
         assert fit.info["objective"] == [pytest.approx(objective(fit.stacked(), traj, 1.0))]
@@ -171,7 +171,7 @@ class TestLtvModelsFit:
     def test_objective_history_is_monotone_while_iterating(self):
         truth = ground_truth_ltv(scenario("ltv"))
         traj = model_trajectories(truth, 1, seed=2, noise=1e-3)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.01))
+        fit = ltvmodels_fit(traj, lam=0.01)
         history = np.array(fit.info["objective"])
         assert len(history) == fit.info["iterations"] + 1 > 3
         assert np.all(np.diff(history) <= 0.0)
@@ -181,14 +181,14 @@ class TestLtvModelsFit:
     def test_objective_of_fit_beats_unsmoothed_start(self):
         truth = ground_truth_ltv(scenario("ltv"))
         traj = model_trajectories(truth, 1, seed=3, noise=1e-3)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.1))
+        fit = ltvmodels_fit(traj, lam=0.1)
         history = fit.info["objective"]
         assert history[-1] < history[0]
 
     def test_detects_piecewise_constant_dynamics(self):
         truth = ground_truth_ltv(scenario("inst-reconfig"))
         traj = model_trajectories(truth, 1, seed=4)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.01))
+        fit = ltvmodels_fit(traj, lam=0.01)
         predicted = rollout_model(fit, traj.states[0], traj.inputs)
         residual = predicted[1:] - traj.states[1:]
         assert np.sqrt(np.mean(np.sum(residual**2, axis=1))) < 0.5
@@ -198,15 +198,15 @@ class TestLtvModelsFit:
         # cap is never reached.
         monkeypatch.setattr(ltvmodels, "_MAX_ITER", 3)
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.5))
+        fit = ltvmodels_fit(traj, lam=0.5)
         assert fit.info["converged"] is True
         assert fit.info["iterations"] == 0
 
     def test_cap_on_an_iterating_fit_reports_its_gap(self, constant_model, monkeypatch):
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
-        full = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
+        full = ltvmodels_fit(traj, lam=0.05)
         monkeypatch.setattr(ltvmodels, "_MAX_ITER", 3)
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05))
+        fit = ltvmodels_fit(traj, lam=0.05)
         assert fit.info["converged"] is False
         assert fit.info["iterations"] == 3
         assert len(fit.info["objective"]) == 4
@@ -220,7 +220,7 @@ class TestLtvModelsFit:
         traj = model_trajectories(constant_model, 1, seed=5, noise=1e-2)[0]
         if max_iter is not None:
             monkeypatch.setattr(ltvmodels, "_MAX_ITER", max_iter)
-        info = ltvmodels_fit(traj, LtvModelsConfig(lam=0.05)).info
+        info = ltvmodels_fit(traj, lam=0.05).info
         assert type(info["converged"]) is bool
         assert info["converged"] is (max_iter is None)
         assert type(info["gap"]) is float
@@ -240,7 +240,7 @@ class TestLtvModelsFit:
             return real(diag, upper)
 
         monkeypatch.setattr(ltvmodels, "factor_block_tridiag", fails_after_five)
-        fit = ltvmodels_fit(traj, LtvModelsConfig(lam=0.01))
+        fit = ltvmodels_fit(traj, lam=0.01)
         assert fit.info["iterations"] == 5
         assert fit.info["converged"] is False and fit.info["gap"] > 1e-8
         assert len(fit.info["objective"]) == 6
@@ -252,8 +252,8 @@ class TestLtvModelsFit:
         for data in (two, Dataset(Split.TRAIN, two, scenario("ltv"))):
             with pytest.raises(InputError, match="ltvmodels fits one trajectory, got 2"):
                 ltvmodels_fit(data)
-        listed = ltvmodels_fit([two[0]], LtvModelsConfig(lam=0.1))
-        alone = ltvmodels_fit(two[0], LtvModelsConfig(lam=0.1))
+        listed = ltvmodels_fit([two[0]], lam=0.1)
+        alone = ltvmodels_fit(two[0], lam=0.1)
         assert listed.stacked().tobytes() == alone.stacked().tobytes()
 
     def test_needs_two_transitions(self):
@@ -268,8 +268,10 @@ class TestLtvModelsFit:
         rng = np.random.default_rng(4)
         traj = Trajectory(times=np.arange(11.0), states=rng.normal(size=(11, 2)), inputs=np.zeros(10))
         with pytest.raises(ExcitationError, match="rank 2 < 3"):
-            ltvmodels_fit(traj, LtvModelsConfig(lam=0.1))
+            ltvmodels_fit(traj, lam=0.1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LtvModelsConfig(lam=0.0)
+        # lam is checked before the data, here no trajectory at all
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match=f"^lam must be positive and finite, got {lam}$"):
+                ltvmodels_fit([], lam=lam)

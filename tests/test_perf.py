@@ -35,8 +35,6 @@ from ltvbench.control import (
 from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
 from ltvbench.dynamics import RK4_SUBSTEPS, _stage_params, ground_truth_ltv, scenario, simulate
 from ltvbench.ident import (
-    LtvModelsConfig,
-    TveraConfig,
     ltvmodels_fit,
     solve_block_tridiag,
     trajectory_prediction_loss,
@@ -98,8 +96,7 @@ def test_long_record_losses(benchmark):
 
 def test_ltvmodels_fit(benchmark):
     traj = model_trajectories(ground_truth_ltv(scenario("ltv")), 1, seed=3, noise=1e-3)[0]
-    cfg = LtvModelsConfig(lam=0.1)
-    fit = benchmark.pedantic(ltvmodels_fit, args=(traj, cfg), **ROUNDS)
+    fit = benchmark.pedantic(ltvmodels_fit, args=(traj,), kwargs={"lam": 0.1}, **ROUNDS)
     assert traj.n_steps == 500
     assert fit.info["iterations"] > 0
     assert fit.info["converged"] and fit.info["gap"] <= 1e-8
@@ -107,7 +104,9 @@ def test_ltvmodels_fit(benchmark):
 
 def test_tvera_fit(benchmark):
     experiments = tvera_experiments(scenario("ltv"), n_free=4, n_forced=10, master_seed=3)
-    fit = benchmark.pedantic(tvera_fit, args=(experiments, TveraConfig(3, 3)), **ROUNDS)
+    fit = benchmark.pedantic(
+        tvera_fit, args=(experiments,), kwargs={"hankel_rows": 3, "hankel_cols": 3}, **ROUNDS
+    )
     assert fit.n_steps == 500
     assert fit.info["n_experiments"] == 14
 

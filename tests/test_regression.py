@@ -10,7 +10,6 @@ from ltvbench.datagen import Dataset, Split, build_dataset, default_excitations,
 from ltvbench.dynamics import Trajectory, scenario
 from ltvbench.exceptions import ExcitationError, InputError, NumericalError
 from ltvbench.ident import (
-    CosmicConfig,
     check_excitation,
     cosmic_fit,
     lti_fit,
@@ -78,11 +77,16 @@ class TestStackRegressors:
             _stack_all(trajs)
 
 
+def stacked_rank(data) -> int:
+    """:func:`check_excitation` on the rows :func:`_stack_all` stacks from ``data``."""
+    return check_excitation(_stack_all(trajectories_of(data))[0])
+
+
 class TestCheckExcitation:
     def test_all_zero_dataset(self):
         traj = tiny_traj(np.zeros((6, 2)), np.zeros((5, 1)))
         with pytest.raises(ExcitationError, match="rank 0 < 3"):
-            check_excitation([traj])
+            stacked_rank([traj])
 
     def test_chirp_dataset_satisfied(self):
         spec = scenario("ltv")
@@ -90,7 +94,7 @@ class TestCheckExcitation:
             spec, default_excitations(spec.horizon), counts=(2, 1, 1),
             noise_var=0.0, master_seed=3,
         )
-        assert check_excitation(splits[Split.TRAIN]) == 3
+        assert stacked_rank(splits[Split.TRAIN]) == 3
         # cross-check with the numpy rank oracle on the same stacked rows
         rows = np.concatenate(
             [
@@ -105,7 +109,7 @@ class TestCheckExcitation:
         states = np.stack([a, 2.0 * a], axis=1)
         traj = tiny_traj(states, np.zeros((6, 1)))
         with pytest.raises(ExcitationError, match="rank 1 < 3"):
-            check_excitation([traj])
+            stacked_rank([traj])
 
     @staticmethod
     def rows_traj(rows, p):
@@ -119,10 +123,10 @@ class TestCheckExcitation:
         rotation, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
         traj = self.rows_traj(np.diag([1.0, 1.0, ratio]) @ rotation, 2)
         if rank == 3:
-            assert check_excitation([traj]) == 3
+            assert stacked_rank([traj]) == 3
         else:
             with pytest.raises(ExcitationError, match=f"rank {rank} < 3"):
-                check_excitation([traj])
+                stacked_rank([traj])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -153,9 +157,9 @@ class TestCheckExcitation:
         traj = self.rows_traj(rows, p)
         if expected < d:
             with pytest.raises(ExcitationError, match=f"rank {expected} < {d}"):
-                check_excitation([traj])
+                stacked_rank([traj])
         else:
-            assert check_excitation([traj]) == expected
+            assert stacked_rank([traj]) == expected
 
 
 class TestPrecondition:
@@ -173,13 +177,13 @@ class TestPrecondition:
     def test_scale_equivariance(self, constant_model):
         # exact data: rescaling channels by S maps the fit to S A S^-1, S_x B S_u^-1
         trajs = model_trajectories(constant_model, 5, seed=2)
-        direct = cosmic_fit(trajs, CosmicConfig(lam=1.0))
+        direct = cosmic_fit(trajs, lam=1.0)
         sx, su = np.array([1e3, 1.0]), 0.25
         scaled = [
             Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs * su)
             for t in trajs
         ]
-        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        fit = cosmic_fit(scaled, lam=1.0)
         mapped_a = fit.A * (sx[None, None, :] / sx[None, :, None])
         mapped_b = fit.B * (su / sx[None, :, None])
         assert np.max(np.abs(mapped_a - direct.A)) <= 1e-8
@@ -217,7 +221,7 @@ class TestPrecondition:
             Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs * su)
             for t in trajs
         ]
-        fit = cosmic_fit(scaled, CosmicConfig(lam=0.7))
+        fit = cosmic_fit(scaled, lam=0.7)
         direct = dense_normal_solution(scaled, 0.7)
         assert np.max(np.abs(fit.stacked() - direct)) <= 1e-8 * np.max(np.abs(direct))
 
@@ -235,7 +239,7 @@ class TestUnscaleModel:
             Trajectory(times=t.times, states=t.states / stds[:2], inputs=t.inputs / stds[2:])
             for t in trajs
         ]
-        fit = cosmic_fit(unit, CosmicConfig(lam=0.7))
+        fit = cosmic_fit(unit, lam=0.7)
         scaling = fit.preconditioning
         assert_allclose(scaling["state_scale"] + scaling["input_scale"], 1.0, rtol=1e-12)
         assert np.max(np.abs(fit.stacked() - dense_normal_solution(unit, 0.7))) <= 1e-10
@@ -251,7 +255,7 @@ class TestUnscaleModel:
             Trajectory(times=t.times, states=t.states * sx, inputs=t.inputs)
             for t in trajs
         ]
-        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        fit = cosmic_fit(scaled, lam=1.0)
         assert np.max(np.abs(fit.A - model.A)) <= 1e-8
         assert_allclose(fit.B, model.B * sx[None, :, None], atol=1e-8)
 
@@ -265,7 +269,7 @@ class TestUnscaleModel:
             Trajectory(times=t.times, states=t.states * 4.0, inputs=t.inputs * 2.0)
             for t in trajs
         ]
-        fit = cosmic_fit(scaled, CosmicConfig(lam=1.0))
+        fit = cosmic_fit(scaled, lam=1.0)
         assert np.max(np.abs(fit.B - 2.0)) <= 1e-8
         assert np.max(np.abs(fit.A - 0.9)) <= 1e-8
 
@@ -310,7 +314,7 @@ class TestPerstepFit:
     def test_matches_cosmic_at_vanishing_lam(self, constant_model):
         trajs = model_trajectories(constant_model, 6, seed=6, noise=1e-4)
         perstep = perstep_ls_fit(trajs)
-        smooth = cosmic_fit(trajs, CosmicConfig(lam=1e-12))
+        smooth = cosmic_fit(trajs, lam=1e-12)
         assert np.max(np.abs(perstep.A - smooth.A)) <= 1e-6
         assert np.max(np.abs(perstep.B - smooth.B)) <= 1e-6
 

@@ -15,8 +15,6 @@ from ltvbench.datagen import Split, tvera_experiments
 from ltvbench.dynamics import Trajectory
 from ltvbench.exceptions import ExcitationError, InputError, LtvBenchError, TuningError
 from ltvbench.ident import (
-    CosmicConfig,
-    LtvModelsConfig,
     cosmic_fit,
     fit_method,
     ltvmodels_fit,
@@ -41,10 +39,22 @@ class TestFitMethod:
         with pytest.raises(ValueError, match=r"unknown method 'nope'; expected one of \("):
             fit_method("nope", trajs)
 
+    @pytest.mark.parametrize("method", list(tuning.METHODS))
+    def test_a_parameter_the_fit_does_not_take_raises(self, constant_model, method):
+        # perstep and lti take none: a lam is refused, not ignored
+        trajs = model_trajectories(constant_model, 8, seed=0, noise=1e-4)
+        name = "nope" if method in tuning.LAMBDA_METHODS else "lam"
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            fit_method(method, trajs, {name: 1.0})
+
+    def test_lambda_methods_are_the_fits_taking_lam(self):
+        # the copy benchmarks/workloads.py keeps
+        assert tuning.LAMBDA_METHODS == ("cosmic", "cosmic-single", "ltvmodels")
+
     def test_cosmic_single_is_cosmic_on_the_first_trajectory(self, constant_model):
         trajs = model_trajectories(constant_model, 4, seed=4, noise=1e-3)
         single = fit_method("cosmic-single", trajs, {"lam": 0.1})
-        first_only = cosmic_fit(trajs[:1], CosmicConfig(lam=0.1))
+        first_only = cosmic_fit(trajs[:1], lam=0.1)
         assert (single.method, first_only.method) == ("cosmic-single", "cosmic")
         assert single.stacked().tobytes() == first_only.stacked().tobytes()
         assert single.hyperparams == first_only.hyperparams
@@ -56,7 +66,7 @@ class TestFitMethod:
     def test_ltvmodels_fits_the_first_trajectory(self, constant_model):
         two = model_trajectories(constant_model, 2, seed=5, noise=1e-3)
         table = fit_method("ltvmodels", two, {"lam": 0.1})
-        alone = ltvmodels_fit(two[0], LtvModelsConfig(lam=0.1))
+        alone = ltvmodels_fit(two[0], lam=0.1)
         assert table.stacked().tobytes() == alone.stacked().tobytes()
         assert (table.method, table.hyperparams) == (alone.method, alone.hyperparams)
         assert table.info == alone.info
@@ -285,14 +295,14 @@ class TestSharedSetUp:
         grid = method_grid(method, TestGridScoring.CFG)
         if method in tuning.LAMBDA_METHODS:
             grid += ({"lam": 1e-1},)   # a repeated lam sees the same set-up
-        data, setup, fit, config = tuning.METHODS[method]
+        data, setup, fit = tuning.METHODS[method]
         setups = []
 
         def recorded(train_data):
             setups.append(setup(train_data))
             return setups[-1]
 
-        monkeypatch.setitem(tuning.METHODS, method, (data, recorded, fit, config))
+        monkeypatch.setitem(tuning.METHODS, method, (data, recorded, fit))
         result = tune(method, grid, train, val)
         assert len(setups) == 1 and len(result.rows) == len(grid)
         assert sum(row.model is not None for row in result.rows) >= min(len(grid), 2)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import model_trajectories, rollout_model
 from ltvbench.datagen import tvera_experiments
 from ltvbench.dynamics import Trajectory, ground_truth_ltv, scenario
-from ltvbench.exceptions import ExcitationError, RealizationError
-from ltvbench.ident import TveraConfig, per_trajectory_losses, tvera_fit
+from ltvbench.exceptions import ExcitationError, InputError, RealizationError
+from ltvbench.ident import per_trajectory_losses, tvera_fit
 from ltvbench.ident.tvera import SVD_GAP_RTOL
 from ltvbench.models import LtvModel
 
@@ -31,13 +31,13 @@ def exact_experiments(model, n_free=4, n_forced=10, seed=0):
 class TestTveraExact:
     def test_realization_matches_truth_on_exact_data(self):
         truth = ground_truth_ltv(scenario("ltv"))
-        fit = tvera_fit(exact_experiments(truth), TveraConfig())
+        fit = tvera_fit(exact_experiments(truth))
         assert np.max(np.abs(fit.A - truth.A)) <= 1e-6
         assert np.max(np.abs(fit.B - truth.B)) <= 1e-6
 
     def test_rollouts_match_fresh_trajectories(self):
         truth = ground_truth_ltv(scenario("mixed-reconfig"))
-        fit = tvera_fit(exact_experiments(truth, seed=1), TveraConfig())
+        fit = tvera_fit(exact_experiments(truth, seed=1))
         tests = model_trajectories(truth, 3, seed=2)
         losses = per_trajectory_losses(fit, tests)
         assert np.max(losses) <= 1e-4
@@ -61,12 +61,18 @@ class TestTveraExact:
 
 
 class TestTveraErrors:
+    def test_hankel_shape_is_checked_before_the_data(self):
+        with pytest.raises(InputError, match="^need at least two Hankel block rows to shift$"):
+            tvera_fit([], hankel_rows=1)
+        with pytest.raises(InputError, match="^need at least one Hankel block column$"):
+            tvera_fit([], hankel_cols=0)
+
     def test_insufficient_experiments(self):
         # a 3x3 window needs p + 5q = 7 experiments
         truth = ground_truth_ltv(scenario("ltv"))
         trajs = exact_experiments(truth, n_free=2, n_forced=3)
         with pytest.raises(ExcitationError, match="needs at least 7 experiments, got 5"):
-            tvera_fit(trajs, TveraConfig())
+            tvera_fit(trajs)
 
     def test_collapsed_hankel_spectrum(self):
         # zero input map: the Hankel matrices vanish identically
@@ -75,14 +81,14 @@ class TestTveraErrors:
         )
         trajs = exact_experiments(dead, n_free=6, n_forced=8, seed=3)
         with pytest.raises(RealizationError, match="at step 5 collapses"):
-            tvera_fit(trajs, TveraConfig())
+            tvera_fit(trajs)
 
 
 class TestTveraNoisy:
     def test_still_produces_bounded_rollouts(self):
         spec = scenario("ltv")
         experiments = tvera_experiments(spec, n_free=4, n_forced=10, noise_var=1e-6, master_seed=3)
-        fit = tvera_fit(experiments, TveraConfig())
+        fit = tvera_fit(experiments)
         truth = ground_truth_ltv(spec)
         tests = model_trajectories(truth, 4, seed=4)
         losses = per_trajectory_losses(fit, tests)
@@ -153,7 +159,7 @@ def oracle_cases(draw):
     n = draw(st.integers(w + s, w + s + 20))
     model = random_ltv(p, q, n, draw(st.integers(0, 2**16)))
     trajs = exact_experiments(model, n_free=p + 2, n_forced=w * q + 2, seed=draw(st.integers(0, 99)))
-    return model, trajs, TveraConfig(s, r)
+    return model, trajs, (s, r)
 
 
 # Tolerances stated for the oracle checks: the batched fit solves every step by
@@ -168,9 +174,9 @@ class TestBatchedMatchesLoop:
     @settings(max_examples=40, deadline=None)
     @given(case=oracle_cases())
     def test_exact_data(self, case):
-        model, trajs, cfg = case
-        fit = tvera_fit(trajs, cfg)
-        A, B = loop_tvera(trajs, cfg.hankel_rows, cfg.hankel_cols)
+        model, trajs, (s, r) = case
+        fit = tvera_fit(trajs, hankel_rows=s, hankel_cols=r)
+        A, B = loop_tvera(trajs, s, r)
         scale = 1.0 + max(np.max(np.abs(A)), np.max(np.abs(B)))
         assert np.max(np.abs(fit.A - A)) <= EXACT_RTOL * scale
         assert np.max(np.abs(fit.B - B)) <= EXACT_RTOL * scale
@@ -178,15 +184,15 @@ class TestBatchedMatchesLoop:
     @settings(max_examples=40, deadline=None)
     @given(case=oracle_cases(), noise_seed=st.integers(0, 99))
     def test_noisy_rollout_losses(self, case, noise_seed):
-        model, trajs, cfg = case
+        model, trajs, (s, r) = case
         rng = np.random.default_rng(noise_seed)
         noisy = [
             Trajectory(t.times, t.states + rng.normal(0.0, 1e-3, t.states.shape), t.inputs)
             for t in trajs
         ]
         tests = model_trajectories(model, 3, seed=noise_seed)
-        fit = tvera_fit(noisy, cfg)
-        A, B = loop_tvera(noisy, cfg.hankel_rows, cfg.hankel_cols)
+        fit = tvera_fit(noisy, hankel_rows=s, hankel_cols=r)
+        A, B = loop_tvera(noisy, s, r)
         loop = LtvModel(A=A, B=B, dt=model.dt)
         expected = per_trajectory_losses(loop, tests)
         got = per_trajectory_losses(fit, tests)
@@ -202,7 +208,7 @@ class TestStepNamedErrors:
         for traj in trajs:
             traj.inputs[20] = 0.0
         with pytest.raises(ExcitationError, match="^rank-deficient regressors for Markov window at step 21$"):
-            tvera_fit(trajs, TveraConfig())
+            tvera_fit(trajs)
 
     def test_collapsed_hankel_names_first_step(self):
         # B(k) = 0 for k in 20..39: the Hankel columns at step k are built
@@ -212,7 +218,7 @@ class TestStepNamedErrors:
         model.B[20:40] = 0.0
         trajs = exact_experiments(model, seed=5)
         with pytest.raises(RealizationError, match="^Hankel spectrum at step 22 collapses"):
-            tvera_fit(trajs, TveraConfig())
+            tvera_fit(trajs)
 
     def test_singular_frame_names_its_step(self):
         # x(k) = C(k) [u(k-3), u(k-2), u(k-1)]: at k = 20 both states see
@@ -231,4 +237,4 @@ class TestStepNamedErrors:
                 states[k] = coefs[k] @ inputs[k - 3 : k, 0]
             trajs.append(Trajectory(np.arange(n + 1) * 0.1, states, inputs))
         with pytest.raises(RealizationError, match="^rank-deficient regressors for frame at step 20$"):
-            tvera_fit(trajs, TveraConfig(2, 2))
+            tvera_fit(trajs, hankel_rows=2, hankel_cols=2)
