@@ -12,7 +12,7 @@ import math
 import numbers
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -377,10 +377,7 @@ def write_prediction_csv(rows: list, path) -> None:
     write_table(
         path,
         ["scenario", "method", "mean_loss", "std_loss", "n_test", "best_params", "error"],
-        [
-            (r.scenario, r.method, r.mean, r.std, r.n_test, r.best_params, r.error)
-            for r in rows
-        ],
+        map(astuple, rows),
     )
 
 
@@ -388,10 +385,7 @@ def write_tracking_csv(rows: list, path) -> None:
     write_table(
         path,
         ["scenario", "controller", "mean", "std", "rmse", "unstable", "error"],
-        [
-            (r.scenario, r.controller, r.mean, r.std, r.rmse, r.unstable, r.error)
-            for r in rows
-        ],
+        map(astuple, rows),
     )
 
 
@@ -409,7 +403,7 @@ def write_lambda_csv(rows, path) -> None:
     write_table(
         path,
         ["lambda", "fidelity", "smoothness", "tracking_rmse", "unstable"],
-        [(r.lam, r.fidelity, r.smoothness, r.tracking_rmse, r.unstable) for r in rows],
+        map(astuple, rows),
     )
 
 
@@ -417,20 +411,23 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
     """Run one benchmark suite and write its CSV artifacts plus a manifest:
     ``prediction`` writes ``table1.csv``, ``control`` ``table2.csv``, and
     ``all`` both, one ECDF file per scenario and ``lambda_sweep.csv``.  The
-    suite, ``cfg.jobs``, ``cfg.master_seed``, ``cfg.lambda_grid`` and the
-    scenario names (at least one) are checked, and the names canonicalized,
-    before any work; a bad one raises ``InputError``.  The manifest records
-    the config, the version, the files and the
-    :func:`~ltvbench.toolchain.toolchain` that wrote them.
+    suite, ``cfg.jobs``, ``cfg.master_seed``, ``cfg.initial_conditions``,
+    ``cfg.lambda_grid`` and the scenario names (at least one) are checked,
+    and the names canonicalized, before any work; a bad one raises
+    ``InputError``.  The manifest records the config and the files
+    (:func:`write_manifest`).
 
     Returns the list of files written (relative names).
     """
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if cfg.jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {cfg.jobs}")
+    if not isinstance(cfg.jobs, numbers.Integral) or cfg.jobs < 1:
+        raise InputError(f"jobs must be at least 1 and an integer, got {cfg.jobs}")
     if not isinstance(cfg.master_seed, numbers.Integral) or cfg.master_seed < 0:
         raise InputError(f"master_seed must be a non-negative integer, got {cfg.master_seed}")
+    x0s = cfg.initial_conditions
+    if not x0s or not all(np.shape(x0) == (2,) and np.isfinite(x0).all() for x0 in x0s):
+        raise InputError(f"initial_conditions must be one or more finite pairs, got {x0s}")
     check_lambda_grid(cfg.lambda_grid)
     cfg = replace(cfg, scenarios=scenario_names(cfg.scenarios))
     results = _map_scenarios(partial(_scenario_results, suite), cfg)
@@ -449,11 +446,13 @@ def run_bench(suite: str, cfg: BenchConfig, out_dir) -> list:
             write_ecdf_csv(result["ecdf"], out_dir / written[-1])
         write_lambda_csv(results[0]["sweep"], out_dir / "lambda_sweep.csv")
         written.append("lambda_sweep.csv")
-    write_json(
-        out_dir / "manifest.json",
-        {
-            "suite": suite, "config": asdict(cfg), "version": __version__, "files": written,
-            "toolchain": toolchain(),
-        },
+    write_manifest(
+        out_dir / "manifest.json", {"suite": suite, "config": asdict(cfg), "files": written}
     )
     return written
+
+
+def write_manifest(path, record: dict) -> None:
+    """Write a run's manifest: ``record`` with the version and the
+    :func:`~ltvbench.toolchain.toolchain` that wrote the run's files."""
+    write_json(path, {**record, "version": __version__, "toolchain": toolchain()})

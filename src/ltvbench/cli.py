@@ -1,13 +1,15 @@
 """Command-line entry point wiring the modules into reproducible workflows.
 
 Subcommands: simulate, dataset, identify, tune, control, bench.  Every
-stochastic subcommand requires --seed and writes a manifest next to its
-artifacts so any output can be regenerated bit-exactly.
+stochastic subcommand requires --seed and writes a manifest (with the
+toolchain) next to its artifacts so any output can be regenerated
+bit-exactly.  A hyperparameter option left out takes the fit's default; one
+the method's fit does not take (``tune --grid`` sets ``lam``) is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error: an ``LtvBenchError``
 (an unusable argument or file, or a failure the benchmark expects; see
 :mod:`ltvbench.exceptions`) or an ``OSError``, with a diagnostic naming the
-failing stage.  Any other exception is a bug and propagates with its
+failing command.  Any other exception is a bug and propagates with its
 traceback.
 """
 
@@ -21,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import SUITES, BenchConfig, check_lambda_grid, method_grid, run_bench, scenario_names
+from .bench import (
+    SUITES, BenchConfig, check_lambda_grid, method_grid, run_bench, scenario_names, write_manifest,
+)
 from .control import (
     ReferenceSpec,
     closed_loop,
@@ -44,8 +48,8 @@ from .datagen import (
 )
 from .dynamics import BUILTIN_SCENARIOS, ground_truth_ltv, load_scenario, scenario, simulate
 from .exceptions import InputError, LtvBenchError
-from .files import field_errors, read_json, write_json, write_table
-from .ident import LAMBDA_METHODS, METHODS, fit_method, tune
+from .files import field_errors, read_json, write_table
+from .ident import METHODS, fit_method, tune
 from .models import load_model, save_model
 
 
@@ -71,14 +75,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _parse_x0(text: str) -> np.ndarray:
+def _parse_x0(text: str) -> list:
+    """The numbers of ``text``; the rollout checks that they are two and finite."""
     try:
-        values = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"cannot parse initial state {text!r}; expected 'z,zdot'") from None
-    if len(values) != 2:
-        raise InputError(f"initial state needs two components, got {len(values)}")
-    return np.array(values)
 
 
 def _parse_lams(text: str) -> tuple:
@@ -94,11 +96,24 @@ def _parse_lams(text: str) -> tuple:
     return lams
 
 
-def _write_manifest(path: Path, command: str, options: dict) -> None:
-    options = {
-        k: v for k, v in options.items() if k not in ("func", "stage") and not callable(v)
-    }
-    write_json(path, {"command": command, "options": options, "version": __version__})
+def _write_manifest(path: Path, args) -> None:
+    options = {k: v for k, v in vars(args).items() if not callable(v)}
+    write_manifest(path, {"command": args.command, "options": options})
+
+
+# identify's hyperparameter options: option -> (keyword argument of a fit, type)
+_FIT_OPTIONS = {
+    "--lambda": ("lam", float),
+    "--hankel-rows": ("hankel_rows", int),
+    "--hankel-cols": ("hankel_cols", int),
+}
+
+
+def _given_fit_options(args) -> dict:
+    """Option -> keyword argument of the method's fit, for each option given."""
+    if args.command == "tune":
+        return {} if args.grid is None else {"--grid": "lam"}
+    return {option: name for option, (name, _) in _FIT_OPTIONS.items() if hasattr(args, name)}
 
 
 def _manifest_for_file(out: Path) -> Path:
@@ -117,7 +132,7 @@ def _cmd_simulate(args) -> int:
     traj = simulate(spec, _parse_x0(args.x0), inputs, seed=args.seed)
     out = Path(args.out)
     save_trajectory_csv(traj, out)
-    _write_manifest(_manifest_for_file(out), "simulate", vars(args))
+    _write_manifest(_manifest_for_file(out), args)
     print(f"wrote {out}")
     return 0
 
@@ -134,7 +149,7 @@ def _cmd_dataset(args) -> int:
             master_seed=args.seed,
         )
         save_dataset(ds, out)
-        _write_manifest(out / "run_manifest.json", "dataset", vars(args))
+        _write_manifest(out / "run_manifest.json", args)
         print(f"wrote {len(ds)} experiment trajectories to {out}")
         return 0
     splits = build_dataset(
@@ -147,7 +162,7 @@ def _cmd_dataset(args) -> int:
     )
     for split, ds in splits.items():
         save_dataset(ds, out / split.value)
-    _write_manifest(out / "run_manifest.json", "dataset", vars(args))
+    _write_manifest(out / "run_manifest.json", args)
     total = sum(len(ds) for ds in splits.values())
     print(f"wrote {total} trajectories to {out}")
     return 0
@@ -155,12 +170,11 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_identify(args) -> int:
     ds = load_dataset(args.data)
-    fit = METHODS[args.method][2]   # its keyword arguments are options of identify
-    params = {name: getattr(args, name) for name in list(signature(fit).parameters)[1:]}
+    params = {name: getattr(args, name) for name in _given_fit_options(args).values()}
     model = fit_method(args.method, ds, params)
     out = Path(args.out)
     save_model(model, out)
-    _write_manifest(_manifest_for_file(out), "identify", vars(args))
+    _write_manifest(_manifest_for_file(out), args)
     print(f"wrote {args.method} model ({model.n_steps} steps) to {out}")
     return 0
 
@@ -178,7 +192,7 @@ def _cmd_tune(args) -> int:
         ["params", "loss", "error"],
         [(row.params, row.loss, row.error) for row in result.rows],
     )
-    _write_manifest(_manifest_for_file(out), "tune", vars(args))
+    _write_manifest(_manifest_for_file(out), args)
     print(
         f"best {args.method} params {result.best_params} "
         f"(validation loss {result.best_loss:.6g}); wrote {out}"
@@ -208,7 +222,7 @@ def _cmd_control(args) -> int:
     save_trajectory_csv(traj, out)
     if args.gains_out:
         save_gains(sched, args.gains_out)
-    _write_manifest(_manifest_for_file(out), "control", vars(args))
+    _write_manifest(_manifest_for_file(out), args)
     print(f"wrote closed-loop trajectory to {out}")
     return 0
 
@@ -237,23 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="open-loop simulation of a scenario")
+    # options shared by several commands, each declared once
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, required=True)
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--l-train", type=int, default=defaults.l_train)
+    sizes.add_argument("--l-val", type=int, default=defaults.l_val)
+    sizes.add_argument("--l-test", type=int, default=defaults.l_test)
+    sizes.add_argument("--noise-var", type=float, default=defaults.noise_var)
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", required=True, choices=METHODS)
+
+    sim = sub.add_parser("simulate", parents=[seed], help="open-loop simulation of a scenario")
     sim.add_argument("--scenario", required=True, help="built-in name or spec file")
     sim.add_argument("--x0", default="0,0", help="initial state 'z,zdot'")
     sim.add_argument("--input", choices=("zero", "chirp"), default="zero")
-    sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--out", required=True, help="output trajectory CSV")
-    sim.set_defaults(func=_cmd_simulate, stage="simulate")
+    sim.set_defaults(func=_cmd_simulate)
 
-    ds = sub.add_parser("dataset", help="generate train/validation/test datasets")
+    ds = sub.add_parser("dataset", parents=[seed, sizes], help="generate train/val/test datasets")
     ds.add_argument("--scenario", required=True)
-    ds.add_argument("--seed", type=_seed, required=True)
     ds.add_argument("--out", required=True, help="output directory")
-    ds.add_argument("--l-train", type=int, default=defaults.l_train)
-    ds.add_argument("--l-val", type=int, default=defaults.l_val)
-    ds.add_argument("--l-test", type=int, default=defaults.l_test)
     ds.add_argument("--n-free", type=int, default=defaults.n_free)
-    ds.add_argument("--noise-var", type=float, default=defaults.noise_var)
     ds.add_argument("--input-noise-var", type=float, default=defaults.input_noise_var)
     ds.add_argument(
         "--experiments",
@@ -262,55 +281,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ds.add_argument("--n-free-experiments", type=int, default=defaults.tvera_free)
     ds.add_argument("--n-forced-experiments", type=int, default=defaults.tvera_forced)
-    ds.set_defaults(func=_cmd_dataset, stage="dataset")
+    ds.set_defaults(func=_cmd_dataset)
 
-    ident = sub.add_parser("identify", help="fit one model to a dataset directory")
-    ident.add_argument(
-        "--method",
-        required=True,
-        choices=METHODS,
-    )
-    ident.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ident.add_argument("--hankel-rows", type=int, default=3)
-    ident.add_argument("--hankel-cols", type=int, default=3)
+    ident = sub.add_parser("identify", parents=[method], help="fit one model to a dataset")
+    for option, (name, kind) in _FIT_OPTIONS.items():   # absent unless given
+        ident.add_argument(option, dest=name, type=kind, default=argparse.SUPPRESS)
     ident.add_argument("--data", required=True, help="dataset directory")
     ident.add_argument("--out", required=True, help="output model file")
-    ident.set_defaults(func=_cmd_identify, stage="identify")
+    ident.set_defaults(func=_cmd_identify)
 
-    tn = sub.add_parser("tune", help="grid-search hyperparameters on validation loss")
-    tn.add_argument(
-        "--method",
-        required=True,
-        choices=METHODS,
-    )
+    tn = sub.add_parser("tune", parents=[method], help="grid-search on validation loss")
     tn.add_argument("--grid", help="comma-separated lambda values (default: built-in grid)")
     tn.add_argument("--train", required=True, help="training dataset directory")
     tn.add_argument("--validation", required=True, help="validation dataset directory")
     tn.add_argument("--out", required=True, help="output model file")
-    tn.set_defaults(func=_cmd_tune, stage="tune")
+    tn.set_defaults(func=_cmd_tune)
 
-    ctl = sub.add_parser("control", help="synthesize gains and track the reference")
+    ctl = sub.add_parser("control", parents=[seed], help="synthesize gains, track the reference")
     ctl.add_argument("--model", required=True, help="model file or 'linearization'")
     ctl.add_argument("--scenario", required=True)
     ctl.add_argument("--ref", help="reference spec JSON (default: alternating setpoints)")
     ctl.add_argument("--x0", default="0,0")
-    ctl.add_argument("--seed", type=_seed, required=True)
     ctl.add_argument("--out", required=True, help="output trajectory CSV")
     ctl.add_argument("--gains-out", help="also persist the gain schedule")
-    ctl.set_defaults(func=_cmd_control, stage="control")
+    ctl.set_defaults(func=_cmd_control)
 
-    bn = sub.add_parser("bench", help="run a benchmark suite")
+    bn = sub.add_parser("bench", parents=[seed, sizes], help="run a benchmark suite")
     bn.add_argument("--suite", required=True, choices=SUITES)
-    bn.add_argument("--seed", type=_seed, required=True)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
-    bn.add_argument("--l-train", type=int, default=defaults.l_train)
-    bn.add_argument("--l-val", type=int, default=defaults.l_val)
-    bn.add_argument("--l-test", type=int, default=defaults.l_test)
-    bn.add_argument("--noise-var", type=float, default=defaults.noise_var)
     bn.add_argument("--lambda-grid", help="comma-separated lambda grid override")
     bn.add_argument("--jobs", type=int, default=defaults.jobs, help="parallel scenario workers")
-    bn.set_defaults(func=_cmd_bench, stage="bench")
+    bn.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -319,8 +321,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "tune" and args.grid is not None and args.method not in LAMBDA_METHODS:
-            parser.error(f"tune --grid sets lambda, which method {args.method!r} does not take")
+        if args.command in ("identify", "tune"):
+            taken = signature(METHODS[args.method][2]).parameters
+            for option, name in _given_fit_options(args).items():
+                if name not in taken:
+                    parser.error(f"argument {option}: method {args.method!r} does not take {name}")
         if args.command == "bench" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         if args.command == "bench" and args.scenarios is not None:
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (LtvBenchError, OSError) as exc:
-        print(f"ltvbench {args.stage}: error: {exc}", file=sys.stderr)
+        print(f"ltvbench {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

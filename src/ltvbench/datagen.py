@@ -11,6 +11,7 @@ substreams, so adding trajectories never perturbs existing ones.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -88,7 +89,7 @@ def chirp(ex: ExcitationSpec, t, rng: np.random.Generator | None = None) -> np.n
     return u
 
 
-@dataclass(eq=False)
+@dataclass
 class Dataset:
     """A labeled collection of trajectories from one scenario."""
 
@@ -106,20 +107,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.trajectories)
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.split == other.split
-            and self.scenario == other.scenario
-            and self.excitation == other.excitation
-            and self.noise_var == other.noise_var
-            and tuple(self.labels) == tuple(other.labels)
-            and self.master_seed == other.master_seed
-            and len(self.trajectories) == len(other.trajectories)
-            and all(a == b for a, b in zip(self.trajectories, other.trajectories))
-        )
 
 
 def substream_seed(*keys: int) -> int:
@@ -215,9 +202,12 @@ def build_dataset(
     split should sweep a distinct frequency band).  Training states carry
     additive measurement noise of variance ``noise_var``; validation and test
     are exact and get ``n_free`` extra free-response trajectories each.
-    Counts below one, a negative ``n_free``, a negative or non-finite
-    ``noise_var`` and splits that share a band raise ``InputError``.
+    Counts that are not integers or below one, an ``n_free`` that is not an
+    integer or negative, a negative or non-finite ``noise_var`` and splits
+    that share a band raise ``InputError``.
     """
+    if not all(isinstance(c, numbers.Integral) for c in (*counts, n_free)):
+        raise InputError(f"trajectory counts must be integers, got {counts} and n_free={n_free}")
     if any(c < 1 for c in counts):
         raise InputError("each split needs at least one trajectory")
     if n_free < 0:
@@ -258,11 +248,14 @@ def tvera_experiments(
 
     Free runs start from random nonzero states with zero input; forced runs
     start at rest and receive unit-variance white-noise inputs.  States carry
-    training measurement noise.  A negative count, no experiment at all and
-    a negative or non-finite ``noise_var`` raise ``InputError``.
+    training measurement noise.  A count that is not an integer or negative,
+    no experiment at all and a negative or non-finite ``noise_var`` raise
+    ``InputError``.
     """
-    if n_free < 0 or n_forced < 0:
-        raise InputError(f"experiment counts must be >= 0, got {n_free} free and {n_forced} forced")
+    if not all(isinstance(c, numbers.Integral) and c >= 0 for c in (n_free, n_forced)):
+        raise InputError(
+            f"experiment counts must be >= 0 integers, got {n_free} free and {n_forced} forced"
+        )
     if n_free + n_forced == 0:
         raise InputError("the experiment set needs at least one trajectory")
     _check_noise_var(noise_var)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pickle
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -312,6 +313,10 @@ class TestEmit:
             ("lambda_grid", (), "lambda values must be positive and finite, got ()"),
             ("master_seed", -1, "master_seed must be a non-negative integer"),
             ("master_seed", 7.5, "master_seed must be a non-negative integer, got 7.5"),
+            ("jobs", 1.5, "jobs must be at least 1 and an integer, got 1.5"),
+            ("initial_conditions", (), "initial_conditions must be one or more finite pairs"),
+            ("initial_conditions", ((1.0,),), "finite pairs, got ((1.0,),)"),
+            ("initial_conditions", ((1.0, 0.0), (math.nan, 0.0)), "got ((1.0, 0.0), (nan, 0.0))"),
         ],
     )
     def test_bad_config_rejected_before_any_work(
@@ -319,7 +324,7 @@ class TestEmit:
     ):
         built = []
         monkeypatch.setattr(bench, "_scenario_data", lambda *args: built.append(args))
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=re.escape(message)):
             run_bench("prediction", replace(SMALL, **{field: value}), tmp_path / "out")
         assert not built and not (tmp_path / "out").exists()
 

@@ -15,6 +15,7 @@ from ltvbench.cli import build_parser, main
 from ltvbench.datagen import load_dataset
 from ltvbench.ident import METHODS
 from ltvbench.models import load_model
+from ltvbench.toolchain import toolchain
 
 
 def run(*argv):
@@ -411,15 +412,76 @@ def test_size_defaults_come_from_bench_config():
     assert (bn.noise_var, bn.jobs) == (cfg.noise_var, cfg.jobs)
 
 
-def test_identify_defaults_are_the_fits_keyword_defaults():
-    ident = build_parser().parse_args(["identify", "--method", "cosmic", "--data", "d", "--out", "m"])
-    defaults = {
-        name: param.default
-        for _, _, fit in METHODS.values()
-        for name, param in list(signature(fit).parameters.items())[1:]
-    }
-    assert defaults == {"lam": 1.0, "hankel_rows": 3, "hankel_cols": 3}
-    assert {name: getattr(ident, name) for name in defaults} == defaults
+# identify's hyperparameter options, by the keyword argument each sets
+FIT_OPTIONS = {"lam": "--lambda", "hankel_rows": "--hankel-rows", "hankel_cols": "--hankel-cols"}
+
+
+def test_identify_without_options_takes_the_fits_defaults(tmp_path):
+    # the CLI states no default of its own: a left-out option is not passed
+    run(*dataset_args(tmp_path / "d"))
+    run(
+        "dataset", "--scenario", "ltv", "--seed", "3", "--out", str(tmp_path / "e"),
+        "--experiments", "--n-free-experiments", "2", "--n-forced-experiments", "6",
+    )
+    for method, (_, _, fit) in METHODS.items():
+        data = str(tmp_path / ("e" if method == "tvera" else "d/train"))
+        defaults = {name: p.default for name, p in list(signature(fit).parameters.items())[1:]}
+        explicit = [arg for name, v in defaults.items() for arg in (FIT_OPTIONS[name], str(v))]
+        left_out, given = tmp_path / f"{method}-0.json", tmp_path / f"{method}-1.json"
+        assert run("identify", "--method", method, "--data", data, "--out", str(left_out)) == 0
+        assert run(
+            "identify", "--method", method, *explicit, "--data", data, "--out", str(given)
+        ) == 0
+        assert left_out.read_bytes() == given.read_bytes(), method
+        options = [
+            json.loads(Path(f"{out}.manifest.json").read_text())["options"]
+            for out in (left_out, given)
+        ]
+        assert not set(FIT_OPTIONS) & set(options[0])
+        assert {k: v for k, v in options[1].items() if k in FIT_OPTIONS} == defaults
+
+
+@pytest.mark.parametrize(
+    "method, option",
+    [
+        (method, option)
+        for method, takes in {
+            "cosmic": ("--lambda",), "cosmic-single": ("--lambda",), "ltvmodels": ("--lambda",),
+            "tvera": ("--hankel-rows", "--hankel-cols"), "perstep": (), "lti": (),
+        }.items()
+        for option in FIT_OPTIONS.values()
+        if option not in takes
+    ],
+)
+def test_identify_option_the_fit_does_not_take_is_a_usage_error(tmp_path, capsys, method, option):
+    # it was once ignored: exit 0, and a manifest recording a value nothing used
+    out = tmp_path / "m.json"
+    data = str(tmp_path / "d")
+    code = run("identify", "--method", method, option, "5", "--data", data, "--out", str(out))
+    assert code == 1
+    assert f"error: argument {option}: method {method!r} does not take" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "dataset", "identify", "tune", "control"])
+def test_cli_manifest_records_the_toolchain(tmp_path, command):
+    run(*dataset_args(tmp_path / "d"))
+    out = tmp_path / "o.json"
+    args = {
+        "simulate": ("--scenario", "ltv", "--seed", "1"),
+        "dataset": ("--scenario", "ltv", "--seed", "1", "--l-train", "2", "--l-val", "1",
+                    "--l-test", "1"),
+        "identify": ("--method", "perstep", "--data", str(tmp_path / "d" / "train")),
+        "tune": ("--method", "lti", "--train", str(tmp_path / "d" / "train"),
+                 "--validation", str(tmp_path / "d" / "validation")),
+        "control": ("--model", "linearization", "--scenario", "ltv", "--seed", "1"),
+    }[command]
+    assert run(command, *args, "--out", str(out)) == 0
+    path = out / "run_manifest.json" if command == "dataset" else Path(f"{out}.manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["toolchain"] == toolchain()
+    assert (manifest["command"], manifest["version"]) == (command, ltvbench.__version__)
+    assert manifest["options"]["out"] == str(out)
 
 
 def test_module_entry_point_runs_from_a_checkout():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,17 @@ class TestBuildDataset:
         with pytest.raises(InputError, match="free-response count must be >= 0, got -2"):
             build_dataset(spec, default_excitations(spec.horizon), (2, 2, 2), n_free=-2)
 
+    @pytest.mark.parametrize(
+        "counts, n_free", [((2.5, 2, 2), 2), ((2, 2, 2.0), 2), ((2, 2, 2), 1.5)]
+    )
+    def test_counts_must_be_integers(self, monkeypatch, counts, n_free):
+        # a float count once failed in list repetition with a TypeError
+        monkeypatch.setattr(datagen, "_experiment", no_experiment)
+        spec = scenario("ltv")
+        message = f"trajectory counts must be integers, got {counts} and n_free={n_free}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            build_dataset(spec, default_excitations(spec.horizon), counts, n_free=n_free)
+
 
 def no_experiment(*args):
     raise AssertionError("a bad count must fail before any draw")
@@ -270,7 +282,8 @@ class TestExperiments:
     @pytest.mark.parametrize(
         "n_free, n_forced, message",
         [(-1, 5, "got -1 free and 5 forced"), (3, -5, "got 3 free and -5 forced"),
-         (-1, -5, "got -1 free and -5 forced"), (0, 0, "needs at least one trajectory")],
+         (-1, -5, "got -1 free and -5 forced"), (0, 0, "needs at least one trajectory"),
+         (2.5, 5, "integers, got 2.5 free and 5 forced"), (4, 1.0, "got 4 free and 1.0 forced")],
     )
     def test_bad_counts_rejected(self, monkeypatch, n_free, n_forced, message):
         # a negative count once gave fewer experiments than asked, or an empty set

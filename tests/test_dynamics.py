@@ -283,18 +283,17 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize(
-    "x0, message, cli_message",
+    "x0, message",
     [
-        ([1.0], "must have shape (2,), got (1,)", "needs two components, got 1"),
-        ([1.0, 0.0, 0.0], "must have shape (2,), got (3,)", "needs two components, got 3"),
-        ([math.nan, 0.0], "must be finite, got [nan, 0.0]", None),
-        ([math.inf, 0.0], "must be finite, got [inf, 0.0]", None),
-        ([0.0, -math.inf], "must be finite, got [0.0, -inf]", None),
+        ([1.0], "must have shape (2,), got (1,)"),
+        ([1.0, 0.0, 0.0], "must have shape (2,), got (3,)"),
+        ([math.nan, 0.0], "must be finite, got [nan, 0.0]"),
+        ([math.inf, 0.0], "must be finite, got [inf, 0.0]"),
+        ([0.0, -math.inf], "must be finite, got [0.0, -inf]"),
     ],
 )
-def test_bad_initial_state_fails_before_any_step(tmp_path, capsys, x0, message, cli_message):
-    # simulate and closed_loop share _rollout's check; the CLI counts the
-    # components itself (cli_message) and leaves the values to that check
+def test_bad_initial_state_fails_before_any_step(tmp_path, capsys, x0, message):
+    # simulate, closed_loop and the CLI share _rollout's check
     spec = scenario("ltv")
     n = spec.n_steps
     expected = f"^{re.escape('initial state ' + message)}$"
@@ -307,7 +306,7 @@ def test_bad_initial_state_fails_before_any_step(tmp_path, capsys, x0, message, 
     text = ",".join(str(v) for v in x0)
     assert main(["simulate", "--scenario", "ltv", "--x0", text, "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip()
-    assert err == f"ltvbench simulate: error: initial state {cli_message or message}"
+    assert err == f"ltvbench simulate: error: initial state {message}"
     assert not out.exists()
 
 
