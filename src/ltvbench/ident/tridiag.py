@@ -1,15 +1,12 @@
 """Symmetric block-tridiagonal solver for chain-coupled normal equations.
 
 :func:`factor_block_tridiag` Cholesky-factors any symmetric block-tridiagonal
-matrix, given its diagonal blocks D[k] (size m) and the upper blocks E[k]
-that couple step k to step k+1.  An upper block is either a full m x m
-matrix, giving a band of half-bandwidth 2m-1 (the Newton systems of the
-``ltvmodels`` fit), or a diagonal stored as a length-m vector, giving
-half-bandwidth m.  Both are factored by LAPACK's banded Cholesky
-(``dpbtrf``, then ``dpbtrs`` per solve) in O(N m u^2) for half-bandwidth u,
-i.e. linear in the number of blocks, and a factorization can be reused
-across right-hand sides.  Both routines are called through ctypes from the
-OpenBLAS that numpy's wheel bundles (:func:`ltvbench.toolchain.lapack_routine`);
+matrix, given its diagonal blocks D[k] (size m) and the full m x m upper
+blocks E[k] that couple step k to step k+1: a band of half-bandwidth 2m-1,
+factored by LAPACK's banded Cholesky (``dpbtrf``, then ``dpbtrs`` per solve)
+in O(N m^3), i.e. linear in the number of blocks, and a factorization can be
+reused across right-hand sides.  Both routines are called through ctypes from
+the OpenBLAS that numpy's wheel bundles (:func:`ltvbench.toolchain.lapack_routine`);
 importing this module fails, naming the symbol, where that library does not
 export them.
 
@@ -21,7 +18,8 @@ for k = 0..N-1, where the terms in X[-1] and X[N] and their lam W on the
 diagonal are dropped, has diagonal couplings: lam >= 0 is one coupling, G[k]
 are symmetric PSD blocks of size d, W is a fixed diagonal weight (identity
 by default), and the right-hand sides R[k] may carry multiple columns.
-:func:`banded_factor` assembles it.
+:func:`banded_factor` assembles it, with the couplings -lam W as full
+blocks, as the Newton systems of the ``ltvmodels`` fit come.
 """
 
 from __future__ import annotations
@@ -78,14 +76,12 @@ def factor_block_tridiag(diag, upper):
     banded form.
 
     ``diag`` holds the N diagonal blocks, shape (N, m, m); ``upper`` the N-1
-    blocks coupling step k to k+1, either full, shape (N-1, m, m), or
-    diagonal, shape (N-1, m).  Returns an opaque factorization for
-    :func:`banded_solve`.  Raises :class:`NumericalError` when an entry is
+    blocks coupling step k to k+1, shape (N-1, m, m).  Returns an opaque
+    factorization for :func:`banded_solve`.  Raises :class:`NumericalError` when an entry is
     not finite or the matrix is not positive definite.
     """
     n, m = diag.shape[:2]
-    full = upper.ndim == 3
-    u = 2 * m - 1 if full else m
+    u = 2 * m - 1
     # Entry (row, col), row <= col, of the matrix sits at band[col, u + row - col],
     # so band.T is the column-major upper band that LAPACK factors in place;
     # cols[k, j] is column k m + j.  Lower triangles are never written.
@@ -93,10 +89,7 @@ def factor_block_tridiag(diag, upper):
     cols = band.reshape(n, m, u + 1)
     for j in range(m):
         cols[:, j, u - j :] = diag[:, : j + 1, j]   # rows k m .. k m + j
-        if full:
-            cols[1:, j, u - m - j : u - j] = upper[:, :, j]   # rows (k-1) m + 0..m-1
-    if not full:
-        cols[1:, :, 0] = upper
+        cols[1:, j, u - m - j : u - j] = upper[:, :, j]   # rows (k-1) m + 0..m-1
     ab = band.T
     if not np.all(np.isfinite(ab)):
         raise NumericalError("block-tridiagonal system has non-finite entries")
@@ -125,7 +118,9 @@ def banded_factor(gram, lam, weight=None):
     w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
     diag = gram.copy()
     diag[:, np.arange(d), np.arange(d)] += _coupling_sums(n, lam)[:, None] * w
-    return factor_block_tridiag(diag, np.broadcast_to(-lam * w, (n - 1, d)))
+    upper = np.zeros((n - 1, d, d))
+    upper[:, np.arange(d), np.arange(d)] = -lam * w
+    return factor_block_tridiag(diag, upper)
 
 
 def banded_solve(fact, rhs) -> np.ndarray:

@@ -93,24 +93,19 @@ def test_random_systems_match_dense_oracle(seed, n, d, weighted, log_lam):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 20),
     m=st.integers(1, 6),
-    diagonal_coupling=st.booleans(),
 )
-def test_general_blocks_match_dense_oracle(seed, n, m, diagonal_coupling):
-    # Full upper blocks span half-bandwidth 2m-1, diagonal ones m.
+def test_general_blocks_match_dense_oracle(seed, n, m):
+    # full upper blocks: half-bandwidth 2m-1
     rng = np.random.default_rng(seed)
-    if diagonal_coupling:
-        upper = rng.normal(size=(n - 1, m))
-        up_blocks = upper[:, :, None] * np.eye(m)
-    else:
-        upper = up_blocks = rng.normal(size=(n - 1, m, m))
+    upper = rng.normal(size=(n - 1, m, m))
     f = rng.normal(size=(n, m, m))
-    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(up_blocks).max(initial=0.0)) * np.eye(m)
+    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(upper).max(initial=0.0)) * np.eye(m)
     big = np.zeros((n * m, n * m))
     for k in range(n):
         big[k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[k]
         if k < n - 1:
-            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = up_blocks[k]
-            big[(k + 1) * m : (k + 2) * m, k * m : (k + 1) * m] = up_blocks[k].T
+            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = upper[k]
+            big[(k + 1) * m : (k + 2) * m, k * m : (k + 1) * m] = upper[k].T
     rhs = rng.normal(size=(n, m, 2))
     x = banded_solve(factor_block_tridiag(diag, upper), rhs)
     dense = np.linalg.solve(big, rhs.reshape(n * m, 2))
@@ -133,25 +128,23 @@ def upper_band(big, u):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 20),
     m=st.integers(1, 6),
-    diagonal_coupling=st.booleans(),
     cols=st.integers(1, 3),
 )
-def test_binding_matches_scipy_lapack_bytes(seed, n, m, diagonal_coupling, cols):
+def test_binding_matches_scipy_lapack_bytes(seed, n, m, cols):
     # the ctypes binding of numpy's OpenBLAS against scipy's dpbtrf/dpbtrs
     # wrappers on the same band: factor and solution byte for byte
     rng = np.random.default_rng(seed)
-    upper = rng.normal(size=(n - 1, m) if diagonal_coupling else (n - 1, m, m))
-    up_blocks = upper[:, :, None] * np.eye(m) if diagonal_coupling else upper
+    upper = rng.normal(size=(n - 1, m, m))
     f = rng.normal(size=(n, m, m))
-    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(up_blocks).max(initial=0.0)) * np.eye(m)
+    diag = f @ f.transpose(0, 2, 1) + 2.0 * m * (1.0 + np.abs(upper).max(initial=0.0)) * np.eye(m)
     big = np.zeros((n * m, n * m))
     for k in range(n):
         big[k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[k]
         if k < n - 1:
-            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = up_blocks[k]
+            big[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = upper[k]
     rhs = rng.normal(size=(n, m, cols))
     fact = factor_block_tridiag(diag, upper)
-    cb, info = dpbtrf(upper_band(big, m if diagonal_coupling else 2 * m - 1), lower=0)
+    cb, info = dpbtrf(upper_band(big, 2 * m - 1), lower=0)
     assert info == 0
     assert fact[0].tobytes(order="F") == cb.tobytes(order="F")
     expected, info = dpbtrs(cb, rhs.reshape(n * m, cols), lower=0)
@@ -165,7 +158,7 @@ def test_non_pd_system_names_the_lapack_info(block, entry, info):
     diag = np.eye(2)[None].repeat(4, axis=0)
     diag[block, entry, entry] = -1.0
     with pytest.raises(NumericalError, match=rf"LAPACK info {info}\)"):
-        factor_block_tridiag(diag, np.zeros((3, 2)))
+        factor_block_tridiag(diag, np.zeros((3, 2, 2)))
 
 
 def test_refinement_handles_dominant_coupling():
