@@ -314,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--jobs", type=int, default=defaults.jobs, help="parallel scenario workers")
     bn.set_defaults(func=_cmd_bench)
 
+    for command in sub.choices.values():   # post-parse usage errors name their command
+        command.set_defaults(error=command.error)
     return parser
 
 
@@ -325,14 +327,14 @@ def main(argv=None) -> int:
             taken = signature(METHODS[args.method][2]).parameters
             for option, name in _given_fit_options(args).items():
                 if name not in taken:
-                    parser.error(f"argument {option}: method {args.method!r} does not take {name}")
+                    args.error(f"argument {option}: method {args.method!r} does not take {name}")
         if args.command == "bench" and args.jobs < 1:
-            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+            args.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         if args.command == "bench" and args.scenarios is not None:
             try:
                 scenario_names(args.scenarios.split(","))
             except InputError as exc:
-                parser.error(f"argument --scenarios: {exc}")
+                args.error(f"argument --scenarios: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

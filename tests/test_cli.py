@@ -463,6 +463,28 @@ def test_identify_option_the_fit_does_not_take_is_a_usage_error(tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("identify", "--method", "perstep", "--lambda", "5", "--data", "d"),
+         "argument --lambda: method 'perstep' does not take lam"),
+        (("bench", "--suite", "control", "--seed", "1", "--jobs", "0"),
+         "argument --jobs: must be at least 1, got 0"),
+        (("bench", "--suite", "control", "--seed", "1", "--scenarios", "ltv,bogus"),
+         "argument --scenarios: unknown scenario 'bogus'"),
+    ],
+    ids=["fit-option", "jobs", "scenarios"],
+)
+def test_post_parse_usage_errors_name_their_subcommand(tmp_path, capsys, argv, message):
+    # as argparse's own errors do: the subcommand's usage, then its error line
+    code = run(*argv, "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ltvbench {argv[0]} ")
+    assert f"\nltvbench {argv[0]}: error: {message}" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["simulate", "dataset", "identify", "tune", "control"])
 def test_cli_manifest_records_the_toolchain(tmp_path, command):
     run(*dataset_args(tmp_path / "d"))
