@@ -12,14 +12,17 @@ Five scenario kinds are built in:
                         modulation, kicks at the boundaries.
 
 All plants are second order (position, velocity) with a scalar force input.
-Simulation is fixed-step RK4 with :data:`RK4_SUBSTEPS` substeps per step; the
+Simulation is fixed-step RK4 by Kutta's 3/8 rule (four stages at ``ti``,
+``ti + h/3``, ``ti + 2h/3`` and ``ti + h``; Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.1), with :data:`LINEAR_SUBSTEPS` substeps per step on the linear
+plants and :data:`SATURATED_SUBSTEPS` on the saturated ones; the
 linearized zero-order-hold discretization of the same plant is available as
 :func:`ground_truth_ltv` and doubles as the "linearization" baseline model.
 Both read one time law, :func:`params_at`, evaluated on whole arrays of times:
-the RK4 stage times of a rollout, or the step midpoints, whose stack of rate
+the stage times of a rollout, or the step midpoints, whose stack of rate
 pairs :func:`discretize` turns into ``(A, B)`` arrays in one call.  Frames
-start on steps (``2.0 / dt`` is an integer), and every RK4 stage of a step
-reads that step's frame, so every kind converges at RK4's fourth order.
+start on steps (``2.0 / dt`` is an integer), and every stage of a step
+reads that step's frame, so every kind converges at fourth order.
 
 The plant parameters depend only on time, so :func:`simulate` and
 :func:`control.closed_loop` (both through :func:`_rollout`) run one Python
@@ -50,15 +53,19 @@ from .exceptions import InputError, InstabilityError, IntegrationError, Numerica
 from .files import field_errors, read_json, write_json
 from .models import LtvModel
 
-# Internal RK4 substeps per scenario step.  Every kind converges at fourth order:
-# at 4 a rollout is within 1e-5 (relative) of 80 substeps, 1e-9 on ltv/nl/nld
-# (test_dynamics.py::TestSubstepConvergence); at 3, mixed-reconfig's light
-# frames (m = 0.02, the stiffest case) reach 8.5e-6.
-RK4_SUBSTEPS = 4
+# Internal 3/8-rule substeps per scenario step, the fewest that keep each force
+# law within its bound against 80 substeps (relative; test_dynamics.py::
+# TestSubstepConvergence): 1e-9 without frames, 1e-5 with them.  Linear plants
+# pay for their substeps once per spec, in the step maps, so they keep 4:
+# ltv 5.2e-11, mixed-reconfig's light frames (m = 0.02, the stiffest case)
+# 1.4e-6.  Saturated plants pay in every step of the loop, so they take 2:
+# nl/nld 8.5e-10, where classical RK4 would reach 1.03e-9 on nld.
+LINEAR_SUBSTEPS = 4
+SATURATED_SUBSTEPS = 2
 
 # Scenario specs whose step tables stay cached, each with its rows as Python
 # lists: ~300 B per step for a linear plant (150 kB at 500 steps, 1.5 MB for a
-# 5000-step record), ~1.8 kB per step for a saturated one (0.9 MB at 500).
+# 5000-step record), ~1.1 kB per step for a saturated one (0.57 MB at 500).
 STAGE_TABLE_CACHE = 8
 
 # Frame parameter ranges for the reconfiguration scenarios.  Masses follow a
@@ -305,30 +312,36 @@ def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     return frozenset(range(per_frame, spec.n_steps, per_frame))
 
 
+def _substeps(spec: ScenarioSpec) -> int:
+    """The substeps per step of the spec's force law."""
+    return SATURATED_SUBSTEPS if spec.kind in _SATURATED_KINDS else LINEAR_SUBSTEPS
+
+
 def _stage_column(spec: ScenarioSpec, i: int) -> np.ndarray:
-    """Plant parameters at the three RK4 stage times of substep ``i`` of
-    every step: column ``i`` of :func:`_stage_params`, shape (N, 9)."""
+    """Plant parameters at the four stage times of substep ``i`` of every
+    step: column ``i`` of :func:`_stage_params`, shape (N, 12)."""
     n = spec.n_steps
-    h = spec.dt / RK4_SUBSTEPS
+    h = spec.dt / _substeps(spec)
     tk = np.arange(n) * spec.dt
     ti = tk + i * h
-    m, cs, cd = params_at(spec, np.stack((ti, ti + 0.5 * h, ti + h), axis=-1), tk[:, None])
-    return np.stack((m, cs, cd), axis=-1).reshape(n, 9)
+    times = np.stack((ti, ti + h / 3.0, ti + 2.0 * h / 3.0, ti + h), axis=-1)
+    m, cs, cd = params_at(spec, times, tk[:, None])
+    return np.stack((m, cs, cd), axis=-1).reshape(n, 12)
 
 
 def _stage_params(spec: ScenarioSpec) -> np.ndarray:
-    """Plant parameters at every RK4 stage time of a rollout of ``spec``.
+    """Plant parameters at every stage time of a rollout of ``spec``.
 
-    Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + 0.5*h`` and
-    ``ti + h``, with ``ti = t_k + i*h``, all in step k's frame: the float
-    times the reference RK4 step evaluates, computed the same way, so the
-    values are bit-equal to its parameter lookups.  The end time is not
-    shared with the next substep's start, as the two can differ by an ulp.
-    The table is filled one substep column at a time, which bounds the time
-    law's temporaries on long records.
+    Row ``[k, i]`` holds ``(m, C_s, C_d)`` at ``ti``, ``ti + h/3``,
+    ``ti + 2h/3`` and ``ti + h``, with ``ti = t_k + i*h``, all in step k's
+    frame: the float times the reference step evaluates, computed the same
+    way, so the values are bit-equal to its parameter lookups.  The end time
+    is not shared with the next substep's start, as the two can differ by an
+    ulp.  The table is filled one substep column at a time, which bounds the
+    time law's temporaries on long records.
     """
-    table = np.empty((spec.n_steps, RK4_SUBSTEPS, 9))
-    for i in range(RK4_SUBSTEPS):
+    table = np.empty((spec.n_steps, _substeps(spec), 12))
+    for i in range(table.shape[1]):
         table[:, i] = _stage_column(spec, i)
     return table
 
@@ -337,24 +350,27 @@ def _step_maps(spec: ScenarioSpec) -> np.ndarray:
     """The linear plant's step maps, shape (N, 6).
 
     Row k is ``(M00, M01, g0, M10, M11, g1)``, ``x(k+1) = M_k x(k) + g_k u(k)``,
-    found by running the ``RK4_SUBSTEPS`` reference substeps, in their float
-    order, on the basis columns of ``(x1, x2, u)`` for all steps at once.
+    found by running the reference substeps, in their float order, on the
+    basis columns of ``(x1, x2, u)`` for all steps at once.
     """
-    h = spec.dt / RK4_SUBSTEPS
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
+    substeps = _substeps(spec)
+    h = spec.dt / substeps
+    third_h = h / 3.0
+    eighth_h = 0.125 * h
     x1, x2, u = np.eye(3)
-    for i in range(RK4_SUBSTEPS):
-        m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 = _stage_column(spec, i).T[..., None]
+    for i in range(substeps):
+        m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3, m4, cs4, cd4 = (
+            _stage_column(spec, i).T[..., None]
+        )
         b1 = (u - cs1 * x1 - cd1 * x2) / m1
-        a2 = x2 + half_h * b1
-        b2 = (u - cs2 * (x1 + half_h * x2) - cd2 * a2) / m2
-        a3 = x2 + half_h * b2
-        b3 = (u - cs2 * (x1 + half_h * a2) - cd2 * a3) / m2
-        a4 = x2 + h * b3
-        b4 = (u - cs3 * (x1 + h * a3) - cd3 * a4) / m3
-        x1 = x1 + sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-        x2 = x2 + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        a2 = x2 + third_h * b1
+        b2 = (u - cs2 * (x1 + third_h * x2) - cd2 * a2) / m2
+        a3 = x2 + h * b2 - third_h * b1
+        b3 = (u - cs3 * (x1 + h * a2 - third_h * x2) - cd3 * a3) / m3
+        a4 = x2 + h * (b1 - b2 + b3)
+        b4 = (u - cs4 * (x1 + h * (x2 - a2 + a3)) - cd4 * a4) / m4
+        x1 = x1 + eighth_h * (x2 + 3.0 * (a2 + a3) + a4)
+        x2 = x2 + eighth_h * (b1 + 3.0 * (b2 + b3) + b4)
     return np.concatenate((x1, x2), axis=1)
 
 
@@ -397,9 +413,9 @@ def _substep_kernel(spec: ScenarioSpec):
             return x1s, x2s, us
         return table, run
 
-    h = spec.dt / RK4_SUBSTEPS
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
+    h = spec.dt / _substeps(spec)
+    third_h = h / 3.0
+    eighth_h = 0.125 * h
     limit = spec.sat_limit
     c = spec.cubic_damping
     center = spec.dist_center
@@ -417,27 +433,27 @@ def _substep_kernel(spec: ScenarioSpec):
             if nld:
                 kick = nld[k]
             bump = kick != 0.0
-            for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3 in substeps:
+            for m1, cs1, cd1, m2, cs2, cd2, m3, cs3, cd3, m4, cs4, cd4 in substeps:
                 b1 = (f - cs1 * x1 - cd1 * x2 - c * x2 * x2 * x2) / m1
                 if bump:
                     b1 += kick * exp(-(x1 - center) * (x1 - center) / spread)
-                a2 = x2 + half_h * b1
-                z2 = x1 + half_h * x2
+                a2 = x2 + third_h * b1
+                z2 = x1 + third_h * x2
                 b2 = (f - cs2 * z2 - cd2 * a2 - c * a2 * a2 * a2) / m2
                 if bump:
                     b2 += kick * exp(-(z2 - center) * (z2 - center) / spread)
-                a3 = x2 + half_h * b2
-                z3 = x1 + half_h * a2
-                b3 = (f - cs2 * z3 - cd2 * a3 - c * a3 * a3 * a3) / m2
+                a3 = x2 + h * b2 - third_h * b1
+                z3 = x1 + h * a2 - third_h * x2
+                b3 = (f - cs3 * z3 - cd3 * a3 - c * a3 * a3 * a3) / m3
                 if bump:
                     b3 += kick * exp(-(z3 - center) * (z3 - center) / spread)
-                a4 = x2 + h * b3
-                z4 = x1 + h * a3
-                b4 = (f - cs3 * z4 - cd3 * a4 - c * a4 * a4 * a4) / m3
+                a4 = x2 + h * (b1 - b2 + b3)
+                z4 = x1 + h * (x2 - a2 + a3)
+                b4 = (f - cs4 * z4 - cd4 * a4 - c * a4 * a4 * a4) / m4
                 if bump:
                     b4 += kick * exp(-(z4 - center) * (z4 - center) / spread)
-                x1 += sixth_h * (x2 + 2.0 * a2 + 2.0 * a3 + a4)
-                x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                x1 += eighth_h * (x2 + 3.0 * (a2 + a3) + a4)
+                x2 += eighth_h * (b1 + 3.0 * (b2 + b3) + b4)
             x1s.append(x1)
             x2s.append(x2)
             if not (abs(x1) <= guard and abs(x2) <= guard):

@@ -1,14 +1,15 @@
 """Shared helpers: exact data generated by iterating a discrete LTV model, a
-reader for saved gain schedules, the reference time law and RK4 step of the
-ground-truth plants, and the reference chirp."""
+reader for saved gain schedules, the reference time law and 3/8-rule RK4 step
+of the ground-truth plants, and the reference chirp."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ltvbench import dynamics
 from ltvbench.control import GAINS_FORMAT, GainSchedule
-from ltvbench.dynamics import RK4_SUBSTEPS, Kind, ScenarioSpec, Trajectory
+from ltvbench.dynamics import Kind, ScenarioSpec, Trajectory
 from ltvbench.exceptions import IntegrationError
 from ltvbench.files import field_errors, read_json
 from ltvbench.models import LtvModel
@@ -59,8 +60,8 @@ def read_gains(path) -> GainSchedule:
         return GainSchedule(K=payload["K"], u_ff=payload["u_ff"], provenance=payload["provenance"])
 
 
-# --- the reference time law and RK4 step: oracles for the package's array
-# time law and its rollout kernels ---
+# --- the reference time law and 3/8-rule RK4 step: oracles for the package's
+# array time law and its rollout kernels ---
 
 def reference_params(spec: ScenarioSpec, t: float, step_start: float | None = None) -> tuple:
     """Effective (mass, stiffness, damping) of the plant at one time ``t``.
@@ -147,33 +148,39 @@ def step_rk4(
     dt: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Advance the plant by one step with classical RK4.
+    """Advance the plant by one step with Kutta's 3/8-rule RK4.
 
     The input is held constant over the step (zero-order hold) and so is any
     stochastic disturbance amplitude, which is sampled once per call.  The
-    step is internally subdivided into ``RK4_SUBSTEPS`` substeps so the
-    continuously varying parameters are tracked accurately; every stage reads
-    the reconfiguration frame of the step's start ``t``.  This is the
-    reference the package's per-family rollout kernels are tested against.
+    step is internally subdivided into the substeps of the plant's force law
+    (``dynamics.SATURATED_SUBSTEPS`` on ``nl``/``nld``, else
+    ``dynamics.LINEAR_SUBSTEPS``, read at each call) so the continuously
+    varying parameters are tracked accurately; every stage reads the
+    reconfiguration frame of the step's start ``t``.  This is the reference
+    the package's per-family rollout kernels are tested against.
     """
     u = float(u)
     kick = 0.0
     if spec.kind is Kind.NLD and rng is not None and spec.dist_sigma > 0:
         kick = rng.normal(0.0, spec.dist_sigma)
     x1, x2 = float(x[0]), float(x[1])
-    h = dt / RK4_SUBSTEPS
-    for i in range(RK4_SUBSTEPS):
+    saturated = spec.kind in (Kind.NL, Kind.NLD)
+    substeps = dynamics.SATURATED_SUBSTEPS if saturated else dynamics.LINEAR_SUBSTEPS
+    h = dt / substeps
+    for i in range(substeps):
         ti = t + i * h
+        # k_j = (a_j, b_j); the stage states are y + h/3 k1, y + h (k2 - k1/3)
+        # and y + h (k1 - k2 + k3)
         a1 = x2
         b1 = _accel(spec, ti, t, x1, x2, u, kick)
-        a2 = x2 + 0.5 * h * b1
-        b2 = _accel(spec, ti + 0.5 * h, t, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u, kick)
-        a3 = x2 + 0.5 * h * b2
-        b3 = _accel(spec, ti + 0.5 * h, t, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u, kick)
-        a4 = x2 + h * b3
-        b4 = _accel(spec, ti + h, t, x1 + h * a3, x2 + h * b3, u, kick)
-        x1 += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        x2 += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        a2 = x2 + h / 3.0 * b1
+        b2 = _accel(spec, ti + h / 3.0, t, x1 + h / 3.0 * a1, a2, u, kick)
+        a3 = x2 + h * b2 - h / 3.0 * b1
+        b3 = _accel(spec, ti + 2.0 * h / 3.0, t, x1 + h * a2 - h / 3.0 * a1, a3, u, kick)
+        a4 = x2 + h * (b1 - b2 + b3)
+        b4 = _accel(spec, ti + h, t, x1 + h * (a1 - a2 + a3), a4, u, kick)
+        x1 += 0.125 * h * (a1 + 3.0 * (a2 + a3) + a4)
+        x2 += 0.125 * h * (b1 + 3.0 * (b2 + b3) + b4)
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise IntegrationError(f"non-finite state after step at t={t}")
     return np.array([x1, x2])

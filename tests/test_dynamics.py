@@ -28,7 +28,6 @@ from ltvbench.control import (
 )
 from ltvbench.datagen import ExcitationSpec, chirp, default_excitations
 from ltvbench.dynamics import (
-    RK4_SUBSTEPS,
     Kind,
     ScenarioSpec,
     Trajectory,
@@ -727,12 +726,20 @@ def convergence_inputs(spec):
     return cases
 
 
+def family_substeps(spec):
+    """The name and value of the module constant that holds the substep
+    count of the spec's force law."""
+    name = "SATURATED_SUBSTEPS" if spec.kind in (Kind.NL, Kind.NLD) else "LINEAR_SUBSTEPS"
+    return name, getattr(dynamics, name)
+
+
 @pytest.fixture
 def substeps(monkeypatch):
-    """``substeps(count)`` sets ``RK4_SUBSTEPS`` for the rest of the test; the
-    step tables built meanwhile leave the cache with it."""
-    def use(count):
-        monkeypatch.setattr("ltvbench.dynamics.RK4_SUBSTEPS", count)
+    """``substeps(spec, count)`` sets the substep count of the spec's force
+    law for the rest of the test; the step tables built meanwhile leave the
+    cache with it."""
+    def use(spec, count):
+        monkeypatch.setattr(dynamics, family_substeps(spec)[0], count)
         _substep_kernel.cache_clear()
     yield use
     _substep_kernel.cache_clear()
@@ -740,26 +747,29 @@ def substeps(monkeypatch):
 
 class TestSubstepConvergence:
     """The ground truth converges at RK4's fourth order on every kind, frames
-    included: at ``RK4_SUBSTEPS`` a rollout is within 1e-5 (relative) of the
-    same rollout at 80 substeps, within 1e-9 on the kinds without frames, and
-    doubling the substeps cuts that error at least 8x (16x at fourth order)."""
+    included: at its force law's substep count a rollout is within 1e-5
+    (relative) of the same rollout at 80 substeps, within 1e-9 on the kinds
+    without frames, and doubling the substeps cuts that error at least 8x
+    (16x at fourth order)."""
 
     @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
     def test_fourth_order_against_80_substeps(self, name, substeps):
         spec = scenario(name)
         bound = 1e-5 if spec.frames else 1e-9
         cases = convergence_inputs(spec)
+        coarse = family_substeps(spec)[1]
         rollouts = {}
-        for count in (80, RK4_SUBSTEPS, 2 * RK4_SUBSTEPS):
-            substeps(count)
+        for count in (80, coarse, 2 * coarse):
+            substeps(spec, count)
             rollouts[count] = [simulate(spec, x0, u, seed=3).states for u, x0 in cases]
         for i, fine in enumerate(rollouts[80]):
             scale = np.max(np.abs(fine))
             err, err_doubled = (
                 np.max(np.abs(rollouts[count][i] - fine)) / scale
-                for count in (RK4_SUBSTEPS, 2 * RK4_SUBSTEPS)
+                for count in (coarse, 2 * coarse)
             )
-            assert err <= bound, (i, err)
+            # a count the force law ignored would compare a rollout with itself
+            assert 0.0 < err <= bound, (i, err)
             assert err >= 8.0 * err_doubled, (i, err, err_doubled)
 
 
@@ -770,15 +780,17 @@ class TestStageTable:
         # the step's frame
         spec = short_scenario(name, horizon=2.5)
         table = _stage_params(spec)
-        h = spec.dt / RK4_SUBSTEPS
+        count = family_substeps(spec)[1]
+        h = spec.dt / count
         times = np.arange(spec.n_steps + 1) * spec.dt
-        assert table.shape == (spec.n_steps, RK4_SUBSTEPS, 9)
+        assert table.shape == (spec.n_steps, count, 12)
         for k in range(spec.n_steps):
-            for i in range(RK4_SUBSTEPS):
+            for i in range(count):
                 ti = times[k] + i * h
                 row = (
                     reference_params(spec, ti, times[k])
-                    + reference_params(spec, ti + 0.5 * h, times[k])
+                    + reference_params(spec, ti + h / 3.0, times[k])
+                    + reference_params(spec, ti + 2.0 * h / 3.0, times[k])
                     + reference_params(spec, ti + h, times[k])
                 )
                 assert tuple(table[k, i].tolist()) == row
@@ -800,8 +812,8 @@ class TestStageTable:
 
     def test_long_record_table_build_stays_small(self):
         # the step maps of a 5000-step record take 240 kB; building them one
-        # substep column at a time peaks at ~2.5 MB, below the 3.6 MB that a
-        # whole 10-substep stage table of the record would take
+        # substep column at a time peaks at ~3.1 MB, below the 3.6 MB that a
+        # whole 10-substep classical-RK4 stage table of the record would take
         spec = replace(scenario("ltv"), horizon=100.0)
         tracemalloc.start()
         try:
@@ -831,7 +843,7 @@ class TestStageTable:
     def test_cached_rows_stay_small(self, name, horizon, bound):
         # one cached spec keeps its table and the table's rows as Python
         # lists: ~300 B per step on a linear plant (1.5 MB for the 5000-step
-        # record) and ~1.8 kB per step on a saturated one (0.9 MB at 500)
+        # record) and ~1.1 kB per step on a saturated one (0.57 MB at 500)
         spec = replace(scenario(name), horizon=horizon)
         tracemalloc.start()
         try:

@@ -33,7 +33,7 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
-from ltvbench.dynamics import RK4_SUBSTEPS, _stage_params, ground_truth_ltv, scenario, simulate
+from ltvbench.dynamics import LINEAR_SUBSTEPS, _stage_params, ground_truth_ltv, scenario, simulate
 from ltvbench.ident import (
     ltvmodels_fit,
     solve_block_tridiag,
@@ -148,5 +148,5 @@ def test_time_law_tables(benchmark, n):
         return _stage_params(spec), ground_truth_ltv(spec)
 
     stages, model = benchmark.pedantic(tables, **ROUNDS)
-    assert stages.shape == (n, RK4_SUBSTEPS, 9)
+    assert stages.shape == (n, LINEAR_SUBSTEPS, 12)
     assert model.n_steps == n
