@@ -5,10 +5,10 @@ matrix, given its diagonal blocks D[k] (size m) and the full m x m upper
 blocks E[k] that couple step k to step k+1: a band of half-bandwidth 2m-1,
 factored by LAPACK's banded Cholesky (``dpbtrf``, then ``dpbtrs`` per solve)
 in O(N m^3), i.e. linear in the number of blocks, and a factorization can be
-reused across right-hand sides.  Both routines are called through ctypes from
-the OpenBLAS that numpy's wheel bundles (:func:`ltvbench.toolchain.lapack_routine`);
-importing this module fails, naming the symbol, where that library does not
-export them.
+reused across right-hand sides.  Both routines are called through ctypes
+from the OpenBLAS that numpy's wheel bundles
+(:func:`ltvbench.toolchain.lapack_routine`); importing this module fails,
+naming the symbol, where that library does not export them.
 
 The chain-coupled system of the cosmic fit,
 
@@ -77,8 +77,8 @@ def factor_block_tridiag(diag, upper):
 
     ``diag`` holds the N diagonal blocks, shape (N, m, m); ``upper`` the N-1
     blocks coupling step k to k+1, shape (N-1, m, m).  Returns an opaque
-    factorization for :func:`banded_solve`.  Raises :class:`NumericalError` when an entry is
-    not finite or the matrix is not positive definite.
+    factorization for :func:`banded_solve`.  Raises :class:`NumericalError`
+    when an entry is not finite or the matrix is not positive definite.
     """
     n, m = diag.shape[:2]
     u = 2 * m - 1
