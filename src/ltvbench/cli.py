@@ -109,6 +109,21 @@ _FIT_OPTIONS = {
 }
 
 
+# dataset's options that one mode alone reads: option -> (dest, type, the mode,
+# its default); both modes read --noise-var
+_DATASET_OPTIONS = {
+    "--l-train": ("l_train", int, "chirp", BenchConfig.l_train),
+    "--l-val": ("l_val", int, "chirp", BenchConfig.l_val),
+    "--l-test": ("l_test", int, "chirp", BenchConfig.l_test),
+    "--n-free": ("n_free", int, "chirp", BenchConfig.n_free),
+    "--input-noise-var": ("input_noise_var", float, "chirp", BenchConfig.input_noise_var),
+    "--n-free-experiments": ("n_free_experiments", int, "--experiments", BenchConfig.tvera_free),
+    "--n-forced-experiments": (
+        "n_forced_experiments", int, "--experiments", BenchConfig.tvera_forced,
+    ),
+}
+
+
 def _given_fit_options(args) -> dict:
     """Option -> keyword argument of the method's fit, for each option given."""
     if args.command == "tune":
@@ -254,11 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     # options shared by several commands, each declared once
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_seed, required=True)
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument(
+        "--noise-var", type=float, default=defaults.noise_var,
+        help="measurement noise variance of the training states",
+    )
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--l-train", type=int, default=defaults.l_train)
     sizes.add_argument("--l-val", type=int, default=defaults.l_val)
     sizes.add_argument("--l-test", type=int, default=defaults.l_test)
-    sizes.add_argument("--noise-var", type=float, default=defaults.noise_var)
     method = argparse.ArgumentParser(add_help=False)
     method.add_argument("--method", required=True, choices=METHODS)
 
@@ -269,18 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output trajectory CSV")
     sim.set_defaults(func=_cmd_simulate)
 
-    ds = sub.add_parser("dataset", parents=[seed, sizes], help="generate train/val/test datasets")
+    ds = sub.add_parser("dataset", parents=[seed, noise], help="generate train/val/test datasets")
     ds.add_argument("--scenario", required=True)
     ds.add_argument("--out", required=True, help="output directory")
-    ds.add_argument("--n-free", type=int, default=defaults.n_free)
-    ds.add_argument("--input-noise-var", type=float, default=defaults.input_noise_var)
     ds.add_argument(
         "--experiments",
         action="store_true",
         help="write free/forced realization experiments instead of chirp splits",
     )
-    ds.add_argument("--n-free-experiments", type=int, default=defaults.tvera_free)
-    ds.add_argument("--n-forced-experiments", type=int, default=defaults.tvera_forced)
+    for option, (name, kind, mode, default) in _DATASET_OPTIONS.items():   # absent unless given
+        ds.add_argument(
+            option, dest=name, type=kind, default=argparse.SUPPRESS,
+            help=f"read in {mode} mode only (default {default})",
+        )
     ds.set_defaults(func=_cmd_dataset)
 
     ident = sub.add_parser("identify", parents=[method], help="fit one model to a dataset")
@@ -306,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     ctl.add_argument("--gains-out", help="also persist the gain schedule")
     ctl.set_defaults(func=_cmd_control)
 
-    bn = sub.add_parser("bench", parents=[seed, sizes], help="run a benchmark suite")
+    bn = sub.add_parser("bench", parents=[seed, sizes, noise], help="run a benchmark suite")
     bn.add_argument("--suite", required=True, choices=SUITES)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
@@ -328,6 +348,13 @@ def main(argv=None) -> int:
             for option, name in _given_fit_options(args).items():
                 if name not in taken:
                     args.error(f"argument {option}: method {args.method!r} does not take {name}")
+        if args.command == "dataset":
+            mode = "--experiments" if args.experiments else "chirp"
+            for option, (name, _, reader, default) in _DATASET_OPTIONS.items():
+                if reader == mode:
+                    vars(args).setdefault(name, default)
+                elif hasattr(args, name):
+                    args.error(f"argument {option}: read in {reader} mode only")
         if args.command == "bench" and args.jobs < 1:
             args.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         if args.command == "bench" and args.scenarios is not None:

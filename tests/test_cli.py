@@ -400,14 +400,25 @@ class TestExitCodes:
         assert not (tmp_path / "s.csv").exists()
 
 
-def test_size_defaults_come_from_bench_config():
+def test_size_defaults_come_from_bench_config(tmp_path):
+    # each dataset mode's manifest records the values it read, and only those
     cfg = BenchConfig()
-    parse = build_parser().parse_args
-    ds = parse(["dataset", "--scenario", "ltv", "--seed", "1", "--out", "d"])
-    assert (ds.l_train, ds.l_val, ds.l_test, ds.n_free) == (cfg.l_train, cfg.l_val, cfg.l_test, cfg.n_free)
-    assert (ds.noise_var, ds.input_noise_var) == (cfg.noise_var, cfg.input_noise_var)
-    assert (ds.n_free_experiments, ds.n_forced_experiments) == (cfg.tvera_free, cfg.tvera_forced)
-    bn = parse(["bench", "--suite", "control", "--seed", "1", "--out", "b"])
+    common = {"command", "scenario", "seed", "out", "experiments"}
+    read = {}
+    for mode, flag in (("chirp", ()), ("--experiments", ("--experiments",))):
+        out = tmp_path / mode
+        assert run("dataset", "--scenario", "ltv", "--seed", "1", "--out", str(out), *flag) == 0
+        options = json.loads((out / "run_manifest.json").read_text())["options"]
+        read[mode] = {k: v for k, v in options.items() if k not in common}
+    assert read["chirp"] == {
+        "l_train": cfg.l_train, "l_val": cfg.l_val, "l_test": cfg.l_test, "n_free": cfg.n_free,
+        "noise_var": cfg.noise_var, "input_noise_var": cfg.input_noise_var,
+    }
+    assert read["--experiments"] == {
+        "n_free_experiments": cfg.tvera_free, "n_forced_experiments": cfg.tvera_forced,
+        "noise_var": cfg.noise_var,
+    }
+    bn = build_parser().parse_args(["bench", "--suite", "control", "--seed", "1", "--out", "b"])
     assert (bn.l_train, bn.l_val, bn.l_test) == (cfg.l_train, cfg.l_val, cfg.l_test)
     assert (bn.noise_var, bn.jobs) == (cfg.noise_var, cfg.jobs)
 
@@ -472,8 +483,19 @@ def test_identify_option_the_fit_does_not_take_is_a_usage_error(tmp_path, capsys
          "argument --jobs: must be at least 1, got 0"),
         (("bench", "--suite", "control", "--seed", "1", "--scenarios", "ltv,bogus"),
          "argument --scenarios: unknown scenario 'bogus'"),
+        # each dataset mode once ignored the other's options: exit 0, and a
+        # manifest recording values nothing read
+        (("dataset", "--scenario", "ltv", "--seed", "1", "--experiments", "--l-train", "3",
+          "--n-free", "9"),
+         "argument --l-train: read in chirp mode only"),
+        (("dataset", "--scenario", "ltv", "--seed", "1", "--experiments", "--input-noise-var",
+          "0.5"),
+         "argument --input-noise-var: read in chirp mode only"),
+        (("dataset", "--scenario", "ltv", "--seed", "1", "--n-forced-experiments", "2",
+          "--l-train", "2", "--l-val", "1", "--l-test", "1"),
+         "argument --n-forced-experiments: read in --experiments mode only"),
     ],
-    ids=["fit-option", "jobs", "scenarios"],
+    ids=["fit-option", "jobs", "scenarios", "chirp-option", "chirp-noise", "experiments-option"],
 )
 def test_post_parse_usage_errors_name_their_subcommand(tmp_path, capsys, argv, message):
     # as argparse's own errors do: the subcommand's usage, then its error line
