@@ -139,7 +139,7 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args.scenario)
     times = np.arange(spec.n_steps) * spec.dt
     if args.input == "chirp":
-        ex = default_excitations(spec.horizon)[Split.TRAIN]
+        ex = default_excitations(spec.horizon, BenchConfig.input_noise_var)[Split.TRAIN]
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 99]))
         inputs = chirp(ex, times, rng)
     else:

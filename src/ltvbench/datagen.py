@@ -49,10 +49,10 @@ _SPLIT_CODE = {Split.TRAIN: 0, Split.VALIDATION: 1, Split.TEST: 2}
 class ExcitationSpec:
     """Disturbed chirp parameters: frequency sweep, amplitude, phase, noise."""
 
-    amplitude: float = 1.0
-    omega0: float = 0.5        # rad/s, sweep floor
-    omega1: float = 8.0        # rad/s, sweep ceiling
-    duration: float = 10.0     # s, sweep horizon
+    amplitude: float
+    omega0: float              # rad/s, sweep floor
+    omega1: float              # rad/s, sweep ceiling
+    duration: float            # s, sweep horizon
     phase: float = 0.0         # rad
     noise_var: float = 0.0     # variance of the additive input disturbance
 
@@ -191,10 +191,11 @@ def _dataset(spec, split, stream, experiments, noise_var, master_seed, excitatio
 def build_dataset(
     spec: ScenarioSpec,
     excitations: dict,
-    counts: tuple = (20, 8, 8),
-    noise_var: float = 1e-6,
+    counts: tuple,
+    noise_var: float,
     master_seed: int = 0,
-    n_free: int = 2,
+    *,
+    n_free: int,
 ) -> dict:
     """Build the train/validation/test datasets for one scenario.
 
@@ -228,7 +229,7 @@ def build_dataset(
     return out
 
 
-def default_excitations(duration: float, noise_var: float = 0.01) -> dict:
+def default_excitations(duration: float, noise_var: float) -> dict:
     """Per-split chirp bands: distinct sweeps so validation/test generalize."""
     return {
         Split.TRAIN: ExcitationSpec(1.0, 0.5, 8.0, duration, 0.0, noise_var),
@@ -238,11 +239,7 @@ def default_excitations(duration: float, noise_var: float = 0.01) -> dict:
 
 
 def tvera_experiments(
-    spec: ScenarioSpec,
-    n_free: int = 4,
-    n_forced: int = 10,
-    noise_var: float = 1e-6,
-    master_seed: int = 0,
+    spec: ScenarioSpec, n_free: int, n_forced: int, noise_var: float, master_seed: int = 0
 ) -> Dataset:
     """Free-response and random-input experiments for realization methods.
 

@@ -6,8 +6,8 @@ Five scenario kinds are built in:
 * ``nl``             -- adds cubic damping and input saturation,
 * ``nld``            -- ``nl`` plus an impulsive velocity disturbance that fires
                         near a fixed position,
-* ``inst-reconfig``  -- piecewise-constant parameters over two-second frames with
-                        random velocity kicks at the frame boundaries,
+* ``inst-reconfig``  -- piecewise-constant parameters over :data:`FRAME_DURATION`
+                        frames with random velocity kicks at the frame boundaries,
 * ``mixed-reconfig`` -- frame-wise parameter jumps combined with the continuous
                         modulation, kicks at the boundaries.
 
@@ -21,8 +21,8 @@ linearized zero-order-hold discretization of the same plant is available as
 Both read one time law, :func:`params_at`, evaluated on whole arrays of times:
 the stage times of a rollout, or the step midpoints, whose stack of rate
 pairs :func:`discretize` turns into ``(A, B)`` arrays in one call.  Frames
-start on steps (``2.0 / dt`` is an integer), and every stage of a step
-reads that step's frame, so every kind converges at fourth order.
+start on steps (``FRAME_DURATION / dt`` is an integer), and every stage of a
+step reads that step's frame, so every kind converges at fourth order.
 
 The plant parameters depend only on time, so :func:`simulate` and
 :func:`control.closed_loop` (both through :func:`_rollout`) run one Python
@@ -68,10 +68,11 @@ SATURATED_SUBSTEPS = 2
 # 5000-step record), ~1.1 kB per step for a saturated one (0.57 MB at 500).
 STAGE_TABLE_CACHE = 8
 
-# Frame parameter ranges for the reconfiguration scenarios.  Masses follow a
-# two-regime distribution (mostly heavy frames with occasional drastic mass
-# drops, as in payload release) so the frame sequence spans genuinely
-# different dynamic regimes; spring and damping are uniform.
+# The reconfiguration scenarios' frame length (s) and frame parameter ranges.
+# Masses follow a two-regime distribution (mostly heavy frames with occasional
+# drastic mass drops, as in payload release) so the frame sequence spans
+# genuinely different dynamic regimes; spring and damping are uniform.
+FRAME_DURATION = 2.0
 FRAME_HEAVY_MASS_RANGE = (0.8, 2.0)
 FRAME_LIGHT_MASS_RANGE = (0.02, 0.08)
 FRAME_LIGHT_PROB = 0.35
@@ -115,7 +116,6 @@ class ScenarioSpec:
     dist_width: float = 0.25          # m, nld bump width
     dist_sigma: float = 2.0           # nld kick scale (accel units)
     kick_sigma: float = 0.5           # m/s, boundary velocity kick, reconfig only
-    frame_duration: float = 2.0       # s, fixed for reconfig kinds
     frames: tuple = ()                # ((m_i, C_s_i, C_d_i), ...)
     dt: float = 0.02                  # s
     horizon: float = 10.0             # s
@@ -141,11 +141,9 @@ class ScenarioSpec:
         if not math.isclose(steps, round(steps), rel_tol=1e-14):
             raise InputError(f"horizon must be a whole number of steps, got {steps!r} steps")
         if self.kind in _RECONFIG_KINDS:
-            if abs(self.frame_duration - 2.0) > 1e-12:
-                raise InputError("reconfiguration frames are fixed at 2.0 s")
-            per_frame = self.frame_duration / self.dt
+            per_frame = FRAME_DURATION / self.dt
             if not math.isclose(per_frame, round(per_frame), rel_tol=1e-14):
-                raise InputError(f"frames must start on a step, but 2.0 / dt = {per_frame!r}")
+                raise InputError(f"frames must start on a step: {FRAME_DURATION} / dt = {per_frame!r}")
             expected = math.ceil(self.n_steps / round(per_frame))
             if len(self.frames) != expected:
                 raise InputError(
@@ -241,11 +239,11 @@ def _builtin(kind: Kind, name: str) -> ScenarioSpec:
         rng = np.random.default_rng(
             np.random.SeedSequence([_FRAME_TABLE_SEED, 0 if kind is Kind.INST_RECONFIG else 1])
         )
-        frames = _sample_frames(math.ceil(10.0 / 2.0), rng)
+        frames = _sample_frames(math.ceil(ScenarioSpec.horizon / FRAME_DURATION), rng)
     return ScenarioSpec(kind=kind, frames=frames, name=name)
 
 
-BUILTIN_SCENARIOS = ("ltv", "nl", "nld", "inst-reconfig", "mixed-reconfig")
+BUILTIN_SCENARIOS = tuple(kind.value for kind in Kind)
 
 
 def scenario(name: str) -> ScenarioSpec:
@@ -261,13 +259,17 @@ def scenario(name: str) -> ScenarioSpec:
 
 
 def save_scenario(spec: ScenarioSpec, path) -> None:
-    write_json(path, {**asdict(spec), "kind": spec.kind.value})
+    write_json(path, {**asdict(spec), "kind": spec.kind.value, "frame_duration": FRAME_DURATION})
 
 
 def load_scenario(path) -> ScenarioSpec:
+    """Read a file of :func:`save_scenario`; a malformed one, or one whose
+    ``frame_duration`` is not :data:`FRAME_DURATION`, raises ``DataFormatError``."""
     payload = read_json(path, "scenario file")
     with field_errors(path, "scenario file"):
         payload["kind"] = Kind(payload["kind"])
+        if payload.pop("frame_duration", FRAME_DURATION) != FRAME_DURATION:
+            raise ValueError(f"frame_duration is fixed at {FRAME_DURATION} s")
         return ScenarioSpec(**payload)
 
 
@@ -277,7 +279,7 @@ def params_at(spec: ScenarioSpec, t, step_start=None) -> tuple:
     ``t`` is a float or an array of times; each result has the shape of
     ``t``.  Continuous kinds modulate the base constants; the reconfiguration
     kinds look up (and for mixed reconfiguration additionally modulate) the
-    parameters of the two-second frame containing ``step_start`` (by default
+    parameters of the :data:`FRAME_DURATION` frame containing ``step_start`` (by default
     ``t``): the start of the step each ``t`` belongs to, so every RK4 stage of
     step k reads step k's frame, also the stage at its end.  The values are
     bit-equal to the same law evaluated on Python floats (``math.cos``,
@@ -290,7 +292,7 @@ def params_at(spec: ScenarioSpec, t, step_start=None) -> tuple:
     if spec.kind in _RECONFIG_KINDS:
         frames = spec.frames
         start = t if step_start is None else np.broadcast_to(step_start, t.shape)
-        i = np.minimum(((start + 1e-9) // spec.frame_duration).astype(int), spec.n_frames - 1)
+        i = np.minimum(((start + 1e-9) // FRAME_DURATION).astype(int), spec.n_frames - 1)
     else:
         frames = ((spec.mass, spec.spring, spec.damping),)
         i = np.zeros(t.shape, dtype=int)
@@ -308,7 +310,7 @@ def _kick_step_indices(spec: ScenarioSpec) -> frozenset:
     the first step of every frame after the first."""
     if spec.kind not in _RECONFIG_KINDS:
         return frozenset()
-    per_frame = round(spec.frame_duration / spec.dt)
+    per_frame = round(FRAME_DURATION / spec.dt)
     return frozenset(range(per_frame, spec.n_steps, per_frame))
 
 

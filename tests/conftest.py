@@ -68,15 +68,15 @@ def reference_params(spec: ScenarioSpec, t: float, step_start: float | None = No
 
     The law of ``dynamics.params_at`` on Python floats (``math.cos``, ``** 2``),
     one time at a time: the oracle the array version must match byte for byte.
-    A reconfiguration frame is the one containing ``step_start``, the start
-    of the step that ``t`` belongs to (by default ``t``).
+    A reconfiguration frame is the 2 s frame containing ``step_start``, the
+    start of the step that ``t`` belongs to (by default ``t``).
     """
     if t < -1e-12 or t > spec.horizon + 1e-9:
         raise ValueError(f"t={t} outside scenario horizon [0, {spec.horizon}]")
     w = spec.param_freq
     if spec.kind in (Kind.INST_RECONFIG, Kind.MIXED_RECONFIG):
         start = t if step_start is None else step_start
-        i = min(int((start + 1e-9) // spec.frame_duration), spec.n_frames - 1)
+        i = min(int((start + 1e-9) // 2.0), spec.n_frames - 1)
         m_i, cs_i, cd_i = spec.frames[i]
         if spec.kind is Kind.INST_RECONFIG:
             return m_i, cs_i, cd_i

@@ -5,7 +5,7 @@ import math
 import pickle
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -56,7 +56,6 @@ SMALL = BenchConfig(
     l_val=3,
     l_test=3,
     lambda_grid=(1e-3, 1e-1, 10.0),
-    tvera_rows_cols=((3, 3),),
     master_seed=13,
 )
 
@@ -82,6 +81,46 @@ def written_ecdf(values_by_method, path) -> dict:
         columns[method][0].append(float(value))
         columns[method][1].append(float(fraction))
     return columns
+
+
+# the paper's protocol, as BenchConfig() gives it and manifest.json records it
+PROTOCOL = {
+    "scenarios": ("ltv", "nl", "nld", "inst-reconfig", "mixed-reconfig"),
+    "master_seed": 0,
+    "l_train": 20,
+    "l_val": 8,
+    "l_test": 8,
+    "n_free": 2,
+    "noise_var": 1e-6,
+    "input_noise_var": 0.01,
+    "lambda_grid": (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0, 1e4),
+    "tvera_rows_cols": ((2, 2), (3, 3), (4, 4)),
+    "tvera_free": 4,
+    "tvera_forced": 10,
+    "initial_conditions": ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (2.0, 0.0)),
+    "jobs": 1,
+}
+FIXED = ("n_free", "input_noise_var", "tvera_rows_cols", "tvera_free", "tvera_forced",
+         "initial_conditions")
+
+
+class TestConfig:
+    def test_defaults_are_the_protocol(self):
+        cfg = BenchConfig()
+        assert asdict(cfg) == PROTOCOL
+        assert {name: getattr(cfg, name) for name in FIXED} == {n: PROTOCOL[n] for n in FIXED}
+        settable = [f.name for f in fields(BenchConfig) if f.init]
+        assert settable == [
+            "scenarios", "master_seed", "l_train", "l_val", "l_test", "noise_var", "lambda_grid",
+            "jobs",
+        ]
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_fixed_values_are_not_settable(self, name):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            BenchConfig(**{name: PROTOCOL[name]})
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(SMALL, **{name: PROTOCOL[name]})
 
 
 class TestEcdf:
@@ -133,7 +172,6 @@ class TestPredictionBenchmark:
             l_val=2,
             l_test=2,
             lambda_grid=(1e-3,),
-            tvera_rows_cols=((3, 3),),
         )
         rows = suite_rows("prediction", cfg, "table1")
         assert len(rows) == 6
@@ -209,25 +247,29 @@ class TestControlBenchmark:
         assert rows[:2] == clean[:2]
 
     def test_guard_trip_pools_the_partial_run(self):
-        # destabilizing gains trip the guard; the errors up to the trip are
-        # pooled, the run's rms skips the error at t=0 (x0 is off the
-        # reference there) and the row is unstable.  The ltv plant draws no
-        # noise, so the run's seed does not matter.
+        # destabilizing gains trip the guard from every initial condition; the
+        # errors up to each trip are pooled, each run's rms skips its error at
+        # t=0 (four of the five x0 are off the reference there) and the row is
+        # unstable.  The ltv plant draws no noise, so the runs' seeds do not
+        # matter.
         spec = scenario("ltv")
         ref = default_reference(spec.horizon)
         n = spec.n_steps
         sched = GainSchedule(K=np.full((n, 1, 2), -20.0), u_ff=np.zeros((n, 1)))
-        x0 = (0.0, 0.0)
-        with pytest.raises(InstabilityError) as trip:
-            closed_loop(spec, sched, ref, np.array(x0))
-        partial = Trajectory(trip.value.times, trip.value.states, trip.value.inputs)
-        errors = tracking_errors(partial, ref)
-        assert errors[0] == 1.0 and len(errors) < n + 1
-        cfg = replace(SMALL, initial_conditions=(x0,))
-        mean, std, rmse, unstable = bench._tracking_stats(spec, sched, ref, cfg, "ltv")
+        runs = []
+        for x0 in SMALL.initial_conditions:
+            with pytest.raises(InstabilityError) as trip:
+                closed_loop(spec, sched, ref, np.array(x0))
+            partial = Trajectory(trip.value.times, trip.value.states, trip.value.inputs)
+            runs.append(tracking_errors(partial, ref))
+            assert len(runs[-1]) < n + 1
+        assert [errors[0] for errors in runs] == [0.0, 2.0, 1.0, 1.0, 1.0]
+        mean, std, rmse, unstable = bench._tracking_stats(spec, sched, ref, SMALL, "ltv")
         assert unstable
-        assert (mean, std) == (np.mean(errors), np.std(errors))
-        assert rmse == math.sqrt(float(np.mean(errors[1:] ** 2))) / n
+        pooled = np.concatenate(runs)
+        assert (mean, std) == (np.mean(pooled), np.std(pooled))
+        rms = [math.sqrt(float(np.mean(errors[1:] ** 2))) for errors in runs]
+        assert rmse == float(np.mean(rms)) / n
 
 
 class TestLambdaSweep:
@@ -235,7 +277,6 @@ class TestLambdaSweep:
         # the sweep keeps the grid's order, which tune does not
         cfg = BenchConfig(
             scenarios=("ltv",), l_train=6, l_val=3, l_test=3, lambda_grid=(1e-3, 10.0, 1e-1, 1e3),
-            tvera_rows_cols=((3, 3),),
         )
         rows = suite_results("all", cfg)[0]["sweep"]
         assert [r.lam for r in rows] == list(cfg.lambda_grid)
@@ -285,8 +326,7 @@ class TestEmit:
 
     def test_ecdf_csv_sorted(self, tmp_path):
         cfg = BenchConfig(
-            scenarios=("ltv",), l_train=4, l_val=2, l_test=2,
-            lambda_grid=(1e-3,), tvera_rows_cols=((3, 3),),
+            scenarios=("ltv",), l_train=4, l_val=2, l_test=2, lambda_grid=(1e-3,),
         )
         run_bench("all", cfg, tmp_path)
         lines = (tmp_path / "ecdf_ltv.csv").read_text().strip().splitlines()[1:]
@@ -314,9 +354,6 @@ class TestEmit:
             ("master_seed", -1, "master_seed must be a non-negative integer"),
             ("master_seed", 7.5, "master_seed must be a non-negative integer, got 7.5"),
             ("jobs", 1.5, "jobs must be at least 1 and an integer, got 1.5"),
-            ("initial_conditions", (), "initial_conditions must be one or more finite pairs"),
-            ("initial_conditions", ((1.0,),), "finite pairs, got ((1.0,),)"),
-            ("initial_conditions", ((1.0, 0.0), (math.nan, 0.0)), "got ((1.0, 0.0), (nan, 0.0))"),
         ],
     )
     def test_bad_config_rejected_before_any_work(
@@ -383,8 +420,7 @@ class TestEmit:
 def test_ecdf_cosmic_dominates_realization_baseline():
     # tuned smoothed fit should sit far left of the realization baseline
     cfg = BenchConfig(
-        scenarios=("ltv",), l_train=8, l_val=4, l_test=4,
-        lambda_grid=(1e-3, 1e-1), tvera_rows_cols=((3, 3),),
+        scenarios=("ltv",), l_train=8, l_val=4, l_test=4, lambda_grid=(1e-3, 1e-1),
     )
     values = suite_results("all", cfg)[0]["ecdf"]
     cosmic = values["cosmic"]
@@ -459,16 +495,30 @@ class TestPipeline:
                 module = importlib.import_module(module)
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
+    def test_benchmark_config_reads_resolve(self):
+        # the workloads read these BenchConfig attributes; each must still
+        # resolve, at the counts the benchmark traces, with no workload run
+        _, workloads = _benchmark_modules()
+        assert workloads.Prediction(1).expected_counts() == {
+            "dynamics.simulate": 270, "ident.fit": 155, "control.closed_loop": 0,
+        }
+        assert workloads.Control(1).expected_counts() == {
+            "dynamics.simulate": 200, "ident.fit": 50, "control.closed_loop": 75,
+        }
+        cfg = workloads.BenchConfig(master_seed=workloads.MASTER_SEED, jobs=1)
+        for name in ("input_noise_var", "noise_var", "initial_conditions", "lambda_grid"):
+            assert hasattr(cfg, name), f"LongRecord reads BenchConfig.{name}"
+
     def test_one_simulate_call_per_trajectory(self, monkeypatch):
         # the benchmark counts simulate calls as trajectories
         calls = _count_calls(monkeypatch, datagen, "simulate")
         spec = scenario("nl")
         splits = datagen.build_dataset(
-            spec, datagen.default_excitations(spec.horizon), counts=(3, 2, 2), n_free=1
+            spec, datagen.default_excitations(spec.horizon, 0.01), (3, 2, 2), 1e-6, n_free=1
         )
         assert calls == ["nl"] * sum(len(ds) for ds in splits.values()) == ["nl"] * 9
         calls.clear()
-        assert len(datagen.tvera_experiments(spec, n_free=2, n_forced=3)) == len(calls) == 5
+        assert len(datagen.tvera_experiments(spec, 2, 3, 1e-6)) == len(calls) == 5
 
     def test_one_fit_call_per_grid_point(self, monkeypatch):
         # the benchmark counts fit_method calls as fits; scoring is batched
@@ -485,10 +535,11 @@ class TestPipeline:
         [
             # per scenario: the models given a gain recursion, the tuned
             # methods that share a cosmic set-up, and the fit calls that
-            # tune (grid points) and bench (untuned methods) make
-            ("prediction", [], ["cosmic-single", "cosmic"], (10, 1)),
+            # tune (grid points: 3 lambdas for each of three methods and
+            # tvera's 3 shapes) and bench (untuned methods) make
+            ("prediction", [], ["cosmic-single", "cosmic"], (12, 1)),
             ("control", ["cosmic", "linearization", "lti"], ["cosmic"], (3, 1)),
-            ("all", ["cosmic", "linearization", "lti"], ["cosmic-single", "cosmic"], (10, 2)),
+            ("all", ["cosmic", "linearization", "lti"], ["cosmic-single", "cosmic"], (12, 2)),
         ],
     )
     def test_shared_work_per_scenario(self, monkeypatch, tmp_path, suite, controllers, tuned, fits):
@@ -684,8 +735,7 @@ def test_each_recorded_type_becomes_its_cell_and_grid_row(monkeypatch, constant_
     spec = scenario("ltv")
     entries = {c: bench.Entry(ground_truth_ltv(spec)) for c in bench.CONTROLLERS}
     entries["lti"] = entry
-    cfg = replace(SMALL, initial_conditions=((1.0, 0.0),))
-    rows = bench._control_rows("ltv", spec, entries, cfg)
+    rows = bench._control_rows("ltv", spec, entries, SMALL)
     assert [r.error for r in rows] == [None, None, cell]
     # tune: a failed grid point is its row's error
     real = tuning.fit_method

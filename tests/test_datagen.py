@@ -34,10 +34,11 @@ def small_splits(noise_var=1e-6, seed=42, name="ltv"):
     spec = scenario(name)
     return build_dataset(
         spec,
-        default_excitations(spec.horizon),
+        default_excitations(spec.horizon, 0.01),
         counts=(4, 3, 3),
         noise_var=noise_var,
         master_seed=seed,
+        n_free=2,
     )
 
 
@@ -92,10 +93,11 @@ class TestChirp:
     @staticmethod
     def assert_rejected(tmp_path, changes, message):
         """``changes`` fail on the constructor and on a dataset manifest."""
+        ex = ExcitationSpec(amplitude=1.0, omega0=0.5, omega1=8.0, duration=10.0)
         with pytest.raises(ValueError, match=message):
-            replace(ExcitationSpec(), **changes)
+            replace(ex, **changes)
         traj = Trajectory(times=np.arange(3.0), states=np.zeros((3, 2)), inputs=np.zeros(2))
-        ds = Dataset(Split.TRAIN, [traj], scenario("ltv"), excitation=ExcitationSpec())
+        ds = Dataset(Split.TRAIN, [traj], scenario("ltv"), excitation=ex)
         save_dataset(ds, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["excitation"].update(changes)   # written as NaN / Infinity
@@ -182,7 +184,7 @@ class TestBuildDataset:
         spec = scenario("ltv")
         splits = build_dataset(
             spec,
-            default_excitations(spec.horizon),
+            default_excitations(spec.horizon, 0.01),
             counts=(2, 4, 2),
             noise_var=0.0,
             master_seed=1,
@@ -223,18 +225,19 @@ class TestBuildDataset:
 
     def test_distinct_bands_required(self):
         spec = scenario("ltv")
-        ex = default_excitations(spec.horizon)
+        ex = default_excitations(spec.horizon, 0.01)
         ex[Split.TEST] = ex[Split.TRAIN]
         with pytest.raises(ValueError):
-            build_dataset(spec, ex, counts=(2, 2, 2), noise_var=0.0, master_seed=0)
+            build_dataset(spec, ex, counts=(2, 2, 2), noise_var=0.0, master_seed=0, n_free=2)
 
 
     @pytest.mark.parametrize("noise_var", [-1e-6, math.nan, math.inf])
     def test_bad_noise_variance_rejected(self, noise_var):
         # before any draw: a negative variance once failed in math.sqrt
         spec = scenario("ltv")
+        ex = default_excitations(spec.horizon, 0.01)
         with pytest.raises(InputError, match="measurement noise variance"):
-            build_dataset(spec, default_excitations(spec.horizon), (2, 2, 2), noise_var)
+            build_dataset(spec, ex, (2, 2, 2), noise_var, n_free=2)
         with pytest.raises(InputError, match="measurement noise variance"):
             tvera_experiments(spec, 1, 1, noise_var)
 
@@ -242,8 +245,9 @@ class TestBuildDataset:
         # it once wrote validation and test splits with no free response
         monkeypatch.setattr(datagen, "_experiment", no_experiment)
         spec = scenario("ltv")
+        ex = default_excitations(spec.horizon, 0.01)
         with pytest.raises(InputError, match="free-response count must be >= 0, got -2"):
-            build_dataset(spec, default_excitations(spec.horizon), (2, 2, 2), n_free=-2)
+            build_dataset(spec, ex, (2, 2, 2), 1e-6, n_free=-2)
 
     @pytest.mark.parametrize(
         "counts, n_free", [((2.5, 2, 2), 2), ((2, 2, 2.0), 2), ((2, 2, 2), 1.5)]
@@ -253,8 +257,9 @@ class TestBuildDataset:
         monkeypatch.setattr(datagen, "_experiment", no_experiment)
         spec = scenario("ltv")
         message = f"trajectory counts must be integers, got {counts} and n_free={n_free}"
+        ex = default_excitations(spec.horizon, 0.01)
         with pytest.raises(InputError, match=re.escape(message)):
-            build_dataset(spec, default_excitations(spec.horizon), counts, n_free=n_free)
+            build_dataset(spec, ex, counts, 1e-6, n_free=n_free)
 
 
 def no_experiment(*args):
@@ -275,8 +280,8 @@ class TestExperiments:
                 assert np.std(traj.inputs) > 0.1
 
     def test_deterministic(self):
-        a = tvera_experiments(scenario("nld"), master_seed=2)
-        b = tvera_experiments(scenario("nld"), master_seed=2)
+        a = tvera_experiments(scenario("nld"), 4, 10, 1e-6, master_seed=2)
+        b = tvera_experiments(scenario("nld"), 4, 10, 1e-6, master_seed=2)
         assert a == b
 
     @pytest.mark.parametrize(
@@ -289,11 +294,11 @@ class TestExperiments:
         # a negative count once gave fewer experiments than asked, or an empty set
         monkeypatch.setattr(datagen, "_experiment", no_experiment)
         with pytest.raises(InputError, match=message):
-            tvera_experiments(scenario("ltv"), n_free=n_free, n_forced=n_forced)
+            tvera_experiments(scenario("ltv"), n_free=n_free, n_forced=n_forced, noise_var=1e-6)
 
     def test_one_kind_alone_is_enough(self):
-        assert tvera_experiments(scenario("ltv"), n_free=0, n_forced=1).labels == ("random",)
-        assert tvera_experiments(scenario("ltv"), n_free=1, n_forced=0).labels == ("free",)
+        assert tvera_experiments(scenario("ltv"), 0, 1, 1e-6).labels == ("random",)
+        assert tvera_experiments(scenario("ltv"), 1, 0, 1e-6).labels == ("free",)
 
 
 class TestPersistence:

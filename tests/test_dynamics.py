@@ -28,6 +28,7 @@ from ltvbench.control import (
 )
 from ltvbench.datagen import ExcitationSpec, chirp, default_excitations
 from ltvbench.dynamics import (
+    FRAME_DURATION,
     Kind,
     ScenarioSpec,
     Trajectory,
@@ -72,8 +73,8 @@ def edge_times(spec):
     """0, the horizon, the range's float ends, and every frame boundary b (and
     b - 1e-9, where the lookup's offset moves it) give or take 1-3 ulp."""
     times = [-1e-12, 0.0, spec.horizon, spec.horizon + 1e-9]
-    for j in range(1, math.ceil(spec.horizon / spec.frame_duration) + 1):
-        for b in (j * spec.frame_duration, j * spec.frame_duration - 1e-9):
+    for j in range(1, math.ceil(spec.horizon / FRAME_DURATION) + 1):
+        for b in (j * FRAME_DURATION, j * FRAME_DURATION - 1e-9):
             below = above = b
             times.append(b)
             for _ in range(3):
@@ -239,7 +240,7 @@ class TestSimulate:
         # every spec whose frames start on a step (dt = 2 s / per_frame, give
         # or take 2 ulp) and whose horizon is a whole number of steps (give or
         # take a relative 4e-15) keeps the kick steps that the formula used
-        # before those rules, ceil(j * frame_duration / dt - 1e-9), gave it;
+        # before those rules, ceil(j * 2.0 / dt - 1e-9), gave it;
         # a horizon between two steps is rejected
         dt = 2.0 / per_frame
         for _ in range(abs(nudge)):
@@ -255,8 +256,8 @@ class TestSimulate:
         assert spec.n_steps == steps
         ceil_steps = set()
         j = 1
-        while j * spec.frame_duration < spec.horizon - 1e-9:
-            k = math.ceil(j * spec.frame_duration / spec.dt - 1e-9)
+        while j * 2.0 < spec.horizon - 1e-9:
+            k = math.ceil(j * 2.0 / spec.dt - 1e-9)
             if 1 <= k <= spec.n_steps:
                 ceil_steps.add(k)
             j += 1
@@ -519,6 +520,21 @@ class TestSpecValidation:
         spec = scenario("mixed-reconfig")
         save_scenario(spec, tmp_path / "spec.json")
         assert load_scenario(tmp_path / "spec.json") == spec
+
+    @pytest.mark.parametrize("name", ["ltv", "inst-reconfig"])
+    def test_a_file_holds_the_fixed_frame_duration(self, tmp_path, name):
+        # files record the frame length; one that holds another is malformed,
+        # also for a kind without frames, where it was once ignored
+        spec = scenario(name)
+        path = tmp_path / "spec.json"
+        save_scenario(spec, path)
+        payload = json.loads(path.read_text())
+        assert payload["frame_duration"] == FRAME_DURATION == 2.0
+        assert load_scenario(path) == spec
+        for value in (2.5, 2.0 + 1e-13, "2.0", None):
+            path.write_text(json.dumps({**payload, "frame_duration": value}))
+            with pytest.raises(DataFormatError, match="frame_duration is fixed at 2.0 s"):
+                load_scenario(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):

@@ -103,7 +103,7 @@ def test_ltvmodels_fit(benchmark):
 
 
 def test_tvera_fit(benchmark):
-    experiments = tvera_experiments(scenario("ltv"), n_free=4, n_forced=10, master_seed=3)
+    experiments = tvera_experiments(scenario("ltv"), 4, 10, 1e-6, master_seed=3)
     fit = benchmark.pedantic(
         tvera_fit, args=(experiments,), kwargs={"hankel_rows": 3, "hankel_cols": 3}, **ROUNDS
     )

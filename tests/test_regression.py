@@ -91,8 +91,8 @@ class TestCheckExcitation:
     def test_chirp_dataset_satisfied(self):
         spec = scenario("ltv")
         splits = build_dataset(
-            spec, default_excitations(spec.horizon), counts=(2, 1, 1),
-            noise_var=0.0, master_seed=3,
+            spec, default_excitations(spec.horizon, 0.01), counts=(2, 1, 1),
+            noise_var=0.0, master_seed=3, n_free=2,
         )
         assert stacked_rank(splits[Split.TRAIN]) == 3
         # cross-check with the numpy rank oracle on the same stacked rows
@@ -390,7 +390,7 @@ class TestStackedLstsq:
 )
 def test_nan_training_state_raises(fit):
     trajs = list(
-        tvera_experiments(scenario("ltv"), n_free=4, n_forced=10, master_seed=3).trajectories
+        tvera_experiments(scenario("ltv"), 4, 10, 1e-6, master_seed=3).trajectories
     )
     trajs[6].states[40, 1] = np.nan
     with pytest.raises(NumericalError, match="non-finite regressors or targets"):

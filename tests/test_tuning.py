@@ -216,7 +216,7 @@ class TestGridScoring:
         spec, seed, splits = _scenario_data("ltv", self.CFG)
         train = splits[Split.TRAIN]
         if method == "tvera":
-            train = tvera_experiments(spec, n_free=4, n_forced=6, master_seed=seed)
+            train = tvera_experiments(spec, 4, 6, 1e-6, master_seed=seed)
         return train, splits[Split.VALIDATION]
 
     def recording_fits(self, monkeypatch, change=None):
