@@ -6,7 +6,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -144,6 +144,53 @@ def loop_lqr(model, weights):
     return K, P_stack
 
 
+# the unit roundoff of float64
+U = 2.0**-53
+
+
+def lqr_error_bound(model, weights):
+    """A first-order bound ``(E_K, E_P)`` on the rounding error of the gain
+    recursion in any summation order: ``|computed - exact| <= U * E``, entry
+    by entry (running error analysis; Higham 2002, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3).
+
+    The model and weights are exact; each operation of a step adds its own
+    rounding to the bounds of its operands.  A product ``X Y`` of inner
+    dimension m gets ``|X| E_Y + E_X |Y| + m |X| |Y|`` (m products and sums
+    round, ``gamma_m``), a sum ``X + Y`` gets ``E_X + E_Y + |X| + |Y|``, and the
+    gain ``K = G / s`` gets ``(E_G + |K| E_s) / s + 2 |K|``, whose 2 covers a
+    solve that multiplies by a rounded reciprocal.  Each rounding is scaled by
+    the summed magnitudes of its terms, not by its result, so an entry that
+    cancels to a residue keeps the bound of its terms.
+    """
+
+    def mul(x, ex, y, ey):
+        ax, ay = np.abs(x), np.abs(y)
+        return x @ y, ax @ ey + ex @ ay + x.shape[-1] * (ax @ ay)
+
+    def add(x, ex, y, ey):
+        return x + y, ex + ey + np.abs(x) + np.abs(y)
+
+    n, p, q = model.n_steps, model.p, model.q
+    Q, R = weights.Q, weights.R
+    E_K = np.empty((n, q, p))
+    E_P = np.empty((n + 1, p, p))
+    P, E_P[n] = weights.H, 0.0
+    for k in range(n - 1, -1, -1):
+        A, B = model.A[k], model.B[k]
+        BtP, e_BtP = mul(B.T, 0 * B.T, P, E_P[k + 1])
+        s, e_s = add(R, 0 * R, *mul(BtP, e_BtP, B, 0 * B))
+        G, e_G = mul(BtP, e_BtP, A, 0 * A)
+        K = G / s
+        E_K[k] = (e_G + np.abs(K) * e_s) / s + 2 * np.abs(K)
+        Acl, e_Acl = add(A, 0 * A, *mul(-B, 0 * B, K, E_K[k]))
+        S, e_S = add(Q, 0 * Q, *mul(*mul(K.T, E_K[k].T, R, 0 * R), K, E_K[k]))
+        S, e_S = add(S, e_S, *mul(*mul(Acl.T, e_Acl.T, P, E_P[k + 1]), Acl, e_Acl))
+        P = 0.5 * (S + S.T)
+        E_P[k] = 0.5 * (e_S + e_S.T + np.abs(S) + np.abs(S.T))
+    return E_K, E_P
+
+
 def _mul(x, y):
     """The matrix product of nested lists, each entry's terms summed in index order."""
     return [[reduce(add, (x[i][m] * y[m][j] for m in range(len(y)))) for j in range(len(y[0]))]
@@ -254,22 +301,42 @@ def model_and_weights():
     return replace(model, A=model.A.copy(), B=model.B.copy()), default_weights()
 
 
+# an 8-step model with entries in {-2, -1.625, 0, 1}: blocks [A(k)^T; B(k)^T]
+AMPLIFYING_BLOCKS = [
+    [[-2.0, -2.0], [0.0, 0.0], [-2.0, -2.0]], [[-1.625, 1.0], [-2.0, -2.0], [-1.625, -2.0]],
+    [[0.0, -1.625], [-2.0, 0.0], [1.0, -2.0]], [[0.0, -2.0], [-1.625, -1.625], [0.0, 1.0]],
+    [[-1.625, -2.0], [0.0, -2.0], [0.0, -1.625]], [[-2.0, 1.0], [-2.0, -2.0], [-1.625, 1.0]],
+    [[1.0, 1.0], [-1.625, -1.625], [0.0, 0.0]], [[1.0, 1.0], [-1.625, 1.0], [-2.0, 1.0]],
+]
+
+
 class TestGainRecursions:
     """``lqr_ltv`` runs one recursion, on Python floats, on one model of the
     plant's shape (p=2, q=1)."""
 
     @settings(max_examples=150, deadline=None)
     @given(model_stacks())
+    # K[0, 0, 0] cancels to a rounding residue: 6.3e-17 here, 4.8e-17 in loop_lqr
+    @example((
+        [LtvModel(A=[[[1.0, 0.0], [-0.9999999999999999, 0.0]], np.zeros((2, 2))],
+                  B=[[[1.0], [0.0]], [[0.0], [0.0]]], dt=0.1)],
+        CostWeights(Q=[[3.0, 3.0], [3.0, 3.0]], R=[[4.0]], H=[[2.5, 1.5], [1.5, 2.5]]),
+    ))
+    # the recursion amplifies rounding: K and P 3e-11 relative off loop_lqr
+    @example((
+        [LtvModel.from_stacked(np.array(AMPLIFYING_BLOCKS), q=1, dt=0.1)],
+        CostWeights(Q=np.zeros((2, 2)), R=np.eye(1), H=np.eye(2)),
+    ))
     def test_each_model_matches_its_oracle(self, case):
         models, weights = case
         for model in models:
             sched = lqr_ltv(model, weights)
             K, P = loop_lqr(model, weights)
-            # the float recursion differs from numpy's products by rounding,
-            # relative to each model's largest entry: an entry that cancels
-            # is an exact zero in one and a residue in the other
-            assert_allclose(sched.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
-            assert_allclose(sched.cost_to_go, P, rtol=1e-12, atol=1e-12 * np.abs(P).max())
+            # each recursion is within U * E of the exact one, whatever its
+            # summation order, so the two differ by at most 2 U * E
+            E_K, E_P = lqr_error_bound(model, weights)
+            assert np.all(np.abs(sched.K - K) <= 2 * U * E_K)
+            assert np.all(np.abs(sched.cost_to_go - P) <= 2 * U * E_P)
             K, P = float_lqr(model, weights)
             assert sched.K.tobytes() == K.tobytes()
             assert sched.cost_to_go.tobytes() == P.tobytes()
