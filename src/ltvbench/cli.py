@@ -274,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-var", type=float, default=defaults.noise_var,
         help="measurement noise variance of the training states",
     )
-    sizes = argparse.ArgumentParser(add_help=False)
-    sizes.add_argument("--l-train", type=int, default=defaults.l_train)
-    sizes.add_argument("--l-val", type=int, default=defaults.l_val)
-    sizes.add_argument("--l-test", type=int, default=defaults.l_test)
     method = argparse.ArgumentParser(add_help=False)
     method.add_argument("--method", required=True, choices=METHODS)
 
@@ -326,7 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     ctl.add_argument("--gains-out", help="also persist the gain schedule")
     ctl.set_defaults(func=_cmd_control)
 
-    bn = sub.add_parser("bench", parents=[seed, sizes, noise], help="run a benchmark suite")
+    bn = sub.add_parser("bench", parents=[seed, noise], help="run a benchmark suite")
+    bn.add_argument("--l-train", type=int, default=defaults.l_train)
+    bn.add_argument("--l-val", type=int, default=defaults.l_val)
+    bn.add_argument("--l-test", type=int, default=defaults.l_test)
     bn.add_argument("--suite", required=True, choices=SUITES)
     bn.add_argument("--out", required=True, help="output directory")
     bn.add_argument("--scenarios", help="comma-separated subset of scenarios")
