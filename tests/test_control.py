@@ -144,8 +144,9 @@ def loop_lqr(model, weights):
     return K, P_stack
 
 
-# the unit roundoff of float64
+# the unit roundoff and the smallest normal number of float64
 U = 2.0**-53
+TINY = 2.0**-1022
 
 
 def lqr_error_bound(model, weights):
@@ -161,12 +162,15 @@ def lqr_error_bound(model, weights):
     gain ``K = G / s`` gets ``(E_G + |K| E_s) / s + 2 |K|``, whose 2 covers a
     solve that multiplies by a rounded reciprocal.  Each rounding is scaled by
     the summed magnitudes of its terms, not by its result, so an entry that
-    cancels to a residue keeps the bound of its terms.
+    cancels to a residue keeps the bound of its terms.  A product, quotient or
+    halving that underflows also errs by up to half the smallest subnormal,
+    ``U * TINY`` (Higham's model (2.8) with gradual underflow, under which sums
+    are exact), so each of them adds ``TINY``: m of them per product entry.
     """
 
     def mul(x, ex, y, ey):
         ax, ay = np.abs(x), np.abs(y)
-        return x @ y, ax @ ey + ex @ ay + x.shape[-1] * (ax @ ay)
+        return x @ y, ax @ ey + ex @ ay + x.shape[-1] * (ax @ ay + TINY)
 
     def add(x, ex, y, ey):
         return x + y, ex + ey + np.abs(x) + np.abs(y)
@@ -182,12 +186,12 @@ def lqr_error_bound(model, weights):
         s, e_s = add(R, 0 * R, *mul(BtP, e_BtP, B, 0 * B))
         G, e_G = mul(BtP, e_BtP, A, 0 * A)
         K = G / s
-        E_K[k] = (e_G + np.abs(K) * e_s) / s + 2 * np.abs(K)
+        E_K[k] = (e_G + np.abs(K) * e_s) / s + 2 * np.abs(K) + TINY
         Acl, e_Acl = add(A, 0 * A, *mul(-B, 0 * B, K, E_K[k]))
         S, e_S = add(Q, 0 * Q, *mul(*mul(K.T, E_K[k].T, R, 0 * R), K, E_K[k]))
         S, e_S = add(S, e_S, *mul(*mul(Acl.T, e_Acl.T, P, E_P[k + 1]), Acl, e_Acl))
         P = 0.5 * (S + S.T)
-        E_P[k] = 0.5 * (e_S + e_S.T + np.abs(S) + np.abs(S.T))
+        E_P[k] = 0.5 * (e_S + e_S.T + np.abs(S) + np.abs(S.T)) + TINY
     return E_K, E_P
 
 
@@ -326,6 +330,11 @@ class TestGainRecursions:
     @example((
         [LtvModel.from_stacked(np.array(AMPLIFYING_BLOCKS), q=1, dt=0.1)],
         CostWeights(Q=np.zeros((2, 2)), R=np.eye(1), H=np.eye(2)),
+    ))
+    # K(0) = 9 * 2^-1074 / 6 underflows onto a tie: 2 * 2^-1074 here, 1 * 2^-1074 in loop_lqr
+    @example((
+        [LtvModel(A=[[[9 * 2.0**-537, 0.0], [0.0, 0.0]]], B=[[[2.0**-537], [0.0]]], dt=0.1)],
+        CostWeights(Q=np.zeros((2, 2)), R=[[6.0]], H=np.eye(2)),
     ))
     def test_each_model_matches_its_oracle(self, case):
         models, weights = case
