@@ -143,7 +143,9 @@ class ScenarioSpec:
         if self.kind in _RECONFIG_KINDS:
             per_frame = FRAME_DURATION / self.dt
             if not math.isclose(per_frame, round(per_frame), rel_tol=1e-14):
-                raise InputError(f"frames must start on a step: {FRAME_DURATION} / dt = {per_frame!r}")
+                raise InputError(
+                    f"frames must start on a step, but {FRAME_DURATION} / dt = {per_frame!r}"
+                )
             expected = math.ceil(self.n_steps / round(per_frame))
             if len(self.frames) != expected:
                 raise InputError(
