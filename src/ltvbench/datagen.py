@@ -193,9 +193,8 @@ def build_dataset(
     excitations: dict,
     counts: tuple,
     noise_var: float,
-    master_seed: int = 0,
-    *,
     n_free: int,
+    master_seed: int = 0,
 ) -> dict:
     """Build the train/validation/test datasets for one scenario.
 
