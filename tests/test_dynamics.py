@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-import ltvbench as lb
 from conftest import derivative, reference_chirp, reference_params, sat, step_rk4
 from ltvbench import dynamics
 from ltvbench.cli import main
@@ -28,6 +27,7 @@ from ltvbench.control import (
 )
 from ltvbench.datagen import ExcitationSpec, chirp, default_excitations
 from ltvbench.dynamics import (
+    BUILTIN_SCENARIOS,
     FRAME_DURATION,
     Kind,
     ScenarioSpec,
@@ -120,7 +120,7 @@ class TestParamsAt:
         spec = two_frame_spec(Kind.INST_RECONFIG, ((1.0, 1.0, 1.0), (2.0, 3.0, 4.0)))
         assert reference_params(spec, 4.0) == (2.0, 3.0, 4.0)
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     @given(seed=seeds, data=st.data())
     def test_array_law_is_reference_law(self, name, seed, data):
@@ -136,7 +136,7 @@ class TestParamsAt:
         assert_bytes_equal(np.array(params_at(spec, drawn[0])), expected[:, 0])
 
     def test_outside_horizon_raises(self):
-        for name in lb.BUILTIN_SCENARIOS:
+        for name in BUILTIN_SCENARIOS:
             spec = scenario(name)
             for t in (-0.5, spec.horizon + 1.0, math.nan, [0.0, math.nan], [1.0, -1e-9]):
                 with pytest.raises(ValueError, match="outside scenario horizon"):
@@ -331,7 +331,7 @@ class TestExpm:
     # largest entry, on random stacks to 4e-15 (1x1 near norm 2, where
     # scipy takes np.exp, differs most).
     def test_scenario_matrices_match_scipy(self):
-        for name in lb.BUILTIN_SCENARIOS:
+        for name in BUILTIN_SCENARIOS:
             spec = scenario(name)
             aug = np.zeros((spec.n_steps, 3, 3))
             for k in range(spec.n_steps):
@@ -429,7 +429,7 @@ class TestGroundTruthLtv:
     def test_transition_is_matrix_exponential(self):
         # on every kind, each (A(k), B(k)) is, byte for byte, the ZOH of the
         # reference rates frozen at the step's midpoint; A(k) is expm of them
-        for name in lb.BUILTIN_SCENARIOS:
+        for name in BUILTIN_SCENARIOS:
             spec = scenario(name)
             model = ground_truth_ltv(spec)
             for k in range(spec.n_steps):
@@ -443,7 +443,7 @@ class TestGroundTruthLtv:
 
 class TestSpecValidation:
     def test_builtins(self):
-        for name in lb.BUILTIN_SCENARIOS:
+        for name in BUILTIN_SCENARIOS:
             spec = scenario(name)
             assert spec.n_steps == 500
         with pytest.raises(ValueError):
@@ -633,7 +633,7 @@ def saturating_chirp(amplitude):
 
 
 class TestRolloutOracle:
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
     @given(x0=initial_states, seed=seeds, amplitude=amplitudes)
     def test_simulate_matches_step_loop(self, name, x0, seed, amplitude):
@@ -660,7 +660,7 @@ class TestRolloutOracle:
         # inputs on both sides of the saturation limit
         assert np.abs(inputs).min() < spec.sat_limit < np.abs(inputs).max()
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(x0=initial_states, amplitude=amplitudes)
     def test_unseeded_simulate_matches_step_loop(self, name, x0, amplitude):
@@ -685,7 +685,7 @@ class TestRolloutOracle:
         assert not np.array_equal(quiet.states, kicked.states)
         assert_bytes_equal(kicked.states, states)
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     @given(x0=initial_states, seed=seeds)
     def test_closed_loop_matches_step_loop(self, name, x0, seed):
@@ -700,7 +700,7 @@ class TestRolloutOracle:
         assert_rollouts_match(spec, got.states, states)
         assert_rollouts_match(spec, got.inputs, inputs)
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_guard_trip_partial_data_matches(self, name):
         spec = unstable_variant(scenario(name))
         n = spec.n_steps
@@ -720,7 +720,7 @@ class TestRolloutOracle:
         assert_rollouts_match(spec, info.value.states, states)
         assert_bytes_equal(info.value.inputs, inputs)
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_non_finite_step_raises(self, name):
         spec = short_scenario(name)
         inputs = np.where(np.arange(spec.n_steps) * spec.dt < 1.0, 0.0, math.nan)
@@ -768,7 +768,7 @@ class TestSubstepConvergence:
     without frames, and doubling the substeps cuts that error at least 8x
     (16x at fourth order)."""
 
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_fourth_order_against_80_substeps(self, name, substeps):
         spec = scenario(name)
         bound = 1e-5 if spec.frames else 1e-9
@@ -790,7 +790,7 @@ class TestSubstepConvergence:
 
 
 class TestStageTable:
-    @pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_rows_are_params_at_stage_times(self, name):
         # against the reference law at the reference step's stage times, in
         # the step's frame

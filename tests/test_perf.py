@@ -22,7 +22,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import ltvbench as lb
 from conftest import model_trajectories
 from ltvbench.control import (
     closed_loop,
@@ -33,7 +32,14 @@ from ltvbench.control import (
     with_feedforward,
 )
 from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
-from ltvbench.dynamics import LINEAR_SUBSTEPS, _stage_params, ground_truth_ltv, scenario, simulate
+from ltvbench.dynamics import (
+    BUILTIN_SCENARIOS,
+    LINEAR_SUBSTEPS,
+    _stage_params,
+    ground_truth_ltv,
+    scenario,
+    simulate,
+)
 from ltvbench.ident import (
     ltvmodels_fit,
     solve_block_tridiag,
@@ -44,7 +50,7 @@ from ltvbench.ident import (
 ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 
 
-@pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_simulate_rollout(benchmark, name):
     spec = scenario(name)
     inputs = 3.0 * np.sin(2.0 * (np.arange(spec.n_steps) * spec.dt))
@@ -54,7 +60,7 @@ def test_simulate_rollout(benchmark, name):
     assert traj.n_steps == spec.n_steps == 500
 
 
-@pytest.mark.parametrize("name", lb.BUILTIN_SCENARIOS)
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_closed_loop_rollout(benchmark, name):
     spec = scenario(name)
     model = ground_truth_ltv(spec)

@@ -17,16 +17,40 @@ def test_missing_lapack_routine_names_its_symbol():
         lapack_routine("no_such_routine")
 
 
-def test_package_imports_leave_scipy_out():
-    # a fresh interpreter: the tests themselves import scipy as an oracle
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports this
+    checkout's package (the tests themselves import scipy and every module)."""
     src = str(Path(ltvbench.__file__).parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, ltvbench.cli, ltvbench.bench; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_package_imports_leave_scipy_out():
+    code = "import sys, ltvbench.cli, ltvbench.bench; print('scipy' in sys.modules)"
+    assert run_fresh(code) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("ltvbench", "ltvbench"),
+        ("ltvbench.toolchain", "ltvbench ltvbench.toolchain"),
+        (
+            "ltvbench.dynamics",
+            "ltvbench ltvbench.dynamics ltvbench.exceptions ltvbench.files ltvbench.models",
+        ),
+    ],
+)
+def test_leaf_modules_load_alone(module, loaded):
+    # the package root imports nothing, so a leaf loads only what it uses:
+    # the toolchain probe no fit, and the plants no fit, controller or dataset
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if 'ltvbench' in m))"
+    assert run_fresh(code) == loaded + "\n"
