@@ -122,6 +122,8 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.kind, Kind):
+            raise TypeError(f"kind must be a Kind, got {self.kind!r}")
         # a hashable frame table keeps the spec usable as a cache key
         object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
         for f in fields(self):

@@ -453,6 +453,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(kind=Kind.LTV, mass=0.0)
 
+    @pytest.mark.parametrize("kind", ["nl", "inst-reconfig", None])
+    def test_kind_must_be_a_kind(self, kind):
+        # every kind test reads a value that is no Kind as the linear, continuous plant
+        with pytest.raises(TypeError, match=re.escape(f"kind must be a Kind, got {kind!r}")):
+            ScenarioSpec(kind=kind)
+        with pytest.raises(TypeError, match=re.escape(f"kind must be a Kind, got {kind!r}")):
+            replace(scenario("ltv"), kind=kind)
+
     def test_frames_rejected_for_continuous_kinds(self):
         with pytest.raises(ValueError):
             ScenarioSpec(kind=Kind.LTV, frames=((1.0, 1.0, 1.0),))
