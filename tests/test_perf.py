@@ -7,8 +7,9 @@ shape of a ``long-record`` scenario), one
 ``tvera_fit`` on 4 free + 10 forced experiments of 500 steps, one
 ``save_dataset`` + ``load_dataset`` round trip of 4 trajectories x 5000 steps,
 one ``lqr_ltv`` and one ``feedforward`` of the ``ltv`` linearization at 5000
-steps, and the ``ltv`` time-law tables (RK4 stage parameters plus the ZOH
-linearization) at N=500 and N=5000.
+steps, and the time-law tables at N=500 and N=5000: those each family's
+rollout kernel builds (the step maps of ``ltv``, the RK4 stage parameters of
+``nl``) and the ZOH linearization of ``ltv``.
 
 A few pedantic rounds keep them cheap in the test run; for timings, run
 
@@ -34,8 +35,9 @@ from ltvbench.control import (
 from ltvbench.datagen import Dataset, Split, load_dataset, save_dataset, tvera_experiments
 from ltvbench.dynamics import (
     BUILTIN_SCENARIOS,
-    LINEAR_SUBSTEPS,
+    SATURATED_SUBSTEPS,
     _stage_params,
+    _step_maps,
     ground_truth_ltv,
     scenario,
     simulate,
@@ -148,11 +150,13 @@ def test_feedforward(benchmark):
 
 @pytest.mark.parametrize("n", [500, 5000])
 def test_time_law_tables(benchmark, n):
-    spec = replace(scenario("ltv"), horizon=n * 0.02)
+    linear = replace(scenario("ltv"), horizon=n * 0.02)
+    saturated = replace(scenario("nl"), horizon=n * 0.02)
 
     def tables():
-        return _stage_params(spec), ground_truth_ltv(spec)
+        return _step_maps(linear), _stage_params(saturated), ground_truth_ltv(linear)
 
-    stages, model = benchmark.pedantic(tables, **ROUNDS)
-    assert stages.shape == (n, LINEAR_SUBSTEPS, 12)
+    maps, stages, model = benchmark.pedantic(tables, **ROUNDS)
+    assert maps.shape == (n, 6)
+    assert stages.shape == (n, SATURATED_SUBSTEPS, 12)
     assert model.n_steps == n
