@@ -141,14 +141,17 @@ def _scenario_data(name: str, cfg: BenchConfig):
 
 
 def check_lambda_grid(grid) -> None:
-    """Raise ``InputError`` unless ``grid`` holds lambda values, each positive
-    and finite."""
+    """Raise ``InputError`` unless ``grid`` holds lambda values, each positive,
+    finite and given once."""
     try:
         lams = [check_lam(lam) for lam in grid]
     except InputError:
         lams = []
     if not lams:
         raise InputError(f"lambda values must be positive and finite, got {tuple(grid)}")
+    repeated = sorted({lam for lam in lams if lams.count(lam) > 1})
+    if repeated:
+        raise InputError(f"lambda values given more than once: {', '.join(map(str, repeated))}")
 
 
 def method_grid(method: str, cfg: BenchConfig) -> tuple:

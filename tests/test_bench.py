@@ -351,6 +351,7 @@ class TestEmit:
             ("lambda_grid", (1e-3, -1.0), "lambda values must be positive and finite"),
             ("lambda_grid", (math.nan,), "lambda values must be positive and finite"),
             ("lambda_grid", (), "lambda values must be positive and finite, got ()"),
+            ("lambda_grid", (0.1, 1.0, 1e-1), "lambda values given more than once: 0.1"),
             ("master_seed", -1, "master_seed must be a non-negative integer"),
             ("master_seed", 7.5, "master_seed must be a non-negative integer, got 7.5"),
             ("jobs", 1.5, "jobs must be at least 1 and an integer, got 1.5"),

@@ -308,6 +308,25 @@ class TestBenchCommand:
         assert "cannot parse lambda values '1e-3,x'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_lambda_lists_reject_a_repeated_value_before_any_work(self, tmp_path, capsys):
+        # a repeated lambda would be fitted twice and written as two equal rows;
+        # values are compared as floats, so 1e-1 repeats 0.1
+        run(*dataset_args(tmp_path / "d"))
+        capsys.readouterr()
+        grid = "0.1,1e-3,1e-1"
+        tune_args = (
+            "tune", "--method", "cosmic", "--grid", grid, "--train",
+            str(tmp_path / "d" / "train"), "--validation", str(tmp_path / "d" / "validation"),
+        )
+        bench_args = (
+            "bench", "--suite", "all", "--seed", "7", "--scenarios", "ltv",
+            "--l-train", "6", "--l-val", "3", "--l-test", "3", "--lambda-grid", grid,
+        )
+        for args in (tune_args, bench_args):
+            assert run(*args, "--out", str(tmp_path / "out" / "m.json")) == 2
+            assert "error: lambda values given more than once: 0.1\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_lambda_list_starting_with_a_minus_needs_the_equals_form(self, tmp_path, capsys):
         # argparse reads "-1,1e-3" after a space as an option; such a list is
         # never valid, since every lambda must be positive
