@@ -4,7 +4,7 @@
     PYTHONPATH=src python tests/golden.py --check RUN_DIR
     PYTHONPATH=src python tests/golden.py --update RUN_DIR
 
-(``ltvbench`` must be importable: it probes the toolchain.)
+(It needs only numpy and ``ltvbench.toolchain``, which probes the toolchain.)
 
 For every CSV table in either directory (``table1.csv``, ``table2.csv``,
 ``lambda_sweep.csv``, the ``ecdf_*.csv`` files) it reports whether the file is
