@@ -1,25 +1,15 @@
-"""Symmetric block-tridiagonal solver for chain-coupled normal equations.
+"""Banded Cholesky of a symmetric block-tridiagonal matrix.
 
-:func:`factor_block_tridiag` Cholesky-factors any symmetric block-tridiagonal
-matrix, given its diagonal blocks D[k] (size m) and the full m x m upper
-blocks E[k] that couple step k to step k+1: a band of half-bandwidth 2m-1,
-factored by LAPACK's banded Cholesky (``dpbtrf``, then ``dpbtrs`` per solve)
-in O(N m^3), i.e. linear in the number of blocks, and a factorization can be
+:func:`factor_block_tridiag` factors the matrix given its diagonal blocks
+D[k] (size m) and the full m x m upper blocks E[k] that couple step k to
+step k+1: a band of half-bandwidth 2m-1, factored by LAPACK's banded
+Cholesky (``dpbtrf``) in O(N m^3), i.e. linear in the number of blocks.
+:func:`banded_solve` solves with a factorization (``dpbtrs``), which can be
 reused across right-hand sides.  Both routines are called through ctypes
 from the OpenBLAS that numpy's wheel bundles
 (:func:`ltvbench.toolchain.lapack_routine`); importing this module fails,
-naming the symbol, where that library does not export them.
-
-The chain-coupled system of the cosmic fit,
-
-    (G[k] + (lam + lam) W) X[k] - lam W X[k-1] - lam W X[k+1] = R[k]
-
-for k = 0..N-1, where the terms in X[-1] and X[N] and their lam W on the
-diagonal are dropped, has diagonal couplings: lam >= 0 is one coupling, G[k]
-are symmetric PSD blocks of size d, W is a fixed diagonal weight (identity
-by default), and the right-hand sides R[k] may carry multiple columns.
-:func:`banded_factor` assembles it, with the couplings -lam W as full
-blocks, as the Newton systems of the ``ltvmodels`` fit come.
+naming the symbol, where that library does not export them.  The fits
+assemble their own blocks (:mod:`.cosmic`, :mod:`.ltvmodels`).
 """
 
 from __future__ import annotations
@@ -46,29 +36,6 @@ _DPBTRF.restype = _DPBTRS.restype = None
 
 def _ints(*values) -> list:
     return [ctypes.byref(ctypes.c_int64(v)) for v in values]
-
-
-def _coupling_sums(n: int, lam: float) -> np.ndarray:
-    """lam once per neighbour of each of the n blocks: lam + lam inside, lam
-    at the two ends, 0 for a lone block."""
-    sums = np.zeros(n)
-    sums[1:] += lam
-    sums[:-1] += lam
-    return sums
-
-
-def apply_block_tridiag(gram, lam, x, weight=None) -> np.ndarray:
-    """Multiply the block-tridiagonal system matrix by stacked blocks ``x``."""
-    gram = np.asarray(gram, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n, d = gram.shape[:2]
-    w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
-    wx = w[None, :, None] * x
-    out = np.einsum("kij,kjm->kim", gram, x)
-    out += _coupling_sums(n, lam)[:, None, None] * wx
-    out[1:] -= lam * wx[:-1]
-    out[:-1] -= lam * wx[1:]
-    return out
 
 
 def factor_block_tridiag(diag, upper):
@@ -102,27 +69,6 @@ def factor_block_tridiag(diag, upper):
     return ab, n, m
 
 
-def banded_factor(gram, lam, weight=None):
-    """Factor the chain-coupled system of the module docstring.
-
-    Raises ``ValueError`` when ``lam`` is negative, and
-    :class:`NumericalError` when the blocks, coupling or weight are not
-    finite, or the system is not positive definite.
-    """
-    gram = np.asarray(gram, dtype=float)
-    n, d, d2 = gram.shape
-    if d != d2:
-        raise ValueError(f"gram blocks must be square, got {gram.shape}")
-    if lam < 0:
-        raise ValueError(f"coupling lam must be nonnegative, got {lam}")
-    w = np.ones(d) if weight is None else np.asarray(weight, dtype=float)
-    diag = gram.copy()
-    diag[:, np.arange(d), np.arange(d)] += _coupling_sums(n, lam)[:, None] * w
-    upper = np.zeros((n - 1, d, d))
-    upper[:, np.arange(d), np.arange(d)] = -lam * w
-    return factor_block_tridiag(diag, upper)
-
-
 def banded_solve(fact, rhs) -> np.ndarray:
     """Solve with a factorization of :func:`factor_block_tridiag` for the
     stacked right-hand sides ``rhs`` (N, m, c), into a Fortran-ordered copy."""
@@ -138,18 +84,3 @@ def banded_solve(fact, rhs) -> np.ndarray:
     if info.value != 0:
         raise ValueError(f"illegal argument {-info.value} to LAPACK dpbtrs")
     return out.reshape(n, d, cols)
-
-
-def solve_block_tridiag(gram, lam, rhs, weight=None) -> np.ndarray:
-    """Factor, solve, and take one refinement sweep on the residual.
-
-    The refinement re-solves for the residual of the first solution with the
-    same factorization; it recovers accuracy when the coupling dwarfs the
-    data blocks (very large lam).
-    """
-    fact = banded_factor(gram, lam, weight)
-    x = banded_solve(fact, rhs)
-    x = x + banded_solve(fact, rhs - apply_block_tridiag(gram, lam, x, weight))
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("block-tridiagonal solve produced non-finite values")
-    return x
