@@ -63,9 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_spec(name_or_path: str):
-    if Path(name_or_path).suffix == ".json" or Path(name_or_path).exists():
-        return load_scenario(name_or_path)
-    return scenario(name_or_path)
+    """A built-in scenario by name, else a scenario file: a ``.json`` path or
+    any path that exists (``./nl`` reads a file named ``nl``)."""
+    try:
+        return scenario(name_or_path)
+    except InputError:
+        if Path(name_or_path).suffix == ".json" or Path(name_or_path).exists():
+            return load_scenario(name_or_path)
+        raise
 
 
 def _seed(text: str) -> int:

@@ -387,6 +387,15 @@ class TestExitCodes:
         ) == 0
         assert (tmp_path / "sim.csv.manifest.json").exists()
 
+    def test_scenario_name_beats_a_path_of_that_name(self, tmp_path, monkeypatch):
+        # a directory named nl in the working directory was read as a scenario file
+        args = ("simulate", "--scenario", "nl", "--seed", "1", "--out")
+        assert run(*args, str(tmp_path / "plain.csv")) == 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nl").mkdir()
+        assert run(*args, "shadowed.csv") == 0
+        assert (tmp_path / "shadowed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     @pytest.mark.parametrize("name", ["ltv", "inst-reconfig"])
     def test_infinite_horizon_file_is_two(self, tmp_path, capsys, name):
         from ltvbench.dynamics import save_scenario, scenario
