@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 import ltvbench.bench as bench
 import ltvbench.cli as cli
 import ltvbench.datagen as datagen
+import ltvbench.ident.cosmic as cosmic
 import ltvbench.ident.tuning as tuning
 from ltvbench.control import GainSchedule, closed_loop, default_reference, tracking_errors
 from ltvbench.datagen import Split
@@ -520,6 +521,18 @@ class TestPipeline:
         assert calls == ["nl"] * sum(len(ds) for ds in splits.values()) == ["nl"] * 9
         calls.clear()
         assert len(datagen.tvera_experiments(spec, 2, 3, 1e-6)) == len(calls) == 5
+
+    @pytest.mark.parametrize("method", ["cosmic", "cosmic-single"])
+    def test_one_solve_per_cosmic_fit(self, monkeypatch, method):
+        # the benchmark traces this binding as ident.tridiag and counts its
+        # blocks, N per fit
+        fits = _count_calls(monkeypatch, tuning, "fit_method")
+        solves = _count_calls(monkeypatch, cosmic, "solve_block_tridiag")
+        spec, _, splits = bench._scenario_data("ltv", self.CFG)
+        grid = bench.method_grid(method, self.CFG)
+        tuning.tune(method, grid, splits[Split.TRAIN], splits[Split.VALIDATION])
+        assert len(fits) == len(solves) == len(grid) == 3
+        assert [len(gram) for gram in solves] == [spec.n_steps] * len(grid)
 
     def test_one_fit_call_per_grid_point(self, monkeypatch):
         # the benchmark counts fit_method calls as fits; scoring is batched
