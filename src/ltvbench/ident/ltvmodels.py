@@ -57,7 +57,7 @@ linearizes w = c z along the primal direction dz, and s = min(1, 0.99 times
 the step at which some ||w(t)|| reaches lam) keeps it strictly inside the
 ball.  The barrier's Hessian changes fast where ||z|| is near mu / lam,
 which forces short, damped steps; the system in (z, w) is less curved there,
-and on Table 1's lambda grid at master seed 7 the 45 fits take 604 Newton
+and on Table 1's lambda grid at master seed 7 the 45 fits take 605 Newton
 steps instead of 1010.
 
 Each Newton step is one banded Cholesky of the block-tridiagonal matrix,
